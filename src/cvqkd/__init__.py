@@ -1,67 +1,17 @@
-"""Coherent-state CV-QKD: channel simulation, noise estimators, key rates."""
+"""Coherent-state CV-QKD: channel simulation, noise estimators, key rates.
+
+The package root exports the Quick-start API; everything else is imported
+from the submodules (``cvqkd.channel``, ``cvqkd.estimators``,
+``cvqkd.security``, ``cvqkd.optimizer``, ``cvqkd.experiments``).
+"""
 
 from ._version import __version__
-from .channel import (
-    ChannelParams,
-    ProtocolParams,
-    SessionData,
-    SessionSplit,
-    fiber_transmission,
-    output_noise,
-    read_session_csv,
-    sample_session,
-    split_session,
-    trial_seed,
-    write_session_csv,
-)
+from .channel import ChannelParams, ProtocolParams, sample_session, split_session
 from .estimators import (
-    Estimate,
     EstimatorKind,
-    StatisticsCovariance,
-    StatisticsVector,
-    build_cj_mm_full,
-    build_cj_mm_key,
     collect_statistics,
-    combine_optimal,
-    cross_moment,
-    delta_method_mean,
-    delta_method_variance,
-    estimate_T_secondmod,
-    estimate_Vxi_secondmod,
     estimate_sigma2_mle,
-    estimate_sigma2_mm_full,
-    estimate_sigma2_mm_key,
-    estimate_sigma2_mm_known_va,
     estimate_t_mle,
-    mm_full_gradient,
-    mm_key_gradient,
-    residual_second_moment,
-    second_moment,
-    theoretical_std,
 )
-from .optimizer import (
-    MaximumDistanceResult,
-    OptimizationResult,
-    RangeLimitRatio,
-    SearchConfig,
-    maximum_distance,
-    optimize_asymptotic_rate,
-    optimize_key_rate,
-    range_limit_ratio,
-)
-from .security import (
-    KeyRateResult,
-    TwoModeCovariance,
-    WorstCaseParams,
-    conditional_eigenvalue_homodyne,
-    confidence_quantile,
-    covariance_matrix,
-    g_entropy,
-    holevo_bound,
-    key_rate_asymptotic,
-    key_rate_finite,
-    mutual_information,
-    symplectic_eigenvalues,
-    worst_case_covariance,
-    worst_case_params,
-)
+from .optimizer import optimize_key_rate
+from .security import key_rate_finite

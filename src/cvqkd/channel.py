@@ -14,8 +14,8 @@ where x_m2 is an optional second, independently modulated displacement
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from math import log10, sqrt
+from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "SessionData",
     "SessionSplit",
     "fiber_transmission",
-    "output_noise",
     "sample_session",
     "split_session",
     "trial_seed",
@@ -43,12 +42,9 @@ def fiber_transmission(distance_km: float, loss_db_per_km: float = 0.2) -> float
     return 10.0 ** (-loss_db_per_km * distance_km / 10.0)
 
 
-def output_noise(T: float, xi: float) -> float:
-    """Total noise variance sigma2 = 1 + T*xi at the channel output."""
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"T must be in [0, 1], got {T}")
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
+def _sigma2(T: float, xi: float) -> float:
+    # the model's output noise; ChannelParams checks T and xi, the
+    # design-phase formulas take them as given
     return 1.0 + T * xi
 
 
@@ -73,7 +69,7 @@ class ChannelParams:
     @property
     def sigma2(self) -> float:
         """Output noise variance 1 + T*xi (shot-noise units)."""
-        return 1.0 + self.T * self.xi
+        return _sigma2(self.T, self.xi)
 
     @property
     def v_xi(self) -> float:

@@ -62,8 +62,9 @@ class ExperimentConfig:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
-        if not 0 <= self.m <= self.N:
-            raise ValueError(f"m must be in [0, N], got {self.m}")
+        if not 2 <= self.m <= self.N - 1:
+            raise ValueError(f"m must be in [2, N-1], got m={self.m}, "
+                             f"N={self.N}")
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.V_M2 < 0:
@@ -76,8 +77,12 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 2, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.distances_km:
+            raise ValueError("distances_km must not be empty")
         if any(d < 0 for d in self.distances_km + self.mc_distances_km):
             raise ValueError("distances must be >= 0")
+        if not self.estimators:
+            raise ValueError("estimators must not be empty")
         for e in self.estimators:
             if e not in _VALID_ESTIMATORS:
                 raise ValueError(f"unknown estimator {e!r}, "
@@ -85,6 +90,8 @@ class ExperimentConfig:
         if self.convention not in _VALID_CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}, "
                              f"expected one of {_VALID_CONVENTIONS}")
+        if not self.n_list:
+            raise ValueError("n_list must not be empty")
         if any(n < 2 for n in self.n_list) or self.fig3_N < 2:
             raise ValueError("block sizes must be >= 2")
 

@@ -28,6 +28,8 @@ from math import sqrt
 
 import numpy as np
 
+from .channel import _sigma2
+
 __all__ = [
     "EstimatorKind",
     "Estimate",
@@ -52,13 +54,13 @@ __all__ = [
     "var_sigma2_mm_key",
     "var_T_secondmod",
     "var_vxi_secondmod",
+    "sigma2_variance",
     "theoretical_std",
     "delta_method_variance",
     "delta_method_mean",
     "build_cj_mm_full",
     "build_cj_mm_key",
     "mm_full_gradient",
-    "mm_key_gradient",
 ]
 
 
@@ -246,7 +248,7 @@ def combine_optimal(first: Estimate, second: Estimate,
         raise ValueError("cannot weight two zero-variance estimates")
     alpha = v2 / (v1 + v2)
     value = alpha * first.value + (1.0 - alpha) * second.value
-    return Estimate(value=value, variance=v1 * v2 / (v1 + v2), kind=kind)
+    return Estimate(value=value, variance=_combined_variance(v1, v2), kind=kind)
 
 
 def estimate_T_secondmod(x_m2: np.ndarray, y: np.ndarray, V_M2: float) -> Estimate:
@@ -334,37 +336,52 @@ def var_sigma2_mm_key(V_A: float, T: float, sigma2: float, m: int, n: int,
 
 def var_T_secondmod(V_A: float, T: float, xi: float, N: int,
                     V_M2: float) -> float:
-    """Var(T_hat) = (4/N)*T**2*(2 + V_N/(T*V_M2)), V_N = 1 + T*xi + T*V_A."""
-    v_n = 1.0 + T * xi + T * V_A
+    """Var(T_hat) = (4/N)*T**2*(2 + V_N/(T*V_M2)), V_N = sigma2 + T*V_A."""
+    v_n = _sigma2(T, xi) + T * V_A
     return (4.0 / N) * T**2 * (2.0 + v_n / (T * V_M2))
 
 
 def var_vxi_secondmod(V_A: float, T: float, xi: float, N: int,
                       V_M2: float) -> float:
     """Var(vxi_hat) = (2/N)*V_N**2 + V_A**2*Var(T_hat)."""
-    v_n = 1.0 + T * xi + T * V_A
+    v_n = _sigma2(T, xi) + T * V_A
     return (2.0 / N) * v_n**2 + V_A**2 * var_T_secondmod(V_A, T, xi, N, V_M2)
+
+
+def _combined_variance(v1: float, v2: float) -> float:
+    """Variance of the inverse-variance weighted mean of two estimates."""
+    return v1 * v2 / (v1 + v2)
+
+
+def sigma2_variance(kind: EstimatorKind, V_A: float, T: float, sigma2: float,
+                    m: int, n: int, N: int, printed_form: bool = False) -> float:
+    """Closed-form variance of the sigma2 estimator ``kind``.
+
+    The one place that decides which variance sets a sigma2 confidence
+    width: both the estimator spread and the finite-size key rate use it.
+    """
+    if kind is EstimatorKind.SIGMA2_MLE:
+        return var_sigma2_mle(sigma2, m)
+    if kind is EstimatorKind.SIGMA2_MM_FULL:
+        return var_sigma2_mm_full(V_A, T, sigma2, m, N)
+    if kind is EstimatorKind.SIGMA2_OPT:
+        return _combined_variance(
+            var_sigma2_mle(sigma2, m),
+            var_sigma2_mm_key(V_A, T, sigma2, m, n, printed_form))
+    if kind is EstimatorKind.SIGMA2_MM_KEY:
+        return var_sigma2_mm_key(V_A, T, sigma2, m, n, printed_form)
+    if kind is EstimatorKind.SIGMA2_MM_KNOWN_VA:
+        return var_sigma2_mm_known_va(V_A, T, sigma2, m, N)
+    raise ValueError(f"no closed-form variance for {kind}")
 
 
 def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,
                     m: int, n: int, N: int, V_M2: float = 0.0,
                     mm_key_printed_form: bool = False) -> float:
     """Closed-form standard deviation of an estimator at true parameters."""
-    sigma2 = 1.0 + T * xi
+    sigma2 = _sigma2(T, xi)
     if kind is EstimatorKind.T_MLE:
         var = var_t_mle(V_A, T, sigma2, m)
-    elif kind is EstimatorKind.SIGMA2_MLE:
-        var = var_sigma2_mle(sigma2, m)
-    elif kind is EstimatorKind.SIGMA2_MM_KNOWN_VA:
-        var = var_sigma2_mm_known_va(V_A, T, sigma2, m, N)
-    elif kind is EstimatorKind.SIGMA2_MM_FULL:
-        var = var_sigma2_mm_full(V_A, T, sigma2, m, N)
-    elif kind is EstimatorKind.SIGMA2_MM_KEY:
-        var = var_sigma2_mm_key(V_A, T, sigma2, m, n, mm_key_printed_form)
-    elif kind is EstimatorKind.SIGMA2_OPT:
-        v1 = var_sigma2_mle(sigma2, m)
-        v2 = var_sigma2_mm_key(V_A, T, sigma2, m, n, mm_key_printed_form)
-        var = v1 * v2 / (v1 + v2)
     elif kind is EstimatorKind.T_SECONDMOD:
         var = var_T_secondmod(V_A, T, xi, N, V_M2)
     elif kind is EstimatorKind.VXI_SECONDMOD:
@@ -372,11 +389,11 @@ def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,
     elif kind is EstimatorKind.VXI_OPT:
         # Reconstruction: the second-modulation estimate combined with the
         # residual MLE recast as an excess-noise estimate (same variance).
-        v1 = var_vxi_secondmod(V_A, T, xi, N, V_M2)
-        v2 = var_sigma2_mle(sigma2, m)
-        var = v1 * v2 / (v1 + v2)
+        var = _combined_variance(var_vxi_secondmod(V_A, T, xi, N, V_M2),
+                                 var_sigma2_mle(sigma2, m))
     else:
-        raise ValueError(f"no closed-form std for {kind}")
+        var = sigma2_variance(kind, V_A, T, sigma2, m, n, N,
+                              mm_key_printed_form)
     return sqrt(var)
 
 
@@ -478,12 +495,9 @@ def build_cj_mm_key(V_A: float, t: float, sigma2: float, m: int, n: int,
 def mm_full_gradient(t: float) -> np.ndarray:
     """Gradient of sigma2_b - t_hat**2*sigma2_a at the mean statistics.
 
-    Entry order matches build_cj_mm_full. The sigma2_a / sigma2_a_pe ratio
-    drops out at the mean, leaving (-t**2, 1, 2*t**2, -2*t).
+    Entry order matches build_cj_mm_full and build_cj_mm_key: the key-subset
+    estimator sigma2_b_key - t_hat**2*sigma2_a_key has the same gradient.
+    The sigma2_a / sigma2_a_pe ratio drops out at the mean, leaving
+    (-t**2, 1, 2*t**2, -2*t).
     """
-    return np.array([-t**2, 1.0, 2.0 * t**2, -2.0 * t])
-
-
-def mm_key_gradient(t: float) -> np.ndarray:
-    """Gradient of sigma2_b_key - t_hat**2*sigma2_a_key at the mean."""
     return np.array([-t**2, 1.0, 2.0 * t**2, -2.0 * t])

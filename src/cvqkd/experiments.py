@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log10, sqrt
 
 import numpy as np
@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .optimizer import (
     OptimizationResult,
-    SearchConfig,
+    _round_m,
     optimize_asymptotic_rate,
     optimize_key_rate,
 )
@@ -228,6 +228,12 @@ CORR_TOL = 0.05
 DOMINANCE_SLACK = 1.02
 
 
+def _theory_std(cfg: ExperimentConfig, kind: EstimatorKind, T: float) -> float:
+    return theoretical_std(kind, cfg.V_A, T, cfg.xi, cfg.m, cfg.N - cfg.m,
+                           cfg.N, V_M2=cfg.V_M2,
+                           mm_key_printed_form=cfg.mm_key_printed_variance)
+
+
 def _truth(name: str, res: TrialEstimates) -> float:
     if name == "t_hat":
         return sqrt(res.T)
@@ -261,14 +267,10 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str,
 
     for di, d in enumerate(cfg.mc_distances_km):
         res = run_estimator_trials(cfg, d, trials, stream_base=3 * di)
-        n_key = cfg.N - cfg.m
         for name, kind in _THEORY_KIND.items():
             values = getattr(res, name)
             emp_std = float(np.std(values, ddof=1))
-            th_std = theoretical_std(
-                kind, cfg.V_A, res.T, cfg.xi, cfg.m, n_key, cfg.N,
-                V_M2=cfg.V_M2,
-                mm_key_printed_form=cfg.mm_key_printed_variance)
+            th_std = _theory_std(cfg, kind, res.T)
             ratio_dev = abs(emp_std / th_std - 1.0)
             add("std_ratio", d, name, emp_std, th_std, STD_RATIO_TOL,
                 ratio_dev <= STD_RATIO_TOL)
@@ -315,26 +317,18 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
     moment and combined estimators at the configured sample distances.
     """
     os.makedirs(out_dir, exist_ok=True)
-    n_key = cfg.N - cfg.m
     mc: dict[float, TrialEstimates] = {}
     for di, d in enumerate(cfg.mc_distances_km):
         if d in cfg.distances_km:
             mc[d] = run_estimator_trials(cfg, d, cfg.trials, stream_base=3 * di)
 
-    def th(kind, T):
-        return theoretical_std(kind, cfg.V_A, T, cfg.xi, cfg.m, n_key, cfg.N,
-                               V_M2=cfg.V_M2,
-                               mm_key_printed_form=cfg.mm_key_printed_variance)
-
     rows = []
     for d in cfg.distances_km:
         T = fiber_transmission(d, cfg.loss_db_per_km)
-        row = [d,
-               th(EstimatorKind.VXI_SECONDMOD, T),
-               th(EstimatorKind.SIGMA2_MM_FULL, T),
-               th(EstimatorKind.SIGMA2_MLE, T),
-               th(EstimatorKind.VXI_OPT, T),
-               th(EstimatorKind.SIGMA2_OPT, T)]
+        row = [d] + [_theory_std(cfg, kind, T) for kind in (
+            EstimatorKind.VXI_SECONDMOD, EstimatorKind.SIGMA2_MM_FULL,
+            EstimatorKind.SIGMA2_MLE, EstimatorKind.VXI_OPT,
+            EstimatorKind.SIGMA2_OPT)]
         if d in mc:
             row.append(float(np.std(mc[d].sigma2_mm_full, ddof=1)))
             row.append(float(np.std(mc[d].sigma2_opt, ddof=1)))
@@ -358,7 +352,7 @@ def _best_over_candidates(kind: EstimatorKind, T: float,
     # re-scoring them keeps the reported curves free of refinement jitter.
     best = own
     for cand in others:
-        m = min(max(int(np.floor(cand.best_m_fraction * N + 0.5)), 1), N - 1)
+        m = _round_m(cand.best_m_fraction, N)
         k = key_rate_finite(cand.best_V_A, T, cfg.xi, cfg.beta, N, m,
                             cfg.epsilon_pe, kind, cfg.convention).key_rate
         if k > best.best_key_rate:
@@ -492,8 +486,7 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str) -> str:
                                 _KIND_BY_NAME[name], distance_km=d,
                                 loss_db_per_km=cfg.loss_db_per_km,
                                 convention=cfg.convention)
-        m = min(max(int(np.floor(res.best_m_fraction * cfg.N + 0.5)), 1),
-                cfg.N - 1)
+        m = _round_m(res.best_m_fraction, cfg.N)
         rows.append([d, name, res.best_V_A, res.best_m_fraction, m,
                      res.best_key_rate, res.evaluations])
     path = os.path.join(out_dir, "optimize.csv")

@@ -86,6 +86,39 @@ def _round_m(frac: float, N: int) -> int:
     return min(max(m, 1), N - 1)
 
 
+def _transmission(T: float | None, distance_km: float | None,
+                  loss_db_per_km: float) -> float:
+    if (T is None) == (distance_km is None):
+        raise ValueError("give exactly one of T and distance_km")
+    return fiber_transmission(distance_km, loss_db_per_km) if T is None else T
+
+
+def _last_positive(positive, d_cap_km: float,
+                   resolution_km: float) -> float | None:
+    """Largest distance d with positive(d): doubling, then bisection.
+
+    Probes 0, 1, 2, 4, ... km (the last step clipped to the cap) until
+    positive fails, then halves the bracket down to ``resolution_km``.
+    Returns None when positive(0) fails and the cap when it never fails.
+    """
+    if not positive(0.0):
+        return None
+    lo, hi = 0.0, 1.0
+    while positive(hi):
+        lo = hi
+        if hi >= d_cap_km:
+            # still secure at the cap; report the cap rather than extrapolate
+            return d_cap_km
+        hi = min(2.0 * hi, d_cap_km)
+    while hi - lo > resolution_km:
+        mid = (lo + hi) / 2.0
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def optimize_key_rate(xi: float, beta: float, N: int,
                       epsilon_pe: float = 1e-10,
                       estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
@@ -106,10 +139,7 @@ def optimize_key_rate(xi: float, beta: float, N: int,
     neighbouring distance's optimum keeps the search from reporting a
     false zero there.
     """
-    if (T is None) == (distance_km is None):
-        raise ValueError("give exactly one of T and distance_km")
-    if T is None:
-        T = fiber_transmission(distance_km, loss_db_per_km)
+    T = _transmission(T, distance_km, loss_db_per_km)
     cfg = search or SearchConfig()
 
     def rate(log_va: float, frac: float) -> float:
@@ -179,10 +209,7 @@ def optimize_asymptotic_rate(xi: float, beta: float,
                              search: SearchConfig | None = None,
                              include_beta: bool = True) -> OptimizationResult:
     """Maximize the asymptotic rate over V_A only."""
-    if (T is None) == (distance_km is None):
-        raise ValueError("give exactly one of T and distance_km")
-    if T is None:
-        T = fiber_transmission(distance_km, loss_db_per_km)
+    T = _transmission(T, distance_km, loss_db_per_km)
     cfg = search or SearchConfig()
     b = beta if include_beta else 1.0
 
@@ -235,24 +262,9 @@ def maximum_distance(xi: float, beta: float, N: int,
                               convention=convention, search=search)
         return r.best_key_rate > 0.0
 
-    if not positive(0.0):
-        return MaximumDistanceResult(0.0, positive_at_zero=False,
-                                     evaluations=evaluations)
-    lo, hi = 0.0, 1.0
-    while positive(hi):
-        lo = hi
-        if hi >= d_cap_km:
-            # still secure at the cap; report the cap rather than extrapolate
-            return MaximumDistanceResult(d_cap_km, positive_at_zero=True,
-                                         evaluations=evaluations)
-        hi = min(2.0 * hi, d_cap_km)
-    while hi - lo > resolution_km:
-        mid = (lo + hi) / 2.0
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
-    return MaximumDistanceResult(lo, positive_at_zero=True,
+    d = _last_positive(positive, d_cap_km, resolution_km)
+    return MaximumDistanceResult(0.0 if d is None else d,
+                                 positive_at_zero=d is not None,
                                  evaluations=evaluations)
 
 
@@ -291,28 +303,18 @@ def range_limit_ratio(xi: float, beta: float, N: int,
             seed_of[kind] = (r.best_V_A, r.best_m_fraction)
         return r
 
-    if opt(denominator, 0.0).best_key_rate <= 0.0:
+    boundary = _last_positive(
+        lambda d: opt(denominator, d).best_key_rate > 0.0, d_cap_km,
+        resolution_km)
+    if boundary is None:
         return RangeLimitRatio(rows=(), boundary_km=0.0,
                                max_ratio=float("nan"),
                                evaluations=evaluations)
-    lo, hi = 0.0, 1.0
-    while opt(denominator, hi).best_key_rate > 0.0:
-        lo = hi
-        if hi >= d_cap_km:
-            break
-        hi = min(2.0 * hi, d_cap_km)
-    if lo < hi:
-        while hi - lo > resolution_km:
-            mid = (lo + hi) / 2.0
-            if opt(denominator, mid).best_key_rate > 0.0:
-                lo = mid
-            else:
-                hi = mid
 
     rows = []
     max_ratio = 0.0
     for w in sorted(set(offsets_km), reverse=True) + [0.0]:
-        d = lo - w
+        d = boundary - w
         if d < 0.0:
             continue
         r_den = opt(denominator, d)
@@ -323,5 +325,5 @@ def range_limit_ratio(xi: float, beta: float, N: int,
             max_ratio = max(max_ratio, ratio)
         rows.append((d, k_den, k_num, ratio,
                      r_den.best_m_fraction, r_num.best_m_fraction))
-    return RangeLimitRatio(rows=tuple(rows), boundary_km=lo,
+    return RangeLimitRatio(rows=tuple(rows), boundary_km=boundary,
                            max_ratio=max_ratio, evaluations=evaluations)

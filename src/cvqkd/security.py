@@ -15,18 +15,13 @@ number of revealed states and with the estimator's variance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2, sqrt
 
 from scipy.special import erfinv
 
-from .estimators import (
-    EstimatorKind,
-    var_sigma2_mle,
-    var_sigma2_mm_full,
-    var_sigma2_mm_key,
-    var_t_mle,
-)
+from .channel import _sigma2
+from .estimators import EstimatorKind, sigma2_variance, var_t_mle
 
 __all__ = [
     "TwoModeCovariance",
@@ -153,7 +148,7 @@ def mutual_information(V_A: float, T: float, xi: float) -> float:
     """Alice-Bob mutual information (1/2)*log2(1 + T*V_A/(1 + T*xi))."""
     if V_A <= 0:
         raise ValueError(f"V_A must be > 0, got {V_A}")
-    return 0.5 * log2(1.0 + T * V_A / (1.0 + T * xi))
+    return 0.5 * log2(1.0 + T * V_A / _sigma2(T, xi))
 
 
 def symplectic_eigenvalues(cov: TwoModeCovariance) -> tuple[float, float]:
@@ -227,7 +222,6 @@ class KeyRateResult:
     n_fraction: float
     reason: str | None = None
     clamped: bool = False
-    inputs: dict = field(default_factory=dict)
 
 
 def key_rate_asymptotic(V_A: float, T: float, xi: float,
@@ -242,7 +236,6 @@ def key_rate_asymptotic(V_A: float, T: float, xi: float,
         mutual_information=i_ab,
         holevo=s,
         n_fraction=1.0,
-        inputs={"V_A": V_A, "T": T, "xi": xi, "beta": beta},
     )
 
 
@@ -257,35 +250,23 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
     sigma2/(m*V_A). ``estimator_kind`` selects which sigma2 estimator sets
     the noise confidence width.
     """
-    inputs = {"V_A": V_A, "T": T, "xi": xi, "beta": beta, "N": N, "m": m,
-              "epsilon_pe": epsilon_pe, "estimator_kind": str(estimator_kind.value),
-              "convention": convention}
     if m >= N:
         return KeyRateResult(key_rate=0.0, key_rate_raw=0.0,
                              mutual_information=0.0, holevo=0.0,
-                             n_fraction=0.0, reason="no key states (m == N)",
-                             inputs=inputs)
+                             n_fraction=0.0, reason="no key states (m == N)")
     if m == 0:
         return KeyRateResult(key_rate=0.0, key_rate_raw=0.0,
                              mutual_information=0.0, holevo=0.0,
-                             n_fraction=1.0, reason="no parameter estimation (m == 0)",
-                             inputs=inputs)
-
-    n = N - m
-    sigma2 = 1.0 + T * xi
-    t = sqrt(T)
-    std_t = sqrt(var_t_mle(V_A, T, sigma2, m))
-    if estimator_kind is EstimatorKind.SIGMA2_MLE:
-        var_s2 = var_sigma2_mle(sigma2, m)
-    elif estimator_kind is EstimatorKind.SIGMA2_MM_FULL:
-        var_s2 = var_sigma2_mm_full(V_A, T, sigma2, m, N)
-    elif estimator_kind is EstimatorKind.SIGMA2_OPT:
-        v1 = var_sigma2_mle(sigma2, m)
-        v2 = var_sigma2_mm_key(V_A, T, sigma2, m, n)
-        var_s2 = v1 * v2 / (v1 + v2)
-    else:
+                             n_fraction=1.0, reason="no parameter estimation (m == 0)")
+    if estimator_kind not in KEY_RATE_ESTIMATORS:
         raise ValueError(f"estimator_kind must be one of {KEY_RATE_ESTIMATORS}, "
                          f"got {estimator_kind}")
+
+    n = N - m
+    sigma2 = _sigma2(T, xi)
+    t = sqrt(T)
+    std_t = sqrt(var_t_mle(V_A, T, sigma2, m))
+    var_s2 = sigma2_variance(estimator_kind, V_A, T, sigma2, m, n, N)
 
     wc = worst_case_params(t, std_t, sigma2, sqrt(var_s2), epsilon_pe, convention)
     cov_wc = worst_case_covariance(wc, V_A)
@@ -299,5 +280,4 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
         holevo=s_wc,
         n_fraction=n / N,
         clamped=cov_wc.clamped,
-        inputs=inputs,
     )

@@ -20,7 +20,6 @@ from cvqkd.estimators import (
     build_cj_mm_key,
     delta_method_variance,
     mm_full_gradient,
-    mm_key_gradient,
     theoretical_std,
     var_sigma2_mm_full,
     var_sigma2_mm_key,
@@ -109,7 +108,7 @@ def test_delta_method_engine_matches_closed_forms(report):
                 worst_full = max(worst_full,
                                  abs(eng_full - closed_full) / closed_full)
                 eng_key = delta_method_variance(
-                    mm_key_gradient(t), build_cj_mm_key(V_A, t, sigma2, m, n))
+                    mm_full_gradient(t), build_cj_mm_key(V_A, t, sigma2, m, n))
                 closed_key = var_sigma2_mm_key(V_A, T, sigma2, m, n)
                 worst_key = max(worst_key,
                                 abs(eng_key - closed_key) / closed_key)

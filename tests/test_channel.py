@@ -6,7 +6,6 @@ from cvqkd.channel import (
     ProtocolParams,
     SessionSplit,
     fiber_transmission,
-    output_noise,
     read_session_csv,
     sample_session,
     split_session,
@@ -31,13 +30,13 @@ def test_fiber_transmission_rejects_bad_inputs():
 
 
 def test_output_noise_shot_noise_floor():
-    assert output_noise(1.0, 0.0) == 1.0
-    assert output_noise(1.0, 0.01) == pytest.approx(1.01, rel=1e-15)
-    assert output_noise(0.1, 0.01) == pytest.approx(1.001, rel=1e-15)
+    assert ChannelParams(1.0, 0.0).sigma2 == 1.0
+    assert ChannelParams(1.0, 0.01).sigma2 == pytest.approx(1.01, rel=1e-15)
+    assert ChannelParams(0.1, 0.01).sigma2 == pytest.approx(1.001, rel=1e-15)
     with pytest.raises(ValueError):
-        output_noise(1.5, 0.0)
+        ChannelParams(1.5, 0.0)
     with pytest.raises(ValueError):
-        output_noise(0.5, -0.01)
+        ChannelParams(0.5, -0.01)
 
 
 def test_channel_params_derived_quantities():

@@ -79,6 +79,11 @@ def test_validate_rejects_inconsistent_values():
         parse_config("trials = 1\n")
     with pytest.raises(ValueError):
         parse_config("xi = -0.01\n")
+    # m = N leaves no key states, m < 2 no residual degree of freedom
+    for text in ("m = 1e5\n", "m = 1\n", "m = 0\n",
+                 "distances_km = \n", "estimators = \n", "n_list = \n"):
+        with pytest.raises(ValueError):
+            parse_config(text)
 
 
 def test_raw_lines_preserved():

@@ -15,7 +15,6 @@ from cvqkd.estimators import (
     delta_method_mean,
     delta_method_variance,
     mm_full_gradient,
-    mm_key_gradient,
     var_sigma2_mm_full,
     var_sigma2_mm_key,
     var_sigma2_mm_known_va,
@@ -103,7 +102,7 @@ def test_engine_matches_closed_form_mm_key():
         t = np.sqrt(T)
         sigma2 = 1.0 + T * xi
         engine = delta_method_variance(
-            mm_key_gradient(t), build_cj_mm_key(V_A, t, sigma2, M, KEY_N))
+            mm_full_gradient(t), build_cj_mm_key(V_A, t, sigma2, M, KEY_N))
         closed = var_sigma2_mm_key(V_A, T, sigma2, M, KEY_N)
         worst = max(worst, abs(engine - closed) / closed)
     assert worst <= 1e-12
@@ -125,7 +124,7 @@ def test_printed_variant_coincides_with_engine_at_unit_noise():
     for V_A, T, _ in GRID:
         t = np.sqrt(T)
         engine = delta_method_variance(
-            mm_key_gradient(t), build_cj_mm_key(V_A, t, 1.0, M, KEY_N))
+            mm_full_gradient(t), build_cj_mm_key(V_A, t, 1.0, M, KEY_N))
         printed = var_sigma2_mm_key(V_A, T, 1.0, M, KEY_N, printed_form=True)
         assert engine == pytest.approx(printed, rel=1e-12)
 
@@ -135,9 +134,9 @@ def test_cross_denominator_flag_adds_exact_excess():
         t = np.sqrt(T)
         sigma2 = 1.0 + T * xi
         v_n = delta_method_variance(
-            mm_key_gradient(t), build_cj_mm_key(V_A, t, sigma2, M, KEY_N))
+            mm_full_gradient(t), build_cj_mm_key(V_A, t, sigma2, M, KEY_N))
         v_full = delta_method_variance(
-            mm_key_gradient(t),
+            mm_full_gradient(t),
             build_cj_mm_key(V_A, t, sigma2, M, KEY_N, cross_denominator_full=True))
         excess = 4.0 * t**4 * V_A**2 * (1.0 / KEY_N - 1.0 / N)
         assert v_full - v_n == pytest.approx(excess, rel=1e-10, abs=1e-18)
@@ -155,7 +154,6 @@ def test_gradients_match_finite_differences():
             dn[i] -= h
             fd[i] = (_estimator_fn(up) - _estimator_fn(dn)) / (2 * h)
         np.testing.assert_allclose(fd, mm_full_gradient(t), rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(fd, mm_key_gradient(t), rtol=1e-6, atol=1e-9)
 
 
 def test_estimator_is_unbiased_at_mean_statistics():

@@ -209,10 +209,17 @@ def test_cli_requires_command():
 
 def test_cli_bad_config_returns_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_key = 1\n")
-    rc = cli.main(["keyrate", "--config", str(bad), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    for text, verb in (("no_such_key = 1\n", "keyrate"),
+                       ("m = 1e5\n", "validate"), ("m = 1\n", "validate"),
+                       ("m = 0\n", "validate"),
+                       ("distances_km = \n", "simulate"),
+                       ("distances_km = \n", "optimize"),
+                       ("estimators = \n", "keyrate"),
+                       ("n_list = \n", "fig2")):
+        bad.write_text(text)
+        rc = cli.main([verb, "--config", str(bad), "--out", str(tmp_path)])
+        assert rc == 2, text
+        assert "cvqkd: config error" in capsys.readouterr().err
 
 
 def test_cli_validate_runs_small(tmp_path, capsys):

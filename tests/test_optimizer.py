@@ -155,6 +155,18 @@ def test_maximum_distance_dead_channel():
     assert not res.positive_at_zero
 
 
+def test_range_search_stops_at_the_cap():
+    """Both range searches report the cap after the same probes."""
+    res = maximum_distance(XI, BETA, 10**5, d_cap_km=3.0)
+    assert res.distance_km == 3.0 and res.positive_at_zero
+    assert res.evaluations == 4  # 0, 1, 2 and 3 km
+    rr = range_limit_ratio(XI, BETA, 10**5, d_cap_km=3.0)
+    assert rr.boundary_km == 3.0
+    assert [row[0] for row in rr.rows] == [2.95, 2.98, 2.99, 2.995, 2.998,
+                                           2.999, 3.0]
+    assert rr.evaluations == 12757
+
+
 def test_range_limit_ratio_structure():
     rr = range_limit_ratio(XI, BETA, 10**5)
     assert 38.0 < rr.boundary_km < 39.5
