@@ -9,9 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .estimators import EstimatorKind
+
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
-_VALID_ESTIMATORS = ("mle", "mm", "opt")
+# the estimator names a config may list, and the sigma2 estimator each
+# names in the key-rate runners
+_KIND_BY_NAME = {
+    "mle": EstimatorKind.SIGMA2_MLE,
+    "mm": EstimatorKind.SIGMA2_MM_FULL,
+    "opt": EstimatorKind.SIGMA2_OPT,
+}
 _VALID_CONVENTIONS = ("paper", "gaussian")
 
 
@@ -84,9 +92,9 @@ class ExperimentConfig:
         if not self.estimators:
             raise ValueError("estimators must not be empty")
         for e in self.estimators:
-            if e not in _VALID_ESTIMATORS:
+            if e not in _KIND_BY_NAME:
                 raise ValueError(f"unknown estimator {e!r}, "
-                                 f"expected one of {_VALID_ESTIMATORS}")
+                                 f"expected one of {tuple(_KIND_BY_NAME)}")
         if self.convention not in _VALID_CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}, "
                              f"expected one of {_VALID_CONVENTIONS}")

@@ -26,7 +26,7 @@ from .channel import (
     split_session,
     trial_seed,
 )
-from .config import ExperimentConfig
+from .config import _KIND_BY_NAME, ExperimentConfig
 from .estimators import (
     EstimatorKind,
     collect_statistics,
@@ -61,13 +61,6 @@ __all__ = [
     "run_keyrate",
     "run_optimize",
 ]
-
-_KIND_BY_NAME = {
-    "mle": EstimatorKind.SIGMA2_MLE,
-    "mm": EstimatorKind.SIGMA2_MM_FULL,
-    "opt": EstimatorKind.SIGMA2_OPT,
-}
-
 
 # ---------------------------------------------------------------------------
 # output plumbing

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 from math import log2, sqrt
 
+import numpy as np
 from scipy.special import erfinv
 
 from .channel import _sigma2
@@ -38,6 +39,7 @@ __all__ = [
     "holevo_bound",
     "key_rate_asymptotic",
     "key_rate_finite",
+    "key_rate_finite_grid",
 ]
 
 # eigenvalues this far below 1 are treated as round-off on a physical state
@@ -239,6 +241,15 @@ def key_rate_asymptotic(V_A: float, T: float, xi: float,
     )
 
 
+def _key_rate_kind(estimator_kind) -> EstimatorKind:
+    # a plain string such as "sigma2_mle" names the same kind
+    kind = EstimatorKind(estimator_kind)
+    if kind not in KEY_RATE_ESTIMATORS:
+        raise ValueError(f"estimator_kind must be one of {KEY_RATE_ESTIMATORS}, "
+                         f"got {kind}")
+    return kind
+
+
 def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
                     N: int, m: int, epsilon_pe: float = 1e-10,
                     estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
@@ -247,9 +258,11 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
 
     Design-phase calculation: confidence widths use the theoretical
     estimator variances at the true (V_A, T, xi), with Var(t_hat) =
-    sigma2/(m*V_A). ``estimator_kind`` selects which sigma2 estimator sets
-    the noise confidence width.
+    sigma2/(m*V_A). ``estimator_kind`` (a kind or its value, such as
+    "sigma2_mle") selects which sigma2 estimator sets the noise
+    confidence width.
     """
+    estimator_kind = _key_rate_kind(estimator_kind)
     if m >= N:
         return KeyRateResult(key_rate=0.0, key_rate_raw=0.0,
                              mutual_information=0.0, holevo=0.0,
@@ -258,9 +271,6 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
         return KeyRateResult(key_rate=0.0, key_rate_raw=0.0,
                              mutual_information=0.0, holevo=0.0,
                              n_fraction=1.0, reason="no parameter estimation (m == 0)")
-    if estimator_kind not in KEY_RATE_ESTIMATORS:
-        raise ValueError(f"estimator_kind must be one of {KEY_RATE_ESTIMATORS}, "
-                         f"got {estimator_kind}")
 
     n = N - m
     sigma2 = _sigma2(T, xi)
@@ -281,3 +291,77 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
         n_fraction=n / N,
         clamped=cov_wc.clamped,
     )
+
+
+def _grid_check(bad, what: str) -> None:
+    if np.any(bad):
+        raise ValueError(f"{what} on the rate grid")
+
+
+def _g_entropy_grid(x):
+    # x >= 0 here: the eigenvalues are clamped to >= 1 before g is taken
+    pos = x > 0.0
+    xs = np.where(pos, x, 1.0)
+    return np.where(pos, (xs + 1.0) * np.log2(xs + 1.0) - xs * np.log2(xs),
+                    0.0)
+
+
+def key_rate_finite_grid(V_A, T: float, xi: float, beta: float, N: int, m,
+                         epsilon_pe: float = 1e-10,
+                         estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
+                         convention: str = "paper") -> np.ndarray:
+    """Raw finite-size rate (n/N) * (beta*I - S_worst) over arrays of (V_A, m).
+
+    The array form of ``key_rate_finite`` for ranking a parameter grid:
+    ``V_A`` and ``m`` broadcast against each other (``m`` is taken as
+    float, so m**2 cannot overflow), every other argument is fixed. Needs
+    1 <= m <= N-1. Raises ValueError wherever ``key_rate_finite`` would,
+    clamps where it clamps, and warns nowhere. The values are
+    ``key_rate_raw`` up to round-off: numpy's log2 and power differ from
+    ``math``'s in the last bit, so rates to be reported come from
+    ``key_rate_finite``.
+    """
+    kind = _key_rate_kind(estimator_kind)
+    V_A = np.asarray(V_A, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if np.any(V_A <= 0):
+        raise ValueError("V_A must be > 0")
+    if np.any((m < 1) | (m > N - 1)):
+        raise ValueError(f"m must be in [1, N-1] on the rate grid, N={N}")
+
+    n = N - m
+    sigma2 = _sigma2(T, xi)
+    z = confidence_quantile(epsilon_pe, convention)
+    t_min = np.maximum(sqrt(T) - z * np.sqrt(var_t_mle(V_A, T, sigma2, m)),
+                       0.0)
+    sigma2_max = np.maximum(
+        sigma2 + z * np.sqrt(sigma2_variance(kind, V_A, T, sigma2, m, n, N)),
+        1.0)
+
+    # worst_case_covariance, symplectic_eigenvalues and
+    # conditional_eigenvalue_homodyne, element by element
+    a = V_A + 1.0
+    b = t_min**2 * V_A + sigma2_max
+    c = t_min * np.sqrt(V_A**2 + 2.0 * V_A)
+    delta = a * a + b * b - 2.0 * c * c
+    d = a * b - c * c
+    disc = delta * delta - 4.0 * d * d
+    _grid_check(disc < -_NU_TOL, "complex symplectic spectrum")
+    root = np.sqrt(np.maximum(disc, 0.0))
+    nu1 = np.sqrt((delta + root) / 2.0)
+    nu2_sq = (delta - root) / 2.0
+    _grid_check(nu2_sq < 0.0, "negative squared eigenvalue")
+    nu2 = np.sqrt(nu2_sq)
+    _grid_check(nu2 < 1.0 - _NU_TOL, "unphysical covariance matrix")
+    reduced = a - c * c / b
+    _grid_check(reduced < -_NU_TOL, "negative conditional variance")
+    nu3 = np.sqrt(a * np.maximum(reduced, 0.0))
+    _grid_check(nu3 < 1.0 - _NU_TOL, "unphysical conditional state")
+
+    # holevo_bound
+    s = (_g_entropy_grid((np.maximum(nu1, 1.0) - 1.0) / 2.0)
+         + _g_entropy_grid((np.maximum(nu2, 1.0) - 1.0) / 2.0)
+         - _g_entropy_grid((np.maximum(nu3, 1.0) - 1.0) / 2.0))
+    s_wc = np.where(s > -1e-9, np.maximum(s, 0.0), s)
+    i_ab = 0.5 * np.log2(1.0 + T * V_A / sigma2)
+    return (n / N) * (beta * i_ab - s_wc)

@@ -1,6 +1,7 @@
 import pytest
 
-from cvqkd.config import ExperimentConfig, load_config, parse_config
+from cvqkd.config import _KIND_BY_NAME, ExperimentConfig, load_config, parse_config
+from cvqkd.security import KEY_RATE_ESTIMATORS
 
 
 def test_defaults_are_valid():
@@ -84,6 +85,13 @@ def test_validate_rejects_inconsistent_values():
                  "distances_km = \n", "estimators = \n", "n_list = \n"):
         with pytest.raises(ValueError):
             parse_config(text)
+
+
+def test_every_estimator_name_has_a_key_rate_kind():
+    for name, kind in _KIND_BY_NAME.items():
+        assert parse_config(f"estimators = {name}\n").estimators == [name]
+        assert kind in KEY_RATE_ESTIMATORS
+    assert set(ExperimentConfig().estimators) <= set(_KIND_BY_NAME)
 
 
 def test_raw_lines_preserved():

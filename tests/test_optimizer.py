@@ -4,6 +4,7 @@ import pytest
 from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
     SearchConfig,
+    _last_positive,
     maximum_distance,
     optimize_asymptotic_rate,
     optimize_key_rate,
@@ -55,6 +56,19 @@ def test_refinement_never_loses_to_the_grid():
                                search=SearchConfig(refine=False))
     assert coarse.best_key_rate <= res.best_key_rate
     assert all(row[0] != "refine" for row in coarse.trace)
+
+
+def test_grid_counts_every_cell():
+    cfg = SearchConfig(va_points=7, frac_points=5)
+    res = optimize_key_rate(XI, BETA, 10**7, distance_km=20.0, search=cfg)
+    assert res.trace[0][0] == "grid"
+    assert res.trace[0][-1] == 7 * 5
+    assert res.evaluations == 7 * 5 + sum(row[-1] for row in res.trace[1:])
+
+
+def test_optimizer_rejects_an_unphysical_channel():
+    with pytest.raises(ValueError):
+        optimize_key_rate(XI, BETA, 10**5, T=10.0)
 
 
 def test_optimum_matches_brute_force_scan():
@@ -165,6 +179,19 @@ def test_range_search_stops_at_the_cap():
     assert [row[0] for row in rr.rows] == [2.95, 2.98, 2.99, 2.995, 2.998,
                                            2.999, 3.0]
     assert rr.evaluations == 12757
+
+
+def test_range_search_below_one_km_never_probes_past_the_cap():
+    for limit in (0.3, 10.0):
+        probes = []
+
+        def positive(d):
+            probes.append(d)
+            return d <= limit
+
+        d = _last_positive(positive, 0.5, 1e-3)
+        assert max(probes) <= 0.5 and d <= 0.5
+        assert d == (pytest.approx(limit, abs=1e-3) if limit < 0.5 else 0.5)
 
 
 def test_range_limit_ratio_structure():

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from math import log10
+
+from cvqkd.channel import fiber_transmission
+from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
+from cvqkd.optimizer import SearchConfig, _round_m
 from cvqkd.security import (
+    KEY_RATE_ESTIMATORS,
     TwoModeCovariance,
     WorstCaseParams,
     conditional_eigenvalue_homodyne,
@@ -12,6 +18,7 @@ from cvqkd.security import (
     holevo_bound,
     key_rate_asymptotic,
     key_rate_finite,
+    key_rate_finite_grid,
     mutual_information,
     symplectic_eigenvalues,
     worst_case_covariance,
@@ -234,6 +241,57 @@ def test_key_rate_finite_rejects_unsupported_estimator():
     with pytest.raises(ValueError):
         key_rate_finite(3.0, 0.5, 0.01, 0.95, N=1000, m=500,
                         estimator_kind=EstimatorKind.SIGMA2_MM_KEY)
+
+
+def test_key_rate_finite_accepts_the_kind_by_name():
+    args = (3.0, 0.5, 0.01, 0.95, 1000, 500)
+    by_name = key_rate_finite(*args, estimator_kind="sigma2_mle")
+    assert by_name == key_rate_finite(*args,
+                                      estimator_kind=EstimatorKind.SIGMA2_MLE)
+    for name in ("t_mle", "bogus"):
+        with pytest.raises(ValueError):
+            key_rate_finite(*args, estimator_kind=name)
+        with pytest.raises(ValueError):
+            key_rate_finite_grid(np.array([3.0]), *args[1:],
+                                 estimator_kind=name)
+
+
+@pytest.mark.filterwarnings("ignore:worst-case")
+@pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
+def test_key_rate_finite_grid_matches_scalar_rate(kind):
+    """The optimizer's default grid: same rates to 1e-12, same zero cells,
+    and np.argmax picks the cell a scalar strict-> scan picks."""
+    cfg = SearchConfig()
+    vas = [10.0 ** float(lv) for lv in
+           np.linspace(log10(cfg.va_min), log10(cfg.va_max), cfg.va_points)]
+    fracs = [float(f) for f in
+             np.linspace(cfg.frac_min, cfg.frac_max, cfg.frac_points)]
+    for N in ExperimentConfig().n_list:
+        ms = [_round_m(f, N) for f in fracs]
+        for d in (0.0, 20.0, 38.7, 100.0, 184.0):
+            T = fiber_transmission(d, 0.2)
+            grid = key_rate_finite_grid(np.array(vas)[:, None], T, 0.01, 0.95,
+                                        N, np.array(ms, dtype=float)[None, :],
+                                        1e-10, kind).ravel()
+            scalar = np.array([key_rate_finite(va, T, 0.01, 0.95, N, m, 1e-10,
+                                               kind).key_rate_raw
+                               for va in vas for m in ms])
+            assert np.max(np.abs(grid - scalar)) <= 1e-12
+            np.testing.assert_array_equal(grid <= 0.0, scalar <= 0.0)
+            best, first = -1.0, None
+            for i, k in enumerate(np.maximum(scalar, 0.0)):
+                if k > best:
+                    best, first = k, i
+            assert np.argmax(np.maximum(grid, 0.0)) == first
+
+
+def test_key_rate_finite_grid_rejects_unphysical_cells():
+    """T > 1 amplifies the signal beyond what a physical state allows."""
+    with pytest.raises(ValueError):
+        key_rate_finite(3.0, 10.0, 0.01, 0.95, N=1000, m=500)
+    with pytest.raises(ValueError):
+        key_rate_finite_grid(np.array([0.5, 3.0]), 10.0, 0.01, 0.95,
+                             N=1000, m=np.array([500.0]))
 
 
 def test_key_rate_finite_below_scaled_asymptotic():
