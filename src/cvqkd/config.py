@@ -60,7 +60,6 @@ class ExperimentConfig:
     convention: str = "paper"
     asymptotic_includes_beta: bool = True
     mm_key_printed_variance: bool = False
-    mm_key_cross_denominator_full: bool = False
     raw_lines: list[str] = field(default_factory=list, repr=False)
 
     def validate(self) -> None:
@@ -167,8 +166,6 @@ _PARSERS = {
     "convention": str,
     "asymptotic_includes_beta": lambda v: _parse_bool("asymptotic_includes_beta", v),
     "mm_key_printed_variance": lambda v: _parse_bool("mm_key_printed_variance", v),
-    "mm_key_cross_denominator_full":
-        lambda v: _parse_bool("mm_key_cross_denominator_full", v),
 }
 
 

@@ -1,23 +1,26 @@
 """Channel-noise and transmission estimators with their variances.
 
-Several estimators of the output noise sigma2 = 1 + T*xi coexist:
+Every estimator reads moment sums, ``Moments(uu, uy, yy, k)``: the sums of
+u**2, u*y and y**2 over k states, built by ``moments(u, y)``.
+``collect_statistics`` gives ``StatisticsVector(pe, key)`` for the m
+revealed and the n key states; ``stats.full`` is their sum. Estimators:
 
-* ``estimate_sigma2_mle``      -- residual variance of the regression of y
-  on x over the m revealed states (maximum likelihood);
-* ``estimate_sigma2_mm_known_va`` -- second moment of y minus the modeled
-  signal contribution, with the modulation variance taken as known;
-* ``estimate_sigma2_mm_full``  -- same method-of-moments idea but with both
-  second moments estimated from all N states;
-* ``estimate_sigma2_mm_key``   -- method of moments restricted to the n
-  unrevealed (key) states, which makes it independent of the MLE;
-* ``combine_optimal``          -- inverse-variance weighted combination of
-  two independent estimates;
-* ``estimate_T_secondmod`` / ``estimate_Vxi_secondmod`` -- correlation
-  estimators that use a second, publicly revealed modulation.
+* ``estimate_t_mle(pe)`` / ``estimate_sigma2_mle(pe, t)`` -- slope and
+  residual variance of the regression of y on x (maximum likelihood);
+* ``estimate_sigma2_mm_known_va(stats, t, V_A)`` -- second moment of y
+  minus the modeled signal, with V_A taken as known;
+* ``estimate_sigma2_mm_full(stats)`` -- both second moments from all N states;
+* ``estimate_sigma2_mm_key(stats, t)`` -- method of moments over the key
+  states only, which makes it independent of the MLE;
+* ``combine_optimal`` -- inverse-variance combination of two estimates;
+* ``estimate_T_secondmod(m2, V_M2)`` / ``estimate_Vxi_secondmod(m2, T_est,
+  V_A)`` -- correlation estimators on a second, publicly revealed
+  modulation, with ``m2 = moments(x_m2, y)``.
 
-Closed-form variances are available through ``theoretical_std`` and are
-cross-checked against a small delta-method engine (gradient + covariance
-of the moment statistics) in the test suite.
+``second_moment`` and ``residual_second_moment`` are the raw-array forms
+the sums are checked against. Closed-form variances come from
+``theoretical_std``, cross-checked against a delta-method engine in the
+test suite.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ __all__ = [
     "Estimate",
     "StatisticsVector",
     "StatisticsCovariance",
+    "Moments",
+    "moments",
     "second_moment",
-    "cross_moment",
     "residual_second_moment",
     "collect_statistics",
     "estimate_t_mle",
@@ -100,107 +104,103 @@ def second_moment(v: np.ndarray) -> float:
     return float(np.dot(v, v) / v.size)
 
 
-def cross_moment(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean of a*b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValueError("cross moment of an empty sample")
-    return float(np.dot(a, b) / a.size)
-
-
 def residual_second_moment(x: np.ndarray, y: np.ndarray, t_hat: float) -> float:
     """Mean of (y - t_hat*x)**2."""
     return second_moment(np.asarray(y, dtype=float) - t_hat * np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
-class StatisticsVector:
-    """Second moments of one session under a given reveal split.
+class Moments:
+    """Sums of u**2, u*y and y**2 over k states; disjoint subsets add."""
 
-    a/b refer to Alice/Bob, the _pe suffix to the m revealed states and
-    the _key suffix to the n kept states. Key moments are None when n = 0.
-    Partition identity: N*sigma2_a == m*sigma2_a_pe + n*sigma2_a_key.
+    uu: float
+    uy: float
+    yy: float
+    k: int
+
+    def __add__(self, other: Moments) -> Moments:
+        return Moments(self.uu + other.uu, self.uy + other.uy,
+                       self.yy + other.yy, self.k + other.k)
+
+    def residual(self, t: float) -> float:
+        """Mean of (y - t*u)**2, expanded in the sums."""
+        return (self.yy - 2.0 * t * self.uy + t * t * self.uu) / self.k
+
+
+def moments(u: np.ndarray, y: np.ndarray) -> Moments:
+    """Moment sums of one subset of states."""
+    u = np.asarray(u, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if u.ndim != 1 or u.shape != y.shape or u.size == 0:
+        raise ValueError("u and y must be non-empty 1-D arrays of equal length")
+    return Moments(uu=float(np.dot(u, u)), uy=float(np.dot(u, y)),
+                   yy=float(np.dot(y, y)), k=u.size)
+
+
+@dataclass(frozen=True)
+class StatisticsVector:
+    """Moment sums of one session under a given reveal split.
+
+    ``pe`` covers the m revealed states, ``key`` the n kept states (None
+    when n = 0); the full-set sums are their sum.
     """
 
-    sigma2_a: float
-    sigma2_b: float
-    sigma2_a_pe: float
-    sigma_ab_pe: float
-    sigma2_a_key: float | None
-    sigma2_b_key: float | None
-    m: int
-    n: int
-    N: int
+    pe: Moments
+    key: Moments | None
+
+    @property
+    def full(self) -> Moments:
+        return self.pe if self.key is None else self.pe + self.key
 
 
 def collect_statistics(session, split) -> StatisticsVector:
-    """Compute the moment statistics used by the estimators."""
+    """Moment sums over the revealed and the key subsets of a session."""
     if split.m + split.n != session.n_states:
         raise ValueError("split does not partition the session")
     if split.m == 0:
         raise ValueError("need at least one revealed state")
-    x_pe = session.x[split.pe_indices]
-    y_pe = session.y[split.pe_indices]
-    has_key = split.n > 0
-    return StatisticsVector(
-        sigma2_a=second_moment(session.x),
-        sigma2_b=second_moment(session.y),
-        sigma2_a_pe=second_moment(x_pe),
-        sigma_ab_pe=cross_moment(x_pe, y_pe),
-        sigma2_a_key=second_moment(session.x[split.key_indices]) if has_key else None,
-        sigma2_b_key=second_moment(session.y[split.key_indices]) if has_key else None,
-        m=split.m,
-        n=split.n,
-        N=session.n_states,
-    )
+    pe = moments(session.x[split.pe_indices], session.y[split.pe_indices])
+    key = (moments(session.x[split.key_indices], session.y[split.key_indices])
+           if split.n > 0 else None)
+    return StatisticsVector(pe=pe, key=key)
 
 
 # ---------------------------------------------------------------------------
 # estimators
 
-def estimate_t_mle(x: np.ndarray, y: np.ndarray) -> Estimate:
+def estimate_t_mle(pe: Moments) -> Estimate:
     """Least-squares slope t_hat = sum(x*y)/sum(x**2).
 
     The plug-in variance is sigma2_hat / sum(x**2) with sigma2_hat the
     residual noise estimate from the same data.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.size == 0:
-        raise ValueError("x and y must be non-empty arrays of equal length")
-    sum_x2 = float(np.dot(x, x))
-    if sum_x2 == 0.0:
+    if pe.uu == 0.0:
         raise ValueError("degenerate sample: sum(x**2) == 0")
-    t_hat = float(np.dot(x, y)) / sum_x2
-    sigma2_hat = residual_second_moment(x, y, t_hat)
-    return Estimate(value=t_hat, variance=sigma2_hat / sum_x2,
+    t_hat = pe.uy / pe.uu
+    return Estimate(value=t_hat, variance=pe.residual(t_hat) / pe.uu,
                     kind=EstimatorKind.T_MLE)
 
 
-def estimate_sigma2_mle(x: np.ndarray, y: np.ndarray, t_hat: float) -> Estimate:
+def estimate_sigma2_mle(pe: Moments, t_hat: float) -> Estimate:
     """Residual noise estimate (1/m) * sum((y - t_hat*x)**2).
 
     m*sigma2_hat/sigma2 follows a chi-square law with m-1 degrees of
     freedom, hence the exact variance 2*sigma2**2*(m-1)/m**2 (plug-in).
     """
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"need m >= 2 revealed states, got {x.size}")
-    m = x.size
-    value = residual_second_moment(x, y, t_hat)
+    m = pe.k
+    if m < 2:
+        raise ValueError(f"need m >= 2 revealed states, got {m}")
+    value = pe.residual(t_hat)
     return Estimate(value=value, variance=2.0 * value**2 * (m - 1) / m**2,
                     kind=EstimatorKind.SIGMA2_MLE)
 
 
-def estimate_sigma2_mm_known_va(sigma2_b: float, t_hat: float, V_A: float,
-                                m: int, N: int) -> Estimate:
+def estimate_sigma2_mm_known_va(stats: StatisticsVector, t_hat: float,
+                                V_A: float) -> Estimate:
     """Moment estimate sigma2_b - t_hat**2 * V_A with V_A known exactly."""
-    value = sigma2_b - t_hat**2 * V_A
-    T = t_hat**2
-    var = var_sigma2_mm_known_va(V_A, T, value, m, N)
+    full = stats.full
+    value = full.yy / full.k - t_hat**2 * V_A
+    var = var_sigma2_mm_known_va(V_A, t_hat**2, value, stats.pe.k, full.k)
     return Estimate(value=value, variance=var,
                     kind=EstimatorKind.SIGMA2_MM_KNOWN_VA)
 
@@ -212,25 +212,31 @@ def estimate_sigma2_mm_full(stats: StatisticsVector) -> Estimate:
     MLE residual estimate; with the slope from the revealed subset only,
     the N - m extra states enter through the second moments alone.
     """
-    t_hat = stats.sigma_ab_pe / stats.sigma2_a_pe
-    value = stats.sigma2_b - t_hat**2 * stats.sigma2_a
-    var = var_sigma2_mm_full(stats.sigma2_a, t_hat**2, value, stats.m, stats.N)
+    t_hat = stats.pe.uy / stats.pe.uu
+    full = stats.full
+    sigma2_a = full.uu / full.k
+    value = full.yy / full.k - t_hat**2 * sigma2_a
+    var = var_sigma2_mm_full(sigma2_a, t_hat**2, value, stats.pe.k, full.k)
     return Estimate(value=value, variance=var, kind=EstimatorKind.SIGMA2_MM_FULL)
 
 
 def estimate_sigma2_mm_key(stats: StatisticsVector, t_hat: float) -> Estimate:
     """Moment estimate restricted to the n key states.
 
+    sigma2_b_key - t_hat**2 * sigma2_a_key, t_hat from the revealed states.
+    The key-subset cross term sum(x*y) is never disclosed (it would need one
+    party's key values), so ``key.uy`` is unused; the residual form
+    mean((y_key - t_hat*x_key)**2) needs it and is a different estimator.
     Independent of the MLE residual estimate because the slope is
     independent of its own residuals and the key states never entered the
-    regression. An equivalent residual form is
-    residual_second_moment(x_key, y_key, t_hat).
+    regression.
     """
-    if stats.n == 0 or stats.sigma2_a_key is None:
+    key = stats.key
+    if key is None:
         raise ValueError("no key states: n == 0")
-    value = stats.sigma2_b_key - t_hat**2 * stats.sigma2_a_key
-    var = var_sigma2_mm_key(stats.sigma2_a_key, t_hat**2, value,
-                            stats.m, stats.n)
+    sigma2_a = key.uu / key.k
+    value = key.yy / key.k - t_hat**2 * sigma2_a
+    var = var_sigma2_mm_key(sigma2_a, t_hat**2, value, stats.pe.k, key.k)
     return Estimate(value=value, variance=var, kind=EstimatorKind.SIGMA2_MM_KEY)
 
 
@@ -251,26 +257,23 @@ def combine_optimal(first: Estimate, second: Estimate,
     return Estimate(value=value, variance=_combined_variance(v1, v2), kind=kind)
 
 
-def estimate_T_secondmod(x_m2: np.ndarray, y: np.ndarray, V_M2: float) -> Estimate:
+def estimate_T_secondmod(m2: Moments, V_M2: float) -> Estimate:
     """Transmission estimate from the revealed second modulation.
 
+    ``m2`` holds the sums of (x_m2, y) over all N states.
     T_hat = (sum(x_m2*y))**2 / (N*V_M2)**2. The variance formula needs the
     non-signal variance V_N = Var(y) - T*V_M2, estimated from y itself.
     """
-    x_m2 = np.asarray(x_m2, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x_m2.shape != y.shape or x_m2.size == 0:
-        raise ValueError("x_m2 and y must be non-empty arrays of equal length")
     if V_M2 <= 0:
         raise ValueError(f"V_M2 must be > 0, got {V_M2}")
-    N = x_m2.size
-    value = float(np.dot(x_m2, y)) ** 2 / (N * V_M2) ** 2
-    v_n = second_moment(y) - value * V_M2
+    N = m2.k
+    value = m2.uy ** 2 / (N * V_M2) ** 2
+    v_n = m2.yy / N - value * V_M2
     var = (4.0 / N) * (2.0 * value**2 + value * v_n / V_M2)
     return Estimate(value=value, variance=var, kind=EstimatorKind.T_SECONDMOD)
 
 
-def estimate_Vxi_secondmod(x_m2: np.ndarray, y: np.ndarray, t_est: Estimate,
+def estimate_Vxi_secondmod(m2: Moments, t_est: Estimate,
                            V_A: float) -> Estimate:
     """Output excess noise from the second modulation.
 
@@ -278,17 +281,12 @@ def estimate_Vxi_secondmod(x_m2: np.ndarray, y: np.ndarray, t_est: Estimate,
     ``t_est`` is the matching transmission estimate; its variance feeds the
     plug-in variance (2/N)*V_N**2 + V_A**2 * Var(T_hat).
     """
-    x_m2 = np.asarray(x_m2, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x_m2.shape != y.shape or x_m2.size == 0:
-        raise ValueError("x_m2 and y must be non-empty arrays of equal length")
     T_hat = t_est.value
     if T_hat < 0:
         raise ValueError(f"T_hat must be >= 0, got {T_hat}")
-    N = x_m2.size
-    value = residual_second_moment(x_m2, y, sqrt(T_hat)) - T_hat * V_A - 1.0
+    value = m2.residual(sqrt(T_hat)) - T_hat * V_A - 1.0
     v_n = 1.0 + value + T_hat * V_A
-    var = (2.0 / N) * v_n**2 + V_A**2 * t_est.variance
+    var = (2.0 / m2.k) * v_n**2 + V_A**2 * t_est.variance
     return Estimate(value=value, variance=var, kind=EstimatorKind.VXI_SECONDMOD)
 
 

@@ -37,6 +37,7 @@ from .estimators import (
     estimate_T_secondmod,
     estimate_t_mle,
     estimate_Vxi_secondmod,
+    moments,
     residual_second_moment,
     second_moment,
     theoretical_std,
@@ -138,18 +139,17 @@ def run_estimator_trials(cfg: ExperimentConfig, distance_km: float,
         split = split_session(session, cfg.m,
                               trial_seed(cfg.seed, stream_base + 1, i))
         stats = collect_statistics(session, split)
-        x_pe = session.x[split.pe_indices]
-        y_pe = session.y[split.pe_indices]
-        t_est = estimate_t_mle(x_pe, y_pe)
-        mle = estimate_sigma2_mle(x_pe, y_pe, t_est.value)
+        t_est = estimate_t_mle(stats.pe)
+        mle = estimate_sigma2_mle(stats.pe, t_est.value)
         mm_full = estimate_sigma2_mm_full(stats)
         mm_key = estimate_sigma2_mm_key(stats, t_est.value)
         opt = combine_optimal(mle, mm_key)
 
         session2 = sample_session(second, channel,
                                   trial_seed(cfg.seed, stream_base + 2, i))
-        T_est = estimate_T_secondmod(session2.x_m2, session2.y, cfg.V_M2)
-        vxi = estimate_Vxi_secondmod(session2.x_m2, session2.y, T_est, cfg.V_A)
+        m2 = moments(session2.x_m2, session2.y)
+        T_est = estimate_T_secondmod(m2, cfg.V_M2)
+        vxi = estimate_Vxi_secondmod(m2, T_est, cfg.V_A)
 
         out["t_hat"][i] = t_est.value
         out["sigma2_mle"][i] = mle.value
@@ -184,7 +184,7 @@ def check_identities(trials: int = 100, N: int = 1000,
                                  trial_seed(master_seed, 900, i))
         split = split_session(session, protocol.m,
                               trial_seed(master_seed, 901, i))
-        t_full = estimate_t_mle(session.x, session.y).value
+        t_full = estimate_t_mle(moments(session.x, session.y)).value
         mle_full = residual_second_moment(session.x, session.y, t_full)
         mm_full = (second_moment(session.y)
                    - t_full**2 * second_moment(session.x))

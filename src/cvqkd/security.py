@@ -14,7 +14,6 @@ number of revealed states and with the estimator's variance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import log2, sqrt
 
@@ -120,7 +119,6 @@ def worst_case_params(t_hat: float, std_t: float, sigma2_hat: float,
     t_min = t_hat - z * std_t
     clamped = False
     if t_min < 0.0:
-        warnings.warn("worst-case t_min < 0, clamped to 0", stacklevel=2)
         t_min = 0.0
         clamped = True
     return WorstCaseParams(t_min=t_min, sigma2_max=sigma2_hat + z * std_sigma2,
@@ -135,7 +133,6 @@ def worst_case_covariance(wc: WorstCaseParams, V_A: float) -> TwoModeCovariance:
     clamped = wc.clamped
     if sigma2_max < 1.0:
         # below-vacuum noise bound; push back to the physical boundary
-        warnings.warn("worst-case sigma2_max < 1, clamped to 1", stacklevel=2)
         sigma2_max = 1.0
         clamped = True
     return TwoModeCovariance(
@@ -315,8 +312,8 @@ def key_rate_finite_grid(V_A, T: float, xi: float, beta: float, N: int, m,
     The array form of ``key_rate_finite`` for ranking a parameter grid:
     ``V_A`` and ``m`` broadcast against each other (``m`` is taken as
     float, so m**2 cannot overflow), every other argument is fixed. Needs
-    1 <= m <= N-1. Raises ValueError wherever ``key_rate_finite`` would,
-    clamps where it clamps, and warns nowhere. The values are
+    1 <= m <= N-1. Raises ValueError wherever ``key_rate_finite`` would
+    and clamps where it clamps. The values are
     ``key_rate_raw`` up to round-off: numpy's log2 and power differ from
     ``math``'s in the last bit, so rates to be reported come from
     ``key_rate_finite``.

@@ -33,8 +33,6 @@ from cvqkd.security import (
     symplectic_eigenvalues,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:worst-case")
-
 
 @pytest.fixture
 def report(capfd):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from cvqkd.channel import ChannelParams, ProtocolParams, sample_session, split_s
 from cvqkd.estimators import (
     Estimate,
     EstimatorKind,
+    Moments,
     StatisticsVector,
     collect_statistics,
     combine_optimal,
-    cross_moment,
     estimate_T_secondmod,
     estimate_Vxi_secondmod,
     estimate_sigma2_mle,
@@ -16,6 +18,7 @@ from cvqkd.estimators import (
     estimate_sigma2_mm_key,
     estimate_sigma2_mm_known_va,
     estimate_t_mle,
+    moments,
     residual_second_moment,
     second_moment,
     theoretical_std,
@@ -32,6 +35,20 @@ from cvqkd.estimators import (
 REF = dict(V_A=3.0, T=1.0, xi=0.01, m=50_000, n=50_000, N=100_000, V_M2=10.0)
 REF_SIGMA2 = 1.01
 
+# Sessions for the moment-sum checks: T x V_A, each with its own seed.
+SUM_GRID = [(T, V_A) for T in (1.0, 0.5, 0.1) for V_A in (0.5, 3.0, 10.0)]
+
+
+def _grid_sessions(N=999, m=400):
+    for i, (T, V_A) in enumerate(SUM_GRID):
+        proto = ProtocolParams(V_A=V_A, N=N, m=m)
+        sess = sample_session(proto, ChannelParams(T=T, xi=0.02), seed=55 + i)
+        yield T, sess, split_session(sess, m, seed=155 + i)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
 
 def test_second_moment_examples():
     assert second_moment(np.array([1.0, -1.0])) == 1.0
@@ -40,12 +57,16 @@ def test_second_moment_examples():
         second_moment(np.array([]))
 
 
-def test_cross_moment_examples():
-    assert cross_moment(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == 5.0
+def test_moments_examples():
+    mom = moments(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+    assert mom == Moments(uu=5.0, uy=10.0, yy=20.0, k=2)
+    assert mom + mom == Moments(uu=10.0, uy=20.0, yy=40.0, k=4)
+    assert mom.residual(2.0) == 0.0
+    assert mom.residual(0.0) == 10.0
     with pytest.raises(ValueError):
-        cross_moment(np.array([1.0]), np.array([1.0, 2.0]))
+        moments(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        cross_moment(np.array([]), np.array([]))
+        moments(np.array([]), np.array([]))
 
 
 def test_residual_second_moment_exact_fit():
@@ -58,31 +79,42 @@ def test_residual_second_moment_exact_fit():
 
 def test_estimate_t_mle_on_exact_line():
     x = np.array([1.0, 2.0])
-    est = estimate_t_mle(x, 2.0 * x)
+    est = estimate_t_mle(moments(x, 2.0 * x))
     assert est.value == pytest.approx(2.0, rel=1e-15)
     assert est.variance == pytest.approx(0.0, abs=1e-30)
     assert est.kind is EstimatorKind.T_MLE
 
 
 def test_estimate_t_mle_orthogonal_and_degenerate():
-    assert estimate_t_mle(np.array([1.0, -1.0]), np.array([1.0, 1.0])).value == 0.0
+    assert estimate_t_mle(moments(np.array([1.0, -1.0]),
+                                  np.array([1.0, 1.0]))).value == 0.0
     with pytest.raises(ValueError):
-        estimate_t_mle(np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError):
-        estimate_t_mle(np.array([1.0]), np.array([1.0, 2.0]))
+        estimate_t_mle(moments(np.zeros(3), np.ones(3)))
 
 
 def test_estimate_sigma2_mle_examples():
-    est = estimate_sigma2_mle(np.array([1.0, 0.0]), np.array([0.0, 1.0]), t_hat=0.0)
+    est = estimate_sigma2_mle(moments(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+                              t_hat=0.0)
     assert est.value == 0.5
     x = np.array([1.0, 2.0, 3.0])
-    assert estimate_sigma2_mle(x, 0.5 * x, t_hat=0.5).value == 0.0
+    assert estimate_sigma2_mle(moments(x, 0.5 * x), t_hat=0.5).value == 0.0
     with pytest.raises(ValueError):
-        estimate_sigma2_mle(np.array([1.0]), np.array([1.0]), t_hat=1.0)
+        estimate_sigma2_mle(moments(np.array([1.0]), np.array([1.0])), t_hat=1.0)
+
+
+def test_sigma2_mle_sums_match_raw_residual():
+    """The expanded residual (yy - 2t*uy + t**2*uu)/k against the raw array."""
+    for T, sess, _ in _grid_sessions():
+        mom = moments(sess.x, sess.y)
+        for t in (np.sqrt(T), estimate_t_mle(mom).value):
+            assert _rel(estimate_sigma2_mle(mom, t).value,
+                        residual_second_moment(sess.x, sess.y, t)) <= 1e-12
 
 
 def test_estimate_sigma2_mm_known_va_example():
-    est = estimate_sigma2_mm_known_va(1.5, t_hat=0.5, V_A=2.0, m=100, N=200)
+    stats = StatisticsVector(pe=Moments(uu=200.0, uy=100.0, yy=150.0, k=100),
+                             key=Moments(uu=200.0, uy=100.0, yy=150.0, k=100))
+    est = estimate_sigma2_mm_known_va(stats, t_hat=0.5, V_A=2.0)
     assert est.value == pytest.approx(1.0, rel=1e-15)
     assert est.variance == pytest.approx(
         var_sigma2_mm_known_va(2.0, 0.25, 1.0, 100, 200), rel=1e-15
@@ -90,28 +122,37 @@ def test_estimate_sigma2_mm_known_va_example():
 
 
 def test_estimate_sigma2_mm_full_from_statistics():
-    stats = StatisticsVector(
-        sigma2_a=2.0, sigma2_b=5.0, sigma2_a_pe=2.0, sigma_ab_pe=2.0,
-        sigma2_a_key=None, sigma2_b_key=None, m=10, n=0, N=10,
-    )
+    stats = StatisticsVector(pe=Moments(uu=20.0, uy=20.0, yy=50.0, k=10),
+                             key=None)
     est = estimate_sigma2_mm_full(stats)
     assert est.value == pytest.approx(3.0, rel=1e-15)
     assert est.variance == pytest.approx(var_sigma2_mm_full(2.0, 1.0, 3.0, 10, 10), rel=1e-15)
 
 
 def test_estimate_sigma2_mm_key_example_and_errors():
-    stats = StatisticsVector(
-        sigma2_a=1.0, sigma2_b=2.0, sigma2_a_pe=1.0, sigma_ab_pe=1.0,
-        sigma2_a_key=1.0, sigma2_b_key=2.0, m=5, n=5, N=10,
-    )
+    stats = StatisticsVector(pe=Moments(uu=5.0, uy=5.0, yy=10.0, k=5),
+                             key=Moments(uu=5.0, uy=5.0, yy=10.0, k=5))
     est = estimate_sigma2_mm_key(stats, t_hat=1.0)
     assert est.value == pytest.approx(1.0, rel=1e-15)
-    empty = StatisticsVector(
-        sigma2_a=1.0, sigma2_b=2.0, sigma2_a_pe=1.0, sigma_ab_pe=1.0,
-        sigma2_a_key=None, sigma2_b_key=None, m=10, n=0, N=10,
-    )
+    empty = StatisticsVector(pe=Moments(uu=10.0, uy=10.0, yy=20.0, k=10),
+                             key=None)
     with pytest.raises(ValueError):
         estimate_sigma2_mm_key(empty, t_hat=1.0)
+
+
+def test_sigma2_mm_key_uses_no_key_cross_term():
+    """The key-subset sum(x*y) is never disclosed: the moment estimators
+    ignore it, and mm_key is sigma2_b_key - t_hat**2 * sigma2_a_key."""
+    for _, sess, split in _grid_sessions():
+        stats = collect_statistics(sess, split)
+        t_hat = estimate_t_mle(stats.pe).value
+        moved = replace(stats, key=replace(stats.key, uy=stats.key.uy + 123.0))
+        mm_key = estimate_sigma2_mm_key(stats, t_hat)
+        assert estimate_sigma2_mm_key(moved, t_hat) == mm_key
+        assert estimate_sigma2_mm_full(moved) == estimate_sigma2_mm_full(stats)
+        x_key, y_key = sess.x[split.key_indices], sess.y[split.key_indices]
+        raw = second_moment(y_key) - t_hat**2 * second_moment(x_key)
+        assert _rel(mm_key.value, raw) <= 1e-12
 
 
 def test_mm_full_equals_mle_residual_when_all_states_revealed():
@@ -119,24 +160,22 @@ def test_mm_full_equals_mle_residual_when_all_states_revealed():
     sess = sample_session(proto, ChannelParams(T=0.5, xi=0.05), seed=101)
     split = split_session(sess, 500, seed=0)
     stats = collect_statistics(sess, split)
-    t_hat = estimate_t_mle(sess.x, sess.y)
-    mle = estimate_sigma2_mle(sess.x, sess.y, t_hat.value)
+    full = moments(sess.x, sess.y)
+    t_hat = estimate_t_mle(full)
+    mle = estimate_sigma2_mle(full, t_hat.value)
     mm = estimate_sigma2_mm_full(stats)
     assert abs(mm.value - mle.value) <= 1e-12 * max(1.0, abs(mle.value))
 
 
 def test_collect_statistics_split_additivity():
-    """Subset second moments recombine exactly into the full-set moments."""
-    proto = ProtocolParams(V_A=3.0, N=999, m=400)
-    sess = sample_session(proto, ChannelParams(T=0.3, xi=0.02), seed=55)
-    split = split_session(sess, 400, seed=56)
-    s = collect_statistics(sess, split)
-    lhs_a = s.N * s.sigma2_a
-    rhs_a = s.m * s.sigma2_a_pe + s.n * s.sigma2_a_key
-    assert abs(lhs_a - rhs_a) <= 1e-12 * abs(lhs_a)
-    lhs_b = s.N * s.sigma2_b
-    sb_pe = second_moment(sess.y[split.pe_indices])
-    assert abs(lhs_b - (s.m * sb_pe + s.n * s.sigma2_b_key)) <= 1e-12 * abs(lhs_b)
+    """Revealed plus key sums recombine into the full-set dot products."""
+    for _, sess, split in _grid_sessions():
+        s = collect_statistics(sess, split)
+        assert (s.pe.k, s.key.k, s.full.k) == (split.m, split.n, sess.n_states)
+        full = s.full
+        assert _rel(full.uu, float(np.dot(sess.x, sess.x))) <= 1e-12
+        assert _rel(full.uy, float(np.dot(sess.x, sess.y))) <= 1e-12
+        assert _rel(full.yy, float(np.dot(sess.y, sess.y))) <= 1e-12
 
 
 def test_collect_statistics_requires_revealed_states():
@@ -181,24 +220,26 @@ def test_combine_optimal_degenerate_inputs():
 def test_estimate_T_secondmod_fabricated_values():
     x_m2 = np.ones(8)
     y = 2.0 * np.ones(8)
-    est = estimate_T_secondmod(x_m2, y, V_M2=2.0)
+    est = estimate_T_secondmod(moments(x_m2, y), V_M2=2.0)
     assert est.value == pytest.approx(1.0, rel=1e-15)
     # plug-in V_N = 4 - 1*2 = 2, so var = (4/8)*(2 + 2/2) = 1.5
     assert est.variance == pytest.approx(1.5, rel=1e-15)
-    ortho = estimate_T_secondmod(np.array([1.0, -1.0]), np.array([1.0, 1.0]), V_M2=1.0)
+    ortho = estimate_T_secondmod(moments(np.array([1.0, -1.0]), np.array([1.0, 1.0])),
+                                 V_M2=1.0)
     assert ortho.value == 0.0
     with pytest.raises(ValueError):
-        estimate_T_secondmod(x_m2, y, V_M2=0.0)
+        estimate_T_secondmod(moments(x_m2, y), V_M2=0.0)
 
 
 def test_estimate_Vxi_secondmod_noiseless_case():
     x_m2 = np.array([1.0, -1.0])
     t_est = Estimate(1.0, 0.0, EstimatorKind.T_SECONDMOD)
-    est = estimate_Vxi_secondmod(x_m2, x_m2.copy(), t_est, V_A=0.5)
+    m2 = moments(x_m2, x_m2.copy())
+    est = estimate_Vxi_secondmod(m2, t_est, V_A=0.5)
     assert est.value == pytest.approx(-1.5, rel=1e-15)
     assert est.variance == pytest.approx(0.0, abs=1e-30)
     with pytest.raises(ValueError):
-        estimate_Vxi_secondmod(x_m2, x_m2, Estimate(-0.1, 0.0, EstimatorKind.T_SECONDMOD), 1.0)
+        estimate_Vxi_secondmod(m2, Estimate(-0.1, 0.0, EstimatorKind.T_SECONDMOD), 1.0)
 
 
 # --- closed-form variances at the reference point --------------------------

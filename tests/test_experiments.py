@@ -19,8 +19,6 @@ from cvqkd.experiments import (
     run_simulate,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:worst-case")
-
 SMALL_CFG = (
     "N = 2000\n"
     "m = 1000\n"
@@ -210,6 +208,7 @@ def test_cli_requires_command():
 def test_cli_bad_config_returns_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for text, verb in (("no_such_key = 1\n", "keyrate"),
+                       ("mm_key_cross_denominator_full = true\n", "fig1"),
                        ("m = 1e5\n", "validate"), ("m = 1\n", "validate"),
                        ("m = 0\n", "validate"),
                        ("distances_km = \n", "simulate"),

@@ -12,9 +12,6 @@ from cvqkd.optimizer import (
 )
 from cvqkd.security import key_rate_finite
 
-# grid scans legitimately probe clamped corners of parameter space
-pytestmark = pytest.mark.filterwarnings("ignore:worst-case")
-
 XI, BETA = 0.01, 0.95
 
 # bisection at 0.1 km resolution, fully deterministic

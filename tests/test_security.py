@@ -1,7 +1,8 @@
+import warnings
+from math import log10
+
 import numpy as np
 import pytest
-
-from math import log10
 
 from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
@@ -115,7 +116,8 @@ def test_worst_case_params_example():
 
 
 def test_worst_case_params_clamps_negative_t():
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         wc = worst_case_params(0.01, 0.1, 1.0, 0.0, 1e-10)
     assert wc.t_min == 0.0
     assert wc.clamped
@@ -132,7 +134,8 @@ def test_worst_case_covariance_example():
 
 def test_worst_case_covariance_clamps_below_vacuum_noise():
     wc = WorstCaseParams(t_min=0.5, sigma2_max=0.9, z=4.65, epsilon_pe=1e-10)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cov = worst_case_covariance(wc, 3.0)
     assert cov.b == pytest.approx(0.25 * 3.0 + 1.0, rel=1e-12)
     assert cov.clamped
@@ -256,7 +259,6 @@ def test_key_rate_finite_accepts_the_kind_by_name():
                                  estimator_kind=name)
 
 
-@pytest.mark.filterwarnings("ignore:worst-case")
 @pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
 def test_key_rate_finite_grid_matches_scalar_rate(kind):
     """The optimizer's default grid: same rates to 1e-12, same zero cells,
@@ -324,7 +326,8 @@ def test_key_rate_finite_monotone_in_n():
 
 
 def test_key_rate_finite_clamps_when_t_uncertainty_dominates():
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = key_rate_finite(3.0, 1e-4, 0.01, 0.95, N=1000, m=500)
     assert res.clamped
     assert res.key_rate == 0.0
