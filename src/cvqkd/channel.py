@@ -9,6 +9,9 @@ homodyne measurement on Bob's side reads
 
 where x_m2 is an optional second, independently modulated displacement
 (variance V_M2) used by the correlation-based transmission estimator.
+
+``sample_session`` draws every state of a session. ``sample_moments``
+draws only the moment sums the estimators read, in O(1) per session.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "fiber_transmission",
     "sample_session",
     "split_session",
+    "sample_moments",
     "trial_seed",
     "write_session_csv",
     "read_session_csv",
@@ -182,6 +186,72 @@ def split_session(session: SessionData, m: int, seed: int) -> SessionSplit:
         pe_indices=np.sort(perm[:m]),
         key_indices=np.sort(perm[m:]),
     )
+
+
+def _wishart_sums(a: float, b: float, c: float, chi: np.ndarray,
+                  chi_rest: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Sums (uu, uy, yy) of Wishart(L L^T, k) draws, one per element of chi.
+
+    L = [[a, 0], [b, c]] is the Cholesky factor of the per-state covariance
+    of (u, y). Bartlett: with chi ~ chi2(k), chi_rest ~ chi2(k - 1) and
+    z ~ N(0, 1) independent, the sums are L A A^T L^T for
+    A = [[sqrt(chi), 0], [z, sqrt(chi_rest)]]:
+
+        uu = a**2 * chi
+        uy = a * (b*chi + c*sqrt(chi)*z)
+        yy = b**2*chi + 2*b*c*sqrt(chi)*z + c**2 * (z**2 + chi_rest)
+    """
+    root = np.sqrt(chi)
+    lower = b * root + c * z
+    return np.column_stack((a * a * chi, a * root * lower,
+                            lower * lower + c * c * chi_rest))
+
+
+def sample_moments(protocol: ProtocolParams, channel: ChannelParams,
+                   trials: int, master_seed: int, stream: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moment sums of ``trials`` sessions, drawn without drawing the states.
+
+    Returns ``(pe, key, m2)``, arrays of shape (trials, 3) whose columns are
+    the sums (uu, uy, yy) and whose row i is trial i:
+
+    * ``pe`` and ``key``: u = x over the m revealed and the n = N - m kept
+      states of a session without the second modulation. These are
+      independent Wishart(S, m) and Wishart(S, n) draws with
+      S = [[V_A, t*V_A], [t*V_A, T*V_A + sigma2]];
+    * ``m2``: u = x_m2 over all N states of an independent session with
+      the second modulation on, a Wishart(S2, N) draw with
+      S2 = [[V_M2, t*V_M2], [t*V_M2, T*(V_A + V_M2) + sigma2]].
+
+    The law is that of the per-state sums of ``sample_session`` and
+    ``split_session``, not an approximation. Stream map: the generator
+    seeded with SeedSequence((master_seed, stream)) draws
+    chi2(k) = 2*Gamma(k/2) for k = (m, m-1, n, n-1, N, N-1), shape
+    (trials, 6) in row-major order (the draws of Generator.chisquare,
+    also defined at k = 0); the one seeded with
+    SeedSequence((master_seed, stream + 1)) draws standard_normal
+    (trials, 3). Row i uses only the i-th draws, so a shorter run is a
+    prefix of a longer one.
+    """
+    m, n, N = protocol.m, protocol.n, protocol.N
+    if m == 0 or n == 0:
+        raise ValueError(f"need 1 <= m <= N-1, got m={m}, N={N}")
+    dof = np.array([m, m - 1, n, n - 1, N, N - 1], dtype=float)
+    chi = 2.0 * np.random.default_rng(
+        np.random.SeedSequence((master_seed, stream))
+    ).standard_gamma(dof / 2.0, size=(trials, 6))
+    z = np.random.default_rng(
+        np.random.SeedSequence((master_seed, stream + 1))
+    ).standard_normal((trials, 3))
+
+    t, sigma2 = channel.t, channel.sigma2
+    a = sqrt(protocol.V_A)
+    pe = _wishart_sums(a, t * a, sqrt(sigma2), chi[:, 0], chi[:, 1], z[:, 0])
+    key = _wishart_sums(a, t * a, sqrt(sigma2), chi[:, 2], chi[:, 3], z[:, 1])
+    a2 = sqrt(protocol.V_M2)
+    m2 = _wishart_sums(a2, t * a2, sqrt(channel.T * protocol.V_A + sigma2),
+                       chi[:, 4], chi[:, 5], z[:, 2])
+    return pe, key, m2
 
 
 def trial_seed(master_seed: int, stream: int, trial: int) -> int:

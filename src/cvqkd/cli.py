@@ -30,6 +30,10 @@ _RUNNERS = {
     "optimize": run_optimize,
 }
 
+# verbs that evaluate the second-modulation estimators or their variances,
+# both undefined without the second modulation (V_M2 = 0)
+_NEED_SECOND_MODULATION = ("fig1", "validate")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,6 +71,9 @@ def _effective_config(args) -> ExperimentConfig:
     if args.convention is not None:
         cfg.convention = args.convention
     cfg.validate()
+    if args.command in _NEED_SECOND_MODULATION and cfg.V_M2 == 0:
+        raise ValueError(f"{args.command} needs V_M2 > 0: it runs the "
+                         f"second-modulation estimators")
     return cfg
 
 
@@ -82,7 +89,7 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         rows, ok = monte_carlo_validate(cfg, out_dir)
-        n_fail = sum(1 for r in rows if r[-1] != "pass")
+        n_fail = sum(1 for r in rows if r[6] != "pass")
         print(f"validate: {len(rows) - n_fail}/{len(rows)} checks passed; "
               f"report in {out_dir}/validate_report.csv")
         return 0 if ok else 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from math import log10
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import fiber_transmission
 from .estimators import EstimatorKind
@@ -197,6 +196,10 @@ def optimize_key_rate(xi: float, beta: float, N: int,
         trace.append(("seed", 10.0 ** lv, fr, k, 1))
 
     if cfg.refine:
+        # scipy.optimize (about 24 MB resident) loads only when a verb
+        # optimizes; validate, fig1 and simulate never do
+        from scipy.optimize import minimize
+
         for lv0, fr0 in starts:
             res = minimize(
                 lambda v: -rate(v[0], v[1]),
@@ -244,6 +247,8 @@ def optimize_asymptotic_rate(xi: float, beta: float,
     best = (ks[i], log_vas[i])
     evaluations = len(ks)
     if cfg.refine and best[0] > 0.0:
+        from scipy.optimize import minimize
+
         res = minimize(
             lambda v: -rate(v[0]), x0=np.array([best[1]]),
             method="Nelder-Mead",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import log2, sqrt
 
 import numpy as np
-from scipy.special import erfinv
 
 from .channel import _sigma2
 from .estimators import EstimatorKind, sigma2_variance, var_t_mle
@@ -88,6 +87,15 @@ def covariance_matrix(V_A: float, T: float, xi: float) -> TwoModeCovariance:
     )
 
 
+def _erfinv(x: float) -> float:
+    # scipy.special (about 24 MB resident) loads on the first call, so the
+    # verbs that compute no key rate never load it; the import rebinds this
+    # name to scipy's ufunc, which every later call reaches directly
+    global _erfinv
+    from scipy.special import erfinv as _erfinv
+    return _erfinv(x)
+
+
 def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
     """Half-width multiplier z for the parameter-estimation confidence region.
 
@@ -98,9 +106,9 @@ def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
     if not 0.0 < epsilon_pe < 1.0:
         raise ValueError(f"epsilon_pe must be in (0, 1), got {epsilon_pe}")
     if convention == "paper":
-        return float(erfinv(1.0 - epsilon_pe / 2.0))
+        return float(_erfinv(1.0 - epsilon_pe / 2.0))
     if convention == "gaussian":
-        return float(sqrt(2.0) * erfinv(1.0 - epsilon_pe))
+        return float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))
     raise ValueError(f"unknown convention {convention!r}")
 
 

@@ -2,9 +2,8 @@
 
 One test per advertised guarantee. Each prints a single [PASS]/[FAIL]
 line with the measured numbers, bypassing pytest's capture so the lines
-show up in a plain ``pytest -v`` run. The heavy Monte Carlo and figure
-runs live here, not in the unit tests; the whole module takes a few
-minutes at the default grids.
+show up in a plain ``pytest -v`` run. The Monte Carlo and figure runs at
+the default grids live here, not in the unit tests.
 """
 
 import time
@@ -132,8 +131,8 @@ def test_estimator_bank_matches_theory(tmp_path, report):
     elapsed = time.monotonic() - start
     std_rows = [r for r in rows if r[0] == "std_ratio"]
     worst = max(abs(r[3] / r[4] - 1.0) for r in std_rows)
-    n_fail = sum(1 for r in rows if r[-1] != "pass")
-    ok = all_ok and elapsed <= 600.0
+    n_fail = sum(1 for r in rows if r[6] != "pass")
+    ok = all_ok and elapsed <= 60.0
     report(ok, "simulated estimator spread and bias match the formulas",
             f"{len(rows) - n_fail}/{len(rows)} checks passed, worst std "
             f"deviation {worst:.3f} (tol 0.05), {cfg.trials} trials x "

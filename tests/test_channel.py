@@ -7,6 +7,7 @@ from cvqkd.channel import (
     SessionSplit,
     fiber_transmission,
     read_session_csv,
+    sample_moments,
     sample_session,
     split_session,
     trial_seed,
@@ -148,6 +149,112 @@ def test_trial_seed_is_stable_and_collision_free():
     seen = {trial_seed(123, s, t) for s in range(4) for t in range(200)}
     assert len(seen) == 800
     assert all(0 <= v < 2**64 for v in seen)
+
+
+# --- moment-sum sampler -------------------------------------------------------
+
+def _covariances(protocol, channel):
+    """Per-state covariances of (x, y) without and of (x_m2, y) with the
+    second modulation."""
+    T, V_A, V_M2 = channel.T, protocol.V_A, protocol.V_M2
+    t, sigma2 = channel.t, channel.sigma2
+    plain = np.array([[V_A, t * V_A], [t * V_A, T * V_A + sigma2]])
+    second = np.array([[V_M2, t * V_M2],
+                       [t * V_M2, T * (V_A + V_M2) + sigma2]])
+    return plain, second
+
+
+def _assert_wishart_moments(sums, cov, k):
+    """Mean k*S_ij and variance k*(S_ij**2 + S_ii*S_jj) of the sums
+    (uu, uy, yy), each within 5 standard errors."""
+    draws = sums.shape[0]
+    for col, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        v = sums[:, col]
+        var_theory = k * (cov[i, j] ** 2 + cov[i, i] * cov[j, j])
+        assert abs(v.mean() - k * cov[i, j]) <= 5.0 * np.sqrt(var_theory / draws)
+        c = v - v.mean()
+        var = c @ c / (draws - 1)
+        m4 = np.mean(c**4)
+        se_var = np.sqrt((m4 - var**2 * (draws - 3) / (draws - 1)) / draws)
+        assert abs(var - var_theory) <= 5.0 * se_var, (col, var, var_theory)
+
+
+@pytest.mark.parametrize("T, xi", [(0.5, 0.1), (1.0, 0.0), (0.01, 0.01)])
+def test_sample_moments_match_wishart_moments(T, xi):
+    protocol = ProtocolParams(V_A=3.0, N=200, m=80, V_M2=10.0)
+    channel = ChannelParams(T=T, xi=xi)
+    pe, key, m2 = sample_moments(protocol, channel, 100_000, 2024, 0)
+    plain, second = _covariances(protocol, channel)
+    _assert_wishart_moments(pe, plain, protocol.m)
+    _assert_wishart_moments(key, plain, protocol.n)
+    _assert_wishart_moments(m2, second, protocol.N)
+
+
+def test_sample_moments_without_transmission_are_uncorrelated():
+    protocol = ProtocolParams(V_A=3.0, N=200, m=80, V_M2=10.0)
+    channel = ChannelParams(T=0.0, xi=0.1)
+    pe, key, m2 = sample_moments(protocol, channel, 100_000, 2024, 0)
+    for sums, k, var_u in ((pe, protocol.m, protocol.V_A),
+                           (key, protocol.n, protocol.V_A),
+                           (m2, protocol.N, protocol.V_M2)):
+        # E[uy] = 0 and Var(uy) = k * var_u * sigma2 with sigma2 = 1
+        se = np.sqrt(k * var_u / sums.shape[0])
+        assert abs(sums[:, 1].mean()) <= 5.0 * se
+        assert sums[:, 2].mean() == pytest.approx(k, rel=5e-3)
+
+
+def test_sample_moments_stay_finite_at_1e12_states():
+    protocol = ProtocolParams(V_A=3.0, N=10**12, m=5 * 10**11, V_M2=10.0)
+    channel = ChannelParams.from_distance(100.0, xi=0.01)
+    plain, second = _covariances(protocol, channel)
+    for sums, k, cov in zip(sample_moments(protocol, channel, 1000, 5, 0),
+                            (protocol.m, protocol.n, protocol.N),
+                            (plain, plain, second)):
+        assert np.isfinite(sums).all()
+        # relative spread of each sum is about sqrt(2/k) ~ 2e-6
+        np.testing.assert_allclose(sums.mean(axis=0) / k,
+                                   [cov[0, 0], cov[0, 1], cov[1, 1]],
+                                   rtol=1e-4)
+
+
+def test_sample_moments_follow_the_stream_map():
+    protocol = ProtocolParams(V_A=3.0, N=500, m=200, V_M2=10.0)
+    channel = ChannelParams.from_distance(20.0, xi=0.01)
+    pe, key, m2 = sample_moments(protocol, channel, 50, 99, 6)
+    m, n, N = protocol.m, protocol.n, protocol.N
+    chi = np.random.default_rng(np.random.SeedSequence((99, 6))).chisquare(
+        [m, m - 1, n, n - 1, N, N - 1], size=(50, 6))
+    z = np.random.default_rng(
+        np.random.SeedSequence((99, 7))).standard_normal((50, 3))
+    t, sigma2 = channel.t, channel.sigma2
+    for sums, col, var_u, c2 in ((pe, 0, protocol.V_A, sigma2),
+                                 (key, 2, protocol.V_A, sigma2),
+                                 (m2, 4, protocol.V_M2,
+                                  channel.T * protocol.V_A + sigma2)):
+        a, b, c = np.sqrt(var_u), t * np.sqrt(var_u), np.sqrt(c2)
+        x, xr, zz = chi[:, col], chi[:, col + 1], z[:, col // 2]
+        np.testing.assert_allclose(sums[:, 0], a**2 * x, rtol=1e-12)
+        np.testing.assert_allclose(
+            sums[:, 1], a * (b * x + c * np.sqrt(x) * zz), rtol=1e-12)
+        np.testing.assert_allclose(
+            sums[:, 2], b**2 * x + 2 * b * c * np.sqrt(x) * zz
+            + c**2 * (zz**2 + xr), rtol=1e-12)
+    # a shorter run is a prefix of a longer one
+    for short, full in zip(sample_moments(protocol, channel, 20, 99, 6),
+                           (pe, key, m2)):
+        np.testing.assert_array_equal(short, full[:20])
+
+
+def test_sample_moments_single_key_state_and_bounds():
+    channel = ChannelParams(T=0.5, xi=0.01)
+    # n = 1: the chi2(n - 1) draw is 0, so the key sums have rank one
+    pe, key, _ = sample_moments(ProtocolParams(V_A=3.0, N=10, m=9), channel,
+                                100, 1, 0)
+    np.testing.assert_allclose(key[:, 0] * key[:, 2], key[:, 1] ** 2,
+                               rtol=1e-10)
+    for m in (0, 10):
+        with pytest.raises(ValueError):
+            sample_moments(ProtocolParams(V_A=3.0, N=10, m=m), channel, 5, 1, 0)
 
 
 def test_session_csv_round_trip(tmp_path):

@@ -1,13 +1,30 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cvqkd import cli
-from cvqkd.channel import read_session_csv
+from cvqkd.channel import (
+    ChannelParams,
+    ProtocolParams,
+    fiber_transmission,
+    read_session_csv,
+    sample_session,
+    split_session,
+    trial_seed,
+)
 from cvqkd.config import ExperimentConfig, parse_config
-from cvqkd.estimators import EstimatorKind, theoretical_std
+from cvqkd.estimators import (
+    EstimatorKind,
+    collect_statistics,
+    moments,
+    theoretical_std,
+)
 from cvqkd.experiments import (
+    _estimator_bank,
     check_identities,
     monte_carlo_validate,
     run_estimator_trials,
@@ -78,7 +95,7 @@ def test_monte_carlo_validate_writes_report(tmp_path):
     rows, _ = monte_carlo_validate(cfg, str(tmp_path / "out"))
     meta, header, table = _read_table(tmp_path / "out" / "validate_report.csv")
     assert header == ["check", "distance_km", "estimator", "observed",
-                      "expected", "tolerance", "status"]
+                      "expected", "tolerance", "status", "z"]
     assert any(line.startswith("# version") for line in meta)
     assert any(line.startswith("# master_seed") for line in meta)
     assert len(table) == len(rows)
@@ -88,9 +105,30 @@ def test_monte_carlo_validate_writes_report(tmp_path):
     # the exact identities must pass regardless of trial count
     for r in rows:
         if r[0] in ("mm_equals_mle_full_set", "split_identity"):
-            assert r[-1] == "pass"
+            assert r[6] == "pass"
     summary = (tmp_path / "out" / "validate_summary.txt").read_text()
     assert "OVERALL:" in summary
+
+
+def test_monte_carlo_validate_reports_z_scores(tmp_path):
+    cfg = _small_cfg()
+    rows, _ = monte_carlo_validate(cfg, str(tmp_path))
+    _, _, table = _read_table(tmp_path / "validate_report.csv")
+    trials = cfg.trials
+    for r, cells in zip(rows, table):
+        check, observed, expected, z = r[0], r[3], r[4], r[7]
+        if check == "std_ratio":
+            want = np.log(observed / expected) * np.sqrt(2.0 * (trials - 1))
+        elif check == "bias":
+            # the bias tolerance is 3 standard errors
+            want = observed / (r[5] / 3.0)
+        elif check == "corr_mle_mm_key":
+            want = observed * np.sqrt(trials)
+        else:
+            assert z is None and cells[7] == ""
+            continue
+        assert z == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert float(cells[7]) == z
 
 
 def test_monte_carlo_validate_is_byte_deterministic(tmp_path):
@@ -100,6 +138,77 @@ def test_monte_carlo_validate_is_byte_deterministic(tmp_path):
     for name in ("validate_report.csv", "validate_summary.txt"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def _per_state_trials(cfg, distance_km, trials, master_seed):
+    """The estimator bank on sessions drawn state by state: the reference
+    engine, with a plain session for the regression and moment estimators
+    and an independent second-modulation session for the correlation ones."""
+    channel = ChannelParams(T=fiber_transmission(distance_km), xi=cfg.xi)
+    plain = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m)
+    second = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
+    rows = []
+    for i in range(trials):
+        session = sample_session(plain, channel, trial_seed(master_seed, 0, i))
+        split = split_session(session, cfg.m, trial_seed(master_seed, 1, i))
+        session2 = sample_session(second, channel,
+                                  trial_seed(master_seed, 2, i))
+        rows.append(_estimator_bank(collect_statistics(session, split),
+                                    moments(session2.x_m2, session2.y),
+                                    cfg.V_A, cfg.V_M2))
+    return np.array(rows)
+
+
+def _mean_and_variance_z(a, b):
+    """Two-sample z scores of the means and of the variances of a and b; the
+    standard error of a sample variance comes from the fourth central
+    moment."""
+    def summary(v):
+        n = v.size
+        c = v - v.mean()
+        var = c @ c / (n - 1)
+        se2_var = (np.mean(c**4) - var**2 * (n - 3) / (n - 1)) / n
+        return v.mean(), var, var / n, se2_var
+
+    mean_a, var_a, se2_mean_a, se2_var_a = summary(a)
+    mean_b, var_b, se2_mean_b, se2_var_b = summary(b)
+    return ((mean_a - mean_b) / np.sqrt(se2_mean_a + se2_mean_b),
+            (var_a - var_b) / np.sqrt(se2_var_a + se2_var_b))
+
+
+@pytest.mark.parametrize("distance_km", [50.0, 100.0])
+def test_moment_sampler_matches_per_state_sessions(distance_km):
+    cfg = parse_config("N = 200\nm = 100\nxi = 0.1\n")
+    trials = 3000
+    reference = _per_state_trials(cfg, distance_km, trials, master_seed=31)
+    res = run_estimator_trials(cfg, distance_km, trials, stream_base=0)
+    names = ("t_hat", "sigma2_mle", "sigma2_mm_full", "sigma2_mm_key",
+             "sigma2_opt", "T_hat", "vxi_hat")
+    for col, name in enumerate(names):
+        z_mean, z_var = _mean_and_variance_z(getattr(res, name),
+                                             reference[:, col])
+        assert abs(z_mean) <= 5.0, (name, z_mean)
+        assert abs(z_var) <= 5.0, (name, z_var)
+
+
+def test_moment_sampler_matches_theory_at_1e9_states():
+    cfg = parse_config("N = 1e9\nm = 5e8\n")
+    trials = 20_000
+    tol = 5.0 / np.sqrt(2.0 * (trials - 1))  # 5 standard errors of log std
+    kinds = {"t_hat": EstimatorKind.T_MLE,
+             "sigma2_mle": EstimatorKind.SIGMA2_MLE,
+             "sigma2_mm_full": EstimatorKind.SIGMA2_MM_FULL,
+             "sigma2_mm_key": EstimatorKind.SIGMA2_MM_KEY,
+             "sigma2_opt": EstimatorKind.SIGMA2_OPT,
+             "T_hat": EstimatorKind.T_SECONDMOD,
+             "vxi_hat": EstimatorKind.VXI_SECONDMOD}
+    for di, d in enumerate((20.0, 100.0)):
+        res = run_estimator_trials(cfg, d, trials, stream_base=3 * di)
+        for name, kind in kinds.items():
+            theory = theoretical_std(kind, cfg.V_A, res.T, cfg.xi, cfg.m,
+                                     cfg.N - cfg.m, cfg.N, V_M2=cfg.V_M2)
+            ratio = np.std(getattr(res, name), ddof=1) / theory
+            assert abs(np.log(ratio)) <= tol, (d, name, ratio)
 
 
 def test_run_fig1_columns_and_theory_values(tmp_path):
@@ -219,6 +328,39 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
         rc = cli.main([verb, "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2, text
         assert "cvqkd: config error" in capsys.readouterr().err
+
+
+def test_cli_second_modulation_verbs_reject_zero_v_m2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("V_M2 = 0\nN = 2000\nm = 1000\ntrials = 10\n"
+                        "distances_km = 0, 10\nmc_distances_km = 7\n")
+    # fig1 needs it even with no Monte Carlo distance on its grid
+    for verb in ("validate", "fig1"):
+        rc = cli.main([verb, "--config", str(cfg_path),
+                       "--out", str(tmp_path / verb)])
+        assert rc == 2, verb
+        assert "cvqkd: config error" in capsys.readouterr().err
+    for verb in ("simulate", "keyrate", "optimize"):
+        rc = cli.main([verb, "--config", str(cfg_path),
+                       "--out", str(tmp_path / verb)])
+        assert rc == 0, verb
+
+
+def test_monte_carlo_verbs_load_no_scipy(tmp_path):
+    # a fresh interpreter: this test session has imported scipy already
+    script = (
+        "import sys\n"
+        "from cvqkd import cli\n"
+        "for verb in ('validate', 'fig1'):\n"
+        f"    cli.main([verb, '--trials', '5', '--out', {str(tmp_path)!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_validate_runs_small(tmp_path, capsys):
