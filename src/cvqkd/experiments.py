@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import log, log10, sqrt
 
 import numpy as np
@@ -128,6 +128,11 @@ def _estimator_bank(stats: StatisticsVector, m2: Moments, V_A: float,
     mle = estimate_sigma2_mle(stats.pe, t_est.value)
     mm_full = estimate_sigma2_mm_full(stats)
     mm_key = estimate_sigma2_mm_key(stats, t_est.value)
+    if mm_key.variance < 0.0:
+        # the plug-in variance is taken at the trial's own sigma2 estimate,
+        # which can be negative at small N, and then so can the variance;
+        # read as 0, it makes that trial's sigma2_opt mm_key's value
+        mm_key = replace(mm_key, variance=0.0)
     opt = combine_optimal(mle, mm_key)
     T_est = estimate_T_secondmod(m2, V_M2)
     vxi = estimate_Vxi_secondmod(m2, T_est, V_A)

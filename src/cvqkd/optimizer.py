@@ -3,21 +3,36 @@
 The rate is cheap to evaluate (closed form), so a coarse deterministic
 grid over (V_A, m/N) followed by a Nelder-Mead polish is enough. V_A is
 searched on a log scale; the revealed fraction linearly. The grid is
-ranked by one array evaluation; every reported rate is a scalar
-``key_rate_finite`` value. The reported optimum is never below the best
-grid point.
+ranked by one array evaluation of the rate kernel; the polish calls the
+kernel on floats, and every reported rate is the value
+``key_rate_finite`` gives at that point, bit for bit. The reported
+optimum is never below the best grid point.
+
+The polish is a bounded Nelder-Mead written here, on Python floats. It
+takes the steps that ``scipy.optimize.minimize(method="Nelder-Mead",
+bounds=...)`` takes (scipy 1.17), so the iterates, and every output
+byte, are the ones that scipy routine gives; tests/test_optimizer.py
+checks this against scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log10
+from math import floor, log10
 
 import numpy as np
 
 from .channel import fiber_transmission
 from .estimators import EstimatorKind
-from .security import key_rate_asymptotic, key_rate_finite, key_rate_finite_grid
+from .security import (
+    _MATH,
+    _finite_rate_kernel,
+    _key_rate_kind,
+    confidence_quantile,
+    key_rate_asymptotic,
+    key_rate_finite,
+    key_rate_finite_grid,
+)
 
 __all__ = [
     "SearchConfig",
@@ -88,8 +103,100 @@ _GRID_TOL = 1e-12
 
 def _round_m(frac: float, N: int) -> int:
     # ties round up: revealing one more state is the conservative choice
-    m = int(np.floor(frac * N + 0.5))
-    return min(max(m, 1), N - 1)
+    return min(max(floor(frac * N + 0.5), 1), N - 1)
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    # numpy.clip on one float: a bound wins a tie, so -0.0 clipped at a
+    # lower bound of 0.0 becomes 0.0
+    v = v if v > lo else lo
+    return v if v < hi else hi
+
+
+def _nelder_mead(f, x0, bounds, maxiter: int, xatol: float,
+                 fatol: float) -> tuple[list, float, int]:
+    """Minimize f over the box ``bounds``; returns (x, f(x), evaluations).
+
+    scipy.optimize.minimize(f, x0, method="Nelder-Mead", bounds=bounds,
+    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol}) step for
+    step: the same start simplex (x0 and x0 with one coordinate times
+    1.05, or set to 0.00025 where it is 0), vertices above the upper
+    bound reflected inside and every vertex clipped to the box, the same
+    coefficients in the same operation order, the same strict and
+    non-strict comparisons, a stable sort, iterations counted from 1, no
+    evaluation limit and f(x) = min over the final simplex. f takes a list
+    of floats and returns a number, never NaN.
+    """
+    n = len(x0)
+    lo = [b[0] for b in bounds]
+    hi = [b[1] for b in bounds]
+
+    def clip(x):
+        return [_clip(v, a, b) for v, a, b in zip(x, lo, hi)]
+
+    x0 = clip(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim = [clip([2 * b - v if v > b else v for v, b in zip(x, hi)])
+           for x in sim]
+    fsim = [f(x) for x in sim]
+    nfev = n + 1
+
+    def sort():
+        # stable, as numpy's argsort is on so few values: ties keep order
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    sim, fsim = sort()
+    iterations = 1
+    while iterations < maxiter:
+        best = sim[0]
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+            break
+        xbar = list(best)
+        for x in sim[1:-1]:
+            xbar = [c + v for c, v in zip(xbar, x)]
+        xbar = [c / n for c in xbar]
+        worst = sim[-1]
+        # reflection, expansion, outside and inside contraction: scipy's
+        # (1 + rho)*xbar - rho*worst and its kin at rho = 1, chi = 2,
+        # psi = 0.5
+        xr = clip([2 * c - w for c, w in zip(xbar, worst)])
+        fxr = f(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = clip([3 * c - 2 * w for c, w in zip(xbar, worst)])
+            fxe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = clip([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)])
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = clip([0.5 * c + 0.5 * w for c, w in zip(xbar, worst)])
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            nfev += 1
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                # shrink every vertex halfway towards the best one
+                for j in range(1, n + 1):
+                    sim[j] = clip([b + 0.5 * (v - b)
+                                   for v, b in zip(sim[j], best)])
+                    fsim[j] = f(sim[j])
+                nfev += n
+        iterations += 1
+        sim, fsim = sort()
+    return sim[0], fsim[0], nfev
 
 
 def _transmission(T: float | None, distance_km: float | None,
@@ -123,6 +230,24 @@ def _last_positive(positive, d_cap_km: float,
         else:
             hi = mid
     return lo
+
+
+def _polish_rate(T: float, xi: float, beta: float, N: int,
+                 epsilon_pe: float, estimator_kind, convention: str):
+    """rate(log10 V_A, m/N) for the polish, straight from the rate kernel.
+
+    The quantile and the estimator kind are fixed once; each value is
+    key_rate_finite(10**log_va, T, xi, beta, N, _round_m(frac, N), ...)
+    .key_rate, bit for bit.
+    """
+    z = confidence_quantile(epsilon_pe, convention)
+    kind = _key_rate_kind(estimator_kind)
+
+    def rate(log_va: float, frac: float) -> float:
+        raw = _finite_rate_kernel(10.0 ** log_va, T, xi, beta, N,
+                                  _round_m(frac, N), z, kind, _MATH)[0]
+        return max(raw, 0.0)
+    return rate
 
 
 def optimize_key_rate(xi: float, beta: float, N: int,
@@ -196,25 +321,17 @@ def optimize_key_rate(xi: float, beta: float, N: int,
         trace.append(("seed", 10.0 ** lv, fr, k, 1))
 
     if cfg.refine:
-        # scipy.optimize (about 24 MB resident) loads only when a verb
-        # optimizes; validate, fig1 and simulate never do
-        from scipy.optimize import minimize
-
+        polish_rate = _polish_rate(T, xi, beta, N, epsilon_pe,
+                                   estimator_kind, convention)
         for lv0, fr0 in starts:
-            res = minimize(
-                lambda v: -rate(v[0], v[1]),
-                x0=np.array([lv0, fr0]),
-                method="Nelder-Mead",
-                bounds=[(log_vas[0], log_vas[-1]),
-                        (cfg.frac_min, cfg.frac_max)],
-                options={"maxiter": cfg.refine_maxiter, "xatol": 1e-4,
-                         "fatol": 1e-12},
-            )
-            evaluations += res.nfev
-            if -res.fun > best[0]:
-                best = (float(-res.fun), float(res.x[0]), float(res.x[1]))
-            trace.append(("refine", 10.0 ** best[1], best[2], best[0],
-                          res.nfev))
+            x, fun, nfev = _nelder_mead(
+                lambda v: -polish_rate(v[0], v[1]), [lv0, fr0],
+                [(log_vas[0], log_vas[-1]), (cfg.frac_min, cfg.frac_max)],
+                cfg.refine_maxiter, xatol=1e-4, fatol=1e-12)
+            evaluations += nfev
+            if -fun > best[0]:
+                best = (-fun, x[0], x[1])
+            trace.append(("refine", 10.0 ** best[1], best[2], best[0], nfev))
 
     return OptimizationResult(
         best_V_A=10.0 ** best[1],
@@ -247,18 +364,12 @@ def optimize_asymptotic_rate(xi: float, beta: float,
     best = (ks[i], log_vas[i])
     evaluations = len(ks)
     if cfg.refine and best[0] > 0.0:
-        from scipy.optimize import minimize
-
-        res = minimize(
-            lambda v: -rate(v[0]), x0=np.array([best[1]]),
-            method="Nelder-Mead",
-            bounds=[(log_vas[0], log_vas[-1])],
-            options={"maxiter": cfg.refine_maxiter, "xatol": 1e-5,
-                     "fatol": 1e-13},
-        )
-        evaluations += res.nfev
-        if -res.fun > best[0]:
-            best = (float(-res.fun), float(res.x[0]))
+        x, fun, nfev = _nelder_mead(
+            lambda v: -rate(v[0]), [best[1]], [(log_vas[0], log_vas[-1])],
+            cfg.refine_maxiter, xatol=1e-5, fatol=1e-13)
+        evaluations += nfev
+        if -fun > best[0]:
+            best = (-fun, x[0])
     return OptimizationResult(
         best_V_A=10.0 ** best[1],
         best_m_fraction=0.0,

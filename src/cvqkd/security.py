@@ -9,13 +9,17 @@ The Alice-Bob state after the channel is Gaussian with covariance matrix
 in shot-noise units, with sz = diag(1, -1). Finite-size security enters
 through confidence bounds on (t, sigma2): Eve is credited with the least
 favorable parameters inside the confidence region, which shrinks with the
-number of revealed states and with the estimator's variance.
+number of revealed states and with the estimator's variance. That rate
+is written once, in ``_finite_rate_kernel``, and run on Python floats
+(``key_rate_finite``, the optimizer's polish) or on numpy arrays
+(``key_rate_finite_grid``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -112,6 +116,9 @@ def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
     raise ValueError(f"unknown convention {convention!r}")
 
 
+# The rate kernel takes z and forms the corner itself; this function and
+# holevo_bound stay public, and importable as cvqkd.security.*, which
+# perfbench's tracer wraps.
 def worst_case_params(t_hat: float, std_t: float, sigma2_hat: float,
                       std_sigma2: float, epsilon_pe: float,
                       convention: str = "paper") -> WorstCaseParams:
@@ -137,18 +144,10 @@ def worst_case_covariance(wc: WorstCaseParams, V_A: float) -> TwoModeCovariance:
     """Covariance matrix evaluated at the confidence-region corner."""
     if V_A <= 0:
         raise ValueError(f"V_A must be > 0, got {V_A}")
-    sigma2_max = wc.sigma2_max
-    clamped = wc.clamped
-    if sigma2_max < 1.0:
-        # below-vacuum noise bound; push back to the physical boundary
-        sigma2_max = 1.0
-        clamped = True
-    return TwoModeCovariance(
-        a=V_A + 1.0,
-        b=wc.t_min**2 * V_A + sigma2_max,
-        c=wc.t_min * sqrt(V_A**2 + 2.0 * V_A),
-        clamped=clamped,
-    )
+    # a below-vacuum noise bound is pushed back to the physical boundary
+    a, b, c = _corner(wc.t_min, max(wc.sigma2_max, 1.0), V_A, _MATH)
+    return TwoModeCovariance(a=a, b=b, c=c,
+                             clamped=wc.clamped or wc.sigma2_max < 1.0)
 
 
 def mutual_information(V_A: float, T: float, xi: float) -> float:
@@ -164,21 +163,7 @@ def symplectic_eigenvalues(cov: TwoModeCovariance) -> tuple[float, float]:
     nu**2 = (Delta +- sqrt(Delta**2 - 4*D**2))/2 with Delta = a**2 + b**2
     - 2*c**2 and D = a*b - c**2.
     """
-    a, b, c = cov.a, cov.b, cov.c
-    delta = a * a + b * b - 2.0 * c * c
-    d = a * b - c * c
-    disc = delta * delta - 4.0 * d * d
-    if disc < -_NU_TOL:
-        raise ValueError(f"complex symplectic spectrum: Delta^2-4D^2 = {disc}")
-    disc = max(disc, 0.0)
-    nu1 = sqrt((delta + sqrt(disc)) / 2.0)
-    nu2_sq = (delta - sqrt(disc)) / 2.0
-    if nu2_sq < 0.0:
-        raise ValueError(f"negative squared eigenvalue: {nu2_sq}")
-    nu2 = sqrt(nu2_sq)
-    if nu2 < 1.0 - _NU_TOL:
-        raise ValueError(f"unphysical covariance matrix: nu2 = {nu2}")
-    return max(nu1, 1.0), max(nu2, 1.0)
+    return _symplectic(cov.a, cov.b, cov.c, _MATH)
 
 
 def conditional_eigenvalue_homodyne(cov: TwoModeCovariance) -> float:
@@ -187,16 +172,9 @@ def conditional_eigenvalue_homodyne(cov: TwoModeCovariance) -> float:
     nu3 = sqrt(a*(a - c**2/b)): measuring one quadrature of mode B leaves
     mode A with covariance diag(a - c**2/b, a).
     """
-    a, b, c = cov.a, cov.b, cov.c
-    if b <= 0:
-        raise ValueError(f"b must be > 0, got {b}")
-    reduced = a - c * c / b
-    if reduced < -_NU_TOL:
-        raise ValueError(f"conditional variance {reduced} < 0")
-    nu3 = sqrt(a * max(reduced, 0.0))
-    if nu3 < 1.0 - _NU_TOL:
-        raise ValueError(f"unphysical conditional state: nu3 = {nu3}")
-    return max(nu3, 1.0)
+    if cov.b <= 0:
+        raise ValueError(f"b must be > 0, got {cov.b}")
+    return _conditional(cov.a, cov.b, cov.c, _MATH)
 
 
 def g_entropy(x: float) -> float:
@@ -205,19 +183,102 @@ def g_entropy(x: float) -> float:
         if x > -_NU_TOL:
             return 0.0
         raise ValueError(f"g is undefined for x = {x}")
-    if x == 0.0:
-        return 0.0
-    return (x + 1.0) * log2(x + 1.0) - x * log2(x)
+    return _g(x, _MATH)
 
 
 def holevo_bound(cov: TwoModeCovariance) -> float:
     """Eve's information on Bob's homodyne outcome, S(AB) - S(A|y)."""
-    nu1, nu2 = symplectic_eigenvalues(cov)
-    nu3 = conditional_eigenvalue_homodyne(cov)
-    s = (g_entropy((nu1 - 1.0) / 2.0) + g_entropy((nu2 - 1.0) / 2.0)
-         - g_entropy((nu3 - 1.0) / 2.0))
+    return _holevo(cov.a, cov.b, cov.c, _MATH)
+
+
+# ---------------------------------------------------------------------------
+# The rate formula, written once for Python floats and for numpy arrays.
+# Each step takes a namespace xp: _MATH runs it on floats through math and
+# raises at the first failed check, _NUMPY runs it element by element and
+# raises if any cell fails. Both do the same operations in the same order;
+# where math and numpy round differently (log2, powers), each path keeps
+# its own library's last bit.
+
+def _raise_if(bad, what: str, value) -> None:
+    if bad:
+        raise ValueError(f"{what} ({value})")
+
+
+def _grid_check(bad, what: str, _value) -> None:
+    if np.any(bad):
+        raise ValueError(f"{what} on the rate grid")
+
+
+_MATH = SimpleNamespace(sqrt=sqrt, log2=log2, maximum=max,
+                        where=lambda cond, a, b: a if cond else b,
+                        check=_raise_if)
+_NUMPY = SimpleNamespace(sqrt=np.sqrt, log2=np.log2, maximum=np.maximum,
+                         where=np.where, check=_grid_check)
+
+
+def _corner(t_min, sigma2_max, V_A, xp):
+    # (a, b, c) of the covariance matrix at the worst-case (t, sigma2)
+    return (V_A + 1.0, t_min**2 * V_A + sigma2_max,
+            t_min * xp.sqrt(V_A**2 + 2.0 * V_A))
+
+
+def _symplectic(a, b, c, xp):
+    delta = a * a + b * b - 2.0 * c * c
+    d = a * b - c * c
+    disc = delta * delta - 4.0 * d * d
+    xp.check(disc < -_NU_TOL, "complex symplectic spectrum", disc)
+    root = xp.sqrt(xp.maximum(disc, 0.0))
+    nu1 = xp.sqrt((delta + root) / 2.0)
+    nu2_sq = (delta - root) / 2.0
+    xp.check(nu2_sq < 0.0, "negative squared eigenvalue", nu2_sq)
+    nu2 = xp.sqrt(nu2_sq)
+    xp.check(nu2 < 1.0 - _NU_TOL, "unphysical covariance matrix", nu2)
+    return xp.maximum(nu1, 1.0), xp.maximum(nu2, 1.0)
+
+
+def _conditional(a, b, c, xp):
+    reduced = a - c * c / b
+    xp.check(reduced < -_NU_TOL, "negative conditional variance", reduced)
+    nu3 = xp.sqrt(a * xp.maximum(reduced, 0.0))
+    xp.check(nu3 < 1.0 - _NU_TOL, "unphysical conditional state", nu3)
+    return xp.maximum(nu3, 1.0)
+
+
+def _g(x, xp):
+    # x >= 0: the eigenvalues are clamped to >= 1 before g is taken
+    pos = x > 0.0
+    x = xp.where(pos, x, 1.0)
+    return xp.where(pos, (x + 1.0) * xp.log2(x + 1.0) - x * xp.log2(x), 0.0)
+
+
+def _holevo(a, b, c, xp):
+    nu1, nu2 = _symplectic(a, b, c, xp)
+    nu3 = _conditional(a, b, c, xp)
+    s = (_g((nu1 - 1.0) / 2.0, xp) + _g((nu2 - 1.0) / 2.0, xp)
+         - _g((nu3 - 1.0) / 2.0, xp))
     # tiny negative values are round-off from the eigenvalue clamps
-    return max(s, 0.0) if s > -1e-9 else s
+    return xp.where(s > -1e-9, xp.maximum(s, 0.0), s)
+
+
+def _finite_rate_kernel(V_A, T, xi, beta, N, m, z, kind, xp):
+    """(raw rate, I_AB, S_worst, clamped) of the finite-size rate.
+
+    The raw rate is (n/N) * (beta*I_AB - S_worst), S_worst the Holevo
+    bound at the confidence-region corner t_min = t - z*std_t, sigma2_max
+    = sigma2 + z*std_sigma2, with t_min held at >= 0 and sigma2_max at
+    >= 1; clamped says whether either hold fired. Needs V_A > 0, 1 <= m
+    <= N-1, z from confidence_quantile and a kind of KEY_RATE_ESTIMATORS.
+    """
+    n = N - m
+    sigma2 = _sigma2(T, xi)
+    t_min = sqrt(T) - z * xp.sqrt(var_t_mle(V_A, T, sigma2, m))
+    sigma2_max = sigma2 + z * xp.sqrt(
+        sigma2_variance(kind, V_A, T, sigma2, m, n, N))
+    clamped = (t_min < 0.0) | (sigma2_max < 1.0)
+    s_wc = _holevo(*_corner(xp.maximum(t_min, 0.0),
+                            xp.maximum(sigma2_max, 1.0), V_A, xp), xp)
+    i_ab = 0.5 * xp.log2(1.0 + T * V_A / sigma2)
+    return (n / N) * (beta * i_ab - s_wc), i_ab, s_wc, clamped
 
 
 @dataclass(frozen=True)
@@ -277,38 +338,19 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
                              mutual_information=0.0, holevo=0.0,
                              n_fraction=1.0, reason="no parameter estimation (m == 0)")
 
-    n = N - m
-    sigma2 = _sigma2(T, xi)
-    t = sqrt(T)
-    std_t = sqrt(var_t_mle(V_A, T, sigma2, m))
-    var_s2 = sigma2_variance(estimator_kind, V_A, T, sigma2, m, n, N)
-
-    wc = worst_case_params(t, std_t, sigma2, sqrt(var_s2), epsilon_pe, convention)
-    cov_wc = worst_case_covariance(wc, V_A)
-    i_ab = mutual_information(V_A, T, xi)
-    s_wc = holevo_bound(cov_wc)
-    raw = (n / N) * (beta * i_ab - s_wc)
+    if V_A <= 0:
+        raise ValueError(f"V_A must be > 0, got {V_A}")
+    z = confidence_quantile(epsilon_pe, convention)
+    raw, i_ab, s_wc, clamped = _finite_rate_kernel(
+        V_A, T, xi, beta, N, m, z, estimator_kind, _MATH)
     return KeyRateResult(
         key_rate=max(raw, 0.0),
         key_rate_raw=raw,
         mutual_information=i_ab,
         holevo=s_wc,
-        n_fraction=n / N,
-        clamped=cov_wc.clamped,
+        n_fraction=(N - m) / N,
+        clamped=clamped,
     )
-
-
-def _grid_check(bad, what: str) -> None:
-    if np.any(bad):
-        raise ValueError(f"{what} on the rate grid")
-
-
-def _g_entropy_grid(x):
-    # x >= 0 here: the eigenvalues are clamped to >= 1 before g is taken
-    pos = x > 0.0
-    xs = np.where(pos, x, 1.0)
-    return np.where(pos, (xs + 1.0) * np.log2(xs + 1.0) - xs * np.log2(xs),
-                    0.0)
 
 
 def key_rate_finite_grid(V_A, T: float, xi: float, beta: float, N: int, m,
@@ -320,11 +362,11 @@ def key_rate_finite_grid(V_A, T: float, xi: float, beta: float, N: int, m,
     The array form of ``key_rate_finite`` for ranking a parameter grid:
     ``V_A`` and ``m`` broadcast against each other (``m`` is taken as
     float, so m**2 cannot overflow), every other argument is fixed. Needs
-    1 <= m <= N-1. Raises ValueError wherever ``key_rate_finite`` would
-    and clamps where it clamps. The values are
-    ``key_rate_raw`` up to round-off: numpy's log2 and power differ from
-    ``math``'s in the last bit, so rates to be reported come from
-    ``key_rate_finite``.
+    1 <= m <= N-1. Both run ``_finite_rate_kernel``, so this raises
+    ValueError wherever ``key_rate_finite`` would and clamps where it
+    clamps. The values are ``key_rate_raw`` up to round-off: numpy's log2
+    and power differ from ``math``'s in the last bit, so rates to be
+    reported come from ``key_rate_finite``.
     """
     kind = _key_rate_kind(estimator_kind)
     V_A = np.asarray(V_A, dtype=float)
@@ -334,39 +376,5 @@ def key_rate_finite_grid(V_A, T: float, xi: float, beta: float, N: int, m,
     if np.any((m < 1) | (m > N - 1)):
         raise ValueError(f"m must be in [1, N-1] on the rate grid, N={N}")
 
-    n = N - m
-    sigma2 = _sigma2(T, xi)
     z = confidence_quantile(epsilon_pe, convention)
-    t_min = np.maximum(sqrt(T) - z * np.sqrt(var_t_mle(V_A, T, sigma2, m)),
-                       0.0)
-    sigma2_max = np.maximum(
-        sigma2 + z * np.sqrt(sigma2_variance(kind, V_A, T, sigma2, m, n, N)),
-        1.0)
-
-    # worst_case_covariance, symplectic_eigenvalues and
-    # conditional_eigenvalue_homodyne, element by element
-    a = V_A + 1.0
-    b = t_min**2 * V_A + sigma2_max
-    c = t_min * np.sqrt(V_A**2 + 2.0 * V_A)
-    delta = a * a + b * b - 2.0 * c * c
-    d = a * b - c * c
-    disc = delta * delta - 4.0 * d * d
-    _grid_check(disc < -_NU_TOL, "complex symplectic spectrum")
-    root = np.sqrt(np.maximum(disc, 0.0))
-    nu1 = np.sqrt((delta + root) / 2.0)
-    nu2_sq = (delta - root) / 2.0
-    _grid_check(nu2_sq < 0.0, "negative squared eigenvalue")
-    nu2 = np.sqrt(nu2_sq)
-    _grid_check(nu2 < 1.0 - _NU_TOL, "unphysical covariance matrix")
-    reduced = a - c * c / b
-    _grid_check(reduced < -_NU_TOL, "negative conditional variance")
-    nu3 = np.sqrt(a * np.maximum(reduced, 0.0))
-    _grid_check(nu3 < 1.0 - _NU_TOL, "unphysical conditional state")
-
-    # holevo_bound
-    s = (_g_entropy_grid((np.maximum(nu1, 1.0) - 1.0) / 2.0)
-         + _g_entropy_grid((np.maximum(nu2, 1.0) - 1.0) / 2.0)
-         - _g_entropy_grid((np.maximum(nu3, 1.0) - 1.0) / 2.0))
-    s_wc = np.where(s > -1e-9, np.maximum(s, 0.0), s)
-    i_ab = 0.5 * np.log2(1.0 + T * V_A / sigma2)
-    return (n / N) * (beta * i_ab - s_wc)
+    return _finite_rate_kernel(V_A, T, xi, beta, N, m, z, kind, _NUMPY)[0]

@@ -363,6 +363,38 @@ def test_monte_carlo_verbs_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_rate_verbs_load_no_scipy_optimize(tmp_path):
+    # the polish is in-package; scipy is needed only for erfinv
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG)
+    script = (
+        "import sys\n"
+        "from cvqkd import cli\n"
+        f"rc = cli.main(['fig2', '--config', {str(cfg_path)!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.optimize'))\n"
+        "assert not loaded, loaded\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("verb", ["validate", "fig1"])
+def test_small_block_monte_carlo_verbs_finish(tmp_path, verb):
+    """At N = 200 some trials' plug-in Var(sigma2_mm_key) is negative;
+    it is read as 0, so the run finishes instead of raising."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("N = 200\nm = 100\nxi = 0.1\n")
+    rc = cli.main([verb, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc in (0, 1)
+
+
 def test_cli_validate_runs_small(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(SMALL_CFG)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from cvqkd.channel import fiber_transmission
 from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
     SearchConfig,
     _last_positive,
+    _nelder_mead,
+    _polish_rate,
     maximum_distance,
     optimize_asymptotic_rate,
     optimize_key_rate,
     range_limit_ratio,
 )
-from cvqkd.security import key_rate_finite
+from cvqkd.security import KEY_RATE_ESTIMATORS, key_rate_asymptotic, key_rate_finite
 
 XI, BETA = 0.01, 0.95
 
@@ -232,3 +235,96 @@ def test_range_limit_ratio_dead_channel():
     assert rr.rows == ()
     assert rr.boundary_km == 0.0
     assert np.isnan(rr.max_ratio)
+
+
+def _scipy_nelder_mead(f, x0, bounds, maxiter, xatol, fatol):
+    # the reference the in-package polish retraces; the package itself
+    # never imports scipy.optimize
+    from scipy.optimize import minimize
+
+    res = minimize(f, x0=np.array(x0), method="Nelder-Mead", bounds=bounds,
+                   options={"maxiter": maxiter, "xatol": xatol,
+                            "fatol": fatol})
+    return [float(v) for v in res.x], float(res.fun), res.nfev
+
+
+def _assert_same_run(f, x0, bounds, maxiter, xatol, fatol):
+    x, fun, nfev = _nelder_mead(f, x0, bounds, maxiter, xatol, fatol)
+    ref_x, ref_fun, ref_nfev = _scipy_nelder_mead(f, x0, bounds, maxiter,
+                                                  xatol, fatol)
+    assert [v.hex() for v in x] == [v.hex() for v in ref_x]
+    assert fun.hex() == ref_fun.hex()
+    assert nfev == ref_nfev
+    return nfev
+
+
+def test_nelder_mead_retraces_scipy_on_the_key_rate():
+    """x, f(x) and the evaluation count equal scipy's, bit for bit, on the
+    polish objective: random channels, block sizes, estimators and
+    conventions; starts on the optimum's slope, on the zero-rate plateau
+    (ties), at a zero coordinate and at the upper bounds (reflection)."""
+    rng = np.random.default_rng(20261018)
+    cfg = SearchConfig()
+    bounds = [(-1.0, 2.0), (cfg.frac_min, cfg.frac_max)]
+    starts = [None, None, (0.0, None), (None, cfg.frac_max), (2.0, None)]
+    nfevs = []
+    for i in range(250):
+        xi = float(rng.choice([0.0, rng.uniform(0.0, 0.1)]))
+        beta = float(rng.uniform(0.85, 1.0))
+        N = int(10 ** rng.uniform(3.0, 12.0))
+        T = fiber_transmission(float(rng.uniform(0.0, 200.0)), 0.2)
+        kind = KEY_RATE_ESTIMATORS[i % 3]
+        convention = ("paper", "gaussian")[(i // 3) % 2]
+        epsilon_pe = float(rng.choice([1e-10, 1e-5]))
+        rate = _polish_rate(T, xi, beta, N, epsilon_pe, kind, convention)
+        lv0, fr0 = starts[i % len(starts)] or (None, None)
+        x0 = [float(rng.uniform(-1.0, 2.0)) if lv0 is None else lv0,
+              float(rng.uniform(*bounds[1])) if fr0 is None else fr0]
+        maxiter = cfg.refine_maxiter if i % 10 else 7
+        nfevs.append(_assert_same_run(lambda v: -rate(v[0], v[1]), x0,
+                                      bounds, maxiter, 1e-4, 1e-12))
+    # the runs are real searches, not a start and a stop
+    assert np.median(nfevs) > 20
+
+
+def test_nelder_mead_retraces_scipy_in_one_dimension():
+    """The asymptotic polish: one coordinate, its own tolerances."""
+    rng = np.random.default_rng(7)
+    for i in range(200):
+        xi = float(rng.uniform(0.0, 0.1))
+        beta = float(rng.uniform(0.85, 1.0))
+        T = fiber_transmission(float(rng.uniform(0.0, 150.0)), 0.2)
+        x0 = [(0.0, 2.0, float(rng.uniform(-1.0, 2.0)))[min(i % 5, 2)]]
+        _assert_same_run(
+            lambda v: -key_rate_asymptotic(10.0 ** v[0], T, xi, beta).key_rate,
+            x0, [(-1.0, 2.0)], 400, 1e-5, 1e-13)
+
+
+def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
+    """Plateaus make ties in every sort; bounds at 0 and starts at -0.0
+    exercise numpy's clip and the 0.00025 step; x0 at the upper bound
+    exercises the reflection; a sharp valley makes shrink steps."""
+    def plateau(v):
+        return float(np.round((v[0] - 0.3) ** 2 + (v[1] + 0.2) ** 2, 1))
+
+    def valley(v):
+        return abs(v[0] - 0.1) + 100.0 * abs(v[1] - v[0] ** 2)
+
+    def capped(v):
+        # flat past the cap: the expansion ties with the reflection
+        return -min(sum(v), 0.42)
+
+    cases = [
+        (plateau, [0.5, 0.5], [(-1.0, 1.0), (-1.0, 1.0)]),
+        (plateau, [-0.0, 0.0], [(0.0, 1.0), (-1.0, -0.0)]),
+        (plateau, [1.0, 1.0], [(0.0, 1.0), (0.0, 1.0)]),
+        (valley, [0.9, -0.5], [(-1.0, 1.0), (-1.0, 1.0)]),
+        (valley, [0.0, 0.0], [(-0.0, 2.0), (0.0, 2.0)]),
+        (capped, [0.2, 0.2], [(-1.0, 1.0), (-1.0, 1.0)]),
+        (capped, [0.4], [(-1.0, 1.0)]),
+        (lambda v: 0.0, [0.2, 0.7], [(0.0, 1.0), (0.0, 1.0)]),
+        (lambda v: -abs(v[0]), [-0.0], [(-1.0, 0.0)]),
+    ]
+    for f, x0, bounds in cases:
+        for maxiter in (1, 3, 400):
+            _assert_same_run(f, x0, bounds, maxiter, 1e-4, 1e-12)

@@ -7,7 +7,7 @@ import pytest
 from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
-from cvqkd.optimizer import SearchConfig, _round_m
+from cvqkd.optimizer import SearchConfig, _polish_rate, _round_m
 from cvqkd.security import (
     KEY_RATE_ESTIMATORS,
     TwoModeCovariance,
@@ -285,6 +285,25 @@ def test_key_rate_finite_grid_matches_scalar_rate(kind):
                 if k > best:
                     best, first = k, i
             assert np.argmax(np.maximum(grid, 0.0)) == first
+
+
+@pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
+def test_polish_rate_is_key_rate_finite_bitwise(kind):
+    """The optimizer's polish evaluates the rate kernel directly; every
+    value, signed zeros included, is key_rate_finite's key_rate."""
+    log_vas = [float(v) for v in np.linspace(-1.0, 2.0, 19)]
+    fracs = [float(f) for f in np.linspace(1e-3, 0.999, 19)]
+    for N in (10**3, 10**5, 10**9, 10**12):
+        for d in (0.0, 20.0, 38.7, 100.0, 184.0, 400.0):
+            T = fiber_transmission(d, 0.2)
+            for convention in ("paper", "gaussian"):
+                rate = _polish_rate(T, 0.01, 0.95, N, 1e-10, kind, convention)
+                for lv in log_vas:
+                    for fr in fracs:
+                        ref = key_rate_finite(10.0 ** lv, T, 0.01, 0.95, N,
+                                              _round_m(fr, N), 1e-10, kind,
+                                              convention)
+                        assert rate(lv, fr).hex() == ref.key_rate.hex()
 
 
 def test_key_rate_finite_grid_rejects_unphysical_cells():
