@@ -245,10 +245,11 @@ def _conditional(a, b, c, xp):
 
 
 def _g(x, xp):
-    # x >= 0: the eigenvalues are clamped to >= 1 before g is taken
-    pos = x > 0.0
-    x = xp.where(pos, x, 1.0)
-    return xp.where(pos, (x + 1.0) * xp.log2(x + 1.0) - x * xp.log2(x), 0.0)
+    # x >= 0: the eigenvalues are clamped to >= 1 before g is taken; only
+    # exact zeros are masked, so a NaN eigenvalue gives a NaN entropy
+    zero = x == 0.0
+    x = xp.where(zero, 1.0, x)
+    return xp.where(zero, 0.0, (x + 1.0) * xp.log2(x + 1.0) - x * xp.log2(x))
 
 
 def _holevo(a, b, c, xp):

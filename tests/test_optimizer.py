@@ -7,7 +7,7 @@ from cvqkd.optimizer import (
     SearchConfig,
     _last_positive,
     _nelder_mead,
-    _polish_rate,
+    _search_rate,
     maximum_distance,
     optimize_asymptotic_rate,
     optimize_key_rate,
@@ -276,7 +276,7 @@ def test_nelder_mead_retraces_scipy_on_the_key_rate():
         kind = KEY_RATE_ESTIMATORS[i % 3]
         convention = ("paper", "gaussian")[(i // 3) % 2]
         epsilon_pe = float(rng.choice([1e-10, 1e-5]))
-        rate = _polish_rate(T, xi, beta, N, epsilon_pe, kind, convention)
+        rate = _search_rate(T, xi, beta, N, epsilon_pe, kind, convention)
         lv0, fr0 = starts[i % len(starts)] or (None, None)
         x0 = [float(rng.uniform(-1.0, 2.0)) if lv0 is None else lv0,
               float(rng.uniform(*bounds[1])) if fr0 is None else fr0]

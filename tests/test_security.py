@@ -1,4 +1,5 @@
 import warnings
+import math
 from math import log10
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
-from cvqkd.optimizer import SearchConfig, _polish_rate, _round_m
+from cvqkd.optimizer import SearchConfig, _search_rate, _round_m
 from cvqkd.security import (
     KEY_RATE_ESTIMATORS,
     TwoModeCovariance,
@@ -201,6 +202,20 @@ def test_g_entropy_reference_points():
         g_entropy(-0.1)
 
 
+def test_nan_entropy_propagates_to_the_rates():
+    """Only g(0) is defined as 0: a NaN argument, or the NaN eigenvalues of
+    V_A = inf, give a NaN entropy and a NaN rate, never S = 0."""
+    assert math.isnan(g_entropy(float("nan")))
+    assert math.isnan(holevo_bound(covariance_matrix(math.inf, 0.5, 0.01)))
+    assert math.isnan(key_rate_asymptotic(math.inf, 0.5, 0.01, 0.95).key_rate)
+    assert math.isnan(
+        key_rate_finite(math.inf, 0.5, 0.01, 0.95, 10**6, 10**5).key_rate)
+    with np.errstate(invalid="ignore"):
+        grid = key_rate_finite_grid(np.array([3.0, math.inf]), 0.5, 0.01,
+                                    0.95, 10**6, 10**5)
+    assert np.isnan(grid).tolist() == [False, True]
+
+
 def test_holevo_bound_vanishes_for_pure_and_broken_channels():
     assert holevo_bound(covariance_matrix(3.0, 1.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
     assert holevo_bound(covariance_matrix(3.0, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
@@ -288,7 +303,7 @@ def test_key_rate_finite_grid_matches_scalar_rate(kind):
 
 
 @pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
-def test_polish_rate_is_key_rate_finite_bitwise(kind):
+def test_search_rate_is_key_rate_finite_bitwise(kind):
     """The optimizer's polish evaluates the rate kernel directly; every
     value, signed zeros included, is key_rate_finite's key_rate."""
     log_vas = [float(v) for v in np.linspace(-1.0, 2.0, 19)]
@@ -297,7 +312,7 @@ def test_polish_rate_is_key_rate_finite_bitwise(kind):
         for d in (0.0, 20.0, 38.7, 100.0, 184.0, 400.0):
             T = fiber_transmission(d, 0.2)
             for convention in ("paper", "gaussian"):
-                rate = _polish_rate(T, 0.01, 0.95, N, 1e-10, kind, convention)
+                rate = _search_rate(T, 0.01, 0.95, N, 1e-10, kind, convention)
                 for lv in log_vas:
                     for fr in fracs:
                         ref = key_rate_finite(10.0 ** lv, T, 0.01, 0.95, N,
