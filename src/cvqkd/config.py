@@ -8,6 +8,7 @@ comma separated; distance grids also accept ``start:stop:step``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import isfinite
 
 from .estimators import EstimatorKind
 
@@ -21,6 +22,9 @@ _KIND_BY_NAME = {
     "opt": EstimatorKind.SIGMA2_OPT,
 }
 _VALID_CONVENTIONS = ("paper", "gaussian")
+# the keys holding floats or lists of floats, which must be finite
+_FLOAT_KEYS = ("V_A", "xi", "beta", "V_M2", "epsilon_pe", "loss_db_per_km",
+               "distances_km", "mc_distances_km")
 
 
 def _default_distances() -> list[float]:
@@ -59,10 +63,14 @@ class ExperimentConfig:
     out_dir: str = "results"
     convention: str = "paper"
     asymptotic_includes_beta: bool = True
-    mm_key_printed_variance: bool = False
     raw_lines: list[str] = field(default_factory=list, repr=False)
 
     def validate(self) -> None:
+        # a NaN passes every range check below, and an inf fails later
+        for key in _FLOAT_KEYS:
+            val = getattr(self, key)
+            if not all(map(isfinite, val if isinstance(val, list) else [val])):
+                raise ValueError(f"{key} must be finite, got {val}")
         if self.V_A <= 0:
             raise ValueError(f"V_A must be > 0, got {self.V_A}")
         if self.xi < 0:
@@ -120,7 +128,7 @@ class ExperimentConfig:
 def _parse_int(key: str, text: str) -> int:
     # accept 1e5-style notation for counts
     val = float(text)
-    if val != int(val):
+    if not isfinite(val) or val != int(val):
         raise ValueError(f"{key} must be an integer, got {text!r}")
     return int(val)
 
@@ -140,6 +148,8 @@ def _parse_float_list(key: str, text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"{key} range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(isfinite, (start, stop, step))):
+            raise ValueError(f"{key} range must be finite, got {text!r}")
         if step <= 0 or stop < start:
             raise ValueError(f"{key} range must have step > 0 and stop >= start")
         out, d = [], start
@@ -165,7 +175,6 @@ _PARSERS = {
     "out_dir": str,
     "convention": str,
     "asymptotic_includes_beta": lambda v: _parse_bool("asymptotic_includes_beta", v),
-    "mm_key_printed_variance": lambda v: _parse_bool("mm_key_printed_variance", v),
 }
 
 

@@ -3,12 +3,14 @@
 Every estimator reads moment sums, ``Moments(uu, uy, yy, k)``: the sums of
 u**2, u*y and y**2 over k states, built by ``moments(u, y)``.
 ``collect_statistics`` gives ``StatisticsVector(pe, key)`` for the m
-revealed and the n key states; ``stats.full`` is their sum. Estimators:
+revealed and the n key states; ``stats.full`` is their sum. The sums may
+be floats, one session, or equal-shape arrays, one entry per trial (as
+``channel.sample_moments`` draws them): the same code runs on both,
+returns Python floats for floats and arrays for arrays, and raises if any
+entry fails a check. Estimators:
 
 * ``estimate_t_mle(pe)`` / ``estimate_sigma2_mle(pe, t)`` -- slope and
   residual variance of the regression of y on x (maximum likelihood);
-* ``estimate_sigma2_mm_known_va(stats, t, V_A)`` -- second moment of y
-  minus the modeled signal, with V_A taken as known;
 * ``estimate_sigma2_mm_full(stats)`` -- both second moments from all N states;
 * ``estimate_sigma2_mm_key(stats, t)`` -- method of moments over the key
   states only, which makes it independent of the MLE;
@@ -45,7 +47,6 @@ __all__ = [
     "collect_statistics",
     "estimate_t_mle",
     "estimate_sigma2_mle",
-    "estimate_sigma2_mm_known_va",
     "estimate_sigma2_mm_full",
     "estimate_sigma2_mm_key",
     "combine_optimal",
@@ -53,7 +54,6 @@ __all__ = [
     "estimate_Vxi_secondmod",
     "var_t_mle",
     "var_sigma2_mle",
-    "var_sigma2_mm_known_va",
     "var_sigma2_mm_full",
     "var_sigma2_mm_key",
     "var_T_secondmod",
@@ -71,7 +71,6 @@ __all__ = [
 class EstimatorKind(str, Enum):
     T_MLE = "t_mle"
     SIGMA2_MLE = "sigma2_mle"
-    SIGMA2_MM_KNOWN_VA = "sigma2_mm_known_va"
     SIGMA2_MM_FULL = "sigma2_mm_full"
     SIGMA2_MM_KEY = "sigma2_mm_key"
     SIGMA2_OPT = "sigma2_opt"
@@ -82,7 +81,7 @@ class EstimatorKind(str, Enum):
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate with its (plug-in) variance."""
+    """Point estimate with its (plug-in) variance, or arrays of them."""
 
     value: float
     variance: float
@@ -90,7 +89,12 @@ class Estimate:
 
     @property
     def std(self) -> float:
-        return sqrt(self.variance)
+        return _sqrt(self.variance)
+
+
+def _sqrt(x):
+    # math.sqrt keeps a float a Python float; numpy's takes the arrays
+    return np.sqrt(x) if isinstance(x, np.ndarray) else sqrt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +115,10 @@ def residual_second_moment(x: np.ndarray, y: np.ndarray, t_hat: float) -> float:
 
 @dataclass(frozen=True)
 class Moments:
-    """Sums of u**2, u*y and y**2 over k states; disjoint subsets add."""
+    """Sums of u**2, u*y and y**2 over k states; disjoint subsets add.
+
+    The sums are floats, or arrays with one entry per trial.
+    """
 
     uu: float
     uy: float
@@ -174,7 +181,7 @@ def estimate_t_mle(pe: Moments) -> Estimate:
     The plug-in variance is sigma2_hat / sum(x**2) with sigma2_hat the
     residual noise estimate from the same data.
     """
-    if pe.uu == 0.0:
+    if np.any(pe.uu == 0.0):
         raise ValueError("degenerate sample: sum(x**2) == 0")
     t_hat = pe.uy / pe.uu
     return Estimate(value=t_hat, variance=pe.residual(t_hat) / pe.uu,
@@ -193,16 +200,6 @@ def estimate_sigma2_mle(pe: Moments, t_hat: float) -> Estimate:
     value = pe.residual(t_hat)
     return Estimate(value=value, variance=2.0 * value**2 * (m - 1) / m**2,
                     kind=EstimatorKind.SIGMA2_MLE)
-
-
-def estimate_sigma2_mm_known_va(stats: StatisticsVector, t_hat: float,
-                                V_A: float) -> Estimate:
-    """Moment estimate sigma2_b - t_hat**2 * V_A with V_A known exactly."""
-    full = stats.full
-    value = full.yy / full.k - t_hat**2 * V_A
-    var = var_sigma2_mm_known_va(V_A, t_hat**2, value, stats.pe.k, full.k)
-    return Estimate(value=value, variance=var,
-                    kind=EstimatorKind.SIGMA2_MM_KNOWN_VA)
 
 
 def estimate_sigma2_mm_full(stats: StatisticsVector) -> Estimate:
@@ -248,9 +245,9 @@ def combine_optimal(first: Estimate, second: Estimate,
     variance var1*var2/(var1 + var2) never exceeds either input variance.
     """
     v1, v2 = first.variance, second.variance
-    if v1 < 0 or v2 < 0:
+    if np.any(v1 < 0) or np.any(v2 < 0):
         raise ValueError("variances must be >= 0")
-    if v1 + v2 == 0.0:
+    if np.any(v1 + v2 == 0.0):
         raise ValueError("cannot weight two zero-variance estimates")
     alpha = v2 / (v1 + v2)
     value = alpha * first.value + (1.0 - alpha) * second.value
@@ -282,9 +279,9 @@ def estimate_Vxi_secondmod(m2: Moments, t_est: Estimate,
     plug-in variance (2/N)*V_N**2 + V_A**2 * Var(T_hat).
     """
     T_hat = t_est.value
-    if T_hat < 0:
+    if np.any(T_hat < 0):
         raise ValueError(f"T_hat must be >= 0, got {T_hat}")
-    value = m2.residual(sqrt(T_hat)) - T_hat * V_A - 1.0
+    value = m2.residual(_sqrt(T_hat)) - T_hat * V_A - 1.0
     v_n = 1.0 + value + T_hat * V_A
     var = (2.0 / m2.k) * v_n**2 + V_A**2 * t_est.variance
     return Estimate(value=value, variance=var, kind=EstimatorKind.VXI_SECONDMOD)
@@ -307,29 +304,17 @@ def var_sigma2_mle(sigma2: float, m: int) -> float:
     return 2.0 * sigma2**2 * (m - 1) / m**2
 
 
-def var_sigma2_mm_known_va(V_A: float, T: float, sigma2: float,
-                           m: int, N: int) -> float:
-    return (2.0 * sigma2**2 / N + 2.0 * T**2 * V_A**2 / N
-            + (1.0 / m - 1.0 / N) * 4.0 * T * sigma2 * V_A)
-
-
 def var_sigma2_mm_full(V_A: float, T: float, sigma2: float,
                        m: int, N: int) -> float:
     return 2.0 * sigma2**2 / N + (1.0 / m - 1.0 / N) * 4.0 * T * sigma2 * V_A
 
 
-def var_sigma2_mm_key(V_A: float, T: float, sigma2: float, m: int, n: int,
-                      printed_form: bool = False) -> float:
-    """Variance of the key-subset moment estimator.
-
-    Default is the delta-method result
-        2*sigma2**2/n + (1/m + 1/n) * 4*T*sigma2*V_A.
-    ``printed_form`` selects the variant with 1/(sigma2*n) in place of 1/n
-    inside the bracket; the two coincide exactly at sigma2 = 1 and the
-    difference is O(T*xi) otherwise.
+def var_sigma2_mm_key(V_A: float, T: float, sigma2: float, m: int,
+                      n: int) -> float:
+    """Variance of the key-subset moment estimator (delta method):
+    2*sigma2**2/n + (1/m + 1/n) * 4*T*sigma2*V_A.
     """
-    bracket = 1.0 / m + (1.0 / (sigma2 * n) if printed_form else 1.0 / n)
-    return 2.0 * sigma2**2 / n + bracket * 4.0 * T * sigma2 * V_A
+    return 2.0 * sigma2**2 / n + (1.0 / m + 1.0 / n) * 4.0 * T * sigma2 * V_A
 
 
 def var_T_secondmod(V_A: float, T: float, xi: float, N: int,
@@ -352,7 +337,7 @@ def _combined_variance(v1: float, v2: float) -> float:
 
 
 def sigma2_variance(kind: EstimatorKind, V_A: float, T: float, sigma2: float,
-                    m: int, n: int, N: int, printed_form: bool = False) -> float:
+                    m: int, n: int, N: int) -> float:
     """Closed-form variance of the sigma2 estimator ``kind``.
 
     The one place that decides which variance sets a sigma2 confidence
@@ -365,17 +350,14 @@ def sigma2_variance(kind: EstimatorKind, V_A: float, T: float, sigma2: float,
     if kind is EstimatorKind.SIGMA2_OPT:
         return _combined_variance(
             var_sigma2_mle(sigma2, m),
-            var_sigma2_mm_key(V_A, T, sigma2, m, n, printed_form))
+            var_sigma2_mm_key(V_A, T, sigma2, m, n))
     if kind is EstimatorKind.SIGMA2_MM_KEY:
-        return var_sigma2_mm_key(V_A, T, sigma2, m, n, printed_form)
-    if kind is EstimatorKind.SIGMA2_MM_KNOWN_VA:
-        return var_sigma2_mm_known_va(V_A, T, sigma2, m, N)
+        return var_sigma2_mm_key(V_A, T, sigma2, m, n)
     raise ValueError(f"no closed-form variance for {kind}")
 
 
 def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,
-                    m: int, n: int, N: int, V_M2: float = 0.0,
-                    mm_key_printed_form: bool = False) -> float:
+                    m: int, n: int, N: int, V_M2: float = 0.0) -> float:
     """Closed-form standard deviation of an estimator at true parameters."""
     sigma2 = _sigma2(T, xi)
     if kind is EstimatorKind.T_MLE:
@@ -390,8 +372,7 @@ def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,
         var = _combined_variance(var_vxi_secondmod(V_A, T, xi, N, V_M2),
                                  var_sigma2_mle(sigma2, m))
     else:
-        var = sigma2_variance(kind, V_A, T, sigma2, m, n, N,
-                              mm_key_printed_form)
+        var = sigma2_variance(kind, V_A, T, sigma2, m, n, N)
     return sqrt(var)
 
 
@@ -464,25 +445,22 @@ def build_cj_mm_full(V_A: float, t: float, sigma2: float,
     )
 
 
-def build_cj_mm_key(V_A: float, t: float, sigma2: float, m: int, n: int,
-                    cross_denominator_full: bool = False) -> StatisticsCovariance:
+def build_cj_mm_key(V_A: float, t: float, sigma2: float, m: int,
+                    n: int) -> StatisticsCovariance:
     """Covariance of (sigma2_a_key, sigma2_b_key, sigma2_a_pe, sigma_ab_pe).
 
     Key and revealed subsets are disjoint, so all cross-subset covariances
-    vanish. The key-subset cross term Cov(sigma2_a_key, sigma2_b_key) is
-    2*t**2*V_A**2/n; ``cross_denominator_full`` swaps the denominator for
-    N = m + n, which feeds through to a 4*t**4*V_A**2*(1/n - 1/N) excess in
-    the estimator variance.
+    vanish; the key-subset cross term Cov(sigma2_a_key, sigma2_b_key) is
+    2*t**2*V_A**2/n.
     """
     va2 = V_A**2
     sb2 = t**2 * V_A + sigma2
-    cross_den = (m + n) if cross_denominator_full else n
     mat = np.zeros((4, 4))
     mat[0, 0] = 2.0 * va2 / n
     mat[1, 1] = 2.0 * sb2**2 / n
     mat[2, 2] = 2.0 * va2 / m
     mat[3, 3] = (2.0 * t**2 * va2 + sigma2 * V_A) / m
-    mat[0, 1] = mat[1, 0] = 2.0 * t**2 * va2 / cross_den
+    mat[0, 1] = mat[1, 0] = 2.0 * t**2 * va2 / n
     mat[2, 3] = mat[3, 2] = 2.0 * t * va2 / m
     return StatisticsCovariance(
         matrix=mat,

@@ -122,17 +122,18 @@ class TrialEstimates:
 
 
 def _estimator_bank(stats: StatisticsVector, m2: Moments, V_A: float,
-                    V_M2: float) -> tuple[float, ...]:
-    """One trial's estimates, in the order of the TrialEstimates arrays."""
+                    V_M2: float) -> tuple:
+    """The estimates, in the order of the TrialEstimates arrays: floats for
+    one trial's sums, arrays for arrays of sums over trials."""
     t_est = estimate_t_mle(stats.pe)
     mle = estimate_sigma2_mle(stats.pe, t_est.value)
     mm_full = estimate_sigma2_mm_full(stats)
     mm_key = estimate_sigma2_mm_key(stats, t_est.value)
-    if mm_key.variance < 0.0:
+    if np.any(mm_key.variance < 0.0):
         # the plug-in variance is taken at the trial's own sigma2 estimate,
         # which can be negative at small N, and then so can the variance;
         # read as 0, it makes that trial's sigma2_opt mm_key's value
-        mm_key = replace(mm_key, variance=0.0)
+        mm_key = replace(mm_key, variance=np.maximum(mm_key.variance, 0.0))
     opt = combine_optimal(mle, mm_key)
     T_est = estimate_T_secondmod(m2, V_M2)
     vxi = estimate_Vxi_secondmod(m2, T_est, V_A)
@@ -148,23 +149,20 @@ def run_estimator_trials(cfg: ExperimentConfig, distance_km: float,
     the law of the per-state sums: the revealed and key sums of a session
     without the second modulation feed the regression and moment
     estimators, the (x_m2, y) sums of an independent second-modulation
-    session feed the correlation estimators. Trial i is row i of streams
-    ``stream_base`` and ``stream_base + 1``, so any prefix of the trials
-    reproduces.
+    session feed the correlation estimators. One bank call runs every
+    estimator on the sums of all trials at once. Trial i is row i of
+    streams ``stream_base`` and ``stream_base + 1``, so any prefix of the
+    trials reproduces.
     """
     T = fiber_transmission(distance_km, cfg.loss_db_per_km)
     channel = ChannelParams(T=T, xi=cfg.xi)
     protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
     pe, key, m2 = sample_moments(protocol, channel, trials, cfg.seed,
                                  stream_base)
-    rows = np.empty((trials, 7))
-    for i, (pe_i, key_i, m2_i) in enumerate(zip(pe.tolist(), key.tolist(),
-                                                m2.tolist())):
-        stats = StatisticsVector(pe=Moments(*pe_i, protocol.m),
-                                 key=Moments(*key_i, protocol.n))
-        rows[i] = _estimator_bank(stats, Moments(*m2_i, protocol.N),
-                                  cfg.V_A, cfg.V_M2)
-    t_hat, mle, mm_full, mm_key, opt, T_hat, vxi = rows.T
+    stats = StatisticsVector(pe=Moments(*pe.T, protocol.m),
+                             key=Moments(*key.T, protocol.n))
+    t_hat, mle, mm_full, mm_key, opt, T_hat, vxi = _estimator_bank(
+        stats, Moments(*m2.T, protocol.N), cfg.V_A, cfg.V_M2)
     return TrialEstimates(distance_km=distance_km, T=T, sigma2=channel.sigma2,
                           v_xi=channel.v_xi, t_hat=t_hat, sigma2_mle=mle,
                           sigma2_mm_full=mm_full, sigma2_mm_key=mm_key,
@@ -231,8 +229,7 @@ DOMINANCE_SLACK = 1.02
 
 def _theory_std(cfg: ExperimentConfig, kind: EstimatorKind, T: float) -> float:
     return theoretical_std(kind, cfg.V_A, T, cfg.xi, cfg.m, cfg.N - cfg.m,
-                           cfg.N, V_M2=cfg.V_M2,
-                           mm_key_printed_form=cfg.mm_key_printed_variance)
+                           cfg.N, V_M2=cfg.V_M2)
 
 
 def _truth(name: str, res: TrialEstimates) -> float:

@@ -7,6 +7,7 @@ the default grids live here, not in the unit tests.
 """
 
 import time
+from math import log, sqrt
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from cvqkd.estimators import (
     var_sigma2_mm_full,
     var_sigma2_mm_key,
 )
-from cvqkd.experiments import check_identities, monte_carlo_validate, run_fig1, run_fig2, run_fig3
+from cvqkd.experiments import (
+    _THEORY_KIND,
+    check_identities,
+    monte_carlo_validate,
+    run_estimator_trials,
+    run_fig1,
+    run_fig2,
+    run_fig3,
+)
 from cvqkd.optimizer import maximum_distance, range_limit_ratio
 from cvqkd.security import (
     covariance_matrix,
@@ -93,7 +102,6 @@ def test_delta_method_engine_matches_closed_forms(report):
     m, N = 300, 1000
     n = N - m
     worst_full = worst_key = 0.0
-    worst_printed_gap = 0.0
     for T in (1.0, 0.5, 0.1, 0.01):
         t = np.sqrt(T)
         for V_A in (1.0, 3.0, 10.0):
@@ -109,19 +117,11 @@ def test_delta_method_engine_matches_closed_forms(report):
                 closed_key = var_sigma2_mm_key(V_A, T, sigma2, m, n)
                 worst_key = max(worst_key,
                                 abs(eng_key - closed_key) / closed_key)
-                if xi == 0.0:
-                    # printed variance variant must coincide at sigma2 = 1
-                    printed = var_sigma2_mm_key(V_A, T, 1.0, m, n,
-                                                printed_form=True)
-                    worst_printed_gap = max(worst_printed_gap,
-                                            abs(closed_key - printed))
     elapsed = time.monotonic() - start
-    ok = (worst_full <= 1e-12 and worst_key <= 1e-12
-          and worst_printed_gap == 0.0 and elapsed < 1.0)
+    ok = worst_full <= 1e-12 and worst_key <= 1e-12 and elapsed < 1.0
     report(ok, "delta-method engine reproduces the closed-form variances",
             f"worst rel dev {worst_full:.3e} (full set) / {worst_key:.3e} "
-            f"(key subset) over a 36-point grid, printed-variant gap at "
-            f"unit noise {worst_printed_gap:.1e}, in {elapsed:.2f}s")
+            f"(key subset) over a 36-point grid in {elapsed:.2f}s")
 
 
 def test_estimator_bank_matches_theory(tmp_path, report):
@@ -137,6 +137,32 @@ def test_estimator_bank_matches_theory(tmp_path, report):
             f"{len(rows) - n_fail}/{len(rows)} checks passed, worst std "
             f"deviation {worst:.3f} (tol 0.05), {cfg.trials} trials x "
             f"{len(cfg.mc_distances_km)} distances in {elapsed:.0f}s")
+
+
+def test_variance_formulas_hold_at_a_million_trials(report):
+    """Every estimator's spread against its closed form, with the power of
+    1e6 trials per distance: the log std ratio has standard error
+    1/sqrt(2*(trials - 1)), about 0.07%. Spread only; the O(1/m) biases
+    are not gated here."""
+    cfg = ExperimentConfig()
+    trials = 10**6
+    start = time.monotonic()
+    worst, where = 0.0, None
+    for di, d in enumerate(cfg.mc_distances_km):
+        res = run_estimator_trials(cfg, d, trials, stream_base=3 * di)
+        for name, kind in _THEORY_KIND.items():
+            theory = theoretical_std(kind, cfg.V_A, res.T, cfg.xi, cfg.m,
+                                     cfg.N - cfg.m, cfg.N, V_M2=cfg.V_M2)
+            emp = float(np.std(getattr(res, name), ddof=1))
+            z = log(emp / theory) * sqrt(2.0 * (trials - 1))
+            if abs(z) > abs(worst):
+                worst, where = z, (d, name)
+    elapsed = time.monotonic() - start
+    report(abs(worst) <= 4.0 and elapsed <= 60.0,
+           "estimator spreads match the formulas at 1e6 trials",
+           f"worst std-ratio z {worst:+.2f} ({where[1]} at {where[0]} km, "
+           f"gate 4) over {len(_THEORY_KIND)} estimators x "
+           f"{len(cfg.mc_distances_km)} distances in {elapsed:.1f}s")
 
 
 def test_std_curve_structure(tmp_path, report):

@@ -3,6 +3,11 @@ import pytest
 from cvqkd.config import _KIND_BY_NAME, ExperimentConfig, load_config, parse_config
 from cvqkd.security import KEY_RATE_ESTIMATORS
 
+NON_FINITE = ("V_A = inf\n", "V_A = nan\n", "xi = nan\n", "V_M2 = nan\n",
+              "beta = nan\n", "epsilon_pe = nan\n", "loss_db_per_km = nan\n",
+              "distances_km = 0, nan\n", "distances_km = 0:inf:5\n",
+              "mc_distances_km = inf\n", "N = inf\n", "trials = nan\n")
+
 
 def test_defaults_are_valid():
     cfg = ExperimentConfig()
@@ -44,14 +49,12 @@ def test_parse_distance_range_and_list():
 
 
 def test_parse_bools():
-    cfg = parse_config(
-        "mm_key_printed_variance = yes\n"
-        "asymptotic_includes_beta = 0\n"
-    )
-    assert cfg.mm_key_printed_variance is True
-    assert cfg.asymptotic_includes_beta is False
+    assert parse_config("asymptotic_includes_beta = yes\n"
+                        ).asymptotic_includes_beta is True
+    assert parse_config("asymptotic_includes_beta = 0\n"
+                        ).asymptotic_includes_beta is False
     with pytest.raises(ValueError):
-        parse_config("mm_key_printed_variance = maybe\n")
+        parse_config("asymptotic_includes_beta = maybe\n")
 
 
 def test_parse_rejects_unknown_key_with_line_number():
@@ -80,9 +83,10 @@ def test_validate_rejects_inconsistent_values():
         parse_config("trials = 1\n")
     with pytest.raises(ValueError):
         parse_config("xi = -0.01\n")
-    # m = N leaves no key states, m < 2 no residual degree of freedom
-    for text in ("m = 1e5\n", "m = 1\n", "m = 0\n",
-                 "distances_km = \n", "estimators = \n", "n_list = \n"):
+    # m = N leaves no key states, m < 2 no residual degree of freedom; a
+    # NaN passes every range check, an inf fails later
+    for text in ("m = 1e5\n", "m = 1\n", "m = 0\n", "distances_km = \n",
+                 "estimators = \n", "n_list = \n") + NON_FINITE:
         with pytest.raises(ValueError):
             parse_config(text)
 

@@ -17,7 +17,6 @@ from cvqkd.estimators import (
     mm_full_gradient,
     var_sigma2_mm_full,
     var_sigma2_mm_key,
-    var_sigma2_mm_known_va,
 )
 
 GRID = [(V_A, T, xi)
@@ -106,40 +105,6 @@ def test_engine_matches_closed_form_mm_key():
         closed = var_sigma2_mm_key(V_A, T, sigma2, M, KEY_N)
         worst = max(worst, abs(engine - closed) / closed)
     assert worst <= 1e-12
-
-
-def test_engine_matches_closed_form_known_va():
-    # same covariance, estimator with V_A held fixed: gradient (0, 1, 2T, -2t)
-    for V_A, T, xi in GRID:
-        t = np.sqrt(T)
-        sigma2 = 1.0 + T * xi
-        engine = delta_method_variance(
-            np.array([0.0, 1.0, 2.0 * t**2, -2.0 * t]),
-            build_cj_mm_full(V_A, t, sigma2, M, N))
-        closed = var_sigma2_mm_known_va(V_A, T, sigma2, M, N)
-        assert engine == pytest.approx(closed, rel=1e-12)
-
-
-def test_printed_variant_coincides_with_engine_at_unit_noise():
-    for V_A, T, _ in GRID:
-        t = np.sqrt(T)
-        engine = delta_method_variance(
-            mm_full_gradient(t), build_cj_mm_key(V_A, t, 1.0, M, KEY_N))
-        printed = var_sigma2_mm_key(V_A, T, 1.0, M, KEY_N, printed_form=True)
-        assert engine == pytest.approx(printed, rel=1e-12)
-
-
-def test_cross_denominator_flag_adds_exact_excess():
-    for V_A, T, xi in GRID:
-        t = np.sqrt(T)
-        sigma2 = 1.0 + T * xi
-        v_n = delta_method_variance(
-            mm_full_gradient(t), build_cj_mm_key(V_A, t, sigma2, M, KEY_N))
-        v_full = delta_method_variance(
-            mm_full_gradient(t),
-            build_cj_mm_key(V_A, t, sigma2, M, KEY_N, cross_denominator_full=True))
-        excess = 4.0 * t**4 * V_A**2 * (1.0 / KEY_N - 1.0 / N)
-        assert v_full - v_n == pytest.approx(excess, rel=1e-10, abs=1e-18)
 
 
 def test_gradients_match_finite_differences():

@@ -16,7 +16,6 @@ from cvqkd.estimators import (
     estimate_sigma2_mle,
     estimate_sigma2_mm_full,
     estimate_sigma2_mm_key,
-    estimate_sigma2_mm_known_va,
     estimate_t_mle,
     moments,
     residual_second_moment,
@@ -26,7 +25,6 @@ from cvqkd.estimators import (
     var_sigma2_mle,
     var_sigma2_mm_full,
     var_sigma2_mm_key,
-    var_sigma2_mm_known_va,
     var_t_mle,
     var_vxi_secondmod,
 )
@@ -111,16 +109,6 @@ def test_sigma2_mle_sums_match_raw_residual():
                         residual_second_moment(sess.x, sess.y, t)) <= 1e-12
 
 
-def test_estimate_sigma2_mm_known_va_example():
-    stats = StatisticsVector(pe=Moments(uu=200.0, uy=100.0, yy=150.0, k=100),
-                             key=Moments(uu=200.0, uy=100.0, yy=150.0, k=100))
-    est = estimate_sigma2_mm_known_va(stats, t_hat=0.5, V_A=2.0)
-    assert est.value == pytest.approx(1.0, rel=1e-15)
-    assert est.variance == pytest.approx(
-        var_sigma2_mm_known_va(2.0, 0.25, 1.0, 100, 200), rel=1e-15
-    )
-
-
 def test_estimate_sigma2_mm_full_from_statistics():
     stats = StatisticsVector(pe=Moments(uu=20.0, uy=20.0, yy=50.0, k=10),
                              key=None)
@@ -184,6 +172,50 @@ def test_collect_statistics_requires_revealed_states():
     split = split_session(sess, 0, seed=2)
     with pytest.raises(ValueError):
         collect_statistics(sess, split)
+
+
+def test_float_sums_give_python_floats():
+    # the README Quick-start estimator lines
+    channel = ChannelParams.from_distance(20.0, xi=0.01)
+    protocol = ProtocolParams(V_A=3.0, N=100_000, m=50_000)
+    session = sample_session(protocol, channel, seed=12345)
+    split = split_session(session, protocol.m, seed=67890)
+    stats = collect_statistics(session, split)
+    t_hat = estimate_t_mle(stats.pe)
+    sigma2_hat = estimate_sigma2_mle(stats.pe, t_hat.value)
+    assert all(type(v) is float for v in (t_hat.value, t_hat.std,
+                                          sigma2_hat.value, sigma2_hat.std))
+
+    m2_session = sample_session(replace(protocol, V_M2=10.0), channel, seed=7)
+    m2 = moments(m2_session.x_m2, m2_session.y)
+    T_est = estimate_T_secondmod(m2, 10.0)
+    mm_key = estimate_sigma2_mm_key(stats, t_hat.value)
+    for est in (estimate_sigma2_mm_full(stats), mm_key,
+                combine_optimal(sigma2_hat, mm_key), T_est,
+                estimate_Vxi_secondmod(m2, T_est, 3.0)):
+        assert type(est.value) is float and type(est.variance) is float, est
+
+
+def test_array_sums_give_arrays_and_checks_see_every_entry():
+    pe = Moments(uu=np.array([2.0, 4.0]), uy=np.array([2.0, 2.0]),
+                 yy=np.array([4.0, 2.0]), k=2)
+    est = estimate_t_mle(pe)
+    np.testing.assert_array_equal(est.value, [1.0, 0.5])
+    np.testing.assert_array_equal(est.std, np.sqrt(est.variance))
+    assert estimate_sigma2_mle(pe, est.value).value.shape == (2,)
+    with pytest.raises(ValueError):
+        estimate_t_mle(replace(pe, uu=np.array([2.0, 0.0])))
+    ok = Estimate(np.ones(2), np.ones(2), EstimatorKind.SIGMA2_MLE)
+    with pytest.raises(ValueError):
+        combine_optimal(ok, replace(ok, variance=np.array([1.0, -1.0])))
+    with pytest.raises(ValueError):
+        combine_optimal(replace(ok, variance=np.array([1.0, 0.0])),
+                        replace(ok, variance=np.array([2.0, 0.0])))
+    m2 = Moments(uu=np.ones(2), uy=np.ones(2), yy=np.ones(2), k=2)
+    T_est = Estimate(np.array([0.5, -0.1]), np.zeros(2),
+                     EstimatorKind.T_SECONDMOD)
+    with pytest.raises(ValueError):
+        estimate_Vxi_secondmod(m2, T_est, 1.0)
 
 
 def test_combine_optimal_weighting_example():
@@ -257,25 +289,10 @@ def test_var_sigma2_mle_reference_value():
 
 def test_var_sigma2_mm_reference_values():
     args = (REF["V_A"], REF["T"], REF_SIGMA2, REF["m"], REF["N"])
-    assert var_sigma2_mm_known_va(*args) == pytest.approx(3.21602e-4, rel=1e-12)
     assert var_sigma2_mm_full(*args) == pytest.approx(1.41602e-4, rel=1e-12)
     assert var_sigma2_mm_key(
         REF["V_A"], REF["T"], REF_SIGMA2, REF["m"], REF["n"]
     ) == pytest.approx(5.25604e-4, rel=1e-12)
-
-
-def test_var_sigma2_mm_key_printed_variant():
-    v_default = var_sigma2_mm_key(REF["V_A"], REF["T"], REF_SIGMA2, REF["m"], REF["n"])
-    v_printed = var_sigma2_mm_key(
-        REF["V_A"], REF["T"], REF_SIGMA2, REF["m"], REF["n"], printed_form=True
-    )
-    assert v_printed == pytest.approx(5.23204e-4, rel=1e-12)
-    assert v_printed != v_default
-    # the two variants coincide exactly when sigma2 == 1
-    for T in (1.0, 0.5, 0.1):
-        assert var_sigma2_mm_key(3.0, T, 1.0, 100, 300) == var_sigma2_mm_key(
-            3.0, T, 1.0, 100, 300, printed_form=True
-        )
 
 
 def test_var_secondmod_reference_values():
@@ -302,16 +319,6 @@ def test_theoretical_std_reference_values():
         0.0062806080621258175, rel=1e-12)
     with pytest.raises(ValueError):
         theoretical_std("not a kind", **kw)
-
-
-def test_known_va_variance_exceeds_full_by_va_term():
-    # Var(known V_A) - Var(full moments) = 2 T^2 V_A^2 / N, exactly
-    for T in (1.0, 0.5, 0.1, 0.01):
-        for V_A in (1.0, 3.0, 10.0):
-            sigma2 = 1.0 + T * 0.05
-            diff = (var_sigma2_mm_known_va(V_A, T, sigma2, 300, 1000)
-                    - var_sigma2_mm_full(V_A, T, sigma2, 300, 1000))
-            assert diff == pytest.approx(2.0 * T**2 * V_A**2 / 1000, rel=1e-12)
 
 
 def test_optimal_variance_dominates_both_inputs_in_closed_form():

@@ -12,14 +12,22 @@ from cvqkd.channel import (
     ProtocolParams,
     fiber_transmission,
     read_session_csv,
+    sample_moments,
     sample_session,
     split_session,
     trial_seed,
 )
 from cvqkd.config import ExperimentConfig, parse_config
 from cvqkd.estimators import (
+    Estimate,
     EstimatorKind,
+    Moments,
+    StatisticsVector,
     collect_statistics,
+    combine_optimal,
+    estimate_sigma2_mle,
+    estimate_sigma2_mm_key,
+    estimate_t_mle,
     moments,
     theoretical_std,
 )
@@ -140,6 +148,63 @@ def test_monte_carlo_validate_is_byte_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+BANK_NAMES = ("t_hat", "sigma2_mle", "sigma2_mm_full", "sigma2_mm_key",
+              "sigma2_opt", "T_hat", "vxi_hat")
+
+
+def _sampled_sums(cfg, distance_km, trials, stream):
+    """The sampler's sums as the bank reads them, over all trials."""
+    protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
+    channel = ChannelParams(T=fiber_transmission(distance_km,
+                                                 cfg.loss_db_per_km),
+                            xi=cfg.xi)
+    return sample_moments(protocol, channel, trials, cfg.seed, stream)
+
+
+def test_estimator_bank_on_arrays_matches_per_trial_calls():
+    """One bank call on whole trial arrays gives, trial by trial, what the
+    bank gives on that trial's float sums; the two differ only where a
+    Python float's x**2 (libm pow) and numpy's square round apart."""
+    default = ExperimentConfig()
+    small = parse_config("N = 200\nm = 100\nxi = 0.1\n")  # some clamps
+    runs = [(default, d, default.trials, 3 * di)
+            for di, d in enumerate(default.mc_distances_km)]
+    runs.append((small, 0.0, 500, 0))
+    for cfg, d, trials, stream in runs:
+        res = run_estimator_trials(cfg, d, trials, stream_base=stream)
+        pe, key, m2 = _sampled_sums(cfg, d, trials, stream)
+        rows = np.array([
+            _estimator_bank(StatisticsVector(pe=Moments(*p, cfg.m),
+                                             key=Moments(*k, cfg.N - cfg.m)),
+                            Moments(*q, cfg.N), cfg.V_A, cfg.V_M2)
+            for p, k, q in zip(pe.tolist(), key.tolist(), m2.tolist())])
+        for col, name in enumerate(BANK_NAMES):
+            np.testing.assert_allclose(getattr(res, name), rows[:, col],
+                                       rtol=1e-13, atol=0, err_msg=name)
+
+
+def test_estimator_bank_clamps_only_negative_variances():
+    """At N = 200 and 0 km some trials' plug-in Var(sigma2_mm_key) is
+    negative: those trials' sigma2_opt is sigma2_mm_key, every other trial
+    keeps its inverse-variance weights."""
+    cfg = parse_config("N = 200\nm = 100\nxi = 0.1\n")
+    pe, key, m2 = _sampled_sums(cfg, 0.0, 500, 0)
+    stats = StatisticsVector(pe=Moments(*pe.T, cfg.m),
+                             key=Moments(*key.T, cfg.N - cfg.m))
+    t_hat = estimate_t_mle(stats.pe).value
+    mle = estimate_sigma2_mle(stats.pe, t_hat)
+    mm_key = estimate_sigma2_mm_key(stats, t_hat)
+    neg = mm_key.variance < 0.0
+    assert 0 < neg.sum() < neg.size
+    opt = _estimator_bank(stats, Moments(*m2.T, cfg.N), cfg.V_A, cfg.V_M2)[4]
+    np.testing.assert_array_equal(opt[neg], mm_key.value[neg])
+    keep = ~neg
+    weighted = combine_optimal(
+        Estimate(mle.value[keep], mle.variance[keep], mle.kind),
+        Estimate(mm_key.value[keep], mm_key.variance[keep], mm_key.kind))
+    np.testing.assert_array_equal(opt[keep], weighted.value)
+
+
 def _per_state_trials(cfg, distance_km, trials, master_seed):
     """The estimator bank on sessions drawn state by state: the reference
     engine, with a plain session for the regression and moment estimators
@@ -182,9 +247,7 @@ def test_moment_sampler_matches_per_state_sessions(distance_km):
     trials = 3000
     reference = _per_state_trials(cfg, distance_km, trials, master_seed=31)
     res = run_estimator_trials(cfg, distance_km, trials, stream_base=0)
-    names = ("t_hat", "sigma2_mle", "sigma2_mm_full", "sigma2_mm_key",
-             "sigma2_opt", "T_hat", "vxi_hat")
-    for col, name in enumerate(names):
+    for col, name in enumerate(BANK_NAMES):
         z_mean, z_var = _mean_and_variance_z(getattr(res, name),
                                              reference[:, col])
         assert abs(z_mean) <= 5.0, (name, z_mean)
@@ -318,16 +381,27 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for text, verb in (("no_such_key = 1\n", "keyrate"),
                        ("mm_key_cross_denominator_full = true\n", "fig1"),
+                       ("mm_key_printed_variance = false\n", "validate"),
                        ("m = 1e5\n", "validate"), ("m = 1\n", "validate"),
                        ("m = 0\n", "validate"),
                        ("distances_km = \n", "simulate"),
                        ("distances_km = \n", "optimize"),
                        ("estimators = \n", "keyrate"),
-                       ("n_list = \n", "fig2")):
+                       ("n_list = \n", "fig2"),
+                       ("V_A = inf\n", "validate"),
+                       ("mc_distances_km = inf\n", "validate"),
+                       ("loss_db_per_km = nan\n", "validate"),
+                       ("xi = nan\n", "validate"), ("V_A = nan\n", "validate"),
+                       ("V_M2 = nan\n", "validate"), ("N = inf\n", "keyrate"),
+                       ("distances_km = 0:inf:5\n", "fig2")):
         bad.write_text(text)
         rc = cli.main([verb, "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2, text
-        assert "cvqkd: config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cvqkd: config error" in err
+        if text.startswith("mm_key_"):
+            # removed keys are rejected, not ignored
+            assert "unknown config key" in err, err
 
 
 def test_cli_second_modulation_verbs_reject_zero_v_m2(tmp_path, capsys):
