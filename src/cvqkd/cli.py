@@ -10,7 +10,9 @@ import argparse
 import sys
 
 from ._version import __version__
+from .channel import fiber_transmission
 from .config import ExperimentConfig, load_config
+from .estimators import var_T_secondmod
 from .experiments import (
     monte_carlo_validate,
     run_fig1,
@@ -31,8 +33,10 @@ _RUNNERS = {
 }
 
 # verbs that evaluate the second-modulation estimators or their variances,
-# both undefined without the second modulation (V_M2 = 0)
-_NEED_SECOND_MODULATION = ("fig1", "validate")
+# both undefined without the second modulation (V_M2 = 0), and the config
+# key of the distances they evaluate them at
+_NEED_SECOND_MODULATION = {"fig1": "distances_km",
+                           "validate": "mc_distances_km"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,9 +75,18 @@ def _effective_config(args) -> ExperimentConfig:
     if args.convention is not None:
         cfg.convention = args.convention
     cfg.validate()
-    if args.command in _NEED_SECOND_MODULATION and cfg.V_M2 == 0:
+    key = _NEED_SECOND_MODULATION.get(args.command)
+    if key and cfg.V_M2 == 0:
         raise ValueError(f"{args.command} needs V_M2 > 0: it runs the "
                          f"second-modulation estimators")
+    for d in getattr(cfg, key) if key else ():
+        # Var(T_hat) divides by T*V_M2, and validate divides by its root
+        T = fiber_transmission(d, cfg.loss_db_per_km)
+        if T * cfg.V_M2 == 0.0 or not var_T_secondmod(
+                cfg.V_A, T, cfg.xi, cfg.N, cfg.V_M2) > 0.0:
+            raise ValueError(f"{args.command} needs Var(T_hat) > 0 at {key} "
+                             f"= {d} km, where {cfg.loss_db_per_km} dB/km "
+                             f"leaves T = {T}")
     return cfg
 
 

@@ -7,10 +7,12 @@ comma separated; distance grids also accept ``start:stop:step``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
-from math import isfinite
+from math import isfinite, sqrt
 
 from .estimators import EstimatorKind
+from .security import _NU_TOL
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
@@ -22,9 +24,11 @@ _KIND_BY_NAME = {
     "opt": EstimatorKind.SIGMA2_OPT,
 }
 _VALID_CONVENTIONS = ("paper", "gaussian")
-# the keys holding floats or lists of floats, which must be finite
-_FLOAT_KEYS = ("V_A", "xi", "beta", "V_M2", "epsilon_pe", "loss_db_per_km",
-               "distances_km", "mc_distances_km")
+# V_A and xi set the covariance entries, whose squares' round-off, eps*v**2,
+# passes the Holevo eigenvalue checks' tolerance _NU_TOL past this size
+_MAX_VARIANCE = sqrt(_NU_TOL / sys.float_info.epsilon)
+# the second-modulation estimator squares N*V_M2, which overflows past this
+_MAX_N_TIMES_V_M2 = sqrt(sys.float_info.max)
 
 
 def _default_distances() -> list[float]:
@@ -67,10 +71,11 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         # a NaN passes every range check below, and an inf fails later
-        for key in _FLOAT_KEYS:
-            val = getattr(self, key)
-            if not all(map(isfinite, val if isinstance(val, list) else [val])):
-                raise ValueError(f"{key} must be finite, got {val}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type in ("float", "list[float]") and not all(
+                    map(isfinite, val if isinstance(val, list) else [val])):
+                raise ValueError(f"{f.name} must be finite, got {val}")
         if self.V_A <= 0:
             raise ValueError(f"V_A must be > 0, got {self.V_A}")
         if self.xi < 0:
@@ -84,6 +89,12 @@ class ExperimentConfig:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.V_M2 < 0:
             raise ValueError(f"V_M2 must be >= 0, got {self.V_M2}")
+        for key, top in (("V_A", _MAX_VARIANCE), ("xi", _MAX_VARIANCE),
+                         ("V_M2", _MAX_N_TIMES_V_M2 / self.N)):
+            if getattr(self, key) > top:
+                raise ValueError(f"{key} must be <= {top!r}, past which the "
+                                 f"model's arithmetic breaks down, got "
+                                 f"{getattr(self, key)}")
         if not 0 < self.epsilon_pe < 1:
             raise ValueError(f"epsilon_pe must be in (0, 1), got {self.epsilon_pe}")
         if self.loss_db_per_km < 0:
@@ -160,22 +171,20 @@ def _parse_float_list(key: str, text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-_PARSERS = {
-    "V_A": float, "xi": float, "beta": float, "V_M2": float,
-    "epsilon_pe": float, "loss_db_per_km": float,
-    "N": lambda v: _parse_int("N", v),
-    "m": lambda v: _parse_int("m", v),
-    "trials": lambda v: _parse_int("trials", v),
-    "seed": lambda v: _parse_int("seed", v),
-    "fig3_N": lambda v: _parse_int("fig3_N", v),
-    "distances_km": lambda v: _parse_float_list("distances_km", v),
-    "mc_distances_km": lambda v: _parse_float_list("mc_distances_km", v),
-    "n_list": lambda v: [_parse_int("n_list", p) for p in v.split(",") if p.strip()],
-    "estimators": lambda v: [p.strip() for p in v.split(",") if p.strip()],
-    "out_dir": str,
-    "convention": str,
-    "asymptotic_includes_beta": lambda v: _parse_bool("asymptotic_includes_beta", v),
+# a parser(key, text) per field type of ExperimentConfig
+_PARSE_BY_TYPE = {
+    "float": lambda key, text: float(text),
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "str": lambda key, text: text,
+    "list[float]": _parse_float_list,
+    "list[int]": lambda key, text: [_parse_int(key, p)
+                                    for p in text.split(",") if p.strip()],
+    "list[str]": lambda key, text: [p.strip() for p in text.split(",")
+                                    if p.strip()],
 }
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)
+                if f.name != "raw_lines"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -188,10 +197,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _PARSERS:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            setattr(cfg, key, _PARSERS[key](value))
+            setattr(cfg, key, _PARSE_BY_TYPE[_FIELD_TYPES[key]](key, value))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     cfg.raw_lines = raw

@@ -372,6 +372,11 @@ def _best_over_candidates(kind: EstimatorKind, T: float,
     return best
 
 
+def _asymptotic_beta(cfg: ExperimentConfig) -> float:
+    # the asymptotic curve scales I_AB by beta only when the config says so
+    return cfg.beta if cfg.asymptotic_includes_beta else 1.0
+
+
 def _optimize_grid(cfg: ExperimentConfig, n_values: list[int]):
     """Optimized rates for each (distance, N, estimator)."""
     results = {}
@@ -407,9 +412,8 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
     rows = []
     for d in cfg.distances_km:
         asym = optimize_asymptotic_rate(
-            cfg.xi, cfg.beta, distance_km=d,
-            loss_db_per_km=cfg.loss_db_per_km,
-            include_beta=cfg.asymptotic_includes_beta)
+            cfg.xi, _asymptotic_beta(cfg),
+            fiber_transmission(d, cfg.loss_db_per_km))
         row = [d, asym.best_key_rate]
         for N in cfg.n_list:
             for name in cfg.estimators:
@@ -468,8 +472,8 @@ def run_keyrate(cfg: ExperimentConfig, out_dir: str) -> str:
     rows = []
     for d in cfg.distances_km:
         T = fiber_transmission(d, cfg.loss_db_per_km)
-        beta_asym = cfg.beta if cfg.asymptotic_includes_beta else 1.0
-        row = [d, key_rate_asymptotic(cfg.V_A, T, cfg.xi, beta_asym).key_rate]
+        row = [d, key_rate_asymptotic(cfg.V_A, T, cfg.xi,
+                                      _asymptotic_beta(cfg)).key_rate]
         for name in cfg.estimators:
             row.append(key_rate_finite(cfg.V_A, T, cfg.xi, cfg.beta, cfg.N,
                                        cfg.m, cfg.epsilon_pe,
@@ -488,8 +492,8 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str) -> str:
     rows = []
     for name in cfg.estimators:
         res = optimize_key_rate(cfg.xi, cfg.beta, cfg.N, cfg.epsilon_pe,
-                                _KIND_BY_NAME[name], distance_km=d,
-                                loss_db_per_km=cfg.loss_db_per_km,
+                                _KIND_BY_NAME[name],
+                                T=fiber_transmission(d, cfg.loss_db_per_km),
                                 convention=cfg.convention)
         m = _round_m(res.best_m_fraction, cfg.N)
         rows.append([d, name, res.best_V_A, res.best_m_fraction, m,

@@ -37,7 +37,6 @@ from .security import (
 )
 
 __all__ = [
-    "SearchConfig",
     "OptimizationResult",
     "MaximumDistanceResult",
     "RangeLimitRatio",
@@ -46,24 +45,6 @@ __all__ = [
     "maximum_distance",
     "range_limit_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    va_min: float = 0.1
-    va_max: float = 100.0
-    va_points: int = 24
-    frac_min: float = 1e-3
-    frac_max: float = 1.0 - 1e-3
-    frac_points: int = 24
-    refine: bool = True
-    refine_maxiter: int = 400
-
-    def __post_init__(self):
-        if not 0 < self.va_min < self.va_max:
-            raise ValueError("need 0 < va_min < va_max")
-        if not 0 < self.frac_min < self.frac_max < 1:
-            raise ValueError("need 0 < frac_min < frac_max < 1")
 
 
 @dataclass
@@ -97,6 +78,17 @@ class RangeLimitRatio:
     max_ratio: float
     evaluations: int
 
+
+# The search grid: 24 x 24 cells of log10 V_A over [0.1, 100] and of the
+# revealed fraction m/N over [1e-3, 1 - 1e-3]; the asymptotic rate, a
+# search over V_A alone, takes 48 points. Each Nelder-Mead polish runs at
+# most _MAXITER iterations.
+_LOG_VAS = [float(v) for v in np.linspace(log10(0.1), log10(100.0), 24)]
+_FRACS = [float(v) for v in np.linspace(1e-3, 1.0 - 1e-3, 24)]
+_ASYMPTOTIC_LOG_VAS = [float(v) for v in
+                       np.linspace(log10(0.1), log10(100.0), 48)]
+_MAXITER = 400
+_BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
 
 # bound on |key_rate_finite_grid - key_rate_finite.key_rate_raw| on the
 # optimizer's grids; tests/test_security.py checks it cell by cell
@@ -201,13 +193,6 @@ def _nelder_mead(f, x0, bounds, maxiter: int, xatol: float,
     return sim[0], fsim[0], nfev
 
 
-def _transmission(T: float | None, distance_km: float | None,
-                  loss_db_per_km: float) -> float:
-    if (T is None) == (distance_km is None):
-        raise ValueError("give exactly one of T and distance_km")
-    return fiber_transmission(distance_km, loss_db_per_km) if T is None else T
-
-
 def _last_positive(positive, d_cap_km: float,
                    resolution_km: float) -> float | None:
     """Largest distance d with positive(d): doubling, then bisection.
@@ -255,16 +240,12 @@ def _search_rate(T: float, xi: float, beta: float, N: int,
 def optimize_key_rate(xi: float, beta: float, N: int,
                       epsilon_pe: float = 1e-10,
                       estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
-                      T: float | None = None,
-                      distance_km: float | None = None,
-                      loss_db_per_km: float = 0.2,
-                      convention: str = "paper",
-                      search: SearchConfig | None = None,
+                      *, T: float, convention: str = "paper",
                       seeds=None) -> OptimizationResult:
-    """Maximize the finite-size key rate over (V_A, m/N).
+    """Maximize the finite-size key rate over (V_A, m/N) at transmission T.
 
-    Exactly one of ``T`` and ``distance_km`` must be given. The search is
-    fully deterministic: fixed grid, fixed simplex start, no randomness.
+    The search is fully deterministic: fixed grid, fixed simplex start, no
+    randomness.
 
     ``seeds`` is an optional list of (V_A, m_fraction) starting points,
     refined in addition to the best grid cell. Near the range limit the
@@ -272,19 +253,13 @@ def optimize_key_rate(xi: float, beta: float, N: int,
     neighbouring distance's optimum keeps the search from reporting a
     false zero there.
     """
-    T = _transmission(T, distance_km, loss_db_per_km)
-    cfg = search or SearchConfig()
     rate = _search_rate(T, xi, beta, N, epsilon_pe, estimator_kind, convention)
 
-    log_vas = [float(v) for v in
-               np.linspace(log10(cfg.va_min), log10(cfg.va_max), cfg.va_points)]
-    fracs = [float(v) for v in
-             np.linspace(cfg.frac_min, cfg.frac_max, cfg.frac_points)]
     # rank the grid with the array rate, V_A outer and fraction inner; the
     # grid inputs are the scalar path's own, bit for bit
     raw = key_rate_finite_grid(
-        np.array([10.0 ** lv for lv in log_vas])[:, None], T, xi, beta, N,
-        np.array([_round_m(fr, N) for fr in fracs], dtype=float)[None, :],
+        np.array([10.0 ** lv for lv in _LOG_VAS])[:, None], T, xi, beta, N,
+        np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)[None, :],
         epsilon_pe, estimator_kind, convention).ravel()
     # The array rate is the scalar one up to _GRID_TOL of round-off, so the
     # scalar scan's first strict maximum is among these cells, or is cell 0
@@ -294,9 +269,9 @@ def optimize_key_rate(xi: float, beta: float, N: int,
     cells = np.flatnonzero(raw >= top - 2.0 * _GRID_TOL)
     if top <= _GRID_TOL:
         cells = np.union1d(0, cells)
-    best = (-1.0, log_vas[0], fracs[0])
+    best = (-1.0, _LOG_VAS[0], _FRACS[0])
     for i in cells:
-        lv, fr = log_vas[i // len(fracs)], fracs[i % len(fracs)]
+        lv, fr = _LOG_VAS[i // len(_FRACS)], _FRACS[i % len(_FRACS)]
         k = rate(lv, fr)
         if k > best[0]:
             best = (k, lv, fr)
@@ -307,8 +282,8 @@ def optimize_key_rate(xi: float, beta: float, N: int,
     if best[0] > 0.0:
         starts.append((best[1], best[2]))
     for va, fr in seeds or ():
-        lv = min(max(log10(va), log_vas[0]), log_vas[-1])
-        fr = min(max(fr, cfg.frac_min), cfg.frac_max)
+        lv = min(max(log10(va), _LOG_VAS[0]), _LOG_VAS[-1])
+        fr = min(max(fr, _FRACS[0]), _FRACS[-1])
         k = rate(lv, fr)
         evaluations += 1
         if k > best[0]:
@@ -317,16 +292,14 @@ def optimize_key_rate(xi: float, beta: float, N: int,
             starts.append((lv, fr))
         trace.append(("seed", 10.0 ** lv, fr, k, 1))
 
-    if cfg.refine:
-        for lv0, fr0 in starts:
-            x, fun, nfev = _nelder_mead(
-                lambda v: -rate(v[0], v[1]), [lv0, fr0],
-                [(log_vas[0], log_vas[-1]), (cfg.frac_min, cfg.frac_max)],
-                cfg.refine_maxiter, xatol=1e-4, fatol=1e-12)
-            evaluations += nfev
-            if -fun > best[0]:
-                best = (-fun, x[0], x[1])
-            trace.append(("refine", 10.0 ** best[1], best[2], best[0], nfev))
+    for lv0, fr0 in starts:
+        x, fun, nfev = _nelder_mead(
+            lambda v: -rate(v[0], v[1]), [lv0, fr0], _BOUNDS, _MAXITER,
+            xatol=1e-4, fatol=1e-12)
+        evaluations += nfev
+        if -fun > best[0]:
+            best = (-fun, x[0], x[1])
+        trace.append(("refine", 10.0 ** best[1], best[2], best[0], nfev))
 
     return OptimizationResult(
         best_V_A=10.0 ** best[1],
@@ -338,30 +311,19 @@ def optimize_key_rate(xi: float, beta: float, N: int,
 
 
 def optimize_asymptotic_rate(xi: float, beta: float,
-                             T: float | None = None,
-                             distance_km: float | None = None,
-                             loss_db_per_km: float = 0.2,
-                             search: SearchConfig | None = None,
-                             include_beta: bool = True) -> OptimizationResult:
-    """Maximize the asymptotic rate over V_A only."""
-    T = _transmission(T, distance_km, loss_db_per_km)
-    cfg = search or SearchConfig()
-    b = beta if include_beta else 1.0
-
+                             T: float) -> OptimizationResult:
+    """Maximize the asymptotic rate at transmission T over V_A only."""
     def rate(log_va: float) -> float:
-        return key_rate_asymptotic(10.0 ** log_va, T, xi, b).key_rate
+        return key_rate_asymptotic(10.0 ** log_va, T, xi, beta).key_rate
 
-    log_vas = [float(v) for v in
-               np.linspace(log10(cfg.va_min), log10(cfg.va_max),
-                           max(cfg.va_points, 48))]
-    ks = [rate(lv) for lv in log_vas]
+    ks = [rate(lv) for lv in _ASYMPTOTIC_LOG_VAS]
     i = int(np.argmax(ks))
-    best = (ks[i], log_vas[i])
+    best = (ks[i], _ASYMPTOTIC_LOG_VAS[i])
     evaluations = len(ks)
-    if cfg.refine and best[0] > 0.0:
+    if best[0] > 0.0:
         x, fun, nfev = _nelder_mead(
-            lambda v: -rate(v[0]), [best[1]], [(log_vas[0], log_vas[-1])],
-            cfg.refine_maxiter, xatol=1e-5, fatol=1e-13)
+            lambda v: -rate(v[0]), [best[1]], _BOUNDS[:1], _MAXITER,
+            xatol=1e-5, fatol=1e-13)
         evaluations += nfev
         if -fun > best[0]:
             best = (-fun, x[0])
@@ -379,21 +341,20 @@ def maximum_distance(xi: float, beta: float, N: int,
                      estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
                      loss_db_per_km: float = 0.2,
                      convention: str = "paper",
-                     search: SearchConfig | None = None,
-                     d_cap_km: float = 1000.0,
-                     resolution_km: float = 0.1) -> MaximumDistanceResult:
-    """Largest distance with a positive optimized key rate, by bisection."""
+                     d_cap_km: float = 1000.0) -> MaximumDistanceResult:
+    """Largest distance with a positive optimized key rate, by bisection to
+    0.1 km."""
     evaluations = 0
 
     def positive(d: float) -> bool:
         nonlocal evaluations
         evaluations += 1
         r = optimize_key_rate(xi, beta, N, epsilon_pe, estimator_kind,
-                              distance_km=d, loss_db_per_km=loss_db_per_km,
-                              convention=convention, search=search)
+                              T=fiber_transmission(d, loss_db_per_km),
+                              convention=convention)
         return r.best_key_rate > 0.0
 
-    d = _last_positive(positive, d_cap_km, resolution_km)
+    d = _last_positive(positive, d_cap_km, 0.1)
     return MaximumDistanceResult(0.0 if d is None else d,
                                  positive_at_zero=d is not None,
                                  evaluations=evaluations)
@@ -405,9 +366,6 @@ def range_limit_ratio(xi: float, beta: float, N: int,
                       denominator: EstimatorKind = EstimatorKind.SIGMA2_MLE,
                       loss_db_per_km: float = 0.2,
                       convention: str = "paper",
-                      search: SearchConfig | None = None,
-                      resolution_km: float = 5e-4,
-                      offsets_km=(0.05, 0.02, 0.01, 0.005, 0.002, 0.001),
                       d_cap_km: float = 1000.0) -> RangeLimitRatio:
     """Ratio of two estimators' optimized rates approaching the range limit.
 
@@ -415,9 +373,9 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     interesting behaviour lives in the last few metres before the
     denominator's boundary: there its rate goes to zero while the
     numerator's stays finite and the ratio grows without bound. The
-    boundary is located by warm-started bisection (continuation seeds keep
-    the optimizer from losing the shrinking positive region), then both
-    rates are sampled at the given offsets inside it.
+    boundary is located by warm-started bisection to 0.5 m (continuation
+    seeds keep the optimizer from losing the shrinking positive region),
+    then both rates are sampled 50, 20, 10, 5, 2, 1 and 0 m inside it.
     """
     evaluations = 0
     seed_of: dict[EstimatorKind, tuple] = {}
@@ -425,18 +383,16 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
         seeds = [s for s in (seed_of.get(kind), *extra) if s is not None]
-        r = optimize_key_rate(xi, beta, N, epsilon_pe, kind, distance_km=d,
-                              loss_db_per_km=loss_db_per_km,
-                              convention=convention, search=search,
-                              seeds=seeds)
+        r = optimize_key_rate(xi, beta, N, epsilon_pe, kind,
+                              T=fiber_transmission(d, loss_db_per_km),
+                              convention=convention, seeds=seeds)
         evaluations += r.evaluations
         if r.best_key_rate > 0.0:
             seed_of[kind] = (r.best_V_A, r.best_m_fraction)
         return r
 
     boundary = _last_positive(
-        lambda d: opt(denominator, d).best_key_rate > 0.0, d_cap_km,
-        resolution_km)
+        lambda d: opt(denominator, d).best_key_rate > 0.0, d_cap_km, 5e-4)
     if boundary is None:
         return RangeLimitRatio(rows=(), boundary_km=0.0,
                                max_ratio=float("nan"),
@@ -444,7 +400,7 @@ def range_limit_ratio(xi: float, beta: float, N: int,
 
     rows = []
     max_ratio = 0.0
-    for w in sorted(set(offsets_km), reverse=True) + [0.0]:
+    for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0):
         d = boundary - w
         if d < 0.0:
             continue

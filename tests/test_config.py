@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from cvqkd.config import _KIND_BY_NAME, ExperimentConfig, load_config, parse_config
@@ -111,11 +113,19 @@ def test_echo_lines_cover_all_fields():
     assert "V_A" in keys and "raw_lines" not in keys
     assert "asymptotic_includes_beta = true" in lines
     assert any(line.startswith("distances_km = 0.0,5.0,") for line in lines)
-    # echoed lines parse back to the same settings
-    round_trip = parse_config("\n".join(lines))
-    assert round_trip.N == cfg.N
-    assert round_trip.distances_km == cfg.distances_km
-    assert round_trip.estimators == cfg.estimators
+    # echoed lines parse back to the same settings, field by field, through
+    # the parser of each field's type; raw_lines is not a key
+    other = parse_config("V_A = 4.5\nN = 2e6\nm = 7e5\ntrials = 30\n"
+                         "distances_km = 0:20:10\nn_list = 1e5, 1e9\n"
+                         "estimators = opt, mle\nout_dir = elsewhere\n"
+                         "asymptotic_includes_beta = false\n")
+    for cfg in (cfg, other):
+        round_trip = parse_config("\n".join(cfg.echo_lines()))
+        for f in fields(ExperimentConfig):
+            if f.name != "raw_lines":
+                assert getattr(round_trip, f.name) == getattr(cfg, f.name)
+    with pytest.raises(ValueError, match="unknown config key"):
+        parse_config("raw_lines = V_A = 1\n")
 
 
 def test_load_config(tmp_path):

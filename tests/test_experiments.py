@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -17,7 +19,12 @@ from cvqkd.channel import (
     split_session,
     trial_seed,
 )
-from cvqkd.config import ExperimentConfig, parse_config
+from cvqkd.config import (
+    _MAX_N_TIMES_V_M2,
+    _MAX_VARIANCE,
+    ExperimentConfig,
+    parse_config,
+)
 from cvqkd.estimators import (
     Estimate,
     EstimatorKind,
@@ -43,6 +50,8 @@ from cvqkd.experiments import (
     run_optimize,
     run_simulate,
 )
+from cvqkd.optimizer import optimize_asymptotic_rate
+from cvqkd.security import key_rate_asymptotic
 
 SMALL_CFG = (
     "N = 2000\n"
@@ -351,6 +360,25 @@ def test_run_keyrate_pointwise_ordering(tmp_path):
         assert k_opt <= asym + 1e-12
 
 
+def test_asymptotic_columns_drop_beta_when_configured(tmp_path):
+    """With asymptotic_includes_beta = false, fig2 and keyrate both take
+    K_asymptotic at beta = 1, whatever beta the finite-size rates use."""
+    text = "distances_km = 0, 20\nn_list = 1e5\nbeta = 0.9\n"
+    cfg = parse_config(text + "asymptotic_includes_beta = false\n")
+    fig2 = _read_table(run_fig2(cfg, str(tmp_path / "fig2")))[2]
+    keyrate = _read_table(run_keyrate(cfg, str(tmp_path / "keyrate")))[2]
+    with_beta = _read_table(run_keyrate(parse_config(text),
+                                        str(tmp_path / "with_beta")))[2]
+    for d, f_row, k_row, b_row in zip(cfg.distances_km, fig2, keyrate,
+                                      with_beta):
+        T = fiber_transmission(d)
+        assert float(f_row[1]) == optimize_asymptotic_rate(
+            cfg.xi, 1.0, T).best_key_rate
+        assert float(k_row[1]) == key_rate_asymptotic(cfg.V_A, T, cfg.xi,
+                                                      1.0).key_rate
+        assert float(k_row[1]) > float(b_row[1])
+
+
 def test_run_optimize_reports_integer_split(tmp_path):
     cfg = _small_cfg()
     path = run_optimize(cfg, str(tmp_path))
@@ -418,6 +446,95 @@ def test_cli_second_modulation_verbs_reject_zero_v_m2(tmp_path, capsys):
         rc = cli.main([verb, "--config", str(cfg_path),
                        "--out", str(tmp_path / verb)])
         assert rc == 0, verb
+
+
+def _cli_run(tmp_path, verb, text):
+    """cli.main on a config text; returns (exit code, stderr)."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main([verb, "--config", str(cfg_path),
+                       "--out", str(tmp_path / verb)])
+    return rc, err.getvalue()
+
+
+def test_second_modulation_verbs_reject_zero_transmission(tmp_path):
+    """Var(T_hat) = (4/N)*T**2*(2 + V_N/(T*V_M2)): a distance where T, or
+    T**2, underflows to 0.0 is a config error naming that distance, not a
+    ZeroDivisionError."""
+    for verb, text, where in (
+            ("validate", "mc_distances_km = 20000\n",
+             "mc_distances_km = 20000.0 km"),
+            # T = 1e-200 at 20 km
+            ("validate", "loss_db_per_km = 100\n", "mc_distances_km = 20.0 km"),
+            ("fig1", "loss_db_per_km = 100\n", "distances_km = 20.0 km")):
+        rc, err = _cli_run(tmp_path, verb, text)
+        assert rc == 2, (verb, text)
+        assert "cvqkd: config error" in err and where in err, err
+
+
+ALL_VERBS = ("fig1", "fig2", "fig3", "validate", "simulate", "keyrate",
+             "optimize")
+
+
+def test_huge_variances_are_config_errors(tmp_path):
+    """V_A, xi and V_M2 have upper bounds where the arithmetic breaks down:
+    past them every verb exits 2 naming the key; at them every verb
+    finishes."""
+    small = ("distances_km = 0, 100\nmc_distances_km = 0, 100\n"
+             "n_list = 1e5\nfig3_N = 1e9\ntrials = 50\n")
+    largest = {"V_A": _MAX_VARIANCE, "xi": _MAX_VARIANCE,
+               "V_M2": _MAX_N_TIMES_V_M2 / ExperimentConfig().N}
+    for key, top in largest.items():
+        for verb in ALL_VERBS:
+            rc, err = _cli_run(tmp_path, verb, small + f"{key} = 1e300\n")
+            assert rc == 2, (key, verb)
+            assert f"cvqkd: config error: {key} must be <=" in err, err
+            rc, _ = _cli_run(tmp_path, verb, small + f"{key} = {top!r}\n")
+            assert rc in (0, 1), (key, verb)
+
+
+def _log_uniform(rng, lo, hi):
+    return float(10 ** rng.uniform(np.log10(lo), np.log10(hi)))
+
+
+def _random_config(rng):
+    N = int(_log_uniform(rng, 3, 1e12))
+    estimators = rng.permutation(["mle", "mm", "opt"])[:rng.integers(1, 4)]
+    return N, "".join(f"{key} = {value}\n" for key, value in (
+        ("V_A", repr(_log_uniform(rng, 1e-3, _MAX_VARIANCE))),
+        ("xi", repr(_log_uniform(rng, 1e-12, _MAX_VARIANCE))),
+        ("V_M2", repr(_log_uniform(rng, 1e-3, _MAX_N_TIMES_V_M2 / N))),
+        ("N", N), ("m", int(rng.integers(2, N))),
+        ("beta", repr(float(rng.uniform(0.01, 1.0)))),
+        ("epsilon_pe", repr(_log_uniform(rng, 1e-15, 0.5))),
+        ("loss_db_per_km", repr(float(rng.uniform(0.0, 30.0)))),
+        ("distances_km", f"0, {float(rng.uniform(0.0, 3000.0))!r}"),
+        ("mc_distances_km", repr(float(rng.uniform(0.0, 3000.0)))),
+        ("trials", int(rng.integers(2, 50))),
+        ("n_list", int(_log_uniform(rng, 3, 1e12))),
+        ("fig3_N", int(_log_uniform(rng, 3, 1e12))),
+        ("estimators", ", ".join(estimators)),
+        ("convention", rng.choice(["paper", "gaussian"])),
+        ("asymptotic_includes_beta", rng.choice(["true", "false"])),
+        ("seed", int(rng.integers(0, 2**31)))))
+
+
+def test_random_valid_configs_never_raise(tmp_path):
+    """Seeded random configs, drawn log-uniform over many decades: every
+    verb returns 0, 1 or 2 and raises nothing. simulate draws and writes
+    all N states, so it runs only where N <= 1e5."""
+    rng = np.random.default_rng(20261018)
+    for i in range(20):
+        N, text = _random_config(rng)
+        for verb in ALL_VERBS:
+            if verb == "simulate" and N > 10**5:
+                continue
+            rc, _ = _cli_run(tmp_path / str(i), verb, text)
+            assert rc in (0, 1, 2), (verb, text)
 
 
 def test_monte_carlo_verbs_load_no_scipy(tmp_path):

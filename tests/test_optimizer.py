@@ -4,7 +4,10 @@ import pytest
 from cvqkd.channel import fiber_transmission
 from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
-    SearchConfig,
+    _BOUNDS,
+    _FRACS,
+    _LOG_VAS,
+    _MAXITER,
     _last_positive,
     _nelder_mead,
     _search_rate,
@@ -21,25 +24,9 @@ XI, BETA = 0.01, 0.95
 MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.1875}
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(va_min=1.0, va_max=0.5)
-    with pytest.raises(ValueError):
-        SearchConfig(frac_min=0.5, frac_max=0.5)
-    with pytest.raises(ValueError):
-        SearchConfig(frac_max=1.0)
-
-
-def test_optimize_key_rate_requires_one_channel_argument():
-    with pytest.raises(ValueError):
-        optimize_key_rate(XI, BETA, 10**7)
-    with pytest.raises(ValueError):
-        optimize_key_rate(XI, BETA, 10**7, T=0.5, distance_km=20.0)
-
-
 def test_optimize_key_rate_is_deterministic():
-    a = optimize_key_rate(XI, BETA, 10**7, distance_km=30.0)
-    b = optimize_key_rate(XI, BETA, 10**7, distance_km=30.0)
+    a = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0))
+    b = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0))
     assert a.best_key_rate == b.best_key_rate
     assert a.best_V_A == b.best_V_A
     assert a.best_m_fraction == b.best_m_fraction
@@ -47,23 +34,18 @@ def test_optimize_key_rate_is_deterministic():
 
 
 def test_refinement_never_loses_to_the_grid():
-    res = optimize_key_rate(XI, BETA, 10**7, distance_km=25.0)
+    res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(25.0))
     stage, _, _, grid_rate, _ = res.trace[0]
     assert stage == "grid"
     assert res.best_key_rate >= grid_rate
     assert any(row[0] == "refine" for row in res.trace)
-    coarse = optimize_key_rate(XI, BETA, 10**7, distance_km=25.0,
-                               search=SearchConfig(refine=False))
-    assert coarse.best_key_rate <= res.best_key_rate
-    assert all(row[0] != "refine" for row in coarse.trace)
 
 
 def test_grid_counts_every_cell():
-    cfg = SearchConfig(va_points=7, frac_points=5)
-    res = optimize_key_rate(XI, BETA, 10**7, distance_km=20.0, search=cfg)
+    res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(20.0))
     assert res.trace[0][0] == "grid"
-    assert res.trace[0][-1] == 7 * 5
-    assert res.evaluations == 7 * 5 + sum(row[-1] for row in res.trace[1:])
+    assert res.trace[0][-1] == len(_LOG_VAS) * len(_FRACS) == 576
+    assert res.evaluations == 576 + sum(row[-1] for row in res.trace[1:])
 
 
 def test_optimizer_rejects_an_unphysical_channel():
@@ -74,7 +56,7 @@ def test_optimizer_rejects_an_unphysical_channel():
 def test_optimum_matches_brute_force_scan():
     """Dense grid evaluation of the same objective agrees within 1%."""
     N = 10**9
-    res = optimize_key_rate(XI, BETA, N, distance_km=20.0)
+    res = optimize_key_rate(XI, BETA, N, T=fiber_transmission(20.0))
     best = 0.0
     for log_va in np.linspace(-1.0, 2.0, 181):
         va = 10.0 ** log_va
@@ -96,19 +78,21 @@ def test_noiseless_unit_channel_needs_almost_no_estimation():
 
 
 def test_key_rate_monotone_in_distance_and_block_size():
-    rates_d = [optimize_key_rate(XI, BETA, 10**7, distance_km=d).best_key_rate
+    rates_d = [optimize_key_rate(XI, BETA, 10**7,
+                                 T=fiber_transmission(d)).best_key_rate
                for d in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)]
     assert all(hi >= lo for hi, lo in zip(rates_d, rates_d[1:]))
-    rates_n = [optimize_key_rate(XI, BETA, N, distance_km=30.0).best_key_rate
+    rates_n = [optimize_key_rate(XI, BETA, N,
+                                 T=fiber_transmission(30.0)).best_key_rate
                for N in (10**5, 10**7, 10**9, 10**12)]
     assert all(lo <= hi for lo, hi in zip(rates_n, rates_n[1:]))
 
 
 def test_seeds_are_clipped_and_traced():
-    res = optimize_key_rate(XI, BETA, 10**7, distance_km=20.0,
-                            seeds=[(1000.0, 0.99999)])
+    T = fiber_transmission(20.0)
+    res = optimize_key_rate(XI, BETA, 10**7, T=T, seeds=[(1000.0, 0.99999)])
     assert any(row[0] == "seed" for row in res.trace)
-    unseeded = optimize_key_rate(XI, BETA, 10**7, distance_km=20.0)
+    unseeded = optimize_key_rate(XI, BETA, 10**7, T=T)
     assert res.best_key_rate >= unseeded.best_key_rate - 1e-15
 
 
@@ -116,11 +100,12 @@ def test_seed_continuation_rescues_boundary_optimum():
     """Near the range limit the positive region is smaller than the grid pitch."""
     N = 10**5
     kind = EstimatorKind.SIGMA2_MLE
-    inside = optimize_key_rate(XI, BETA, N, estimator_kind=kind, distance_km=38.5)
+    inside = optimize_key_rate(XI, BETA, N, estimator_kind=kind,
+                               T=fiber_transmission(38.5))
     assert inside.best_key_rate > 0.0
-    d_edge = 38.7207
-    cold = optimize_key_rate(XI, BETA, N, estimator_kind=kind, distance_km=d_edge)
-    warm = optimize_key_rate(XI, BETA, N, estimator_kind=kind, distance_km=d_edge,
+    T_edge = fiber_transmission(38.7207)
+    cold = optimize_key_rate(XI, BETA, N, estimator_kind=kind, T=T_edge)
+    warm = optimize_key_rate(XI, BETA, N, estimator_kind=kind, T=T_edge,
                              seeds=[(inside.best_V_A, inside.best_m_fraction)])
     assert cold.best_key_rate == 0.0
     assert warm.best_key_rate > 0.0
@@ -128,22 +113,20 @@ def test_seed_continuation_rescues_boundary_optimum():
 
 
 def test_optimize_asymptotic_rate_basics():
-    res = optimize_asymptotic_rate(XI, BETA, distance_km=50.0)
-    again = optimize_asymptotic_rate(XI, BETA, distance_km=50.0)
+    T = fiber_transmission(50.0)
+    res = optimize_asymptotic_rate(XI, BETA, T)
+    again = optimize_asymptotic_rate(XI, BETA, T)
     assert res.best_key_rate == again.best_key_rate
     assert res.best_key_rate > 0.0
     assert res.best_m_fraction == 0.0
-    unscaled = optimize_asymptotic_rate(XI, BETA, distance_km=50.0,
-                                        include_beta=False)
+    unscaled = optimize_asymptotic_rate(XI, 1.0, T)
     assert unscaled.best_key_rate >= res.best_key_rate
-    with pytest.raises(ValueError):
-        optimize_asymptotic_rate(XI, BETA)
 
 
 def test_finite_optimum_below_asymptotic_optimum():
     for d in (0.0, 25.0, 50.0):
-        fin = optimize_key_rate(XI, BETA, 10**9, distance_km=d)
-        asym = optimize_asymptotic_rate(XI, BETA, distance_km=d)
+        fin = optimize_key_rate(XI, BETA, 10**9, T=fiber_transmission(d))
+        asym = optimize_asymptotic_rate(XI, BETA, fiber_transmission(d))
         assert fin.best_key_rate <= asym.best_key_rate + 1e-12
 
 
@@ -264,9 +247,7 @@ def test_nelder_mead_retraces_scipy_on_the_key_rate():
     conventions; starts on the optimum's slope, on the zero-rate plateau
     (ties), at a zero coordinate and at the upper bounds (reflection)."""
     rng = np.random.default_rng(20261018)
-    cfg = SearchConfig()
-    bounds = [(-1.0, 2.0), (cfg.frac_min, cfg.frac_max)]
-    starts = [None, None, (0.0, None), (None, cfg.frac_max), (2.0, None)]
+    starts = [None, None, (0.0, None), (None, _BOUNDS[1][1]), (2.0, None)]
     nfevs = []
     for i in range(250):
         xi = float(rng.choice([0.0, rng.uniform(0.0, 0.1)]))
@@ -278,11 +259,11 @@ def test_nelder_mead_retraces_scipy_on_the_key_rate():
         epsilon_pe = float(rng.choice([1e-10, 1e-5]))
         rate = _search_rate(T, xi, beta, N, epsilon_pe, kind, convention)
         lv0, fr0 = starts[i % len(starts)] or (None, None)
-        x0 = [float(rng.uniform(-1.0, 2.0)) if lv0 is None else lv0,
-              float(rng.uniform(*bounds[1])) if fr0 is None else fr0]
-        maxiter = cfg.refine_maxiter if i % 10 else 7
+        x0 = [float(rng.uniform(*_BOUNDS[0])) if lv0 is None else lv0,
+              float(rng.uniform(*_BOUNDS[1])) if fr0 is None else fr0]
+        maxiter = _MAXITER if i % 10 else 7
         nfevs.append(_assert_same_run(lambda v: -rate(v[0], v[1]), x0,
-                                      bounds, maxiter, 1e-4, 1e-12))
+                                      _BOUNDS, maxiter, 1e-4, 1e-12))
     # the runs are real searches, not a start and a stop
     assert np.median(nfevs) > 20
 
@@ -294,10 +275,10 @@ def test_nelder_mead_retraces_scipy_in_one_dimension():
         xi = float(rng.uniform(0.0, 0.1))
         beta = float(rng.uniform(0.85, 1.0))
         T = fiber_transmission(float(rng.uniform(0.0, 150.0)), 0.2)
-        x0 = [(0.0, 2.0, float(rng.uniform(-1.0, 2.0)))[min(i % 5, 2)]]
+        x0 = [(0.0, 2.0, float(rng.uniform(*_BOUNDS[0])))[min(i % 5, 2)]]
         _assert_same_run(
             lambda v: -key_rate_asymptotic(10.0 ** v[0], T, xi, beta).key_rate,
-            x0, [(-1.0, 2.0)], 400, 1e-5, 1e-13)
+            x0, _BOUNDS[:1], _MAXITER, 1e-5, 1e-13)
 
 
 def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():

@@ -1,6 +1,5 @@
 import warnings
 import math
-from math import log10
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
-from cvqkd.optimizer import SearchConfig, _search_rate, _round_m
+from cvqkd.optimizer import _FRACS, _LOG_VAS, _round_m, _search_rate
 from cvqkd.security import (
     KEY_RATE_ESTIMATORS,
     TwoModeCovariance,
@@ -185,6 +184,19 @@ def test_symplectic_eigenvalues_reject_unphysical_matrix():
         symplectic_eigenvalues(TwoModeCovariance(a=2.0, b=2.0, c=2.5))
 
 
+def test_near_pure_states_pass_the_eigenvalue_checks():
+    """At T = 1 and a tiny xi the discriminant is about 0, and the square
+    root of its round-off moves nu2 by more than the 1e-9 tolerance; the
+    checks read well-conditioned forms, so these states are physical."""
+    for V_A in (1.03, 11.0, 100.0, 1000.0):
+        for xi in (0.0, 1e-14, 2.3e-10, 1e-8, 1e-6):
+            nu1, nu2 = symplectic_eigenvalues(covariance_matrix(V_A, 1.0, xi))
+            assert 1.0 <= nu2 <= nu1 < 1.001
+            assert key_rate_asymptotic(V_A, 1.0, xi, 0.95).key_rate > 0.0
+            key_rate_finite_grid(np.array([V_A]), 1.0, xi, 0.95, 10**5,
+                                 np.array([5e4]))
+
+
 def test_conditional_eigenvalue_matches_schur_complement():
     for cov in _grid():
         nu3 = conditional_eigenvalue_homodyne(cov)
@@ -278,13 +290,9 @@ def test_key_rate_finite_accepts_the_kind_by_name():
 def test_key_rate_finite_grid_matches_scalar_rate(kind):
     """The optimizer's default grid: same rates to 1e-12, same zero cells,
     and np.argmax picks the cell a scalar strict-> scan picks."""
-    cfg = SearchConfig()
-    vas = [10.0 ** float(lv) for lv in
-           np.linspace(log10(cfg.va_min), log10(cfg.va_max), cfg.va_points)]
-    fracs = [float(f) for f in
-             np.linspace(cfg.frac_min, cfg.frac_max, cfg.frac_points)]
+    vas = [10.0 ** lv for lv in _LOG_VAS]
     for N in ExperimentConfig().n_list:
-        ms = [_round_m(f, N) for f in fracs]
+        ms = [_round_m(f, N) for f in _FRACS]
         for d in (0.0, 20.0, 38.7, 100.0, 184.0):
             T = fiber_transmission(d, 0.2)
             grid = key_rate_finite_grid(np.array(vas)[:, None], T, 0.01, 0.95,
