@@ -98,8 +98,6 @@ class ProtocolParams:
     V_A: float
     N: int
     m: int
-    beta: float = 0.95
-    epsilon_pe: float = 1e-10
     V_M2: float = 0.0
 
     def __post_init__(self):
@@ -109,10 +107,6 @@ class ProtocolParams:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if not 0 <= self.m <= self.N:
             raise ValueError(f"m must be in [0, N], got m={self.m}, N={self.N}")
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if not 0 < self.epsilon_pe < 1:
-            raise ValueError(f"epsilon_pe must be in (0, 1), got {self.epsilon_pe}")
         if self.V_M2 < 0:
             raise ValueError(f"V_M2 must be >= 0, got {self.V_M2}")
 
@@ -128,7 +122,6 @@ class SessionData:
     x: np.ndarray
     y: np.ndarray
     x_m2: np.ndarray | None = None
-    seed: int | None = None
 
     @property
     def n_states(self) -> int:
@@ -168,7 +161,7 @@ def sample_session(protocol: ProtocolParams, channel: ChannelParams,
         displaced = x + x_m2
     z = rng.normal(0.0, sqrt(channel.sigma2), N)
     y = channel.t * displaced + z
-    return SessionData(x=x, y=y, x_m2=x_m2, seed=seed)
+    return SessionData(x=x, y=y, x_m2=x_m2)
 
 
 def split_session(session: SessionData, m: int, seed: int) -> SessionSplit:
@@ -299,5 +292,4 @@ def read_session_csv(path) -> SessionData:
         x=np.asarray(xs, dtype=float),
         y=np.asarray(ys, dtype=float),
         x_m2=x_m2,
-        seed=None,
     )

@@ -38,6 +38,10 @@ _RUNNERS = {
 _NEED_SECOND_MODULATION = {"fig1": "distances_km",
                            "validate": "mc_distances_km"}
 
+# simulate holds all N states in memory (24 bytes each) and writes a CSV
+# row per state: 1e7 states are about 240 MB of arrays and 0.6 GB of CSV
+_MAX_SIMULATE_N = 10**7
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,6 +79,9 @@ def _effective_config(args) -> ExperimentConfig:
     if args.convention is not None:
         cfg.convention = args.convention
     cfg.validate()
+    if args.command == "simulate" and cfg.N > _MAX_SIMULATE_N:
+        raise ValueError(f"simulate holds every state in memory: N = {cfg.N} "
+                         f"is above its limit of {_MAX_SIMULATE_N} states")
     key = _NEED_SECOND_MODULATION.get(args.command)
     if key and cfg.V_M2 == 0:
         raise ValueError(f"{args.command} needs V_M2 > 0: it runs the "

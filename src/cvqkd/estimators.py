@@ -2,27 +2,29 @@
 
 Every estimator reads moment sums, ``Moments(uu, uy, yy, k)``: the sums of
 u**2, u*y and y**2 over k states, built by ``moments(u, y)``.
-``collect_statistics`` gives ``StatisticsVector(pe, key)`` for the m
-revealed and the n key states; ``stats.full`` is their sum. The sums may
-be floats, one session, or equal-shape arrays, one entry per trial (as
+``collect_statistics`` gives ``(pe, key)`` for the m revealed and the n
+key states, ``key = None`` when n = 0. The sums may be floats, one
+session, or equal-shape arrays, one entry per trial (as
 ``channel.sample_moments`` draws them): the same code runs on both,
 returns Python floats for floats and arrays for arrays, and raises if any
-entry fails a check. Estimators:
+entry fails a check. The sigma2 estimators share one shape, the sums and
+the slope ``t_hat`` of ``estimate_t_mle(pe)``:
 
-* ``estimate_t_mle(pe)`` / ``estimate_sigma2_mle(pe, t)`` -- slope and
+* ``estimate_t_mle(pe)`` / ``estimate_sigma2_mle(pe, t_hat)`` -- slope and
   residual variance of the regression of y on x (maximum likelihood);
-* ``estimate_sigma2_mm_full(stats)`` -- both second moments from all N states;
-* ``estimate_sigma2_mm_key(stats, t)`` -- method of moments over the key
-  states only, which makes it independent of the MLE;
+* ``estimate_sigma2_mm_full(pe, key, t_hat)`` -- both second moments from
+  all N states;
+* ``estimate_sigma2_mm_key(pe, key, t_hat)`` -- method of moments over the
+  key states only, which makes it independent of the MLE;
 * ``combine_optimal`` -- inverse-variance combination of two estimates;
 * ``estimate_T_secondmod(m2, V_M2)`` / ``estimate_Vxi_secondmod(m2, T_est,
   V_A)`` -- correlation estimators on a second, publicly revealed
   modulation, with ``m2 = moments(x_m2, y)``.
 
-``second_moment`` and ``residual_second_moment`` are the raw-array forms
-the sums are checked against. Closed-form variances come from
-``theoretical_std``, cross-checked against a delta-method engine in the
-test suite.
+``second_moment`` and ``residual_second_moment`` are not estimators: they
+are the raw-array forms the sums are checked against. Closed-form
+variances come from ``theoretical_std``, cross-checked against a
+delta-method engine in the test suite.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .channel import _sigma2
 __all__ = [
     "EstimatorKind",
     "Estimate",
-    "StatisticsVector",
     "StatisticsCovariance",
     "Moments",
     "moments",
@@ -85,7 +86,6 @@ class Estimate:
 
     value: float
     variance: float
-    kind: EstimatorKind
 
     @property
     def std(self) -> float:
@@ -144,24 +144,9 @@ def moments(u: np.ndarray, y: np.ndarray) -> Moments:
                    yy=float(np.dot(y, y)), k=u.size)
 
 
-@dataclass(frozen=True)
-class StatisticsVector:
-    """Moment sums of one session under a given reveal split.
-
-    ``pe`` covers the m revealed states, ``key`` the n kept states (None
-    when n = 0); the full-set sums are their sum.
-    """
-
-    pe: Moments
-    key: Moments | None
-
-    @property
-    def full(self) -> Moments:
-        return self.pe if self.key is None else self.pe + self.key
-
-
-def collect_statistics(session, split) -> StatisticsVector:
-    """Moment sums over the revealed and the key subsets of a session."""
+def collect_statistics(session, split) -> tuple[Moments, Moments | None]:
+    """Moment sums ``(pe, key)`` over the revealed and the key subsets of a
+    session; ``key`` is None when no state is kept."""
     if split.m + split.n != session.n_states:
         raise ValueError("split does not partition the session")
     if split.m == 0:
@@ -169,7 +154,7 @@ def collect_statistics(session, split) -> StatisticsVector:
     pe = moments(session.x[split.pe_indices], session.y[split.pe_indices])
     key = (moments(session.x[split.key_indices], session.y[split.key_indices])
            if split.n > 0 else None)
-    return StatisticsVector(pe=pe, key=key)
+    return pe, key
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +169,7 @@ def estimate_t_mle(pe: Moments) -> Estimate:
     if np.any(pe.uu == 0.0):
         raise ValueError("degenerate sample: sum(x**2) == 0")
     t_hat = pe.uy / pe.uu
-    return Estimate(value=t_hat, variance=pe.residual(t_hat) / pe.uu,
-                    kind=EstimatorKind.T_MLE)
+    return Estimate(value=t_hat, variance=pe.residual(t_hat) / pe.uu)
 
 
 def estimate_sigma2_mle(pe: Moments, t_hat: float) -> Estimate:
@@ -198,26 +182,26 @@ def estimate_sigma2_mle(pe: Moments, t_hat: float) -> Estimate:
     if m < 2:
         raise ValueError(f"need m >= 2 revealed states, got {m}")
     value = pe.residual(t_hat)
-    return Estimate(value=value, variance=2.0 * value**2 * (m - 1) / m**2,
-                    kind=EstimatorKind.SIGMA2_MLE)
+    return Estimate(value=value, variance=var_sigma2_mle(value, m))
 
 
-def estimate_sigma2_mm_full(stats: StatisticsVector) -> Estimate:
+def estimate_sigma2_mm_full(pe: Moments, key: Moments | None,
+                            t_hat: float) -> Estimate:
     """Moment estimate over all N states: sigma2_b - t_hat**2 * sigma2_a.
 
     With the slope taken over the full set this coincides exactly with the
     MLE residual estimate; with the slope from the revealed subset only,
     the N - m extra states enter through the second moments alone.
     """
-    t_hat = stats.pe.uy / stats.pe.uu
-    full = stats.full
+    full = pe if key is None else pe + key
     sigma2_a = full.uu / full.k
     value = full.yy / full.k - t_hat**2 * sigma2_a
-    var = var_sigma2_mm_full(sigma2_a, t_hat**2, value, stats.pe.k, full.k)
-    return Estimate(value=value, variance=var, kind=EstimatorKind.SIGMA2_MM_FULL)
+    var = var_sigma2_mm_full(sigma2_a, t_hat**2, value, pe.k, full.k)
+    return Estimate(value=value, variance=var)
 
 
-def estimate_sigma2_mm_key(stats: StatisticsVector, t_hat: float) -> Estimate:
+def estimate_sigma2_mm_key(pe: Moments, key: Moments | None,
+                           t_hat: float) -> Estimate:
     """Moment estimate restricted to the n key states.
 
     sigma2_b_key - t_hat**2 * sigma2_a_key, t_hat from the revealed states.
@@ -228,17 +212,15 @@ def estimate_sigma2_mm_key(stats: StatisticsVector, t_hat: float) -> Estimate:
     independent of its own residuals and the key states never entered the
     regression.
     """
-    key = stats.key
     if key is None:
         raise ValueError("no key states: n == 0")
     sigma2_a = key.uu / key.k
     value = key.yy / key.k - t_hat**2 * sigma2_a
-    var = var_sigma2_mm_key(sigma2_a, t_hat**2, value, stats.pe.k, key.k)
-    return Estimate(value=value, variance=var, kind=EstimatorKind.SIGMA2_MM_KEY)
+    var = var_sigma2_mm_key(sigma2_a, t_hat**2, value, pe.k, key.k)
+    return Estimate(value=value, variance=var)
 
 
-def combine_optimal(first: Estimate, second: Estimate,
-                    kind: EstimatorKind = EstimatorKind.SIGMA2_OPT) -> Estimate:
+def combine_optimal(first: Estimate, second: Estimate) -> Estimate:
     """Inverse-variance weighted mean of two independent estimates.
 
     alpha = var2/(var1 + var2) weights the first estimate; the combined
@@ -251,7 +233,7 @@ def combine_optimal(first: Estimate, second: Estimate,
         raise ValueError("cannot weight two zero-variance estimates")
     alpha = v2 / (v1 + v2)
     value = alpha * first.value + (1.0 - alpha) * second.value
-    return Estimate(value=value, variance=_combined_variance(v1, v2), kind=kind)
+    return Estimate(value=value, variance=_combined_variance(v1, v2))
 
 
 def estimate_T_secondmod(m2: Moments, V_M2: float) -> Estimate:
@@ -267,7 +249,7 @@ def estimate_T_secondmod(m2: Moments, V_M2: float) -> Estimate:
     value = m2.uy ** 2 / (N * V_M2) ** 2
     v_n = m2.yy / N - value * V_M2
     var = (4.0 / N) * (2.0 * value**2 + value * v_n / V_M2)
-    return Estimate(value=value, variance=var, kind=EstimatorKind.T_SECONDMOD)
+    return Estimate(value=value, variance=var)
 
 
 def estimate_Vxi_secondmod(m2: Moments, t_est: Estimate,
@@ -284,7 +266,7 @@ def estimate_Vxi_secondmod(m2: Moments, t_est: Estimate,
     value = m2.residual(_sqrt(T_hat)) - T_hat * V_A - 1.0
     v_n = 1.0 + value + T_hat * V_A
     var = (2.0 / m2.k) * v_n**2 + V_A**2 * t_est.variance
-    return Estimate(value=value, variance=var, kind=EstimatorKind.VXI_SECONDMOD)
+    return Estimate(value=value, variance=var)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +301,14 @@ def var_sigma2_mm_key(V_A: float, T: float, sigma2: float, m: int,
 
 def var_T_secondmod(V_A: float, T: float, xi: float, N: int,
                     V_M2: float) -> float:
-    """Var(T_hat) = (4/N)*T**2*(2 + V_N/(T*V_M2)), V_N = sigma2 + T*V_A."""
+    """Var(T_hat) = (4/N)*T**2*(2 + V_N/(T*V_M2)), V_N = sigma2 + T*V_A.
+
+    Defined only for T*V_M2 > 0: without transmission or without the
+    second modulation there is nothing to correlate.
+    """
+    if not T * V_M2 > 0:
+        raise ValueError(f"Var(T_hat) needs T*V_M2 > 0, got T={T}, "
+                         f"V_M2={V_M2}")
     v_n = _sigma2(T, xi) + T * V_A
     return (4.0 / N) * T**2 * (2.0 + v_n / (T * V_M2))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import log, log10, sqrt
 
 import numpy as np
@@ -33,7 +33,6 @@ from .config import _KIND_BY_NAME, ExperimentConfig
 from .estimators import (
     EstimatorKind,
     Moments,
-    StatisticsVector,
     # the per-state statistics; unused here, kept importable as
     # cvqkd.experiments.collect_statistics, which perfbench's tracer wraps
     collect_statistics,  # noqa: F401
@@ -58,7 +57,6 @@ from .optimizer import (
 from .security import key_rate_asymptotic, key_rate_finite
 
 __all__ = [
-    "TrialEstimates",
     "run_estimator_trials",
     "check_identities",
     "run_fig1",
@@ -104,31 +102,27 @@ def _n_label(N: int) -> str:
 # ---------------------------------------------------------------------------
 # Monte Carlo harness
 
-@dataclass
-class TrialEstimates:
-    """Per-trial estimator outcomes at one distance (arrays over trials)."""
-
-    distance_km: float
-    T: float
-    sigma2: float
-    v_xi: float
-    t_hat: np.ndarray
-    sigma2_mle: np.ndarray
-    sigma2_mm_full: np.ndarray
-    sigma2_mm_key: np.ndarray
-    sigma2_opt: np.ndarray
-    T_hat: np.ndarray
-    vxi_hat: np.ndarray
+# the estimator bank's names, in the order of its table, and the kind
+# whose closed-form std each is checked against
+_THEORY_KIND = {
+    "t_hat": EstimatorKind.T_MLE,
+    "sigma2_mle": EstimatorKind.SIGMA2_MLE,
+    "sigma2_mm_full": EstimatorKind.SIGMA2_MM_FULL,
+    "sigma2_mm_key": EstimatorKind.SIGMA2_MM_KEY,
+    "sigma2_opt": EstimatorKind.SIGMA2_OPT,
+    "T_hat": EstimatorKind.T_SECONDMOD,
+    "vxi_hat": EstimatorKind.VXI_SECONDMOD,
+}
 
 
-def _estimator_bank(stats: StatisticsVector, m2: Moments, V_A: float,
-                    V_M2: float) -> tuple:
-    """The estimates, in the order of the TrialEstimates arrays: floats for
-    one trial's sums, arrays for arrays of sums over trials."""
-    t_est = estimate_t_mle(stats.pe)
-    mle = estimate_sigma2_mle(stats.pe, t_est.value)
-    mm_full = estimate_sigma2_mm_full(stats)
-    mm_key = estimate_sigma2_mm_key(stats, t_est.value)
+def _estimator_bank(pe: Moments, key: Moments, m2: Moments, V_A: float,
+                    V_M2: float) -> dict:
+    """The estimates by bank name, in the order of ``_THEORY_KIND``: floats
+    for one trial's sums, arrays for arrays of sums over trials."""
+    t_est = estimate_t_mle(pe)
+    mle = estimate_sigma2_mle(pe, t_est.value)
+    mm_full = estimate_sigma2_mm_full(pe, key, t_est.value)
+    mm_key = estimate_sigma2_mm_key(pe, key, t_est.value)
     if np.any(mm_key.variance < 0.0):
         # the plug-in variance is taken at the trial's own sigma2 estimate,
         # which can be negative at small N, and then so can the variance;
@@ -137,14 +131,16 @@ def _estimator_bank(stats: StatisticsVector, m2: Moments, V_A: float,
     opt = combine_optimal(mle, mm_key)
     T_est = estimate_T_secondmod(m2, V_M2)
     vxi = estimate_Vxi_secondmod(m2, T_est, V_A)
-    return (t_est.value, mle.value, mm_full.value, mm_key.value, opt.value,
-            T_est.value, vxi.value)
+    return dict(zip(_THEORY_KIND, (
+        t_est.value, mle.value, mm_full.value, mm_key.value, opt.value,
+        T_est.value, vxi.value)))
 
 
 def run_estimator_trials(cfg: ExperimentConfig, distance_km: float,
-                         trials: int, stream_base: int) -> TrialEstimates:
+                         trials: int, stream_base: int) -> dict:
     """Run the estimator bank on ``trials`` sampled sessions at one distance.
 
+    Returns the bank's table: one array over trials per bank name.
     ``channel.sample_moments`` draws each trial's moment sums in O(1), with
     the law of the per-state sums: the revealed and key sums of a session
     without the second modulation feed the regression and moment
@@ -154,42 +150,38 @@ def run_estimator_trials(cfg: ExperimentConfig, distance_km: float,
     streams ``stream_base`` and ``stream_base + 1``, so any prefix of the
     trials reproduces.
     """
-    T = fiber_transmission(distance_km, cfg.loss_db_per_km)
-    channel = ChannelParams(T=T, xi=cfg.xi)
+    channel = ChannelParams.from_distance(distance_km, cfg.xi,
+                                          cfg.loss_db_per_km)
     protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
     pe, key, m2 = sample_moments(protocol, channel, trials, cfg.seed,
                                  stream_base)
-    stats = StatisticsVector(pe=Moments(*pe.T, protocol.m),
-                             key=Moments(*key.T, protocol.n))
-    t_hat, mle, mm_full, mm_key, opt, T_hat, vxi = _estimator_bank(
-        stats, Moments(*m2.T, protocol.N), cfg.V_A, cfg.V_M2)
-    return TrialEstimates(distance_km=distance_km, T=T, sigma2=channel.sigma2,
-                          v_xi=channel.v_xi, t_hat=t_hat, sigma2_mle=mle,
-                          sigma2_mm_full=mm_full, sigma2_mm_key=mm_key,
-                          sigma2_opt=opt, T_hat=T_hat, vxi_hat=vxi)
+    return _estimator_bank(Moments(*pe.T, protocol.m),
+                           Moments(*key.T, protocol.n),
+                           Moments(*m2.T, protocol.N), cfg.V_A, cfg.V_M2)
 
 
-def check_identities(trials: int = 100, N: int = 1000,
-                     master_seed: int = 777) -> tuple[float, float]:
-    """Exact algebraic identities on random sessions.
+def check_identities() -> tuple[float, float]:
+    """Exact algebraic identities on IDENTITY_SESSIONS random sessions of
+    IDENTITY_N states.
 
     With the slope fit on the full set, the moment estimator equals the
     residual (MLE) estimator, and k-weighted residual moments add up over
     any partition. Returns the worst relative residual of each identity.
     """
+    N = IDENTITY_N
     vas = (0.5, 3.0, 10.0)
     ts = (1.0, 0.5, 0.1)
     xis = (0.0, 0.01, 0.1)
     worst_mm = 0.0
     worst_split = 0.0
-    for i in range(trials):
+    for i in range(IDENTITY_SESSIONS):
         V_A, T, xi = vas[i % 3], ts[(i // 3) % 3], xis[(i // 9) % 3]
         protocol = ProtocolParams(V_A=V_A, N=N, m=N // 2, V_M2=0.0)
         channel = ChannelParams(T=T, xi=xi)
         session = sample_session(protocol, channel,
-                                 trial_seed(master_seed, 900, i))
+                                 trial_seed(IDENTITY_SEED, 900, i))
         split = split_session(session, protocol.m,
-                              trial_seed(master_seed, 901, i))
+                              trial_seed(IDENTITY_SEED, 901, i))
         t_full = estimate_t_mle(moments(session.x, session.y)).value
         mle_full = residual_second_moment(session.x, session.y, t_full)
         mm_full = (second_moment(session.y)
@@ -209,22 +201,16 @@ def check_identities(trials: int = 100, N: int = 1000,
 # ---------------------------------------------------------------------------
 # validation report
 
-_THEORY_KIND = {
-    "t_hat": EstimatorKind.T_MLE,
-    "sigma2_mle": EstimatorKind.SIGMA2_MLE,
-    "sigma2_mm_full": EstimatorKind.SIGMA2_MM_FULL,
-    "sigma2_mm_key": EstimatorKind.SIGMA2_MM_KEY,
-    "sigma2_opt": EstimatorKind.SIGMA2_OPT,
-    "T_hat": EstimatorKind.T_SECONDMOD,
-    "vxi_hat": EstimatorKind.VXI_SECONDMOD,
-}
-
 STD_RATIO_TOL = 0.05
 BIAS_SIGMAS = 3.0
 MM_IDENTITY_TOL = 1e-10
 SPLIT_IDENTITY_TOL = 1e-12
 CORR_TOL = 0.05
 DOMINANCE_SLACK = 1.02
+# the identity checks' sessions, a fixed draw
+IDENTITY_SESSIONS = 100
+IDENTITY_N = 1000
+IDENTITY_SEED = 777
 
 
 def _theory_std(cfg: ExperimentConfig, kind: EstimatorKind, T: float) -> float:
@@ -232,18 +218,7 @@ def _theory_std(cfg: ExperimentConfig, kind: EstimatorKind, T: float) -> float:
                            cfg.N, V_M2=cfg.V_M2)
 
 
-def _truth(name: str, res: TrialEstimates) -> float:
-    if name == "t_hat":
-        return sqrt(res.T)
-    if name == "T_hat":
-        return res.T
-    if name == "vxi_hat":
-        return res.v_xi
-    return res.sigma2
-
-
-def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str,
-                         trials: int | None = None):
+def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
     """Empirical check of every estimator against its theoretical law.
 
     Writes validate_report.csv (one row per check) and
@@ -253,7 +228,7 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str,
     for the exact identities and the dominance check. It is reported only;
     the status comes from the fixed tolerance.
     """
-    trials = trials or cfg.trials
+    trials = cfg.trials
     os.makedirs(out_dir, exist_ok=True)
     rows = []
 
@@ -270,25 +245,30 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str,
 
     for di, d in enumerate(cfg.mc_distances_km):
         res = run_estimator_trials(cfg, d, trials, stream_base=3 * di)
+        channel = ChannelParams.from_distance(d, cfg.xi, cfg.loss_db_per_km)
+        truth = {EstimatorKind.T_MLE: channel.t,
+                 EstimatorKind.T_SECONDMOD: channel.T,
+                 EstimatorKind.VXI_SECONDMOD: channel.v_xi}
         for name, kind in _THEORY_KIND.items():
-            values = getattr(res, name)
+            values = res[name]
             emp_std = float(np.std(values, ddof=1))
-            th_std = _theory_std(cfg, kind, res.T)
+            th_std = _theory_std(cfg, kind, channel.T)
             ratio_dev = abs(emp_std / th_std - 1.0)
             # the log std ratio has standard error 1/sqrt(2*(trials - 1))
             add("std_ratio", d, name, emp_std, th_std, STD_RATIO_TOL,
                 ratio_dev <= STD_RATIO_TOL,
                 log(emp_std / th_std) * sqrt(2.0 * (trials - 1)))
-            bias = float(np.mean(values)) - _truth(name, res)
+            bias = float(np.mean(values)) - truth.get(kind, channel.sigma2)
             se = emp_std / sqrt(trials)
             add("bias", d, name, bias, 0.0, BIAS_SIGMAS * se,
                 abs(bias) <= BIAS_SIGMAS * se, bias / se)
-        corr = float(np.corrcoef(res.sigma2_mle, res.sigma2_mm_key)[0, 1])
+        corr = float(np.corrcoef(res["sigma2_mle"],
+                                 res["sigma2_mm_key"])[0, 1])
         add("corr_mle_mm_key", d, "sigma2_opt", corr, 0.0, CORR_TOL,
             abs(corr) <= CORR_TOL, corr * sqrt(trials))
-        std_opt = float(np.std(res.sigma2_opt, ddof=1))
-        floor = min(float(np.std(res.sigma2_mle, ddof=1)),
-                    float(np.std(res.sigma2_mm_key, ddof=1)))
+        std_opt = float(np.std(res["sigma2_opt"], ddof=1))
+        floor = min(float(np.std(res["sigma2_mle"], ddof=1)),
+                    float(np.std(res["sigma2_mm_key"], ddof=1)))
         add("opt_dominance", d, "sigma2_opt", std_opt, floor,
             DOMINANCE_SLACK, std_opt <= DOMINANCE_SLACK * floor)
 
@@ -322,7 +302,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
     moment and combined estimators at the configured sample distances.
     """
     os.makedirs(out_dir, exist_ok=True)
-    mc: dict[float, TrialEstimates] = {}
+    mc: dict[float, dict] = {}
     for di, d in enumerate(cfg.mc_distances_km):
         if d in cfg.distances_km:
             mc[d] = run_estimator_trials(cfg, d, cfg.trials, stream_base=3 * di)
@@ -335,8 +315,8 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
             EstimatorKind.SIGMA2_MLE, EstimatorKind.VXI_OPT,
             EstimatorKind.SIGMA2_OPT)]
         if d in mc:
-            row.append(float(np.std(mc[d].sigma2_mm_full, ddof=1)))
-            row.append(float(np.std(mc[d].sigma2_opt, ddof=1)))
+            row.append(float(np.std(mc[d]["sigma2_mm_full"], ddof=1)))
+            row.append(float(np.std(mc[d]["sigma2_opt"], ddof=1)))
         else:
             row.extend([None, None])
         rows.append(row)
@@ -457,8 +437,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     d = cfg.distances_km[0]
     channel = ChannelParams.from_distance(d, cfg.xi, cfg.loss_db_per_km)
-    protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, beta=cfg.beta,
-                              epsilon_pe=cfg.epsilon_pe, V_M2=cfg.V_M2)
+    protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
     session = sample_session(protocol, channel, cfg.seed)
     path = os.path.join(out_dir, "session.csv")
     write_session_csv(session, path)

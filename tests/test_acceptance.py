@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cvqkd import cli
+from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import (
     EstimatorKind,
@@ -26,6 +27,8 @@ from cvqkd.estimators import (
 )
 from cvqkd.experiments import (
     _THEORY_KIND,
+    IDENTITY_N,
+    IDENTITY_SESSIONS,
     check_identities,
     monte_carlo_validate,
     run_estimator_trials,
@@ -58,7 +61,7 @@ def report(capfd):
 @pytest.fixture(scope="module")
 def identities():
     start = time.monotonic()
-    worst_mm, worst_split = check_identities(trials=100, N=1000)
+    worst_mm, worst_split = check_identities()
     return worst_mm, worst_split, time.monotonic() - start
 
 
@@ -85,8 +88,9 @@ def test_full_set_identity(identities, report):
     worst_mm, _, elapsed = identities
     ok = worst_mm <= 1e-10 and elapsed < 1.0
     report(ok, "full-set moment estimate equals the residual estimate",
-            f"worst relative residual {worst_mm:.3e} (tol 1e-10) over 100 "
-            f"sessions of 1e3 states in {elapsed:.2f}s")
+            f"worst relative residual {worst_mm:.3e} (tol 1e-10) over "
+            f"{IDENTITY_SESSIONS} sessions of {IDENTITY_N} states in "
+            f"{elapsed:.2f}s")
 
 
 def test_split_identity(identities, report):
@@ -150,10 +154,11 @@ def test_variance_formulas_hold_at_a_million_trials(report):
     worst, where = 0.0, None
     for di, d in enumerate(cfg.mc_distances_km):
         res = run_estimator_trials(cfg, d, trials, stream_base=3 * di)
+        T = fiber_transmission(d, cfg.loss_db_per_km)
         for name, kind in _THEORY_KIND.items():
-            theory = theoretical_std(kind, cfg.V_A, res.T, cfg.xi, cfg.m,
+            theory = theoretical_std(kind, cfg.V_A, T, cfg.xi, cfg.m,
                                      cfg.N - cfg.m, cfg.N, V_M2=cfg.V_M2)
-            emp = float(np.std(getattr(res, name), ddof=1))
+            emp = float(np.std(res[name], ddof=1))
             z = log(emp / theory) * sqrt(2.0 * (trials - 1))
             if abs(z) > abs(worst):
                 worst, where = z, (d, name)

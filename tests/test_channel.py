@@ -62,10 +62,6 @@ def test_protocol_params_validation():
     with pytest.raises(ValueError):
         ProtocolParams(V_A=3.0, N=1000, m=1001)
     with pytest.raises(ValueError):
-        ProtocolParams(V_A=3.0, N=1000, m=400, beta=1.5)
-    with pytest.raises(ValueError):
-        ProtocolParams(V_A=3.0, N=1000, m=400, epsilon_pe=0.0)
-    with pytest.raises(ValueError):
         ProtocolParams(V_A=3.0, N=1000, m=400, V_M2=-1.0)
 
 

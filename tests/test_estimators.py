@@ -8,7 +8,6 @@ from cvqkd.estimators import (
     Estimate,
     EstimatorKind,
     Moments,
-    StatisticsVector,
     collect_statistics,
     combine_optimal,
     estimate_T_secondmod,
@@ -80,7 +79,6 @@ def test_estimate_t_mle_on_exact_line():
     est = estimate_t_mle(moments(x, 2.0 * x))
     assert est.value == pytest.approx(2.0, rel=1e-15)
     assert est.variance == pytest.approx(0.0, abs=1e-30)
-    assert est.kind is EstimatorKind.T_MLE
 
 
 def test_estimate_t_mle_orthogonal_and_degenerate():
@@ -110,34 +108,31 @@ def test_sigma2_mle_sums_match_raw_residual():
 
 
 def test_estimate_sigma2_mm_full_from_statistics():
-    stats = StatisticsVector(pe=Moments(uu=20.0, uy=20.0, yy=50.0, k=10),
-                             key=None)
-    est = estimate_sigma2_mm_full(stats)
+    pe = Moments(uu=20.0, uy=20.0, yy=50.0, k=10)
+    est = estimate_sigma2_mm_full(pe, None, estimate_t_mle(pe).value)
     assert est.value == pytest.approx(3.0, rel=1e-15)
     assert est.variance == pytest.approx(var_sigma2_mm_full(2.0, 1.0, 3.0, 10, 10), rel=1e-15)
 
 
 def test_estimate_sigma2_mm_key_example_and_errors():
-    stats = StatisticsVector(pe=Moments(uu=5.0, uy=5.0, yy=10.0, k=5),
-                             key=Moments(uu=5.0, uy=5.0, yy=10.0, k=5))
-    est = estimate_sigma2_mm_key(stats, t_hat=1.0)
+    half = Moments(uu=5.0, uy=5.0, yy=10.0, k=5)
+    est = estimate_sigma2_mm_key(half, half, t_hat=1.0)
     assert est.value == pytest.approx(1.0, rel=1e-15)
-    empty = StatisticsVector(pe=Moments(uu=10.0, uy=10.0, yy=20.0, k=10),
-                             key=None)
     with pytest.raises(ValueError):
-        estimate_sigma2_mm_key(empty, t_hat=1.0)
+        estimate_sigma2_mm_key(half + half, None, t_hat=1.0)
 
 
 def test_sigma2_mm_key_uses_no_key_cross_term():
     """The key-subset sum(x*y) is never disclosed: the moment estimators
     ignore it, and mm_key is sigma2_b_key - t_hat**2 * sigma2_a_key."""
     for _, sess, split in _grid_sessions():
-        stats = collect_statistics(sess, split)
-        t_hat = estimate_t_mle(stats.pe).value
-        moved = replace(stats, key=replace(stats.key, uy=stats.key.uy + 123.0))
-        mm_key = estimate_sigma2_mm_key(stats, t_hat)
-        assert estimate_sigma2_mm_key(moved, t_hat) == mm_key
-        assert estimate_sigma2_mm_full(moved) == estimate_sigma2_mm_full(stats)
+        pe, key = collect_statistics(sess, split)
+        t_hat = estimate_t_mle(pe).value
+        moved = replace(key, uy=key.uy + 123.0)
+        mm_key = estimate_sigma2_mm_key(pe, key, t_hat)
+        assert estimate_sigma2_mm_key(pe, moved, t_hat) == mm_key
+        assert estimate_sigma2_mm_full(pe, moved, t_hat) == \
+            estimate_sigma2_mm_full(pe, key, t_hat)
         x_key, y_key = sess.x[split.key_indices], sess.y[split.key_indices]
         raw = second_moment(y_key) - t_hat**2 * second_moment(x_key)
         assert _rel(mm_key.value, raw) <= 1e-12
@@ -147,20 +142,21 @@ def test_mm_full_equals_mle_residual_when_all_states_revealed():
     proto = ProtocolParams(V_A=3.0, N=500, m=500)
     sess = sample_session(proto, ChannelParams(T=0.5, xi=0.05), seed=101)
     split = split_session(sess, 500, seed=0)
-    stats = collect_statistics(sess, split)
+    pe, key = collect_statistics(sess, split)
+    assert key is None
     full = moments(sess.x, sess.y)
     t_hat = estimate_t_mle(full)
     mle = estimate_sigma2_mle(full, t_hat.value)
-    mm = estimate_sigma2_mm_full(stats)
+    mm = estimate_sigma2_mm_full(pe, key, estimate_t_mle(pe).value)
     assert abs(mm.value - mle.value) <= 1e-12 * max(1.0, abs(mle.value))
 
 
 def test_collect_statistics_split_additivity():
     """Revealed plus key sums recombine into the full-set dot products."""
     for _, sess, split in _grid_sessions():
-        s = collect_statistics(sess, split)
-        assert (s.pe.k, s.key.k, s.full.k) == (split.m, split.n, sess.n_states)
-        full = s.full
+        pe, key = collect_statistics(sess, split)
+        full = pe + key
+        assert (pe.k, key.k, full.k) == (split.m, split.n, sess.n_states)
         assert _rel(full.uu, float(np.dot(sess.x, sess.x))) <= 1e-12
         assert _rel(full.uy, float(np.dot(sess.x, sess.y))) <= 1e-12
         assert _rel(full.yy, float(np.dot(sess.y, sess.y))) <= 1e-12
@@ -180,17 +176,17 @@ def test_float_sums_give_python_floats():
     protocol = ProtocolParams(V_A=3.0, N=100_000, m=50_000)
     session = sample_session(protocol, channel, seed=12345)
     split = split_session(session, protocol.m, seed=67890)
-    stats = collect_statistics(session, split)
-    t_hat = estimate_t_mle(stats.pe)
-    sigma2_hat = estimate_sigma2_mle(stats.pe, t_hat.value)
+    pe, key = collect_statistics(session, split)
+    t_hat = estimate_t_mle(pe)
+    sigma2_hat = estimate_sigma2_mle(pe, t_hat.value)
     assert all(type(v) is float for v in (t_hat.value, t_hat.std,
                                           sigma2_hat.value, sigma2_hat.std))
 
     m2_session = sample_session(replace(protocol, V_M2=10.0), channel, seed=7)
     m2 = moments(m2_session.x_m2, m2_session.y)
     T_est = estimate_T_secondmod(m2, 10.0)
-    mm_key = estimate_sigma2_mm_key(stats, t_hat.value)
-    for est in (estimate_sigma2_mm_full(stats), mm_key,
+    mm_key = estimate_sigma2_mm_key(pe, key, t_hat.value)
+    for est in (estimate_sigma2_mm_full(pe, key, t_hat.value), mm_key,
                 combine_optimal(sigma2_hat, mm_key), T_est,
                 estimate_Vxi_secondmod(m2, T_est, 3.0)):
         assert type(est.value) is float and type(est.variance) is float, est
@@ -205,48 +201,43 @@ def test_array_sums_give_arrays_and_checks_see_every_entry():
     assert estimate_sigma2_mle(pe, est.value).value.shape == (2,)
     with pytest.raises(ValueError):
         estimate_t_mle(replace(pe, uu=np.array([2.0, 0.0])))
-    ok = Estimate(np.ones(2), np.ones(2), EstimatorKind.SIGMA2_MLE)
+    ok = Estimate(np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
         combine_optimal(ok, replace(ok, variance=np.array([1.0, -1.0])))
     with pytest.raises(ValueError):
         combine_optimal(replace(ok, variance=np.array([1.0, 0.0])),
                         replace(ok, variance=np.array([2.0, 0.0])))
     m2 = Moments(uu=np.ones(2), uy=np.ones(2), yy=np.ones(2), k=2)
-    T_est = Estimate(np.array([0.5, -0.1]), np.zeros(2),
-                     EstimatorKind.T_SECONDMOD)
+    T_est = Estimate(np.array([0.5, -0.1]), np.zeros(2))
     with pytest.raises(ValueError):
         estimate_Vxi_secondmod(m2, T_est, 1.0)
 
 
 def test_combine_optimal_weighting_example():
-    a = Estimate(value=1.0, variance=1.0, kind=EstimatorKind.SIGMA2_MLE)
-    b = Estimate(value=0.0, variance=3.0, kind=EstimatorKind.SIGMA2_MM_KEY)
+    a = Estimate(value=1.0, variance=1.0)
+    b = Estimate(value=0.0, variance=3.0)
     c = combine_optimal(a, b)
     assert c.value == pytest.approx(0.75, rel=1e-15)
     assert c.variance == pytest.approx(0.75, rel=1e-15)
-    assert c.kind is EstimatorKind.SIGMA2_OPT
 
 
 def test_combine_optimal_never_exceeds_either_variance():
     rng = np.random.default_rng(3)
     for _ in range(50):
         v1, v2 = rng.uniform(1e-6, 10.0, size=2)
-        c = combine_optimal(
-            Estimate(1.0, v1, EstimatorKind.SIGMA2_MLE),
-            Estimate(2.0, v2, EstimatorKind.SIGMA2_MM_KEY),
-        )
+        c = combine_optimal(Estimate(1.0, v1), Estimate(2.0, v2))
         assert c.variance <= min(v1, v2) + 1e-15
 
 
 def test_combine_optimal_degenerate_inputs():
-    a = Estimate(1.0, 0.0, EstimatorKind.SIGMA2_MLE)
-    b = Estimate(2.0, 5.0, EstimatorKind.SIGMA2_MM_KEY)
+    a = Estimate(1.0, 0.0)
+    b = Estimate(2.0, 5.0)
     # a zero-variance input gets all the weight
     assert combine_optimal(a, b).value == 1.0
     with pytest.raises(ValueError):
-        combine_optimal(a, Estimate(2.0, 0.0, EstimatorKind.SIGMA2_MM_KEY))
+        combine_optimal(a, Estimate(2.0, 0.0))
     with pytest.raises(ValueError):
-        combine_optimal(Estimate(1.0, -1.0, EstimatorKind.SIGMA2_MLE), b)
+        combine_optimal(Estimate(1.0, -1.0), b)
 
 
 def test_estimate_T_secondmod_fabricated_values():
@@ -265,13 +256,13 @@ def test_estimate_T_secondmod_fabricated_values():
 
 def test_estimate_Vxi_secondmod_noiseless_case():
     x_m2 = np.array([1.0, -1.0])
-    t_est = Estimate(1.0, 0.0, EstimatorKind.T_SECONDMOD)
+    t_est = Estimate(1.0, 0.0)
     m2 = moments(x_m2, x_m2.copy())
     est = estimate_Vxi_secondmod(m2, t_est, V_A=0.5)
     assert est.value == pytest.approx(-1.5, rel=1e-15)
     assert est.variance == pytest.approx(0.0, abs=1e-30)
     with pytest.raises(ValueError):
-        estimate_Vxi_secondmod(m2, Estimate(-0.1, 0.0, EstimatorKind.T_SECONDMOD), 1.0)
+        estimate_Vxi_secondmod(m2, Estimate(-0.1, 0.0), 1.0)
 
 
 # --- closed-form variances at the reference point --------------------------
@@ -321,6 +312,28 @@ def test_theoretical_std_reference_values():
         theoretical_std("not a kind", **kw)
 
 
+SECOND_MODULATION_KINDS = (EstimatorKind.T_SECONDMOD,
+                           EstimatorKind.VXI_SECONDMOD, EstimatorKind.VXI_OPT)
+
+
+def test_second_modulation_std_needs_v_m2():
+    """Var(T_hat) divides by T*V_M2: at V_M2 = 0 the three kinds that use
+    it raise ValueError, not ZeroDivisionError."""
+    for kind in SECOND_MODULATION_KINDS:
+        with pytest.raises(ValueError, match=r"T\*V_M2 > 0"):
+            theoretical_std(kind, 3.0, 0.5, 0.01, 10, 10, 20)
+    with pytest.raises(ValueError):
+        var_T_secondmod(3.0, 0.5, 0.01, 20, 0.0)
+
+
+def test_second_modulation_std_needs_transmission():
+    for kind in SECOND_MODULATION_KINDS:
+        with pytest.raises(ValueError, match=r"T\*V_M2 > 0"):
+            theoretical_std(kind, 3.0, 0.0, 0.01, 10, 10, 20, V_M2=10.0)
+    with pytest.raises(ValueError):
+        var_vxi_secondmod(3.0, 0.0, 0.01, 20, 10.0)
+
+
 def test_optimal_variance_dominates_both_inputs_in_closed_form():
     kw = dict(V_A=REF["V_A"], xi=REF["xi"], m=REF["m"], n=REF["n"], N=REF["N"])
     for T in (1.0, 0.5, 0.1, 0.01, 1e-3):
@@ -340,5 +353,5 @@ def test_low_transmission_std_ratio_approaches_subset_fraction():
 
 
 def test_estimate_std_property():
-    est = Estimate(value=1.0, variance=4.0, kind=EstimatorKind.SIGMA2_MLE)
+    est = Estimate(value=1.0, variance=4.0)
     assert est.std == 2.0

@@ -1,5 +1,8 @@
 import contextlib
 import csv
+import hashlib
+import importlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -8,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from cvqkd import cli
+from cvqkd import cli, experiments
 from cvqkd.channel import (
     ChannelParams,
     ProtocolParams,
@@ -29,7 +32,6 @@ from cvqkd.estimators import (
     Estimate,
     EstimatorKind,
     Moments,
-    StatisticsVector,
     collect_statistics,
     combine_optimal,
     estimate_sigma2_mle,
@@ -39,6 +41,7 @@ from cvqkd.estimators import (
     theoretical_std,
 )
 from cvqkd.experiments import (
+    _THEORY_KIND,
     _estimator_bank,
     check_identities,
     monte_carlo_validate,
@@ -90,21 +93,24 @@ def test_run_estimator_trials_deterministic():
     cfg = _small_cfg()
     a = run_estimator_trials(cfg, 20.0, trials=40, stream_base=0)
     b = run_estimator_trials(cfg, 20.0, trials=40, stream_base=0)
-    np.testing.assert_array_equal(a.sigma2_mle, b.sigma2_mle)
-    np.testing.assert_array_equal(a.vxi_hat, b.vxi_hat)
+    assert list(a) == list(_THEORY_KIND)
+    for name in _THEORY_KIND:
+        np.testing.assert_array_equal(a[name], b[name])
     other_stream = run_estimator_trials(cfg, 20.0, trials=40, stream_base=30)
-    assert not np.array_equal(a.sigma2_mle, other_stream.sigma2_mle)
+    assert not np.array_equal(a["sigma2_mle"], other_stream["sigma2_mle"])
     # a prefix of a longer run reproduces trial by trial
     longer = run_estimator_trials(cfg, 20.0, trials=60, stream_base=0)
-    np.testing.assert_array_equal(a.t_hat, longer.t_hat[:40])
+    np.testing.assert_array_equal(a["t_hat"], longer["t_hat"][:40])
 
 
 def test_run_estimator_trials_sane_means():
     cfg = _small_cfg()
     res = run_estimator_trials(cfg, 20.0, trials=200, stream_base=0)
-    assert np.mean(res.t_hat) == pytest.approx(np.sqrt(res.T), rel=0.02)
-    assert np.mean(res.sigma2_opt) == pytest.approx(res.sigma2, rel=0.02)
-    assert np.mean(res.T_hat) == pytest.approx(res.T, rel=0.05)
+    channel = ChannelParams.from_distance(20.0, cfg.xi, cfg.loss_db_per_km)
+    assert np.mean(res["t_hat"]) == pytest.approx(channel.t, rel=0.02)
+    assert np.mean(res["sigma2_opt"]) == pytest.approx(channel.sigma2,
+                                                       rel=0.02)
+    assert np.mean(res["T_hat"]) == pytest.approx(channel.T, rel=0.05)
 
 
 def test_monte_carlo_validate_writes_report(tmp_path):
@@ -157,10 +163,6 @@ def test_monte_carlo_validate_is_byte_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
-BANK_NAMES = ("t_hat", "sigma2_mle", "sigma2_mm_full", "sigma2_mm_key",
-              "sigma2_opt", "T_hat", "vxi_hat")
-
-
 def _sampled_sums(cfg, distance_km, trials, stream):
     """The sampler's sums as the bank reads them, over all trials."""
     protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
@@ -182,13 +184,11 @@ def test_estimator_bank_on_arrays_matches_per_trial_calls():
     for cfg, d, trials, stream in runs:
         res = run_estimator_trials(cfg, d, trials, stream_base=stream)
         pe, key, m2 = _sampled_sums(cfg, d, trials, stream)
-        rows = np.array([
-            _estimator_bank(StatisticsVector(pe=Moments(*p, cfg.m),
-                                             key=Moments(*k, cfg.N - cfg.m)),
-                            Moments(*q, cfg.N), cfg.V_A, cfg.V_M2)
-            for p, k, q in zip(pe.tolist(), key.tolist(), m2.tolist())])
-        for col, name in enumerate(BANK_NAMES):
-            np.testing.assert_allclose(getattr(res, name), rows[:, col],
+        rows = [_estimator_bank(Moments(*p, cfg.m), Moments(*k, cfg.N - cfg.m),
+                                Moments(*q, cfg.N), cfg.V_A, cfg.V_M2)
+                for p, k, q in zip(pe.tolist(), key.tolist(), m2.tolist())]
+        for name in _THEORY_KIND:
+            np.testing.assert_allclose(res[name], [r[name] for r in rows],
                                        rtol=1e-13, atol=0, err_msg=name)
 
 
@@ -198,19 +198,19 @@ def test_estimator_bank_clamps_only_negative_variances():
     keeps its inverse-variance weights."""
     cfg = parse_config("N = 200\nm = 100\nxi = 0.1\n")
     pe, key, m2 = _sampled_sums(cfg, 0.0, 500, 0)
-    stats = StatisticsVector(pe=Moments(*pe.T, cfg.m),
-                             key=Moments(*key.T, cfg.N - cfg.m))
-    t_hat = estimate_t_mle(stats.pe).value
-    mle = estimate_sigma2_mle(stats.pe, t_hat)
-    mm_key = estimate_sigma2_mm_key(stats, t_hat)
+    pe, key = Moments(*pe.T, cfg.m), Moments(*key.T, cfg.N - cfg.m)
+    t_hat = estimate_t_mle(pe).value
+    mle = estimate_sigma2_mle(pe, t_hat)
+    mm_key = estimate_sigma2_mm_key(pe, key, t_hat)
     neg = mm_key.variance < 0.0
     assert 0 < neg.sum() < neg.size
-    opt = _estimator_bank(stats, Moments(*m2.T, cfg.N), cfg.V_A, cfg.V_M2)[4]
+    opt = _estimator_bank(pe, key, Moments(*m2.T, cfg.N), cfg.V_A,
+                          cfg.V_M2)["sigma2_opt"]
     np.testing.assert_array_equal(opt[neg], mm_key.value[neg])
     keep = ~neg
     weighted = combine_optimal(
-        Estimate(mle.value[keep], mle.variance[keep], mle.kind),
-        Estimate(mm_key.value[keep], mm_key.variance[keep], mm_key.kind))
+        Estimate(mle.value[keep], mle.variance[keep]),
+        Estimate(mm_key.value[keep], mm_key.variance[keep]))
     np.testing.assert_array_equal(opt[keep], weighted.value)
 
 
@@ -227,10 +227,10 @@ def _per_state_trials(cfg, distance_km, trials, master_seed):
         split = split_session(session, cfg.m, trial_seed(master_seed, 1, i))
         session2 = sample_session(second, channel,
                                   trial_seed(master_seed, 2, i))
-        rows.append(_estimator_bank(collect_statistics(session, split),
+        rows.append(_estimator_bank(*collect_statistics(session, split),
                                     moments(session2.x_m2, session2.y),
                                     cfg.V_A, cfg.V_M2))
-    return np.array(rows)
+    return {name: np.array([r[name] for r in rows]) for name in _THEORY_KIND}
 
 
 def _mean_and_variance_z(a, b):
@@ -256,9 +256,8 @@ def test_moment_sampler_matches_per_state_sessions(distance_km):
     trials = 3000
     reference = _per_state_trials(cfg, distance_km, trials, master_seed=31)
     res = run_estimator_trials(cfg, distance_km, trials, stream_base=0)
-    for col, name in enumerate(BANK_NAMES):
-        z_mean, z_var = _mean_and_variance_z(getattr(res, name),
-                                             reference[:, col])
+    for name in _THEORY_KIND:
+        z_mean, z_var = _mean_and_variance_z(res[name], reference[name])
         assert abs(z_mean) <= 5.0, (name, z_mean)
         assert abs(z_var) <= 5.0, (name, z_var)
 
@@ -267,19 +266,13 @@ def test_moment_sampler_matches_theory_at_1e9_states():
     cfg = parse_config("N = 1e9\nm = 5e8\n")
     trials = 20_000
     tol = 5.0 / np.sqrt(2.0 * (trials - 1))  # 5 standard errors of log std
-    kinds = {"t_hat": EstimatorKind.T_MLE,
-             "sigma2_mle": EstimatorKind.SIGMA2_MLE,
-             "sigma2_mm_full": EstimatorKind.SIGMA2_MM_FULL,
-             "sigma2_mm_key": EstimatorKind.SIGMA2_MM_KEY,
-             "sigma2_opt": EstimatorKind.SIGMA2_OPT,
-             "T_hat": EstimatorKind.T_SECONDMOD,
-             "vxi_hat": EstimatorKind.VXI_SECONDMOD}
     for di, d in enumerate((20.0, 100.0)):
         res = run_estimator_trials(cfg, d, trials, stream_base=3 * di)
-        for name, kind in kinds.items():
-            theory = theoretical_std(kind, cfg.V_A, res.T, cfg.xi, cfg.m,
+        T = fiber_transmission(d, cfg.loss_db_per_km)
+        for name, kind in _THEORY_KIND.items():
+            theory = theoretical_std(kind, cfg.V_A, T, cfg.xi, cfg.m,
                                      cfg.N - cfg.m, cfg.N, V_M2=cfg.V_M2)
-            ratio = np.std(getattr(res, name), ddof=1) / theory
+            ratio = np.std(res[name], ddof=1) / theory
             assert abs(np.log(ratio)) <= tol, (d, name, ratio)
 
 
@@ -526,15 +519,80 @@ def _random_config(rng):
 def test_random_valid_configs_never_raise(tmp_path):
     """Seeded random configs, drawn log-uniform over many decades: every
     verb returns 0, 1 or 2 and raises nothing. simulate draws and writes
-    all N states, so it runs only where N <= 1e5."""
+    all N states: it runs where N <= 1e5, must refuse with 2 above its
+    limit, and is skipped in between, where it would run but slowly."""
     rng = np.random.default_rng(20261018)
     for i in range(20):
         N, text = _random_config(rng)
         for verb in ALL_VERBS:
-            if verb == "simulate" and N > 10**5:
+            if verb == "simulate" and 10**5 < N <= cli._MAX_SIMULATE_N:
                 continue
             rc, _ = _cli_run(tmp_path / str(i), verb, text)
+            if verb == "simulate" and N > cli._MAX_SIMULATE_N:
+                assert rc == 2, text
             assert rc in (0, 1, 2), (verb, text)
+
+
+def test_simulate_refuses_blocks_above_its_limit(tmp_path, monkeypatch):
+    """A valid config with N = 1e12 exits 2 naming N, before any state is
+    drawn."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("simulate drew a session")
+
+    monkeypatch.setattr(experiments, "sample_session", no_sampling)
+    rc, err = _cli_run(tmp_path, "simulate", "N = 1e12\nm = 5e11\n")
+    assert rc == 2
+    assert "cvqkd: config error" in err and "N = 1000000000000" in err, err
+    # the limit itself is accepted: only the sampling is refused here
+    with pytest.raises(AssertionError, match="drew a session"):
+        _cli_run(tmp_path, "simulate",
+                 f"N = {cli._MAX_SIMULATE_N}\nm = 100\n")
+
+
+# sha256 of the table rows (the '#' metadata lines skipped, rows joined by
+# newlines) of each verb's CSV at the default config, and the row count
+PINNED_DEFAULT_TABLES = {
+    "fig1": ("fig1.csv", 42, "356f2779cfc3044d809209737543e3dd"
+                             "27b191f24b06edc173555cd7b806faf1"),
+    "validate": ("validate_report.csv", 67,
+                 "aafc838aa90b496e25e8c1c4144dcf13"
+                 "d9b04783c3ed35cc3fefd427b9836b5b"),
+    "keyrate": ("keyrate.csv", 42, "eb521c07e2974da21fdaab71ff67cb5c"
+                                   "e948597a226c779c9066ac681ceb69ad"),
+    "optimize": ("optimize.csv", 4, "80a7567942e37a4f2b7d2a6d6fd50f5d"
+                                    "a2a3bf104396f7185bb9e89772eaf7fa"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(PINNED_DEFAULT_TABLES))
+def test_default_outputs_match_pinned_digests(tmp_path, verb):
+    """The default-config tables stay byte for byte what they were when
+    pinned; fig2 and fig3 are pinned row by row in the benchmark's
+    expected outputs."""
+    name, n_rows, digest = PINNED_DEFAULT_TABLES[verb]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([verb, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / name, newline="") as fh:
+        rows = [line.rstrip("\r\n") for line in fh if not line.startswith("#")]
+    assert len(rows) == n_rows
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every name the benchmark's tracer wraps still exists where it looks
+    it up, so moving or deleting one fails here and not only in a traced
+    benchmark run. The tracer module is read, never installed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing._TARGETS
+    for module, attr, span in tracing._TARGETS:
+        target = getattr(importlib.import_module(module), attr, None)
+        assert callable(target), (module, attr, span)
+    for verb in ("fig2", "fig3"):
+        assert callable(cli._RUNNERS[verb]), verb
 
 
 def test_monte_carlo_verbs_load_no_scipy(tmp_path):
