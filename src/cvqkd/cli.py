@@ -42,6 +42,11 @@ _NEED_SECOND_MODULATION = {"fig1": "distances_km",
 # row per state: 1e7 states are about 240 MB of arrays and 0.6 GB of CSV
 _MAX_SIMULATE_N = 10**7
 
+# fig1 and validate hold every trial's estimates in memory: at 1e5 trials
+# (tracemalloc) fig1 peaks at 38 MB and validate at 26 MB, so 1e7 trials
+# are about 3.8 GB and 2.6 GB
+_MAX_TRIALS = 10**7
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -83,6 +88,10 @@ def _effective_config(args) -> ExperimentConfig:
         raise ValueError(f"simulate holds every state in memory: N = {cfg.N} "
                          f"is above its limit of {_MAX_SIMULATE_N} states")
     key = _NEED_SECOND_MODULATION.get(args.command)
+    if key and cfg.trials > _MAX_TRIALS:
+        raise ValueError(f"{args.command} holds every trial in memory: "
+                         f"trials = {cfg.trials} is above its limit of "
+                         f"{_MAX_TRIALS}")
     if key and cfg.V_M2 == 0:
         raise ValueError(f"{args.command} needs V_M2 > 0: it runs the "
                          f"second-modulation estimators")

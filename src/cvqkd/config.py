@@ -11,18 +11,14 @@ import sys
 from dataclasses import dataclass, field, fields
 from math import isfinite, sqrt
 
-from .estimators import EstimatorKind
-from .security import _NU_TOL
+from .security import _NU_TOL, KEY_RATE_ESTIMATORS
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
 # the estimator names a config may list, and the sigma2 estimator each
-# names in the key-rate runners
-_KIND_BY_NAME = {
-    "mle": EstimatorKind.SIGMA2_MLE,
-    "mm": EstimatorKind.SIGMA2_MM_FULL,
-    "opt": EstimatorKind.SIGMA2_OPT,
-}
+# names in the key-rate runners, in the order of KEY_RATE_ESTIMATORS
+_KIND_BY_NAME = dict(zip(("mle", "mm", "opt"), KEY_RATE_ESTIMATORS,
+                         strict=True))
 _VALID_CONVENTIONS = ("paper", "gaussian")
 # V_A and xi set the covariance entries, whose squares' round-off, eps*v**2,
 # passes the Holevo eigenvalue checks' tolerance _NU_TOL past this size
@@ -98,7 +94,8 @@ class ExperimentConfig:
         if not 0 < self.epsilon_pe < 1:
             raise ValueError(f"epsilon_pe must be in (0, 1), got {self.epsilon_pe}")
         if self.loss_db_per_km < 0:
-            raise ValueError(f"loss_db_per_km must be >= 0")
+            raise ValueError(f"loss_db_per_km must be >= 0, got "
+                             f"{self.loss_db_per_km}")
         if self.trials < 2:
             raise ValueError(f"trials must be >= 2, got {self.trials}")
         if self.seed < 0:

@@ -26,6 +26,7 @@ from .channel import fiber_transmission
 from .estimators import EstimatorKind
 from .security import (
     _MATH,
+    _NUMPY,
     _finite_rate_kernel,
     _key_rate_kind,
     confidence_quantile,
@@ -33,7 +34,6 @@ from .security import (
     # unused here, kept importable as cvqkd.optimizer.key_rate_finite,
     # which perfbench's tracer wraps
     key_rate_finite,  # noqa: F401
-    key_rate_finite_grid,
 )
 
 __all__ = [
@@ -90,8 +90,9 @@ _ASYMPTOTIC_LOG_VAS = [float(v) for v in
 _MAXITER = 400
 _BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
 
-# bound on |key_rate_finite_grid - key_rate_finite.key_rate_raw| on the
-# optimizer's grids; tests/test_security.py checks it cell by cell
+# bound on the gap between the rate kernel's raw rate on numpy arrays and
+# on floats (key_rate_finite.key_rate_raw) over the optimizer's grids;
+# tests/test_security.py checks it cell by cell
 _GRID_TOL = 1e-12
 
 
@@ -219,17 +220,15 @@ def _last_positive(positive, d_cap_km: float,
     return lo
 
 
-def _search_rate(T: float, xi: float, beta: float, N: int,
-                 epsilon_pe: float, estimator_kind, convention: str):
+def _search_rate(T: float, xi: float, beta: float, N: int, z: float,
+                 kind: EstimatorKind):
     """rate(log10 V_A, m/N) for the search, straight from the rate kernel.
 
-    The quantile and the estimator kind are fixed once; each value is
-    key_rate_finite(10**log_va, T, xi, beta, N, _round_m(frac, N), ...)
-    .key_rate, bit for bit.
+    z is confidence_quantile(epsilon_pe, convention) and kind one of
+    KEY_RATE_ESTIMATORS; each value is key_rate_finite(10**log_va, T, xi,
+    beta, N, _round_m(frac, N), epsilon_pe, kind, convention).key_rate,
+    bit for bit.
     """
-    z = confidence_quantile(epsilon_pe, convention)
-    kind = _key_rate_kind(estimator_kind)
-
     def rate(log_va: float, frac: float) -> float:
         raw = _finite_rate_kernel(10.0 ** log_va, T, xi, beta, N,
                                   _round_m(frac, N), z, kind, _MATH)[0]
@@ -253,14 +252,17 @@ def optimize_key_rate(xi: float, beta: float, N: int,
     neighbouring distance's optimum keeps the search from reporting a
     false zero there.
     """
-    rate = _search_rate(T, xi, beta, N, epsilon_pe, estimator_kind, convention)
+    z = confidence_quantile(epsilon_pe, convention)
+    kind = _key_rate_kind(estimator_kind)
+    rate = _search_rate(T, xi, beta, N, z, kind)
 
-    # rank the grid with the array rate, V_A outer and fraction inner; the
-    # grid inputs are the scalar path's own, bit for bit
-    raw = key_rate_finite_grid(
+    # rank the grid with the kernel on arrays, V_A outer and fraction
+    # inner; the grid inputs are the scalar path's own, bit for bit (m as
+    # float, so m**2 cannot overflow)
+    raw = _finite_rate_kernel(
         np.array([10.0 ** lv for lv in _LOG_VAS])[:, None], T, xi, beta, N,
         np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)[None, :],
-        epsilon_pe, estimator_kind, convention).ravel()
+        z, kind, _NUMPY)[0].ravel()
     # The array rate is the scalar one up to _GRID_TOL of round-off, so the
     # scalar scan's first strict maximum is among these cells, or is cell 0
     # when no rate is positive. Scanning them with the scalar rate returns

@@ -11,8 +11,11 @@ through confidence bounds on (t, sigma2): Eve is credited with the least
 favorable parameters inside the confidence region, which shrinks with the
 number of revealed states and with the estimator's variance. That rate
 is written once, in ``_finite_rate_kernel``, and run on Python floats
-(``key_rate_finite``, the optimizer's polish) or on numpy arrays
-(``key_rate_finite_grid``).
+(``key_rate_finite``, the optimizer's polish) or on numpy arrays (the
+optimizer's grid). Its steps are written once each: the corner's hold
+inside the physical region (``_hold``, also behind ``worst_case_params``),
+the mutual information (``_i_ab``, also behind ``mutual_information``)
+and the Holevo term's eigenvalues and entropies.
 """
 
 from __future__ import annotations
@@ -28,20 +31,14 @@ from .estimators import EstimatorKind, sigma2_variance, var_t_mle
 
 __all__ = [
     "TwoModeCovariance",
-    "WorstCaseParams",
     "KeyRateResult",
     "covariance_matrix",
     "confidence_quantile",
     "worst_case_params",
-    "worst_case_covariance",
     "mutual_information",
-    "symplectic_eigenvalues",
-    "conditional_eigenvalue_homodyne",
-    "g_entropy",
     "holevo_bound",
     "key_rate_asymptotic",
     "key_rate_finite",
-    "key_rate_finite_grid",
 ]
 
 # eigenvalues this far below 1 are treated as round-off on a physical state
@@ -61,22 +58,6 @@ class TwoModeCovariance:
     a: float
     b: float
     c: float
-    clamped: bool = False
-
-    def physical(self) -> bool:
-        """Heisenberg check a*b - c**2 >= 1 (both quadrature signs agree)."""
-        return self.a * self.b - self.c**2 >= 1.0 - _NU_TOL
-
-
-@dataclass(frozen=True)
-class WorstCaseParams:
-    """Confidence-region corner least favorable to Alice and Bob."""
-
-    t_min: float
-    sigma2_max: float
-    z: float
-    epsilon_pe: float
-    clamped: bool = False
 
 
 def covariance_matrix(V_A: float, T: float, xi: float) -> TwoModeCovariance:
@@ -116,74 +97,29 @@ def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-# The rate kernel takes z and forms the corner itself; this function and
-# holevo_bound stay public, and importable as cvqkd.security.*, which
-# perfbench's tracer wraps.
+# The rate kernel takes z and holds the corner itself, with _hold; this
+# function and holevo_bound stay public, and importable as
+# cvqkd.security.*, which perfbench's tracer wraps.
 def worst_case_params(t_hat: float, std_t: float, sigma2_hat: float,
                       std_sigma2: float, epsilon_pe: float,
-                      convention: str = "paper") -> WorstCaseParams:
-    """Least favorable (t, sigma2) at confidence 1 - epsilon_pe.
+                      convention: str = "paper") -> tuple[float, float, bool]:
+    """(t_min, sigma2_max, clamped): the least favorable (t, sigma2) at
+    confidence 1 - epsilon_pe.
 
-    t_min = t_hat - z*std_t, sigma2_max = sigma2_hat + z*std_sigma2. A
-    negative t_min is clamped to 0 (the channel cannot anti-correlate the
-    quadratures more than it decorrelates them) and flagged.
+    t_min = t_hat - z*std_t and sigma2_max = sigma2_hat + z*std_sigma2,
+    held inside the physical region as the rate kernel holds them.
     """
     if std_t < 0 or std_sigma2 < 0:
         raise ValueError("standard deviations must be >= 0")
     z = confidence_quantile(epsilon_pe, convention)
-    t_min = t_hat - z * std_t
-    clamped = False
-    if t_min < 0.0:
-        t_min = 0.0
-        clamped = True
-    return WorstCaseParams(t_min=t_min, sigma2_max=sigma2_hat + z * std_sigma2,
-                           z=z, epsilon_pe=epsilon_pe, clamped=clamped)
-
-
-def worst_case_covariance(wc: WorstCaseParams, V_A: float) -> TwoModeCovariance:
-    """Covariance matrix evaluated at the confidence-region corner."""
-    if V_A <= 0:
-        raise ValueError(f"V_A must be > 0, got {V_A}")
-    # a below-vacuum noise bound is pushed back to the physical boundary
-    a, b, c = _corner(wc.t_min, max(wc.sigma2_max, 1.0), V_A, _MATH)
-    return TwoModeCovariance(a=a, b=b, c=c,
-                             clamped=wc.clamped or wc.sigma2_max < 1.0)
+    return _hold(t_hat - z * std_t, sigma2_hat + z * std_sigma2, _MATH)
 
 
 def mutual_information(V_A: float, T: float, xi: float) -> float:
     """Alice-Bob mutual information (1/2)*log2(1 + T*V_A/(1 + T*xi))."""
     if V_A <= 0:
         raise ValueError(f"V_A must be > 0, got {V_A}")
-    return 0.5 * log2(1.0 + T * V_A / _sigma2(T, xi))
-
-
-def symplectic_eigenvalues(cov: TwoModeCovariance) -> tuple[float, float]:
-    """Symplectic spectrum (nu1 >= nu2 >= 1) of the two-mode matrix.
-
-    nu**2 = (Delta +- sqrt(Delta**2 - 4*D**2))/2 with Delta = a**2 + b**2
-    - 2*c**2 and D = a*b - c**2.
-    """
-    return _symplectic(cov.a, cov.b, cov.c, _MATH)
-
-
-def conditional_eigenvalue_homodyne(cov: TwoModeCovariance) -> float:
-    """Symplectic eigenvalue of Alice's state after Bob's homodyne.
-
-    nu3 = sqrt(a*(a - c**2/b)): measuring one quadrature of mode B leaves
-    mode A with covariance diag(a - c**2/b, a).
-    """
-    if cov.b <= 0:
-        raise ValueError(f"b must be > 0, got {cov.b}")
-    return _conditional(cov.a, cov.b, cov.c, _MATH)
-
-
-def g_entropy(x: float) -> float:
-    """Bosonic entropy g(x) = (x+1)*log2(x+1) - x*log2(x), g(0) = 0."""
-    if x < 0:
-        if x > -_NU_TOL:
-            return 0.0
-        raise ValueError(f"g is undefined for x = {x}")
-    return _g(x, _MATH)
+    return _i_ab(V_A, T, _sigma2(T, xi), _MATH)
 
 
 def holevo_bound(cov: TwoModeCovariance) -> float:
@@ -216,6 +152,20 @@ _NUMPY = SimpleNamespace(sqrt=np.sqrt, log2=np.log2, maximum=np.maximum,
                          any=np.any, where=np.where, check=_grid_check)
 
 
+def _hold(t_min, sigma2_max, xp):
+    # the confidence-region corner held inside the physical region: the
+    # channel cannot anti-correlate the quadratures (t_min >= 0) nor add
+    # less than vacuum noise (sigma2_max >= 1); clamped says whether
+    # either hold fired
+    return (xp.maximum(t_min, 0.0), xp.maximum(sigma2_max, 1.0),
+            (t_min < 0.0) | (sigma2_max < 1.0))
+
+
+def _i_ab(V_A, T, sigma2, xp):
+    # Alice-Bob mutual information of the Gaussian channel
+    return 0.5 * xp.log2(1.0 + T * V_A / sigma2)
+
+
 def _corner(t_min, sigma2_max, V_A, xp):
     # (a, b, c) of the covariance matrix at the worst-case (t, sigma2)
     return (V_A + 1.0, t_min**2 * V_A + sigma2_max,
@@ -228,6 +178,8 @@ def _split(a, b, c):
 
 
 def _symplectic(a, b, c, xp):
+    # symplectic spectrum nu1 >= nu2 >= 1 of the two-mode matrix:
+    # nu**2 = (delta +- sqrt(delta**2 - 4*d**2))/2
     delta = a * a + b * b - 2.0 * c * c
     d = a * b - c * c
     disc = delta * delta - 4.0 * d * d
@@ -253,6 +205,8 @@ def _symplectic(a, b, c, xp):
 
 
 def _conditional(a, b, c, xp):
+    # mode A after Bob's homodyne of one quadrature of mode B has
+    # covariance diag(a - c**2/b, a), so nu3 = sqrt(a*(a - c**2/b))
     reduced = a - c * c / b
     xp.check(reduced < -_NU_TOL, "negative conditional variance", reduced)
     nu3 = xp.sqrt(a * xp.maximum(reduced, 0.0))
@@ -261,6 +215,7 @@ def _conditional(a, b, c, xp):
 
 
 def _g(x, xp):
+    # bosonic entropy g(x) = (x+1)*log2(x+1) - x*log2(x), g(0) = 0.
     # x >= 0: the eigenvalues are clamped to >= 1 before g is taken; only
     # exact zeros are masked, so a NaN eigenvalue gives a NaN entropy
     zero = x == 0.0
@@ -282,19 +237,18 @@ def _finite_rate_kernel(V_A, T, xi, beta, N, m, z, kind, xp):
 
     The raw rate is (n/N) * (beta*I_AB - S_worst), S_worst the Holevo
     bound at the confidence-region corner t_min = t - z*std_t, sigma2_max
-    = sigma2 + z*std_sigma2, with t_min held at >= 0 and sigma2_max at
+    = sigma2 + z*std_sigma2, held by _hold at t_min >= 0 and sigma2_max
     >= 1; clamped says whether either hold fired. Needs V_A > 0, 1 <= m
     <= N-1, z from confidence_quantile and a kind of KEY_RATE_ESTIMATORS.
     """
     n = N - m
     sigma2 = _sigma2(T, xi)
-    t_min = sqrt(T) - z * xp.sqrt(var_t_mle(V_A, T, sigma2, m))
-    sigma2_max = sigma2 + z * xp.sqrt(
-        sigma2_variance(kind, V_A, T, sigma2, m, n, N))
-    clamped = (t_min < 0.0) | (sigma2_max < 1.0)
-    s_wc = _holevo(*_corner(xp.maximum(t_min, 0.0),
-                            xp.maximum(sigma2_max, 1.0), V_A, xp), xp)
-    i_ab = 0.5 * xp.log2(1.0 + T * V_A / sigma2)
+    t_min, sigma2_max, clamped = _hold(
+        sqrt(T) - z * xp.sqrt(var_t_mle(V_A, T, sigma2, m)),
+        sigma2 + z * xp.sqrt(sigma2_variance(kind, V_A, T, sigma2, m, n, N)),
+        xp)
+    s_wc = _holevo(*_corner(t_min, sigma2_max, V_A, xp), xp)
+    i_ab = _i_ab(V_A, T, sigma2, xp)
     return (n / N) * (beta * i_ab - s_wc), i_ab, s_wc, clamped
 
 
@@ -369,29 +323,3 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
         clamped=clamped,
     )
 
-
-def key_rate_finite_grid(V_A, T: float, xi: float, beta: float, N: int, m,
-                         epsilon_pe: float = 1e-10,
-                         estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
-                         convention: str = "paper") -> np.ndarray:
-    """Raw finite-size rate (n/N) * (beta*I - S_worst) over arrays of (V_A, m).
-
-    The array form of ``key_rate_finite`` for ranking a parameter grid:
-    ``V_A`` and ``m`` broadcast against each other (``m`` is taken as
-    float, so m**2 cannot overflow), every other argument is fixed. Needs
-    1 <= m <= N-1. Both run ``_finite_rate_kernel``, so this raises
-    ValueError wherever ``key_rate_finite`` would and clamps where it
-    clamps. The values are ``key_rate_raw`` up to round-off: numpy's log2
-    and power differ from ``math``'s in the last bit, so rates to be
-    reported come from ``key_rate_finite``.
-    """
-    kind = _key_rate_kind(estimator_kind)
-    V_A = np.asarray(V_A, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if np.any(V_A <= 0):
-        raise ValueError("V_A must be > 0")
-    if np.any((m < 1) | (m > N - 1)):
-        raise ValueError(f"m must be in [1, N-1] on the rate grid, N={N}")
-
-    z = confidence_quantile(epsilon_pe, convention)
-    return _finite_rate_kernel(V_A, T, xi, beta, N, m, z, kind, _NUMPY)[0]

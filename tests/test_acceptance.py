@@ -6,8 +6,11 @@ show up in a plain ``pytest -v`` run. The Monte Carlo and figure runs at
 the default grids live here, not in the unit tests.
 """
 
+import importlib.util
+import sys
 import time
 from math import log, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,11 +41,21 @@ from cvqkd.experiments import (
 )
 from cvqkd.optimizer import maximum_distance, range_limit_ratio
 from cvqkd.security import (
+    _MATH,
+    _symplectic,
     covariance_matrix,
     holevo_bound,
     key_rate_asymptotic,
-    symplectic_eigenvalues,
 )
+
+# the benchmark's output checks, read from their file, never installed
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_checks",
+    Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+bench_checks = importlib.util.module_from_spec(_spec)
+# its dataclass looks its module up by name
+sys.modules[_spec.name] = bench_checks
+_spec.loader.exec_module(bench_checks)
 
 
 @pytest.fixture
@@ -71,17 +84,17 @@ def fig2_table(tmp_path_factory):
     start = time.monotonic()
     path = run_fig2(cfg, str(tmp_path_factory.mktemp("fig2")))
     elapsed = time.monotonic() - start
-    header, rows = None, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    return cfg, header, rows, elapsed
+    lines = bench_checks.table_rows(path)
+    header = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return cfg, header, rows, elapsed, lines
+
+
+@pytest.fixture(scope="module")
+def fig3_table(tmp_path_factory):
+    start = time.monotonic()
+    path = run_fig3(ExperimentConfig(), str(tmp_path_factory.mktemp("fig3")))
+    return bench_checks.table_rows(path), time.monotonic() - start
 
 
 def test_full_set_identity(identities, report):
@@ -219,7 +232,8 @@ def test_security_reference_points(report):
     s_dead = holevo_bound(covariance_matrix(3.0, 0.0, 0.0))
     if abs(s_dead) > 1e-9:
         problems.append(f"broken-channel Holevo {s_dead:.2e}")
-    nus = symplectic_eigenvalues(covariance_matrix(3.0, 1.0, 0.0))
+    epr = covariance_matrix(3.0, 1.0, 0.0)
+    nus = _symplectic(epr.a, epr.b, epr.c, _MATH)
     if max(abs(nu - 1.0) for nu in nus) > 1e-9:
         problems.append(f"shared pure state not pure: {nus}")
     k = key_rate_asymptotic(3.0, 1.0, 0.0, beta=1.0).key_rate
@@ -232,8 +246,9 @@ def test_security_reference_points(report):
             + ("; " + "; ".join(problems) if problems else ""))
 
 
-def test_key_rate_curves_structure(fig2_table, tmp_path, report):
-    cfg, header, rows, elapsed_fig2 = fig2_table
+def test_key_rate_curves_structure(fig2_table, fig3_table, report):
+    cfg, header, rows, elapsed_fig2, _ = fig2_table
+    fig3_lines, elapsed_fig3 = fig3_table
     start = time.monotonic()
     problems = []
 
@@ -290,15 +305,11 @@ def test_key_rate_curves_structure(fig2_table, tmp_path, report):
         problems.append(f"edge fraction at 1e9: {own9.rows[-1][4]:.4f}")
 
     # ... and grows with distance along the fig3 grid
-    fig3_path = run_fig3(cfg, str(tmp_path))
     frac = {}
-    with open(fig3_path) as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("distance_km"):
-                continue
-            cells = line.rstrip("\n").split(",")
-            if float(cells[4]) > 0.0:
-                frac.setdefault(cells[1], []).append(float(cells[2]))
+    for line in fig3_lines[1:]:
+        cells = line.split(",")
+        if float(cells[4]) > 0.0:
+            frac.setdefault(cells[1], []).append(float(cells[2]))
     for name, fr in frac.items():
         if fr[-1] <= fr[0]:
             problems.append(f"fig3 fraction not growing for {name}")
@@ -308,7 +319,7 @@ def test_key_rate_curves_structure(fig2_table, tmp_path, report):
         problems.append(f"edge rate ratio only {rr.max_ratio:.2f}")
     onset = next((row[0] for row in rr.rows if row[3] >= 2.0), None)
 
-    elapsed = elapsed_fig2 + time.monotonic() - start
+    elapsed = elapsed_fig2 + elapsed_fig3 + time.monotonic() - start
     ok = not problems and elapsed <= 900.0
     report(ok, "optimized key-rate curves have the right shape",
             f"finite<asymptotic on {len(rows)} distances x {len(finite_cols)} "
@@ -318,6 +329,21 @@ def test_key_rate_curves_structure(fig2_table, tmp_path, report):
             f"{rr.max_ratio:.1f} (>=2 from {onset} km; grows without bound "
             f"at the boundary {rr.boundary_km:.4f} km), in {elapsed:.0f}s"
             + ("; " + "; ".join(problems[:4]) if problems else ""))
+
+
+def test_rate_figures_match_the_frozen_row_digests(fig2_table, fig3_table,
+                                                  report):
+    """fig2 and fig3 at the default config, header included, row by row
+    against the digests the benchmark's output check holds."""
+    tables = {"fig2": fig2_table[-1], "fig3": fig3_table[0]}
+    tally = bench_checks.Tally()
+    for name, lines in tables.items():
+        bench_checks.check_table(name, lines, bench_checks.load_expected(),
+                                 tally)
+    report(tally.failed == 0, "fig2 and fig3 rows match the frozen digests",
+           f"{tally.attempted - tally.failed}/{tally.attempted} rows equal "
+           f"({len(tables['fig2'])} fig2, {len(tables['fig3'])} fig3)"
+           + ("; " + "; ".join(tally.problems[:4]) if tally.problems else ""))
 
 
 def test_validate_cli_is_deterministic(tmp_path, report):
@@ -333,3 +359,16 @@ def test_validate_cli_is_deterministic(tmp_path, report):
            f"exit codes {rc_a}/{rc_b}, report and summary files compare "
            f"equal (shortened runs may flag statistical rows, but always "
            f"the same ones)" if same else "outputs differ between runs")
+
+
+def test_readme_quick_start_runs(capfd, report):
+    """The README's Quick start block, run as written: a name it imports
+    that the package no longer has fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    start = time.monotonic()
+    exec(compile(block, "README.md", "exec"), {})
+    out = capfd.readouterr().out.splitlines()
+    report(len(out) == 3, "the README quick start runs",
+           f"{len(out)} printed lines (3 expected) in "
+           f"{time.monotonic() - start:.2f}s")

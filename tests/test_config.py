@@ -85,6 +85,9 @@ def test_validate_rejects_inconsistent_values():
         parse_config("trials = 1\n")
     with pytest.raises(ValueError):
         parse_config("xi = -0.01\n")
+    with pytest.raises(ValueError,
+                       match="loss_db_per_km must be >= 0, got -0.1"):
+        parse_config("loss_db_per_km = -0.1\n")
     # m = N leaves no key states, m < 2 no residual degree of freedom; a
     # NaN passes every range check, an inf fails later
     for text in ("m = 1e5\n", "m = 1\n", "m = 0\n", "distances_km = \n",

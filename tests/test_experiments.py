@@ -549,6 +549,23 @@ def test_simulate_refuses_blocks_above_its_limit(tmp_path, monkeypatch):
                  f"N = {cli._MAX_SIMULATE_N}\nm = 100\n")
 
 
+@pytest.mark.parametrize("verb", ["validate", "fig1"])
+def test_monte_carlo_verbs_refuse_trials_above_their_limit(tmp_path,
+                                                           monkeypatch, verb):
+    """A valid trial count above the limit exits 2 naming trials, before
+    any trial is drawn."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("drew trials")
+
+    monkeypatch.setattr(experiments, "sample_moments", no_sampling)
+    rc, err = _cli_run(tmp_path, verb, "trials = 1e8\n")
+    assert rc == 2
+    assert "cvqkd: config error" in err and "trials = 100000000" in err, err
+    # the limit itself is accepted: only the sampling is refused here
+    with pytest.raises(AssertionError, match="drew trials"):
+        _cli_run(tmp_path, verb, f"trials = {cli._MAX_TRIALS}\n")
+
+
 # sha256 of the table rows (the '#' metadata lines skipped, rows joined by
 # newlines) of each verb's CSV at the default config, and the row count
 PINNED_DEFAULT_TABLES = {

@@ -16,12 +16,40 @@ from cvqkd.optimizer import (
     optimize_key_rate,
     range_limit_ratio,
 )
-from cvqkd.security import KEY_RATE_ESTIMATORS, key_rate_asymptotic, key_rate_finite
+from cvqkd import optimizer, security
+from cvqkd.security import (
+    KEY_RATE_ESTIMATORS,
+    confidence_quantile,
+    key_rate_asymptotic,
+    key_rate_finite,
+)
 
 XI, BETA = 0.01, 0.95
 
 # bisection at 0.1 km resolution, fully deterministic
 MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.1875}
+
+
+def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
+    """The grid and the scalar search share one z and one kind: one
+    optimization computes each once, seeds and polish included."""
+    calls = {"z": 0, "kind": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (optimizer, security):
+        monkeypatch.setattr(module, "confidence_quantile",
+                            counted("z", confidence_quantile))
+        monkeypatch.setattr(module, "_key_rate_kind",
+                            counted("kind", security._key_rate_kind))
+    res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0),
+                            seeds=[(3.0, 0.5)])
+    assert res.best_key_rate > 0.0
+    assert calls == {"z": 1, "kind": 1}
 
 
 def test_optimize_key_rate_is_deterministic():
@@ -257,7 +285,8 @@ def test_nelder_mead_retraces_scipy_on_the_key_rate():
         kind = KEY_RATE_ESTIMATORS[i % 3]
         convention = ("paper", "gaussian")[(i // 3) % 2]
         epsilon_pe = float(rng.choice([1e-10, 1e-5]))
-        rate = _search_rate(T, xi, beta, N, epsilon_pe, kind, convention)
+        rate = _search_rate(T, xi, beta, N,
+                            confidence_quantile(epsilon_pe, convention), kind)
         lv0, fr0 = starts[i % len(starts)] or (None, None)
         x0 = [float(rng.uniform(*_BOUNDS[0])) if lv0 is None else lv0,
               float(rng.uniform(*_BOUNDS[1])) if fr0 is None else fr0]

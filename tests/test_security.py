@@ -7,26 +7,51 @@ import pytest
 from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
-from cvqkd.optimizer import _FRACS, _LOG_VAS, _round_m, _search_rate
+from cvqkd.optimizer import (
+    _FRACS,
+    _LOG_VAS,
+    _round_m,
+    _search_rate,
+    optimize_key_rate,
+)
 from cvqkd.security import (
+    _MATH,
+    _NU_TOL,
+    _NUMPY,
     KEY_RATE_ESTIMATORS,
-    TwoModeCovariance,
-    WorstCaseParams,
-    conditional_eigenvalue_homodyne,
+    _conditional,
+    _corner,
+    _finite_rate_kernel,
+    _g,
+    _hold,
+    _symplectic,
     confidence_quantile,
     covariance_matrix,
-    g_entropy,
     holevo_bound,
     key_rate_asymptotic,
     key_rate_finite,
-    key_rate_finite_grid,
     mutual_information,
-    symplectic_eigenvalues,
-    worst_case_covariance,
     worst_case_params,
 )
 
 SQRT15 = 3.872983346207417
+Z_PAPER = confidence_quantile(1e-10)
+
+
+def _nu12(cov):
+    return _symplectic(cov.a, cov.b, cov.c, _MATH)
+
+
+def _nu3(cov):
+    return _conditional(cov.a, cov.b, cov.c, _MATH)
+
+
+def _grid_rate(V_A, T, xi, beta, N, m, kind=EstimatorKind.SIGMA2_OPT):
+    """The rate kernel's raw rate on arrays, as the optimizer ranks its
+    grid: m as float, z at epsilon_pe = 1e-10."""
+    return _finite_rate_kernel(np.asarray(V_A, dtype=float), T, xi, beta, N,
+                               np.asarray(m, dtype=float), Z_PAPER, kind,
+                               _NUMPY)[0]
 
 
 def _symplectic_oracle(cov):
@@ -77,8 +102,10 @@ def test_covariance_matrix_reference_points():
 
 
 def test_covariance_matrix_is_physical_on_grid():
+    """Heisenberg: a*b - c**2 >= 1, and the symplectic step accepts it."""
     for cov in _grid():
-        assert cov.physical()
+        assert cov.a * cov.b - cov.c**2 >= 1.0 - _NU_TOL
+        assert _nu12(cov)[1] >= 1.0
 
 
 def test_covariance_matrix_validation():
@@ -104,13 +131,13 @@ def test_confidence_quantile_conventions():
 
 
 def test_worst_case_params_example():
-    wc = worst_case_params(0.9, 0.01, 1.0, 0.0, 1e-10)
-    assert wc.t_min == pytest.approx(0.8535364671234777, rel=1e-12)
-    assert wc.sigma2_max == 1.0
-    assert not wc.clamped
+    t_min, sigma2_max, clamped = worst_case_params(0.9, 0.01, 1.0, 0.0, 1e-10)
+    assert t_min == pytest.approx(0.8535364671234777, rel=1e-12)
+    assert sigma2_max == 1.0
+    assert not clamped
     # zero widths leave the point estimates untouched
     exact = worst_case_params(0.5, 0.0, 1.2, 0.0, 1e-10)
-    assert (exact.t_min, exact.sigma2_max) == (0.5, 1.2)
+    assert exact[:2] == (0.5, 1.2)
     with pytest.raises(ValueError):
         worst_case_params(0.9, -0.01, 1.0, 0.0, 1e-10)
 
@@ -118,37 +145,40 @@ def test_worst_case_params_example():
 def test_worst_case_params_clamps_negative_t():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        wc = worst_case_params(0.01, 0.1, 1.0, 0.0, 1e-10)
-    assert wc.t_min == 0.0
-    assert wc.clamped
+        t_min, _, clamped = worst_case_params(0.01, 0.1, 1.0, 0.0, 1e-10)
+    assert t_min == 0.0
+    assert clamped
 
 
 def test_worst_case_covariance_example():
-    wc = WorstCaseParams(t_min=0.3, sigma2_max=1.05, z=4.65, epsilon_pe=1e-10)
-    cov = worst_case_covariance(wc, 3.0)
-    assert cov.a == 4.0
-    assert cov.b == pytest.approx(1.32, rel=1e-12)
-    assert cov.c == pytest.approx(1.161895003862225, rel=1e-12)
-    assert not cov.clamped
+    t_min, sigma2_max, clamped = _hold(0.3, 1.05, _MATH)
+    a, b, c = _corner(t_min, sigma2_max, 3.0, _MATH)
+    assert a == 4.0
+    assert b == pytest.approx(1.32, rel=1e-12)
+    assert c == pytest.approx(1.161895003862225, rel=1e-12)
+    assert not clamped
 
 
 def test_worst_case_covariance_clamps_below_vacuum_noise():
-    wc = WorstCaseParams(t_min=0.5, sigma2_max=0.9, z=4.65, epsilon_pe=1e-10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cov = worst_case_covariance(wc, 3.0)
-    assert cov.b == pytest.approx(0.25 * 3.0 + 1.0, rel=1e-12)
-    assert cov.clamped
+        t_min, sigma2_max, clamped = _hold(0.5, 0.9, _MATH)
+        _, b, _ = _corner(t_min, sigma2_max, 3.0, _MATH)
+    assert b == pytest.approx(0.25 * 3.0 + 1.0, rel=1e-12)
+    assert clamped
+    # worst_case_params holds the noise bound the same way
+    assert worst_case_params(0.5, 0.0, 0.9, 0.0, 1e-10) == (0.5, 1.0, True)
 
 
 def test_worst_case_zero_width_recovers_channel_covariance():
     V_A, T, xi = 3.0, 0.4, 0.02
     ch = covariance_matrix(V_A, T, xi)
-    wc = worst_case_params(np.sqrt(T), 0.0, 1.0 + T * xi, 0.0, 1e-10)
-    cov = worst_case_covariance(wc, V_A)
-    assert cov.a == ch.a
-    assert cov.b == pytest.approx(ch.b, rel=1e-14)
-    assert cov.c == pytest.approx(ch.c, rel=1e-14)
+    t_min, sigma2_max, _ = worst_case_params(np.sqrt(T), 0.0, 1.0 + T * xi,
+                                             0.0, 1e-10)
+    a, b, c = _corner(t_min, sigma2_max, V_A, _MATH)
+    assert a == ch.a
+    assert b == pytest.approx(ch.b, rel=1e-14)
+    assert c == pytest.approx(ch.c, rel=1e-14)
 
 
 def test_mutual_information_reference_points():
@@ -159,29 +189,29 @@ def test_mutual_information_reference_points():
 
 
 def test_symplectic_eigenvalues_epr_state_is_pure():
-    nu1, nu2 = symplectic_eigenvalues(covariance_matrix(3.0, 1.0, 0.0))
+    nu1, nu2 = _nu12(covariance_matrix(3.0, 1.0, 0.0))
     assert nu1 == pytest.approx(1.0, abs=1e-9)
     assert nu2 == pytest.approx(1.0, abs=1e-9)
     for V_A in (0.5, 3.0, 10.0):
-        nus = symplectic_eigenvalues(covariance_matrix(V_A, 1.0, 0.0))
+        nus = _nu12(covariance_matrix(V_A, 1.0, 0.0))
         np.testing.assert_allclose(nus, (1.0, 1.0), atol=1e-9)
 
 
 def test_symplectic_eigenvalues_broken_channel():
-    nu1, nu2 = symplectic_eigenvalues(covariance_matrix(3.0, 0.0, 0.0))
+    nu1, nu2 = _nu12(covariance_matrix(3.0, 0.0, 0.0))
     assert nu1 == pytest.approx(4.0, rel=1e-12)
     assert nu2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_symplectic_eigenvalues_match_brute_force():
     for cov in _grid():
-        nus = symplectic_eigenvalues(cov)
+        nus = _nu12(cov)
         np.testing.assert_allclose(nus, _symplectic_oracle(cov), rtol=1e-10, atol=1e-10)
 
 
 def test_symplectic_eigenvalues_reject_unphysical_matrix():
     with pytest.raises(ValueError):
-        symplectic_eigenvalues(TwoModeCovariance(a=2.0, b=2.0, c=2.5))
+        _symplectic(2.0, 2.0, 2.5, _MATH)
 
 
 def test_near_pure_states_pass_the_eigenvalue_checks():
@@ -190,41 +220,45 @@ def test_near_pure_states_pass_the_eigenvalue_checks():
     checks read well-conditioned forms, so these states are physical."""
     for V_A in (1.03, 11.0, 100.0, 1000.0):
         for xi in (0.0, 1e-14, 2.3e-10, 1e-8, 1e-6):
-            nu1, nu2 = symplectic_eigenvalues(covariance_matrix(V_A, 1.0, xi))
+            nu1, nu2 = _nu12(covariance_matrix(V_A, 1.0, xi))
             assert 1.0 <= nu2 <= nu1 < 1.001
             assert key_rate_asymptotic(V_A, 1.0, xi, 0.95).key_rate > 0.0
-            key_rate_finite_grid(np.array([V_A]), 1.0, xi, 0.95, 10**5,
-                                 np.array([5e4]))
+            _grid_rate([V_A], 1.0, xi, 0.95, 10**5, [5e4])
 
 
 def test_conditional_eigenvalue_matches_schur_complement():
     for cov in _grid():
-        nu3 = conditional_eigenvalue_homodyne(cov)
+        nu3 = _nu3(cov)
         assert nu3 == pytest.approx(_conditional_oracle(cov), rel=1e-10)
-    uncorrelated = TwoModeCovariance(a=2.5, b=3.0, c=0.0)
-    assert conditional_eigenvalue_homodyne(uncorrelated) == pytest.approx(2.5, rel=1e-12)
+    assert _conditional(2.5, 3.0, 0.0, _MATH) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_g_entropy_reference_points():
-    assert g_entropy(0.0) == 0.0
-    assert g_entropy(1.0) == pytest.approx(2.0, rel=1e-15)
-    assert g_entropy(0.5) == pytest.approx(1.3774437510817343, rel=1e-12)
-    assert g_entropy(-1e-12) == 0.0
+    assert _g(0.0, _MATH) == 0.0
+    assert _g(1.0, _MATH) == pytest.approx(2.0, rel=1e-15)
+    assert _g(0.5, _MATH) == pytest.approx(1.3774437510817343, rel=1e-12)
+    # an eigenvalue 2e-12 below 1 is round-off: the eigenvalue step holds
+    # it at 1, so g's argument, (nu - 1)/2 = -1e-12 unheld, is exactly 0
+    nu3 = _conditional(1.0 - 2e-12, 1.0, 0.0, _MATH)
+    assert _g((nu3 - 1.0) / 2.0, _MATH) == 0.0
+    # a negative argument is outside g's domain, and an eigenvalue that
+    # far below 1 is rejected by the eigenvalue step
     with pytest.raises(ValueError):
-        g_entropy(-0.1)
+        _g(-0.1, _MATH)
+    with pytest.raises(ValueError):
+        _conditional(0.8, 1.0, 0.0, _MATH)
 
 
 def test_nan_entropy_propagates_to_the_rates():
     """Only g(0) is defined as 0: a NaN argument, or the NaN eigenvalues of
     V_A = inf, give a NaN entropy and a NaN rate, never S = 0."""
-    assert math.isnan(g_entropy(float("nan")))
+    assert math.isnan(_g(float("nan"), _MATH))
     assert math.isnan(holevo_bound(covariance_matrix(math.inf, 0.5, 0.01)))
     assert math.isnan(key_rate_asymptotic(math.inf, 0.5, 0.01, 0.95).key_rate)
     assert math.isnan(
         key_rate_finite(math.inf, 0.5, 0.01, 0.95, 10**6, 10**5).key_rate)
     with np.errstate(invalid="ignore"):
-        grid = key_rate_finite_grid(np.array([3.0, math.inf]), 0.5, 0.01,
-                                    0.95, 10**6, 10**5)
+        grid = _grid_rate([3.0, math.inf], 0.5, 0.01, 0.95, 10**6, 10**5)
     assert np.isnan(grid).tolist() == [False, True]
 
 
@@ -235,10 +269,10 @@ def test_holevo_bound_vanishes_for_pure_and_broken_channels():
 
 def test_holevo_bound_matches_eigenvalue_composition():
     for cov in _grid():
-        nu1, nu2 = symplectic_eigenvalues(cov)
-        nu3 = conditional_eigenvalue_homodyne(cov)
-        expected = (g_entropy((nu1 - 1) / 2) + g_entropy((nu2 - 1) / 2)
-                    - g_entropy((nu3 - 1) / 2))
+        nu1, nu2 = _nu12(cov)
+        nu3 = _nu3(cov)
+        expected = (_g((nu1 - 1) / 2, _MATH) + _g((nu2 - 1) / 2, _MATH)
+                    - _g((nu3 - 1) / 2, _MATH))
         assert holevo_bound(cov) == pytest.approx(max(expected, 0.0), abs=1e-12)
 
 
@@ -282,8 +316,7 @@ def test_key_rate_finite_accepts_the_kind_by_name():
         with pytest.raises(ValueError):
             key_rate_finite(*args, estimator_kind=name)
         with pytest.raises(ValueError):
-            key_rate_finite_grid(np.array([3.0]), *args[1:],
-                                 estimator_kind=name)
+            optimize_key_rate(0.01, 0.95, 1000, estimator_kind=name, T=0.5)
 
 
 @pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
@@ -295,9 +328,8 @@ def test_key_rate_finite_grid_matches_scalar_rate(kind):
         ms = [_round_m(f, N) for f in _FRACS]
         for d in (0.0, 20.0, 38.7, 100.0, 184.0):
             T = fiber_transmission(d, 0.2)
-            grid = key_rate_finite_grid(np.array(vas)[:, None], T, 0.01, 0.95,
-                                        N, np.array(ms, dtype=float)[None, :],
-                                        1e-10, kind).ravel()
+            grid = _grid_rate(np.array(vas)[:, None], T, 0.01, 0.95, N,
+                              np.array(ms)[None, :], kind).ravel()
             scalar = np.array([key_rate_finite(va, T, 0.01, 0.95, N, m, 1e-10,
                                                kind).key_rate_raw
                                for va in vas for m in ms])
@@ -320,7 +352,9 @@ def test_search_rate_is_key_rate_finite_bitwise(kind):
         for d in (0.0, 20.0, 38.7, 100.0, 184.0, 400.0):
             T = fiber_transmission(d, 0.2)
             for convention in ("paper", "gaussian"):
-                rate = _search_rate(T, 0.01, 0.95, N, 1e-10, kind, convention)
+                rate = _search_rate(T, 0.01, 0.95, N,
+                                    confidence_quantile(1e-10, convention),
+                                    kind)
                 for lv in log_vas:
                     for fr in fracs:
                         ref = key_rate_finite(10.0 ** lv, T, 0.01, 0.95, N,
@@ -334,8 +368,7 @@ def test_key_rate_finite_grid_rejects_unphysical_cells():
     with pytest.raises(ValueError):
         key_rate_finite(3.0, 10.0, 0.01, 0.95, N=1000, m=500)
     with pytest.raises(ValueError):
-        key_rate_finite_grid(np.array([0.5, 3.0]), 10.0, 0.01, 0.95,
-                             N=1000, m=np.array([500.0]))
+        _grid_rate([0.5, 3.0], 10.0, 0.01, 0.95, 1000, [500.0])
 
 
 def test_key_rate_finite_below_scaled_asymptotic():
