@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a validation tolerance fails, 2 on usage
-or configuration errors.
+or configuration errors and when a rate check fails at some input of a run.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ _NEED_SECOND_MODULATION = {"fig1": "distances_km",
 # row per state: 1e7 states are about 240 MB of arrays and 0.6 GB of CSV
 _MAX_SIMULATE_N = 10**7
 
-# fig1 and validate hold every trial's estimates in memory: at 1e5 trials
-# (tracemalloc) fig1 peaks at 38 MB and validate at 26 MB, so 1e7 trials
-# are about 3.8 GB and 2.6 GB
+# fig1 and validate hold every trial's estimates of one distance in
+# memory: at 1e5 trials (tracemalloc) fig1 peaks at 20 MB and validate at
+# 26 MB, whatever the number of distances, so 1e7 trials are about 2.0 GB
+# and 2.6 GB
 _MAX_TRIALS = 10**7
 
 
@@ -123,7 +124,13 @@ def main(argv=None) -> int:
               f"report in {out_dir}/validate_report.csv")
         return 0 if ok else 1
 
-    path = _RUNNERS[args.command](cfg, out_dir)
+    try:
+        path = _RUNNERS[args.command](cfg, out_dir)
+    except ValueError as exc:
+        # a value the model rejects at some input of the run, such as the
+        # rate kernel's check for a physical covariance matrix
+        print(f"cvqkd: {args.command}: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.command}: wrote {path}")
     return 0
 

@@ -53,6 +53,7 @@ from .optimizer import (
     _round_m,
     optimize_asymptotic_rate,
     optimize_key_rate,
+    optimize_key_rates,
 )
 from .security import key_rate_asymptotic, key_rate_finite
 
@@ -302,10 +303,15 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
     moment and combined estimators at the configured sample distances.
     """
     os.makedirs(out_dir, exist_ok=True)
-    mc: dict[float, dict] = {}
+    # each distance's trial table is reduced to its two stds and dropped
+    # before the next is drawn, so the peak is one distance's
+    mc: dict[float, list] = {}
     for di, d in enumerate(cfg.mc_distances_km):
         if d in cfg.distances_km:
-            mc[d] = run_estimator_trials(cfg, d, cfg.trials, stream_base=3 * di)
+            res = run_estimator_trials(cfg, d, cfg.trials, stream_base=3 * di)
+            mc[d] = [float(np.std(res[name], ddof=1))
+                     for name in ("sigma2_mm_full", "sigma2_opt")]
+            del res
 
     rows = []
     for d in cfg.distances_km:
@@ -314,12 +320,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
             EstimatorKind.VXI_SECONDMOD, EstimatorKind.SIGMA2_MM_FULL,
             EstimatorKind.SIGMA2_MLE, EstimatorKind.VXI_OPT,
             EstimatorKind.SIGMA2_OPT)]
-        if d in mc:
-            row.append(float(np.std(mc[d]["sigma2_mm_full"], ddof=1)))
-            row.append(float(np.std(mc[d]["sigma2_opt"], ddof=1)))
-        else:
-            row.extend([None, None])
-        rows.append(row)
+        rows.append(row + mc.get(d, [None, None]))
 
     path = os.path.join(out_dir, "fig1.csv")
     _write_table(path, cfg,
@@ -359,16 +360,17 @@ def _asymptotic_beta(cfg: ExperimentConfig) -> float:
 
 def _optimize_grid(cfg: ExperimentConfig, n_values: list[int]):
     """Optimized rates for each (distance, N, estimator)."""
+    Ts = [fiber_transmission(d, cfg.loss_db_per_km) for d in cfg.distances_km]
+    # each (N, estimator) column over every distance in one call
+    column = {(N, name): optimize_key_rates(
+                  cfg.xi, cfg.beta, N, cfg.epsilon_pe, _KIND_BY_NAME[name],
+                  Ts=Ts, convention=cfg.convention)
+              for N in n_values for name in cfg.estimators}
     results = {}
     trace_rows = []
-    for d in cfg.distances_km:
-        T = fiber_transmission(d, cfg.loss_db_per_km)
+    for di, (d, T) in enumerate(zip(cfg.distances_km, Ts)):
         for N in n_values:
-            own = {}
-            for name in cfg.estimators:
-                own[name] = optimize_key_rate(
-                    cfg.xi, cfg.beta, N, cfg.epsilon_pe, _KIND_BY_NAME[name],
-                    T=T, convention=cfg.convention)
+            own = {name: column[N, name][di] for name in cfg.estimators}
             for name in cfg.estimators:
                 others = [own[o] for o in cfg.estimators if o != name]
                 res = _best_over_candidates(_KIND_BY_NAME[name], T, cfg, N,

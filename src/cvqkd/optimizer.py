@@ -2,11 +2,15 @@
 
 The rate is cheap to evaluate (closed form), so a coarse deterministic
 grid over (V_A, m/N) followed by a Nelder-Mead polish is enough. V_A is
-searched on a log scale; the revealed fraction linearly. The grid is
-ranked by one array evaluation of the rate kernel; the re-scored grid
-cells, the seeds and the polish call the kernel on floats, and every
-reported rate is the value ``key_rate_finite`` gives at that point, bit
-for bit. The reported optimum is never below the best grid point.
+searched on a log scale; the revealed fraction linearly.
+``optimize_key_rates`` optimizes a column of transmissions: one array
+evaluation of the rate kernel ranks the grids of a block of at most
+_T_BLOCK transmissions (a constant, not a parameter), and
+``optimize_key_rate`` is its one-transmission case. The re-scored grid
+cells, the seeds and the polish of each transmission call the kernel on
+floats, and every reported rate is the value ``key_rate_finite`` gives at
+that point, bit for bit. The reported optimum is never below the best
+grid point.
 
 The polish is a bounded Nelder-Mead written here, on Python floats. It
 takes the steps that ``scipy.optimize.minimize(method="Nelder-Mead",
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import floor, log10
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,6 +46,7 @@ __all__ = [
     "MaximumDistanceResult",
     "RangeLimitRatio",
     "optimize_key_rate",
+    "optimize_key_rates",
     "optimize_asymptotic_rate",
     "maximum_distance",
     "range_limit_ratio",
@@ -89,6 +95,15 @@ _ASYMPTOTIC_LOG_VAS = [float(v) for v in
                        np.linspace(log10(0.1), log10(100.0), 48)]
 _MAXITER = 400
 _BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
+# the grid's V_A column, as the rate kernel takes it
+_GRID_VAS = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
+# Transmissions whose grids one kernel call ranks, as (block, 24, 24)
+# arrays. A call's fixed cost is most of its time at one transmission;
+# at 8 it is spread thin. Ranking the 41 default distances (2-vCPU Xeon,
+# numpy 2.4.6) takes 172 us a transmission one at a time, 57 us in blocks
+# of 8 and 56 us in one call, but that one call's temporaries peak at
+# 2.5 MB (tracemalloc, the whole column optimized) against 0.54 MB.
+_T_BLOCK = 8
 
 # bound on the gap between the rate kernel's raw rate on numpy arrays and
 # on floats (key_rate_finite.key_rate_raw) over the optimizer's grids;
@@ -99,13 +114,6 @@ _GRID_TOL = 1e-12
 def _round_m(frac: float, N: int) -> int:
     # ties round up: revealing one more state is the conservative choice
     return min(max(floor(frac * N + 0.5), 1), N - 1)
-
-
-def _clip(v: float, lo: float, hi: float) -> float:
-    # numpy.clip on one float: a bound wins a tie, so -0.0 clipped at a
-    # lower bound of 0.0 becomes 0.0
-    v = v if v > lo else lo
-    return v if v < hi else hi
 
 
 def _nelder_mead(f, x0, bounds, maxiter: int, xatol: float,
@@ -123,11 +131,12 @@ def _nelder_mead(f, x0, bounds, maxiter: int, xatol: float,
     of floats and returns a number, never NaN.
     """
     n = len(x0)
-    lo = [b[0] for b in bounds]
-    hi = [b[1] for b in bounds]
 
     def clip(x):
-        return [_clip(v, a, b) for v, a, b in zip(x, lo, hi)]
+        # numpy.clip on each float: a bound wins a tie, so -0.0 clipped at
+        # a lower bound of 0.0 becomes 0.0
+        return [w if (w := v if v > lo else lo) < hi else hi
+                for v, (lo, hi) in zip(x, bounds)]
 
     x0 = clip(x0)
     sim = [x0]
@@ -135,63 +144,65 @@ def _nelder_mead(f, x0, bounds, maxiter: int, xatol: float,
         y = list(x0)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
-    sim = [clip([2 * b - v if v > b else v for v, b in zip(x, hi)])
+    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(x, bounds)])
            for x in sim]
-    fsim = [f(x) for x in sim]
+    # (f(x), x) pairs, best first; the sort is stable, as numpy's argsort
+    # is on so few values, so ties keep their order
+    simplex = [(f(x), x) for x in sim]
     nfev = n + 1
-
-    def sort():
-        # stable, as numpy's argsort is on so few values: ties keep order
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
-    sim, fsim = sort()
+    simplex.sort(key=itemgetter(0))
     iterations = 1
     while iterations < maxiter:
-        best = sim[0]
-        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
-                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+        f0, best = simplex[0]
+        # converged when every vertex is within xatol of the best in each
+        # coordinate and within fatol of it in f; the first one that is
+        # not settles it
+        for fv, x in simplex[1:]:
+            if not (abs(f0 - fv) <= fatol
+                    and all(abs(v - b) <= xatol for v, b in zip(x, best))):
+                break
+        else:
             break
-        xbar = list(best)
-        for x in sim[1:-1]:
+        xbar = best
+        for _, x in simplex[1:-1]:
             xbar = [c + v for c, v in zip(xbar, x)]
         xbar = [c / n for c in xbar]
-        worst = sim[-1]
+        f_worst, worst = simplex[-1]
         # reflection, expansion, outside and inside contraction: scipy's
         # (1 + rho)*xbar - rho*worst and its kin at rho = 1, chi = 2,
         # psi = 0.5
         xr = clip([2 * c - w for c, w in zip(xbar, worst)])
         fxr = f(xr)
         nfev += 1
-        if fxr < fsim[0]:
+        if fxr < f0:
             xe = clip([3 * c - 2 * w for c, w in zip(xbar, worst)])
             fxe = f(xe)
             nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            simplex[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < simplex[-2][0]:
+            simplex[-1] = (fxr, xr)
         else:
-            if fxr < fsim[-1]:
+            if fxr < f_worst:
                 xc = clip([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)])
                 fxc = f(xc)
                 accept = fxc <= fxr
             else:
                 xc = clip([0.5 * c + 0.5 * w for c, w in zip(xbar, worst)])
                 fxc = f(xc)
-                accept = fxc < fsim[-1]
+                accept = fxc < f_worst
             nfev += 1
             if accept:
-                sim[-1], fsim[-1] = xc, fxc
+                simplex[-1] = (fxc, xc)
             else:
                 # shrink every vertex halfway towards the best one
                 for j in range(1, n + 1):
-                    sim[j] = clip([b + 0.5 * (v - b)
-                                   for v, b in zip(sim[j], best)])
-                    fsim[j] = f(sim[j])
+                    x = clip([b + 0.5 * (v - b)
+                              for v, b in zip(simplex[j][1], best)])
+                    simplex[j] = (f(x), x)
                 nfev += n
         iterations += 1
-        sim, fsim = sort()
-    return sim[0], fsim[0], nfev
+        simplex.sort(key=itemgetter(0))
+    return simplex[0][1], simplex[0][0], nfev
 
 
 def _last_positive(positive, d_cap_km: float,
@@ -252,25 +263,52 @@ def optimize_key_rate(xi: float, beta: float, N: int,
     neighbouring distance's optimum keeps the search from reporting a
     false zero there.
     """
+    return optimize_key_rates(xi, beta, N, epsilon_pe, estimator_kind,
+                              Ts=[T], convention=convention, seeds=seeds)[0]
+
+
+def optimize_key_rates(xi: float, beta: float, N: int,
+                       epsilon_pe: float = 1e-10,
+                       estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
+                       *, Ts, convention: str = "paper",
+                       seeds=None) -> list[OptimizationResult]:
+    """``optimize_key_rate`` at each transmission of ``Ts``, in order.
+
+    The grids of up to _T_BLOCK transmissions are ranked by one array
+    evaluation of the rate kernel; each transmission's cells are then
+    re-scored and polished on their own, so every result is the one a
+    call of ``optimize_key_rate`` at that T gives. ``seeds`` apply to
+    every transmission.
+    """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
-    rate = _search_rate(T, xi, beta, N, z, kind)
+    # the grid inputs are the scalar path's own, bit for bit (m as float,
+    # so m**2 cannot overflow); V_A outer and fraction inner
+    ms = np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
+    results = []
+    for i in range(0, len(Ts), _T_BLOCK):
+        block = Ts[i:i + _T_BLOCK]
+        raw = _finite_rate_kernel(
+            _GRID_VAS, np.array(block, dtype=float)[:, None, None], xi, beta,
+            N, ms, z, kind, _NUMPY)[0]
+        results += [_optimize_ranked(rank.ravel(),
+                                     _search_rate(T, xi, beta, N, z, kind),
+                                     seeds)
+                    for T, rank in zip(block, raw)]
+    return results
 
-    # rank the grid with the kernel on arrays, V_A outer and fraction
-    # inner; the grid inputs are the scalar path's own, bit for bit (m as
-    # float, so m**2 cannot overflow)
-    raw = _finite_rate_kernel(
-        np.array([10.0 ** lv for lv in _LOG_VAS])[:, None], T, xi, beta, N,
-        np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)[None, :],
-        z, kind, _NUMPY)[0].ravel()
+
+def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
+    """One transmission's optimum from its grid's array rates ``raw`` and
+    its scalar search rate."""
     # The array rate is the scalar one up to _GRID_TOL of round-off, so the
     # scalar scan's first strict maximum is among these cells, or is cell 0
     # when no rate is positive. Scanning them with the scalar rate returns
     # the cell, and the value, that scanning the whole grid would.
     top = raw.max()
     cells = np.flatnonzero(raw >= top - 2.0 * _GRID_TOL)
-    if top <= _GRID_TOL:
-        cells = np.union1d(0, cells)
+    if top <= _GRID_TOL and cells[0] != 0:
+        cells = np.concatenate(([0], cells))
     best = (-1.0, _LOG_VAS[0], _FRACS[0])
     for i in cells:
         lv, fr = _LOG_VAS[i // len(_FRACS)], _FRACS[i % len(_FRACS)]

@@ -12,7 +12,8 @@ favorable parameters inside the confidence region, which shrinks with the
 number of revealed states and with the estimator's variance. That rate
 is written once, in ``_finite_rate_kernel``, and run on Python floats
 (``key_rate_finite``, the optimizer's polish) or on numpy arrays (the
-optimizer's grid). Its steps are written once each: the corner's hold
+optimizer's grid, ranked for a block of transmissions at once, so T is
+an array there too). Its steps are written once each: the corner's hold
 inside the physical region (``_hold``, also behind ``worst_case_params``),
 the mutual information (``_i_ab``, also behind ``mutual_information``)
 and the Holevo term's eigenvalues and entropies.
@@ -244,7 +245,7 @@ def _finite_rate_kernel(V_A, T, xi, beta, N, m, z, kind, xp):
     n = N - m
     sigma2 = _sigma2(T, xi)
     t_min, sigma2_max, clamped = _hold(
-        sqrt(T) - z * xp.sqrt(var_t_mle(V_A, T, sigma2, m)),
+        xp.sqrt(T) - z * xp.sqrt(var_t_mle(V_A, T, sigma2, m)),
         sigma2 + z * xp.sqrt(sigma2_variance(kind, V_A, T, sigma2, m, n, N)),
         xp)
     s_wc = _holevo(*_corner(t_min, sigma2_max, V_A, xp), xp)

@@ -7,6 +7,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ from cvqkd.experiments import (
     run_optimize,
     run_simulate,
 )
-from cvqkd.optimizer import optimize_asymptotic_rate
+from cvqkd.config import _KIND_BY_NAME
+from cvqkd.optimizer import optimize_asymptotic_rate, optimize_key_rate
 from cvqkd.security import key_rate_asymptotic
 
 SMALL_CFG = (
@@ -302,6 +304,81 @@ def test_run_fig1_reruns_byte_identical(tmp_path):
     run_fig1(_small_cfg(), str(tmp_path / "b"))
     assert (tmp_path / "a" / "fig1.csv").read_bytes() == \
         (tmp_path / "b" / "fig1.csv").read_bytes()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_fig1_peak_memory_does_not_grow_with_distances(tmp_path):
+    """fig1 reduces each Monte Carlo distance to its two stds before it
+    draws the next: four distances peak where one does, not three trial
+    tables (7 arrays of ``trials`` floats each) higher."""
+    trials = 20000
+    run_fig1(ExperimentConfig(trials=2), str(tmp_path))
+    peaks = [_traced_peak(lambda: run_fig1(
+                 ExperimentConfig(trials=trials, mc_distances_km=mc),
+                 str(tmp_path)))
+             for mc in ([0.0], [0.0, 20.0, 50.0, 100.0])]
+    table = 7 * 8 * trials
+    assert peaks[1] < peaks[0] + table / 2, peaks
+
+
+def _per_cell_grid(cfg, n_values):
+    """_optimize_grid as one optimize_key_rate call per (distance, N,
+    estimator) cell, the reference for the column calls."""
+    results, trace_rows = {}, []
+    for d in cfg.distances_km:
+        T = fiber_transmission(d, cfg.loss_db_per_km)
+        for N in n_values:
+            own = {name: optimize_key_rate(
+                       cfg.xi, cfg.beta, N, cfg.epsilon_pe,
+                       _KIND_BY_NAME[name], T=T, convention=cfg.convention)
+                   for name in cfg.estimators}
+            for name in cfg.estimators:
+                res = experiments._best_over_candidates(
+                    _KIND_BY_NAME[name], T, cfg, N, own[name],
+                    [own[o] for o in cfg.estimators if o != name])
+                results[(d, N, name)] = res
+                trace_rows += [[d, name, experiments._n_label(N), *row]
+                               for row in res.trace]
+    return results, trace_rows
+
+
+@pytest.mark.parametrize("convention", ["paper", "gaussian"])
+def test_optimize_grid_columns_match_per_cell_optimizations(convention):
+    """Ranking each (N, estimator) column in blocks of transmissions gives
+    every cell's result (values, evaluations, trace) and the trace rows in
+    their order, as one optimization per cell does; 9 distances are a
+    block of 8 and a ragged tail of 1."""
+    cfg = parse_config("distances_km = 0, 10, 20, 30, 38.5, 40, 60, 120, "
+                       "190\nn_list = 1e5, 1e9\n")
+    cfg.convention = convention
+    results, trace_rows = experiments._optimize_grid(cfg, cfg.n_list)
+    ref_results, ref_rows = _per_cell_grid(cfg, cfg.n_list)
+    assert list(results) == list(ref_results)
+    assert repr(results) == repr(ref_results)
+    assert repr(trace_rows) == repr(ref_rows)
+    assert any(r.best_key_rate > 0.0 for r in results.values())
+    assert any(r.best_key_rate == 0.0 for r in results.values())
+
+
+def test_figure_verbs_exit_two_when_a_grid_cell_fails(tmp_path, monkeypatch,
+                                                      capsys):
+    """One unphysical transmission (T > 1) in a column fails its block's
+    ranking; the verb exits 2 with the grid's message, not a traceback."""
+    real = experiments.fiber_transmission
+    monkeypatch.setattr(experiments, "fiber_transmission",
+                        lambda d, loss: 10.0 if d == 15.0 else real(d, loss))
+    for verb in ("fig2", "fig3"):
+        assert cli.main([verb, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cvqkd: {verb}: " in err and "on the rate grid" in err
 
 
 def test_run_fig2_rate_ordering(tmp_path):

@@ -6,19 +6,26 @@ from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
     _BOUNDS,
     _FRACS,
+    _GRID_TOL,
+    _GRID_VAS,
     _LOG_VAS,
     _MAXITER,
+    _T_BLOCK,
     _last_positive,
     _nelder_mead,
+    _round_m,
     _search_rate,
     maximum_distance,
     optimize_asymptotic_rate,
     optimize_key_rate,
+    optimize_key_rates,
     range_limit_ratio,
 )
 from cvqkd import optimizer, security
 from cvqkd.security import (
+    _NUMPY,
     KEY_RATE_ESTIMATORS,
+    _finite_rate_kernel,
     confidence_quantile,
     key_rate_asymptotic,
     key_rate_finite,
@@ -138,6 +145,83 @@ def test_seed_continuation_rescues_boundary_optimum():
     assert cold.best_key_rate == 0.0
     assert warm.best_key_rate > 0.0
     assert warm.best_m_fraction > 0.9
+
+
+# one figure column, the default distances: 41 = 5 blocks of 8 and a
+# ragged tail of 1, ending past the range limit of every N below
+COLUMN_KM = [float(d) for d in range(0, 201, 5)]
+
+
+def _ranked_rows(monkeypatch, block, N, kind):
+    """The grid rates optimize_key_rates ranks for COLUMN_KM, per
+    transmission, with the column cut into blocks of ``block``."""
+    rows = []
+    ranked = optimizer._optimize_ranked
+
+    def spy(raw, rate, seeds):
+        rows.append(raw)
+        return ranked(raw, rate, seeds)
+
+    monkeypatch.setattr(optimizer, "_optimize_ranked", spy)
+    monkeypatch.setattr(optimizer, "_T_BLOCK", block)
+    Ts = [fiber_transmission(d) for d in COLUMN_KM]
+    results = optimize_key_rates(XI, BETA, N, estimator_kind=kind, Ts=Ts)
+    monkeypatch.undo()
+    assert len(rows) == len(results) == len(Ts)
+    return Ts, rows, results
+
+
+@pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
+def test_column_ranking_matches_per_transmission_kernel_calls(monkeypatch,
+                                                              kind):
+    """Blocks of 1, of _T_BLOCK with a ragged tail, and the whole column
+    rank with the raw rates of one 2-D kernel call per transmission, bit
+    for bit, far distances with no positive rate included; the results are
+    those of optimize_key_rate at each transmission."""
+    assert len(COLUMN_KM) % _T_BLOCK == 1
+    z = confidence_quantile(1e-10)
+    for N in (10**5, 10**12):
+        ms = np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
+        runs = [_ranked_rows(monkeypatch, block, N, kind)
+                for block in (1, _T_BLOCK, len(COLUMN_KM))]
+        Ts = runs[0][0]
+        for i, T in enumerate(Ts):
+            ref = _finite_rate_kernel(_GRID_VAS, T, XI, BETA, N, ms[None, :],
+                                      z, kind, _NUMPY)[0].ravel()
+            for _, rows, results in runs:
+                assert rows[i].tobytes() == ref.tobytes()
+                assert repr(results[i]) == repr(runs[0][2][i])
+        # the farthest transmission has no positive rate in its grid
+        assert np.max(runs[0][1][-1]) < 0.0
+        assert runs[0][2][-1].best_key_rate == 0.0
+        single = optimize_key_rate(XI, BETA, N, estimator_kind=kind,
+                                   T=Ts[7])
+        assert repr(single) == repr(runs[1][2][7])
+
+
+def test_column_ranking_stays_within_the_grid_tolerance(monkeypatch):
+    """Every cell of a ranked block is key_rate_finite's raw rate within
+    _GRID_TOL."""
+    N = 10**7
+    kind = EstimatorKind.SIGMA2_OPT
+    Ts, rows, _ = _ranked_rows(monkeypatch, _T_BLOCK, N, kind)
+    for T, raw in zip(Ts, rows):
+        scalar = np.array([
+            key_rate_finite(10.0 ** lv, T, XI, BETA, N, _round_m(fr, N),
+                            1e-10, kind).key_rate_raw
+            for lv in _LOG_VAS for fr in _FRACS])
+        assert np.max(np.abs(raw - scalar)) <= _GRID_TOL
+
+
+def test_one_failed_cell_fails_its_block():
+    """T > 1 in the middle of a block is not physical: the column raises
+    the grid's error, as a single transmission does."""
+    Ts = [fiber_transmission(d) for d in range(0, 50, 5)]
+    Ts[3] = 10.0
+    with pytest.raises(ValueError, match="on the rate grid"):
+        optimize_key_rates(XI, BETA, 10**5, Ts=Ts)
+    with pytest.raises(ValueError, match="on the rate grid"):
+        optimize_key_rate(XI, BETA, 10**5, T=10.0)
 
 
 def test_optimize_asymptotic_rate_basics():
