@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         path = _RUNNERS[args.command](cfg, out_dir)
     except ValueError as exc:
         # a value the model rejects at some input of the run, such as the
-        # rate kernel's check for a physical covariance matrix
+        # rate's check for a physical covariance matrix
         print(f"cvqkd: {args.command}: {exc}", file=sys.stderr)
         return 2
     print(f"{args.command}: wrote {path}")

@@ -272,6 +272,9 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
                     float(np.std(res["sigma2_mm_key"], ddof=1)))
         add("opt_dominance", d, "sigma2_opt", std_opt, floor,
             DOMINANCE_SLACK, std_opt <= DOMINANCE_SLACK * floor)
+        # drop this distance's trial table before the next is drawn, so the
+        # peak is one distance's
+        del res
 
     all_ok = all(r[6] == "pass" for r in rows)
     _write_table(os.path.join(out_dir, "validate_report.csv"), cfg,

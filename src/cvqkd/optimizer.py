@@ -3,14 +3,15 @@
 The rate is cheap to evaluate (closed form), so a coarse deterministic
 grid over (V_A, m/N) followed by a Nelder-Mead polish is enough. V_A is
 searched on a log scale; the revealed fraction linearly.
-``optimize_key_rates`` optimizes a column of transmissions: one array
-evaluation of the rate kernel ranks the grids of a block of at most
-_T_BLOCK transmissions (a constant, not a parameter), and
-``optimize_key_rate`` is its one-transmission case. The re-scored grid
-cells, the seeds and the polish of each transmission call the kernel on
-floats, and every reported rate is the value ``key_rate_finite`` gives at
-that point, bit for bit. The reported optimum is never below the best
-grid point.
+``optimize_key_rates`` optimizes a column of transmissions: one call of
+the rate's array path, ``security._rate_grid``, ranks the grids of a
+block of at most _T_BLOCK transmissions (a constant, not a parameter),
+and ``optimize_key_rate`` is its one-transmission case. The re-scored
+grid cells, the seeds and the polish of each transmission call the float
+path, ``security._rate``, which is about 30 times cheaper than the array
+path on one point, and every reported rate is the value
+``key_rate_finite`` gives at that point, bit for bit. The reported
+optimum is never below the best grid point.
 
 The polish is a bounded Nelder-Mead written here, on Python floats. It
 takes the steps that ``scipy.optimize.minimize(method="Nelder-Mead",
@@ -30,10 +31,9 @@ import numpy as np
 from .channel import fiber_transmission
 from .estimators import EstimatorKind
 from .security import (
-    _MATH,
-    _NUMPY,
-    _finite_rate_kernel,
     _key_rate_kind,
+    _rate,
+    _rate_grid,
     confidence_quantile,
     key_rate_asymptotic,
     # unused here, kept importable as cvqkd.optimizer.key_rate_finite,
@@ -95,9 +95,9 @@ _ASYMPTOTIC_LOG_VAS = [float(v) for v in
                        np.linspace(log10(0.1), log10(100.0), 48)]
 _MAXITER = 400
 _BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
-# the grid's V_A column, as the rate kernel takes it
+# the grid's V_A column, as _rate_grid takes it
 _GRID_VAS = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
-# Transmissions whose grids one kernel call ranks, as (block, 24, 24)
+# Transmissions whose grids one _rate_grid call ranks, as (block, 24, 24)
 # arrays. A call's fixed cost is most of its time at one transmission;
 # at 8 it is spread thin. Ranking the 41 default distances (2-vCPU Xeon,
 # numpy 2.4.6) takes 172 us a transmission one at a time, 57 us in blocks
@@ -105,9 +105,9 @@ _GRID_VAS = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
 # 2.5 MB (tracemalloc, the whole column optimized) against 0.54 MB.
 _T_BLOCK = 8
 
-# bound on the gap between the rate kernel's raw rate on numpy arrays and
-# on floats (key_rate_finite.key_rate_raw) over the optimizer's grids;
-# tests/test_security.py checks it cell by cell
+# bound on the gap between the raw rates of the array path (_rate_grid)
+# and of the float path (key_rate_finite.key_rate_raw) over the
+# optimizer's grids; tests/test_security.py checks it cell by cell
 _GRID_TOL = 1e-12
 
 
@@ -233,7 +233,7 @@ def _last_positive(positive, d_cap_km: float,
 
 def _search_rate(T: float, xi: float, beta: float, N: int, z: float,
                  kind: EstimatorKind):
-    """rate(log10 V_A, m/N) for the search, straight from the rate kernel.
+    """rate(log10 V_A, m/N) for the search, straight from the float rate.
 
     z is confidence_quantile(epsilon_pe, convention) and kind one of
     KEY_RATE_ESTIMATORS; each value is key_rate_finite(10**log_va, T, xi,
@@ -241,9 +241,10 @@ def _search_rate(T: float, xi: float, beta: float, N: int, z: float,
     bit for bit.
     """
     def rate(log_va: float, frac: float) -> float:
-        raw = _finite_rate_kernel(10.0 ** log_va, T, xi, beta, N,
-                                  _round_m(frac, N), z, kind, _MATH)[0]
-        return max(raw, 0.0)
+        raw = _rate(10.0 ** log_va, T, xi, beta, N, _round_m(frac, N), z,
+                    kind)[0]
+        # max(raw, 0.0), signed zeros and NaN included
+        return 0.0 if 0.0 > raw else raw
     return rate
 
 
@@ -274,8 +275,8 @@ def optimize_key_rates(xi: float, beta: float, N: int,
                        seeds=None) -> list[OptimizationResult]:
     """``optimize_key_rate`` at each transmission of ``Ts``, in order.
 
-    The grids of up to _T_BLOCK transmissions are ranked by one array
-    evaluation of the rate kernel; each transmission's cells are then
+    The grids of up to _T_BLOCK transmissions are ranked by one call of
+    the rate's array path; each transmission's cells are then
     re-scored and polished on their own, so every result is the one a
     call of ``optimize_key_rate`` at that T gives. ``seeds`` apply to
     every transmission.
@@ -288,9 +289,9 @@ def optimize_key_rates(xi: float, beta: float, N: int,
     results = []
     for i in range(0, len(Ts), _T_BLOCK):
         block = Ts[i:i + _T_BLOCK]
-        raw = _finite_rate_kernel(
+        raw = _rate_grid(
             _GRID_VAS, np.array(block, dtype=float)[:, None, None], xi, beta,
-            N, ms, z, kind, _NUMPY)[0]
+            N, ms, z, kind)
         results += [_optimize_ranked(rank.ravel(),
                                      _search_rate(T, xi, beta, N, z, kind),
                                      seeds)

@@ -41,7 +41,6 @@ from cvqkd.experiments import (
 )
 from cvqkd.optimizer import maximum_distance, range_limit_ratio
 from cvqkd.security import (
-    _MATH,
     _symplectic,
     covariance_matrix,
     holevo_bound,
@@ -233,7 +232,7 @@ def test_security_reference_points(report):
     if abs(s_dead) > 1e-9:
         problems.append(f"broken-channel Holevo {s_dead:.2e}")
     epr = covariance_matrix(3.0, 1.0, 0.0)
-    nus = _symplectic(epr.a, epr.b, epr.c, _MATH)
+    nus = _symplectic(epr.a, epr.b, epr.c)
     if max(abs(nu - 1.0) for nu in nus) > 1e-9:
         problems.append(f"shared pure state not pure: {nus}")
     k = key_rate_asymptotic(3.0, 1.0, 0.0, beta=1.0).key_rate

@@ -329,6 +329,20 @@ def test_run_fig1_peak_memory_does_not_grow_with_distances(tmp_path):
     assert peaks[1] < peaks[0] + table / 2, peaks
 
 
+def test_validate_peak_memory_does_not_grow_with_distances(tmp_path):
+    """validate drops each Monte Carlo distance's trial table (7 arrays of
+    ``trials`` floats) before it draws the next: four distances peak where
+    one does."""
+    trials = 20000
+    monte_carlo_validate(ExperimentConfig(trials=2), str(tmp_path))
+    peaks = [_traced_peak(lambda: monte_carlo_validate(
+                 ExperimentConfig(trials=trials, mc_distances_km=mc),
+                 str(tmp_path)))
+             for mc in ([20.0], [20.0, 50.0, 100.0, 150.0])]
+    table = 7 * 8 * trials
+    assert peaks[1] < peaks[0] + table / 2, peaks
+
+
 def _per_cell_grid(cfg, n_values):
     """_optimize_grid as one optimize_key_rate call per (distance, N,
     estimator) cell, the reference for the column calls."""
@@ -644,7 +658,8 @@ def test_monte_carlo_verbs_refuse_trials_above_their_limit(tmp_path,
 
 
 # sha256 of the table rows (the '#' metadata lines skipped, rows joined by
-# newlines) of each verb's CSV at the default config, and the row count
+# newlines) of each verb's CSV at the default config, and the row count;
+# a "-gaussian" id runs the verb with --convention gaussian
 PINNED_DEFAULT_TABLES = {
     "fig1": ("fig1.csv", 42, "356f2779cfc3044d809209737543e3dd"
                              "27b191f24b06edc173555cd7b806faf1"),
@@ -655,17 +670,31 @@ PINNED_DEFAULT_TABLES = {
                                    "e948597a226c779c9066ac681ceb69ad"),
     "optimize": ("optimize.csv", 4, "80a7567942e37a4f2b7d2a6d6fd50f5d"
                                     "a2a3bf104396f7185bb9e89772eaf7fa"),
+    "fig2-gaussian": ("fig2.csv", 42, "269b4eae1548398c27c572a182deea27"
+                                      "0f171326bb8bd0531d7255a5d8979662"),
+    "fig3-gaussian": ("fig3.csv", 124, "55f2086ec023f08ac9b7a555ff85ee14"
+                                       "8a3c883bcd95a14cacda070f4e3e198c"),
+    "keyrate-gaussian": ("keyrate.csv", 42,
+                         "aaa026be08e372dd0864a347cb847f3b"
+                         "5c539781bcc4699df4af07f81461645e"),
+    "optimize-gaussian": ("optimize.csv", 4,
+                          "682c35469580ba6254418f63570355a4"
+                          "239470ef50c93ac1e151b18adf0fa280"),
 }
 
 
 @pytest.mark.parametrize("verb", sorted(PINNED_DEFAULT_TABLES))
 def test_default_outputs_match_pinned_digests(tmp_path, verb):
     """The default-config tables stay byte for byte what they were when
-    pinned; fig2 and fig3 are pinned row by row in the benchmark's
-    expected outputs."""
+    pinned; the paper convention's fig2 and fig3 are pinned row by row in
+    the benchmark's expected outputs."""
     name, n_rows, digest = PINNED_DEFAULT_TABLES[verb]
+    command, _, convention = verb.partition("-")
+    argv = [command, "--out", str(tmp_path)]
+    if convention:
+        argv += ["--convention", convention]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([verb, "--out", str(tmp_path)]) == 0
+        assert cli.main(argv) == 0
     with open(tmp_path / name, newline="") as fh:
         rows = [line.rstrip("\r\n") for line in fh if not line.startswith("#")]
     assert len(rows) == n_rows

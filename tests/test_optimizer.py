@@ -23,9 +23,8 @@ from cvqkd.optimizer import (
 )
 from cvqkd import optimizer, security
 from cvqkd.security import (
-    _NUMPY,
     KEY_RATE_ESTIMATORS,
-    _finite_rate_kernel,
+    _rate_grid,
     confidence_quantile,
     key_rate_asymptotic,
     key_rate_finite,
@@ -175,9 +174,9 @@ def _ranked_rows(monkeypatch, block, N, kind):
 def test_column_ranking_matches_per_transmission_kernel_calls(monkeypatch,
                                                               kind):
     """Blocks of 1, of _T_BLOCK with a ragged tail, and the whole column
-    rank with the raw rates of one 2-D kernel call per transmission, bit
-    for bit, far distances with no positive rate included; the results are
-    those of optimize_key_rate at each transmission."""
+    rank with the raw rates of one 2-D _rate_grid call per transmission,
+    bit for bit, far distances with no positive rate included; the
+    results are those of optimize_key_rate at each transmission."""
     assert len(COLUMN_KM) % _T_BLOCK == 1
     z = confidence_quantile(1e-10)
     for N in (10**5, 10**12):
@@ -186,8 +185,8 @@ def test_column_ranking_matches_per_transmission_kernel_calls(monkeypatch,
                 for block in (1, _T_BLOCK, len(COLUMN_KM))]
         Ts = runs[0][0]
         for i, T in enumerate(Ts):
-            ref = _finite_rate_kernel(_GRID_VAS, T, XI, BETA, N, ms[None, :],
-                                      z, kind, _NUMPY)[0].ravel()
+            ref = _rate_grid(_GRID_VAS, T, XI, BETA, N, ms[None, :], z,
+                             kind).ravel()
             for _, rows, results in runs:
                 assert rows[i].tobytes() == ref.tobytes()
                 assert repr(results[i]) == repr(runs[0][2][i])
