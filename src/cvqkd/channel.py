@@ -33,7 +33,6 @@ __all__ = [
     "sample_moments",
     "trial_seed",
     "write_session_csv",
-    "read_session_csv",
 ]
 
 
@@ -272,24 +271,3 @@ def write_session_csv(session: SessionData, path) -> None:
             m2 = repr(float(session.x_m2[i])) if has_m2 else ""
             writer.writerow([i, repr(float(session.x[i])), m2,
                              repr(float(session.y[i]))])
-
-
-def read_session_csv(path) -> SessionData:
-    xs, m2s, ys = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "x", "x_m2", "y"]:
-            raise ValueError(f"unexpected session header: {header!r}")
-        for row in reader:
-            xs.append(float(row[1]))
-            m2s.append(float(row[2]) if row[2] else None)
-            ys.append(float(row[3]))
-    if any(v is None for v in m2s) and any(v is not None for v in m2s):
-        raise ValueError("x_m2 column must be all present or all empty")
-    x_m2 = None if (not m2s or m2s[0] is None) else np.asarray(m2s, dtype=float)
-    return SessionData(
-        x=np.asarray(xs, dtype=float),
-        y=np.asarray(ys, dtype=float),
-        x_m2=x_m2,
-    )

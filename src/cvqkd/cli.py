@@ -44,8 +44,8 @@ _MAX_SIMULATE_N = 10**7
 
 # fig1 and validate hold every trial's estimates of one distance in
 # memory: at 1e5 trials (tracemalloc) fig1 peaks at 20 MB and validate at
-# 26 MB, whatever the number of distances, so 1e7 trials are about 2.0 GB
-# and 2.6 GB
+# 22 MB, whatever the number of distances, so 1e7 trials are about 2.0 GB
+# and 2.2 GB
 _MAX_TRIALS = 10**7
 
 

@@ -62,7 +62,6 @@ class ExperimentConfig:
     fig3_N: int = 10**9
     out_dir: str = "results"
     convention: str = "paper"
-    asymptotic_includes_beta: bool = True
     raw_lines: list[str] = field(default_factory=list, repr=False)
 
     def validate(self) -> None:
@@ -127,8 +126,6 @@ class ExperimentConfig:
             val = getattr(self, f.name)
             if isinstance(val, list):
                 val = ",".join(str(v) for v in val)
-            elif isinstance(val, bool):
-                val = "true" if val else "false"
             lines.append(f"{f.name} = {val}")
         return lines
 
@@ -139,15 +136,6 @@ def _parse_int(key: str, text: str) -> int:
     if not isfinite(val) or val != int(val):
         raise ValueError(f"{key} must be an integer, got {text!r}")
     return int(val)
-
-
-def _parse_bool(key: str, text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"{key} must be a boolean, got {text!r}")
 
 
 def _parse_float_list(key: str, text: str) -> list[float]:
@@ -172,7 +160,6 @@ def _parse_float_list(key: str, text: str) -> list[float]:
 _PARSE_BY_TYPE = {
     "float": lambda key, text: float(text),
     "int": _parse_int,
-    "bool": _parse_bool,
     "str": lambda key, text: text,
     "list[float]": _parse_float_list,
     "list[int]": lambda key, text: [_parse_int(key, p)

@@ -356,11 +356,6 @@ def _best_over_candidates(kind: EstimatorKind, T: float,
     return best
 
 
-def _asymptotic_beta(cfg: ExperimentConfig) -> float:
-    # the asymptotic curve scales I_AB by beta only when the config says so
-    return cfg.beta if cfg.asymptotic_includes_beta else 1.0
-
-
 def _optimize_grid(cfg: ExperimentConfig, n_values: list[int]):
     """Optimized rates for each (distance, N, estimator)."""
     Ts = [fiber_transmission(d, cfg.loss_db_per_km) for d in cfg.distances_km]
@@ -397,8 +392,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
     rows = []
     for d in cfg.distances_km:
         asym = optimize_asymptotic_rate(
-            cfg.xi, _asymptotic_beta(cfg),
-            fiber_transmission(d, cfg.loss_db_per_km))
+            cfg.xi, cfg.beta, fiber_transmission(d, cfg.loss_db_per_km))
         row = [d, asym.best_key_rate]
         for N in cfg.n_list:
             for name in cfg.estimators:
@@ -456,8 +450,7 @@ def run_keyrate(cfg: ExperimentConfig, out_dir: str) -> str:
     rows = []
     for d in cfg.distances_km:
         T = fiber_transmission(d, cfg.loss_db_per_km)
-        row = [d, key_rate_asymptotic(cfg.V_A, T, cfg.xi,
-                                      _asymptotic_beta(cfg)).key_rate]
+        row = [d, key_rate_asymptotic(cfg.V_A, T, cfg.xi, cfg.beta).key_rate]
         for name in cfg.estimators:
             row.append(key_rate_finite(cfg.V_A, T, cfg.xi, cfg.beta, cfg.N,
                                        cfg.m, cfg.epsilon_pe,

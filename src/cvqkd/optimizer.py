@@ -112,8 +112,11 @@ _GRID_TOL = 1e-12
 
 
 def _round_m(frac: float, N: int) -> int:
-    # ties round up: revealing one more state is the conservative choice
-    return min(max(floor(frac * N + 0.5), 1), N - 1)
+    # ties round up: revealing one more state is the conservative choice;
+    # min(max(m, 1), N - 1), written out to save two builtin calls
+    m = floor(frac * N + 0.5)
+    m = 1 if 1 > m else m
+    return N - 1 if N - 1 < m else m
 
 
 def _nelder_mead(f, x0, bounds, maxiter: int, xatol: float,

@@ -20,10 +20,6 @@ from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import (
     EstimatorKind,
-    build_cj_mm_full,
-    build_cj_mm_key,
-    delta_method_variance,
-    mm_full_gradient,
     theoretical_std,
     var_sigma2_mm_full,
     var_sigma2_mm_key,
@@ -45,6 +41,12 @@ from cvqkd.security import (
     covariance_matrix,
     holevo_bound,
     key_rate_asymptotic,
+)
+from delta_method import (
+    build_cj_mm_full,
+    build_cj_mm_key,
+    delta_method_variance,
+    mm_full_gradient,
 )
 
 # the benchmark's output checks, read from their file, never installed

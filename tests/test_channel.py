@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from cvqkd.channel import (
     ProtocolParams,
     SessionSplit,
     fiber_transmission,
-    read_session_csv,
     sample_moments,
     sample_session,
     split_session,
@@ -253,18 +254,23 @@ def test_sample_moments_single_key_state_and_bounds():
             sample_moments(ProtocolParams(V_A=3.0, N=10, m=m), channel, 5, 1, 0)
 
 
+def _read_session_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
 def test_session_csv_round_trip(tmp_path):
     proto = ProtocolParams(V_A=3.0, N=64, m=32, V_M2=10.0)
     sess = sample_session(proto, ChannelParams(T=0.5, xi=0.05), seed=77)
     path = tmp_path / "session.csv"
     write_session_csv(sess, path)
-    back = read_session_csv(path)
-    np.testing.assert_array_equal(sess.x, back.x)
-    np.testing.assert_array_equal(sess.x_m2, back.x_m2)
-    np.testing.assert_array_equal(sess.y, back.y)
-    text = path.read_text()
-    assert text.splitlines()[0] == "index,x,x_m2,y"
-    assert "np.float64" not in text
+    header, rows = _read_session_csv(path)
+    assert header == ["index", "x", "x_m2", "y"]
+    assert [int(r[0]) for r in rows] == list(range(64))
+    for col, values in ((1, sess.x), (2, sess.x_m2), (3, sess.y)):
+        np.testing.assert_array_equal([float(r[col]) for r in rows], values)
+    assert "np.float64" not in path.read_text()
 
 
 def test_session_csv_round_trip_without_x_m2(tmp_path):
@@ -272,20 +278,6 @@ def test_session_csv_round_trip_without_x_m2(tmp_path):
     sess = sample_session(proto, ChannelParams(T=1.0, xi=0.0), seed=8)
     path = tmp_path / "plain.csv"
     write_session_csv(sess, path)
-    back = read_session_csv(path)
-    assert back.x_m2 is None
-    np.testing.assert_array_equal(sess.y, back.y)
-
-
-def test_session_csv_rejects_mixed_x_m2_column(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("index,x,x_m2,y\n0,1.0,2.0,3.0\n1,1.0,,3.0\n")
-    with pytest.raises(ValueError):
-        read_session_csv(path)
-
-
-def test_session_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "hdr.csv"
-    path.write_text("x,y\n1.0,2.0\n")
-    with pytest.raises(ValueError):
-        read_session_csv(path)
+    _, rows = _read_session_csv(path)
+    assert all(r[2] == "" for r in rows)
+    np.testing.assert_array_equal([float(r[3]) for r in rows], sess.y)

@@ -50,15 +50,6 @@ def test_parse_distance_range_and_list():
         parse_config("distances_km = 50:0:10\n")
 
 
-def test_parse_bools():
-    assert parse_config("asymptotic_includes_beta = yes\n"
-                        ).asymptotic_includes_beta is True
-    assert parse_config("asymptotic_includes_beta = 0\n"
-                        ).asymptotic_includes_beta is False
-    with pytest.raises(ValueError):
-        parse_config("asymptotic_includes_beta = maybe\n")
-
-
 def test_parse_rejects_unknown_key_with_line_number():
     with pytest.raises(ValueError, match="line 2"):
         parse_config("V_A = 3.0\nV_B = 1.0\n")
@@ -114,14 +105,13 @@ def test_echo_lines_cover_all_fields():
     lines = cfg.echo_lines()
     keys = {line.split(" = ")[0] for line in lines}
     assert "V_A" in keys and "raw_lines" not in keys
-    assert "asymptotic_includes_beta = true" in lines
+    assert "convention = paper" in lines
     assert any(line.startswith("distances_km = 0.0,5.0,") for line in lines)
     # echoed lines parse back to the same settings, field by field, through
     # the parser of each field's type; raw_lines is not a key
     other = parse_config("V_A = 4.5\nN = 2e6\nm = 7e5\ntrials = 30\n"
                          "distances_km = 0:20:10\nn_list = 1e5, 1e9\n"
-                         "estimators = opt, mle\nout_dir = elsewhere\n"
-                         "asymptotic_includes_beta = false\n")
+                         "estimators = opt, mle\nout_dir = elsewhere\n")
     for cfg in (cfg, other):
         round_trip = parse_config("\n".join(cfg.echo_lines()))
         for f in fields(ExperimentConfig):

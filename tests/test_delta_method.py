@@ -8,15 +8,14 @@ statistics covariance builders must match simulated covariances.
 import numpy as np
 import pytest
 
-from cvqkd.estimators import (
+from cvqkd.estimators import var_sigma2_mm_full, var_sigma2_mm_key
+from delta_method import (
     StatisticsCovariance,
     build_cj_mm_full,
     build_cj_mm_key,
     delta_method_mean,
     delta_method_variance,
     mm_full_gradient,
-    var_sigma2_mm_full,
-    var_sigma2_mm_key,
 )
 
 GRID = [(V_A, T, xi)

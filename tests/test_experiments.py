@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -17,7 +18,6 @@ from cvqkd.channel import (
     ChannelParams,
     ProtocolParams,
     fiber_transmission,
-    read_session_csv,
     sample_moments,
     sample_session,
     split_session,
@@ -55,8 +55,7 @@ from cvqkd.experiments import (
     run_simulate,
 )
 from cvqkd.config import _KIND_BY_NAME
-from cvqkd.optimizer import optimize_asymptotic_rate, optimize_key_rate
-from cvqkd.security import key_rate_asymptotic
+from cvqkd.optimizer import optimize_key_rate
 
 SMALL_CFG = (
     "N = 2000\n"
@@ -428,9 +427,10 @@ def test_run_fig3_long_format(tmp_path):
 def test_run_simulate_round_trips(tmp_path):
     cfg = _small_cfg()
     path = run_simulate(cfg, str(tmp_path))
-    session = read_session_csv(path)
-    assert session.n_states == cfg.N
-    assert session.x_m2 is not None  # V_M2 defaults to 10
+    _, header, rows = _read_table(path)
+    assert header == ["index", "x", "x_m2", "y"]
+    assert len(rows) == cfg.N
+    assert all(r[2] for r in rows)  # V_M2 defaults to 10
 
 
 def test_run_keyrate_pointwise_ordering(tmp_path):
@@ -442,25 +442,6 @@ def test_run_keyrate_pointwise_ordering(tmp_path):
         asym, k_mle, k_mm, k_opt = (float(v) for v in r[1:])
         assert k_opt >= max(k_mle, k_mm) - 1e-15
         assert k_opt <= asym + 1e-12
-
-
-def test_asymptotic_columns_drop_beta_when_configured(tmp_path):
-    """With asymptotic_includes_beta = false, fig2 and keyrate both take
-    K_asymptotic at beta = 1, whatever beta the finite-size rates use."""
-    text = "distances_km = 0, 20\nn_list = 1e5\nbeta = 0.9\n"
-    cfg = parse_config(text + "asymptotic_includes_beta = false\n")
-    fig2 = _read_table(run_fig2(cfg, str(tmp_path / "fig2")))[2]
-    keyrate = _read_table(run_keyrate(cfg, str(tmp_path / "keyrate")))[2]
-    with_beta = _read_table(run_keyrate(parse_config(text),
-                                        str(tmp_path / "with_beta")))[2]
-    for d, f_row, k_row, b_row in zip(cfg.distances_km, fig2, keyrate,
-                                      with_beta):
-        T = fiber_transmission(d)
-        assert float(f_row[1]) == optimize_asymptotic_rate(
-            cfg.xi, 1.0, T).best_key_rate
-        assert float(k_row[1]) == key_rate_asymptotic(cfg.V_A, T, cfg.xi,
-                                                      1.0).key_rate
-        assert float(k_row[1]) > float(b_row[1])
 
 
 def test_run_optimize_reports_integer_split(tmp_path):
@@ -494,6 +475,7 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
     for text, verb in (("no_such_key = 1\n", "keyrate"),
                        ("mm_key_cross_denominator_full = true\n", "fig1"),
                        ("mm_key_printed_variance = false\n", "validate"),
+                       ("asymptotic_includes_beta = false\n", "fig2"),
                        ("m = 1e5\n", "validate"), ("m = 1\n", "validate"),
                        ("m = 0\n", "validate"),
                        ("distances_km = \n", "simulate"),
@@ -511,7 +493,7 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
         assert rc == 2, text
         err = capsys.readouterr().err
         assert "cvqkd: config error" in err
-        if text.startswith("mm_key_"):
+        if text.startswith(("mm_key_", "asymptotic_includes_beta")):
             # removed keys are rejected, not ignored
             assert "unknown config key" in err, err
 
@@ -603,7 +585,6 @@ def _random_config(rng):
         ("fig3_N", int(_log_uniform(rng, 3, 1e12))),
         ("estimators", ", ".join(estimators)),
         ("convention", rng.choice(["paper", "gaussian"])),
-        ("asymptotic_includes_beta", rng.choice(["true", "false"])),
         ("seed", int(rng.integers(0, 2**31)))))
 
 
@@ -718,6 +699,60 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(cli._RUNNERS[verb]), verb
 
 
+def _loaded_names(node):
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+            and isinstance(sub.ctx, ast.Load)}
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in a cvqkd module's __all__ is reached from a caller the
+    package ships: a module-level statement, a name the package root
+    exports, the console script cli.main, or a target that the benchmark's
+    tracer wraps. A definition's body counts only once the definition is
+    reached, so names that call only each other fail; tests are not
+    callers. The package and the tracer are read with ast, never
+    imported."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src", "cvqkd")
+    exported, bodies, reached = {}, {}, {"main"}
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(src, filename)) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, set()).update(
+                    _loaded_names(node))
+            elif (isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "__all__"):
+                exported.update((name, filename[:-3])
+                                for name in ast.literal_eval(node.value))
+            elif (isinstance(node, ast.ImportFrom)
+                  and filename == "__init__.py"):
+                reached.update(alias.name for alias in node.names)
+            else:
+                reached |= _loaded_names(node)
+    with open(os.path.join(root, "perfbench", "tracing.py")) as fh:
+        tracing = ast.parse(fh.read())
+    targets = [ast.literal_eval(node.value) for node in tracing.body
+               if isinstance(node, ast.Assign)
+               and getattr(node.targets[0], "id", None) == "_TARGETS"]
+    assert len(targets) == 1 and targets[0]
+    reached |= {attr for _, attr, _ in targets[0]}
+    todo = list(reached)
+    while todo:
+        for name in bodies.get(todo.pop(), set()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert exported
+    unused = sorted(f"{module}.{name}" for name, module in exported.items()
+                    if name not in reached)
+    assert not unused, unused
+
+
 def test_monte_carlo_verbs_load_no_scipy(tmp_path):
     # a fresh interpreter: this test session has imported scipy already
     script = (
@@ -785,9 +820,9 @@ def test_cli_seed_override_changes_sessions(tmp_path):
     rc2 = cli.main(["simulate", "--config", str(cfg_path), "--seed", "7",
                     "--out", str(tmp_path / "b")])
     assert rc1 == 0 and rc2 == 0
-    a = read_session_csv(tmp_path / "a" / "session.csv")
-    b = read_session_csv(tmp_path / "b" / "session.csv")
-    assert not np.array_equal(a.y, b.y)
+    a, b = ([float(r[3]) for r in _read_table(tmp_path / d / "session.csv")[2]]
+            for d in ("a", "b"))
+    assert a != b
 
 
 def test_cli_fig1_writes_output(tmp_path, capsys):

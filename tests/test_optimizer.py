@@ -1,3 +1,5 @@
+from math import floor
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,12 @@ def test_optimizer_rejects_an_unphysical_channel():
 
 def test_optimum_matches_brute_force_scan():
     """Dense grid evaluation of the same objective agrees within 1%."""
+    # _round_m is the builtin min(max(...)) form, at the clamps and on ties
+    for n in (2, 3, 2**53 + 1):
+        for frac in (0.0, -0.0, -1.0, 0.5 / n, 0.5, 1.0 - 0.5 / n, 1.0, 2.0,
+                     *((k + 0.5) / n for k in range(min(n, 4)))):
+            assert _round_m(frac, n) == min(max(floor(frac * n + 0.5), 1),
+                                            n - 1)
     N = 10**9
     res = optimize_key_rate(XI, BETA, N, T=fiber_transmission(20.0))
     best = 0.0
