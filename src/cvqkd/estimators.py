@@ -319,24 +319,43 @@ def _combined_variance(v1: float, v2: float) -> float:
     return v1 * v2 / (v1 + v2)
 
 
+# The closed-form variance of each sigma2 estimator that has one, as a
+# function of (V_A, T, sigma2, m, n, N): the one kind -> form table.
+# sigma2_variance dispatches through it, and the finite-size rate looks its
+# kind's form up once per channel, with _sigma2_variance_form.
+_SIGMA2_VARIANCE = {
+    EstimatorKind.SIGMA2_MLE:
+        lambda V_A, T, sigma2, m, n, N: var_sigma2_mle(sigma2, m),
+    EstimatorKind.SIGMA2_MM_FULL:
+        lambda V_A, T, sigma2, m, n, N: var_sigma2_mm_full(V_A, T, sigma2,
+                                                           m, N),
+    EstimatorKind.SIGMA2_OPT:
+        lambda V_A, T, sigma2, m, n, N: _combined_variance(
+            var_sigma2_mle(sigma2, m),
+            var_sigma2_mm_key(V_A, T, sigma2, m, n)),
+    EstimatorKind.SIGMA2_MM_KEY:
+        lambda V_A, T, sigma2, m, n, N: var_sigma2_mm_key(V_A, T, sigma2,
+                                                          m, n),
+}
+
+
+def _sigma2_variance_form(kind: EstimatorKind):
+    """The closed form (V_A, T, sigma2, m, n, N) -> variance of ``kind``."""
+    form = _SIGMA2_VARIANCE.get(kind)
+    if form is None:
+        raise ValueError(f"no closed-form variance for {kind}")
+    return form
+
+
 def sigma2_variance(kind: EstimatorKind, V_A: float, T: float, sigma2: float,
                     m: int, n: int, N: int) -> float:
     """Closed-form variance of the sigma2 estimator ``kind``.
 
-    The one place that decides which variance sets a sigma2 confidence
-    width: both the estimator spread and the finite-size key rate use it.
+    ``_SIGMA2_VARIANCE`` is the one place that decides which variance sets
+    a sigma2 confidence width: the estimator spread reads it here, the
+    finite-size key rate through ``_sigma2_variance_form``.
     """
-    if kind is EstimatorKind.SIGMA2_MLE:
-        return var_sigma2_mle(sigma2, m)
-    if kind is EstimatorKind.SIGMA2_MM_FULL:
-        return var_sigma2_mm_full(V_A, T, sigma2, m, N)
-    if kind is EstimatorKind.SIGMA2_OPT:
-        return _combined_variance(
-            var_sigma2_mle(sigma2, m),
-            var_sigma2_mm_key(V_A, T, sigma2, m, n))
-    if kind is EstimatorKind.SIGMA2_MM_KEY:
-        return var_sigma2_mm_key(V_A, T, sigma2, m, n)
-    raise ValueError(f"no closed-form variance for {kind}")
+    return _sigma2_variance_form(kind)(V_A, T, sigma2, m, n, N)
 
 
 def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,

@@ -8,12 +8,15 @@ the rate's array path, ``security._rate_grid``, ranks the grids of a
 block of at most _T_BLOCK transmissions (a constant, not a parameter),
 and ``optimize_key_rate`` is its one-transmission case. The re-scored
 grid cells, the seeds and the polish of each transmission call the float
-path, ``security._rate``, which is about 30 times cheaper than the array
-path on one point, and every reported rate is the value
-``key_rate_finite`` gives at that point, bit for bit. The reported
+path, ``security._rate_at``, built once per transmission; an evaluation
+there costs about 2.5 us (2-vCPU Xeon, Python 3.11.7), over 30 times
+less than the array path on one point, and every reported rate is the
+value ``key_rate_finite`` gives at that point, bit for bit. The reported
 optimum is never below the best grid point.
 
-The polish is a bounded Nelder-Mead written here, on Python floats. It
+The polishes are bounded Nelder-Mead searches written here on scalar
+floats: ``_nelder_mead_2d`` over (log10 V_A, m/N) for the finite-size
+rate and ``_nelder_mead_1d`` over log10 V_A for the asymptotic one. Each
 takes the steps that ``scipy.optimize.minimize(method="Nelder-Mead",
 bounds=...)`` takes (scipy 1.17), so the iterates, and every output
 byte, are the ones that scipy routine gives; tests/test_optimizer.py
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import floor, log10
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .channel import fiber_transmission
 from .estimators import EstimatorKind
 from .security import (
     _key_rate_kind,
-    _rate,
+    _rate_at,
     _rate_grid,
     confidence_quantile,
     key_rate_asymptotic,
@@ -119,93 +121,161 @@ def _round_m(frac: float, N: int) -> int:
     return N - 1 if N - 1 < m else m
 
 
-def _nelder_mead(f, x0, bounds, maxiter: int, xatol: float,
-                 fatol: float) -> tuple[list, float, int]:
-    """Minimize f over the box ``bounds``; returns (x, f(x), evaluations).
+# The polishes: bounded Nelder-Mead in two coordinates (log10 V_A, m/N)
+# and in one (log10 V_A), each the run of scipy.optimize.minimize(f, x0,
+# method="Nelder-Mead", bounds=..., options={"maxiter": maxiter, "xatol":
+# xatol, "fatol": fatol}) (scipy 1.17) step for step: the same start
+# simplex (x0 and x0 with one coordinate times 1.05, or set to 0.00025
+# where it is 0), vertices above the upper bound reflected inside and every
+# vertex clipped to the box, the same coefficients in the same operation
+# order, the same strict and non-strict comparisons, a stable sort of the
+# vertices, iterations counted from 1, no evaluation limit and f(x) = min
+# over the final simplex. A vertex is an (f, x[, y]) tuple. Each clip is
+# numpy.clip on one float, written out: a bound wins a tie, so -0.0
+# clipped at a lower bound of 0.0 becomes 0.0. The trial points are
+# scipy's (1 + rho)*xbar - rho*worst and its kin at rho = 1, chi = 2,
+# psi = 0.5: reflection 2*c - w, expansion 3*c - 2*w, outside contraction
+# 1.5*c - 0.5*w and inside contraction 0.5*c + 0.5*w.
 
-    scipy.optimize.minimize(f, x0, method="Nelder-Mead", bounds=bounds,
-    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol}) step for
-    step: the same start simplex (x0 and x0 with one coordinate times
-    1.05, or set to 0.00025 where it is 0), vertices above the upper
-    bound reflected inside and every vertex clipped to the box, the same
-    coefficients in the same operation order, the same strict and
-    non-strict comparisons, a stable sort, iterations counted from 1, no
-    evaluation limit and f(x) = min over the final simplex. f takes a list
-    of floats and returns a number, never NaN.
-    """
-    n = len(x0)
-
-    def clip(x):
-        # numpy.clip on each float: a bound wins a tie, so -0.0 clipped at
-        # a lower bound of 0.0 becomes 0.0
-        return [w if (w := v if v > lo else lo) < hi else hi
-                for v, (lo, hi) in zip(x, bounds)]
-
-    x0 = clip(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(x, bounds)])
-           for x in sim]
-    # (f(x), x) pairs, best first; the sort is stable, as numpy's argsort
-    # is on so few values, so ties keep their order
-    simplex = [(f(x), x) for x in sim]
-    nfev = n + 1
-    simplex.sort(key=itemgetter(0))
-    iterations = 1
-    while iterations < maxiter:
-        f0, best = simplex[0]
-        # converged when every vertex is within xatol of the best in each
-        # coordinate and within fatol of it in f; the first one that is
-        # not settles it
-        for fv, x in simplex[1:]:
-            if not (abs(f0 - fv) <= fatol
-                    and all(abs(v - b) <= xatol for v, b in zip(x, best))):
-                break
+def _nelder_mead_2d(f, x0: float, y0: float, bounds, maxiter: int,
+                    xatol: float, fatol: float):
+    """Minimize f(x, y) over the box ``bounds``; returns (x, y, f(x, y),
+    evaluations). f returns a number, never NaN."""
+    (xlo, xhi), (ylo, yhi) = bounds
+    x0 = w if (w := x0 if x0 > xlo else xlo) < xhi else xhi
+    y0 = w if (w := y0 if y0 > ylo else ylo) < yhi else yhi
+    x1 = (1 + 0.05) * x0 if x0 != 0 else 0.00025
+    if x1 > xhi:
+        x1 = 2 * xhi - x1
+    x1 = w if (w := x1 if x1 > xlo else xlo) < xhi else xhi
+    y2 = (1 + 0.05) * y0 if y0 != 0 else 0.00025
+    if y2 > yhi:
+        y2 = 2 * yhi - y2
+    y2 = w if (w := y2 if y2 > ylo else ylo) < yhi else yhi
+    # the best, second and worst vertex b, s, r, sorted by insertion: each
+    # pass of the loop sorts the vertex ``new`` in after the ones it ties
+    b, s = (f(x0, y0), x0, y0), (f(x1, y0), x1, y0)
+    if s[0] < b[0]:
+        b, s = s, b
+    new = (f(x0, y2), x0, y2)
+    nfev = 3
+    iterations = 0
+    while True:
+        if new[0] < s[0]:
+            r = s
+            if new[0] < b[0]:
+                b, s = new, b
+            else:
+                s = new
         else:
+            r = new
+        iterations += 1
+        if iterations >= maxiter:
             break
-        xbar = best
-        for _, x in simplex[1:-1]:
-            xbar = [c + v for c, v in zip(xbar, x)]
-        xbar = [c / n for c in xbar]
-        f_worst, worst = simplex[-1]
-        # reflection, expansion, outside and inside contraction: scipy's
-        # (1 + rho)*xbar - rho*worst and its kin at rho = 1, chi = 2,
-        # psi = 0.5
-        xr = clip([2 * c - w for c, w in zip(xbar, worst)])
+        fb, bx, by = b
+        fs, sx, sy = s
+        fw, wx, wy = r
+        # converged when both other vertices are within xatol of the best
+        # in each coordinate and within fatol of it in f
+        if (abs(fb - fs) <= fatol and abs(sx - bx) <= xatol
+                and abs(sy - by) <= xatol and abs(fb - fw) <= fatol
+                and abs(wx - bx) <= xatol and abs(wy - by) <= xatol):
+            break
+        cx = (bx + sx) / 2
+        cy = (by + sy) / 2
+        x, y = 2 * cx - wx, 2 * cy - wy
+        xr = w if (w := x if x > xlo else xlo) < xhi else xhi
+        yr = w if (w := y if y > ylo else ylo) < yhi else yhi
+        fxr = f(xr, yr)
+        nfev += 1
+        if fxr < fb:
+            x, y = 3 * cx - 2 * wx, 3 * cy - 2 * wy
+            x = w if (w := x if x > xlo else xlo) < xhi else xhi
+            y = w if (w := y if y > ylo else ylo) < yhi else yhi
+            fxe = f(x, y)
+            nfev += 1
+            new = (fxe, x, y) if fxe < fxr else (fxr, xr, yr)
+            continue
+        if fxr < fs:
+            new = (fxr, xr, yr)
+            continue
+        if fxr < fw:
+            x, y = 1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy
+        else:
+            x, y = 0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy
+        x = w if (w := x if x > xlo else xlo) < xhi else xhi
+        y = w if (w := y if y > ylo else ylo) < yhi else yhi
+        fxc = f(x, y)
+        nfev += 1
+        if fxc <= fxr if fxr < fw else fxc < fw:
+            new = (fxc, x, y)
+            continue
+        # shrink both other vertices halfway towards the best one; the
+        # three are sorted again as the start simplex is
+        x, y = bx + 0.5 * (sx - bx), by + 0.5 * (sy - by)
+        x = w if (w := x if x > xlo else xlo) < xhi else xhi
+        y = w if (w := y if y > ylo else ylo) < yhi else yhi
+        s = (f(x, y), x, y)
+        if s[0] < b[0]:
+            b, s = s, b
+        x, y = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
+        x = w if (w := x if x > xlo else xlo) < xhi else xhi
+        y = w if (w := y if y > ylo else ylo) < yhi else yhi
+        new = (f(x, y), x, y)
+        nfev += 2
+    return b[1], b[2], b[0], nfev
+
+
+def _nelder_mead_1d(f, x0: float, bounds, maxiter: int, xatol: float,
+                    fatol: float):
+    """Minimize f(x) over the interval ``bounds``; returns (x, f(x),
+    evaluations). f returns a number, never NaN."""
+    lo, hi = bounds
+    x0 = w if (w := x0 if x0 > lo else lo) < hi else hi
+    x1 = (1 + 0.05) * x0 if x0 != 0 else 0.00025
+    if x1 > hi:
+        x1 = 2 * hi - x1
+    x1 = w if (w := x1 if x1 > lo else lo) < hi else hi
+    # the best and worst vertex b, r; each pass of the loop sorts the
+    # vertex ``new`` in after b if they tie
+    b, new = (f(x0), x0), (f(x1), x1)
+    nfev = 2
+    iterations = 0
+    while True:
+        b, r = (new, b) if new[0] < b[0] else (b, new)
+        iterations += 1
+        if iterations >= maxiter:
+            break
+        fb, c = b
+        fw, wx = r
+        if abs(fb - fw) <= fatol and abs(wx - c) <= xatol:
+            break
+        # the centroid c of all vertices but the worst is the best vertex,
+        # which is also the second worst: a reflection that does not beat
+        # it is contracted
+        x = 2 * c - wx
+        xr = w if (w := x if x > lo else lo) < hi else hi
         fxr = f(xr)
         nfev += 1
-        if fxr < f0:
-            xe = clip([3 * c - 2 * w for c, w in zip(xbar, worst)])
-            fxe = f(xe)
+        if fxr < fb:
+            x = 3 * c - 2 * wx
+            x = w if (w := x if x > lo else lo) < hi else hi
+            fxe = f(x)
             nfev += 1
-            simplex[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
-        elif fxr < simplex[-2][0]:
-            simplex[-1] = (fxr, xr)
-        else:
-            if fxr < f_worst:
-                xc = clip([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)])
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:
-                xc = clip([0.5 * c + 0.5 * w for c, w in zip(xbar, worst)])
-                fxc = f(xc)
-                accept = fxc < f_worst
+            new = (fxe, x) if fxe < fxr else (fxr, xr)
+            continue
+        x = 1.5 * c - 0.5 * wx if fxr < fw else 0.5 * c + 0.5 * wx
+        x = w if (w := x if x > lo else lo) < hi else hi
+        fxc = f(x)
+        nfev += 1
+        if not (fxc <= fxr if fxr < fw else fxc < fw):
+            # shrink the worst vertex halfway towards the best one
+            x = c + 0.5 * (wx - c)
+            x = w if (w := x if x > lo else lo) < hi else hi
+            fxc = f(x)
             nfev += 1
-            if accept:
-                simplex[-1] = (fxc, xc)
-            else:
-                # shrink every vertex halfway towards the best one
-                for j in range(1, n + 1):
-                    x = clip([b + 0.5 * (v - b)
-                              for v, b in zip(simplex[j][1], best)])
-                    simplex[j] = (f(x), x)
-                nfev += n
-        iterations += 1
-        simplex.sort(key=itemgetter(0))
-    return simplex[0][1], simplex[0][0], nfev
+        new = (fxc, x)
+    return b[1], b[0], nfev
 
 
 def _last_positive(positive, d_cap_km: float,
@@ -243,9 +313,10 @@ def _search_rate(T: float, xi: float, beta: float, N: int, z: float,
     beta, N, _round_m(frac, N), epsilon_pe, kind, convention).key_rate,
     bit for bit.
     """
+    rate_at = _rate_at(T, xi, beta, N, z, kind)
+
     def rate(log_va: float, frac: float) -> float:
-        raw = _rate(10.0 ** log_va, T, xi, beta, N, _round_m(frac, N), z,
-                    kind)[0]
+        raw = rate_at(10.0 ** log_va, _round_m(frac, N))[0]
         # max(raw, 0.0), signed zeros and NaN included
         return 0.0 if 0.0 > raw else raw
     return rate
@@ -337,12 +408,12 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
         trace.append(("seed", 10.0 ** lv, fr, k, 1))
 
     for lv0, fr0 in starts:
-        x, fun, nfev = _nelder_mead(
-            lambda v: -rate(v[0], v[1]), [lv0, fr0], _BOUNDS, _MAXITER,
+        lv, fr, fun, nfev = _nelder_mead_2d(
+            lambda lv, fr: -rate(lv, fr), lv0, fr0, _BOUNDS, _MAXITER,
             xatol=1e-4, fatol=1e-12)
         evaluations += nfev
         if -fun > best[0]:
-            best = (-fun, x[0], x[1])
+            best = (-fun, lv, fr)
         trace.append(("refine", 10.0 ** best[1], best[2], best[0], nfev))
 
     return OptimizationResult(
@@ -365,12 +436,12 @@ def optimize_asymptotic_rate(xi: float, beta: float,
     best = (ks[i], _ASYMPTOTIC_LOG_VAS[i])
     evaluations = len(ks)
     if best[0] > 0.0:
-        x, fun, nfev = _nelder_mead(
-            lambda v: -rate(v[0]), [best[1]], _BOUNDS[:1], _MAXITER,
+        lv, fun, nfev = _nelder_mead_1d(
+            lambda lv: -rate(lv), best[1], _BOUNDS[0], _MAXITER,
             xatol=1e-5, fatol=1e-13)
         evaluations += nfev
         if -fun > best[0]:
-            best = (-fun, x[0])
+            best = (-fun, lv)
     return OptimizationResult(
         best_V_A=10.0 ** best[1],
         best_m_fraction=0.0,

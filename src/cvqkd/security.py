@@ -12,25 +12,29 @@ favorable parameters inside the confidence region, which shrinks with the
 number of revealed states and with the estimator's variance.
 
 The finite-size rate is written twice, once per input type, with the
-same operations in the same order. ``_rate`` takes Python floats through
-``math`` and ``if`` tests and raises at the first failed check; its steps
-(the corner's hold ``_hold``, the mutual information ``_i_ab``, the
-Holevo term ``_holevo``) also serve ``worst_case_params``,
-``mutual_information`` and ``holevo_bound``, and ``key_rate_finite`` and
-the optimizer's polish call it. ``_rate_grid`` takes numpy arrays, for
-the optimizer's grid, ranked for a block of transmissions at once (so T
-is an array there too), and raises if any cell fails a check.
+same operations in the same order. ``_rate_at`` takes Python floats
+through ``math`` and ``if`` tests and raises at the first failed check:
+built once per channel and block size, with sigma2, sqrt(T) and the
+estimator's variance form fixed there, it returns the rate as a function
+of (V_A, m). Its steps (the corner's hold ``_hold``, the mutual
+information ``_i_ab``, the Holevo term ``_holevo``) also serve
+``worst_case_params``, ``mutual_information`` and ``holevo_bound``, and
+``key_rate_finite`` and the optimizer's polish call it. ``_rate_grid``
+takes numpy arrays, for the optimizer's grid, ranked for a block of
+transmissions at once (so T is an array there too), and raises if any
+cell fails a check.
 
 Each path is the better one on its own input. numpy's log2 and powers
 differ from math's in the last bit (log2 on 24 to 172 of 100k random
 inputs, depending on their range), so the grid's values only rank cells
 and every reported rate comes from the float path. On floats one
-evaluation costs 4-5 us, against 8 us when the formula ran on floats
-through a namespace of functions shared with numpy, and over 100 us as a
-one-cell array (2-vCPU Xeon, Python 3.11, numpy 2.4.6). Both paths take
-sigma2, Var(t_hat) and the sigma2 variance from ``_sigma2``,
-``var_t_mle`` and ``sigma2_variance``; tests/test_security.py checks
-them against each other cell by cell.
+evaluation of a built rate costs 2.1-2.5 us, against 3.5-4.2 us when
+sigma2, sqrt(T) and the variance form were redone at every evaluation,
+and over 80 us as a one-cell array (2-vCPU Xeon, Python 3.11.7, numpy
+2.4.6). Both paths take sigma2, Var(t_hat) and the sigma2 variance from
+``_sigma2``, ``var_t_mle`` and the estimators' one kind -> variance
+table; tests/test_security.py checks them against each other cell by
+cell.
 """
 
 from __future__ import annotations
@@ -41,7 +45,12 @@ from math import log2, sqrt
 import numpy as np
 
 from .channel import _sigma2
-from .estimators import EstimatorKind, sigma2_variance, var_t_mle
+from .estimators import (
+    EstimatorKind,
+    _sigma2_variance_form,
+    sigma2_variance,
+    var_t_mle,
+)
 
 __all__ = [
     "TwoModeCovariance",
@@ -230,28 +239,36 @@ def _holevo(a, b, c):
     return s
 
 
-def _rate(V_A, T, xi, beta, N, m, z, kind):
-    """(raw rate, I_AB, S_worst, clamped) of the finite-size rate.
+def _rate_at(T, xi, beta, N, z, kind):
+    """rate(V_A, m) -> (raw rate, I_AB, S_worst, clamped): the finite-size
+    rate of one channel and block size.
 
     The raw rate is (n/N) * (beta*I_AB - S_worst), S_worst the Holevo
     bound at the confidence-region corner t_min = t - z*std_t, sigma2_max
     = sigma2 + z*std_sigma2, held by _hold at t_min >= 0 and sigma2_max
-    >= 1; clamped says whether either hold fired. Needs V_A > 0, 1 <= m
-    <= N-1, z from confidence_quantile and a kind of KEY_RATE_ESTIMATORS.
+    >= 1; clamped says whether either hold fired. sigma2, sqrt(T) and the
+    kind's variance form are fixed here, once; each call does the (V_A, m)
+    arithmetic. Needs z from confidence_quantile and a kind of
+    KEY_RATE_ESTIMATORS; rate needs V_A > 0 and 1 <= m <= N-1.
     """
-    n = N - m
     sigma2 = _sigma2(T, xi)
-    t_min, sigma2_max, clamped = _hold(
-        sqrt(T) - z * sqrt(var_t_mle(V_A, T, sigma2, m)),
-        sigma2 + z * sqrt(sigma2_variance(kind, V_A, T, sigma2, m, n, N)))
-    s_wc = _holevo(*_corner(t_min, sigma2_max, V_A))
-    i_ab = _i_ab(V_A, T, sigma2)
-    return (n / N) * (beta * i_ab - s_wc), i_ab, s_wc, clamped
+    sqrt_t = sqrt(T)
+    variance = _sigma2_variance_form(kind)
+
+    def rate(V_A, m):
+        n = N - m
+        t_min, sigma2_max, clamped = _hold(
+            sqrt_t - z * sqrt(var_t_mle(V_A, T, sigma2, m)),
+            sigma2 + z * sqrt(variance(V_A, T, sigma2, m, n, N)))
+        s_wc = _holevo(*_corner(t_min, sigma2_max, V_A))
+        i_ab = _i_ab(V_A, T, sigma2)
+        return (n / N) * (beta * i_ab - s_wc), i_ab, s_wc, clamped
+    return rate
 
 
 # ---------------------------------------------------------------------------
 # The same formula on numpy arrays, for the optimizer's grid: the raw rate
-# of _rate cell by cell, with the same operations in the same order, and a
+# of _rate_at cell by cell, with the same operations in the same order, and a
 # check that raises ValueError("<what> on the rate grid") if any cell
 # fails it. numpy's log2 and powers may differ from math's in the last
 # bit; tests/test_security.py bounds the gap cell by cell.
@@ -296,7 +313,7 @@ def _holevo_grid(a, b, c):
 
 
 def _rate_grid(V_A, T, xi, beta, N, m, z, kind):
-    """The raw rate of _rate at every cell of the broadcast arrays."""
+    """The raw rate of _rate_at at every cell of the broadcast arrays."""
     n = N - m
     sigma2 = _sigma2(T, xi)
     t_min = np.maximum(np.sqrt(T) - z * np.sqrt(var_t_mle(V_A, T, sigma2, m)),
@@ -370,8 +387,8 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
     if V_A <= 0:
         raise ValueError(f"V_A must be > 0, got {V_A}")
     z = confidence_quantile(epsilon_pe, convention)
-    raw, i_ab, s_wc, clamped = _rate(V_A, T, xi, beta, N, m, z,
-                                     estimator_kind)
+    raw, i_ab, s_wc, clamped = _rate_at(T, xi, beta, N, z,
+                                        estimator_kind)(V_A, m)
     return KeyRateResult(
         key_rate=max(raw, 0.0),
         key_rate_raw=raw,

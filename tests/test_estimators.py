@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from cvqkd.estimators import (
     Estimate,
     EstimatorKind,
     Moments,
+    _combined_variance,
     collect_statistics,
     combine_optimal,
     estimate_T_secondmod,
@@ -19,6 +21,7 @@ from cvqkd.estimators import (
     moments,
     residual_second_moment,
     second_moment,
+    sigma2_variance,
     theoretical_std,
     var_T_secondmod,
     var_sigma2_mle,
@@ -310,6 +313,34 @@ def test_theoretical_std_reference_values():
         0.0062806080621258175, rel=1e-12)
     with pytest.raises(ValueError):
         theoretical_std("not a kind", **kw)
+
+
+def test_sigma2_variance_dispatches_to_the_named_forms():
+    """One kind -> closed-form table: each sigma2 kind's variance is its
+    named var_sigma2_* form bit for bit, and every other kind raises."""
+    for V_A, T, sigma2, m, n, N in ((3.0, 1.0, 1.01, 50_000, 50_000, 100_000),
+                                    (0.37, 1e-4, 1.0003, 7, 993, 1000),
+                                    (41.0, 0.25, 1.5, 10**9, 10**3,
+                                     10**9 + 10**3)):
+        named = {
+            EstimatorKind.SIGMA2_MLE: var_sigma2_mle(sigma2, m),
+            EstimatorKind.SIGMA2_MM_FULL: var_sigma2_mm_full(V_A, T, sigma2,
+                                                             m, N),
+            EstimatorKind.SIGMA2_MM_KEY: var_sigma2_mm_key(V_A, T, sigma2,
+                                                           m, n),
+            EstimatorKind.SIGMA2_OPT: _combined_variance(
+                var_sigma2_mle(sigma2, m),
+                var_sigma2_mm_key(V_A, T, sigma2, m, n)),
+        }
+        for kind, var in named.items():
+            assert sigma2_variance(kind, V_A, T, sigma2, m, n,
+                                   N).hex() == var.hex()
+    others = [kind for kind in EstimatorKind if kind not in named]
+    assert len(others) == 4
+    for kind in [*others, "not a kind"]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"no closed-form variance for {kind}")):
+            sigma2_variance(kind, 3.0, 1.0, 1.01, 10, 10, 20)
 
 
 SECOND_MODULATION_KINDS = (EstimatorKind.T_SECONDMOD,

@@ -639,8 +639,9 @@ def test_monte_carlo_verbs_refuse_trials_above_their_limit(tmp_path,
 
 
 # sha256 of the table rows (the '#' metadata lines skipped, rows joined by
-# newlines) of each verb's CSV at the default config, and the row count;
-# a "-gaussian" id runs the verb with --convention gaussian
+# newlines) of a CSV that a verb writes at the default config, and the row
+# count; an id names the verb, or the verb's second file such as fig2's
+# polish trace, and a "-gaussian" id runs it with --convention gaussian
 PINNED_DEFAULT_TABLES = {
     "fig1": ("fig1.csv", 42, "356f2779cfc3044d809209737543e3dd"
                              "27b191f24b06edc173555cd7b806faf1"),
@@ -651,10 +652,15 @@ PINNED_DEFAULT_TABLES = {
                                    "e948597a226c779c9066ac681ceb69ad"),
     "optimize": ("optimize.csv", 4, "80a7567942e37a4f2b7d2a6d6fd50f5d"
                                     "a2a3bf104396f7185bb9e89772eaf7fa"),
+    "fig2_trace": ("fig2_trace.csv", 748, "756cd31077e90293298867cef27e279d"
+                                          "2edfb3c84965abac9ced49d2bcffa125"),
     "fig2-gaussian": ("fig2.csv", 42, "269b4eae1548398c27c572a182deea27"
                                       "0f171326bb8bd0531d7255a5d8979662"),
     "fig3-gaussian": ("fig3.csv", 124, "55f2086ec023f08ac9b7a555ff85ee14"
                                        "8a3c883bcd95a14cacda070f4e3e198c"),
+    "fig2_trace-gaussian": ("fig2_trace.csv", 733,
+                            "b175d89134610252de0c0fad86e624e9"
+                            "4036ff37593a656913469efcb83063c7"),
     "keyrate-gaussian": ("keyrate.csv", 42,
                          "aaa026be08e372dd0864a347cb847f3b"
                          "5c539781bcc4699df4af07f81461645e"),
@@ -664,6 +670,10 @@ PINNED_DEFAULT_TABLES = {
 }
 
 
+# the verb that writes a table whose id is not a verb
+_TABLE_VERB = {"fig2_trace": "fig2"}
+
+
 @pytest.mark.parametrize("verb", sorted(PINNED_DEFAULT_TABLES))
 def test_default_outputs_match_pinned_digests(tmp_path, verb):
     """The default-config tables stay byte for byte what they were when
@@ -671,6 +681,7 @@ def test_default_outputs_match_pinned_digests(tmp_path, verb):
     the benchmark's expected outputs."""
     name, n_rows, digest = PINNED_DEFAULT_TABLES[verb]
     command, _, convention = verb.partition("-")
+    command = _TABLE_VERB.get(command, command)
     argv = [command, "--out", str(tmp_path)]
     if convention:
         argv += ["--convention", convention]

@@ -14,7 +14,8 @@ from cvqkd.optimizer import (
     _MAXITER,
     _T_BLOCK,
     _last_positive,
-    _nelder_mead,
+    _nelder_mead_1d,
+    _nelder_mead_2d,
     _round_m,
     _search_rate,
     maximum_distance,
@@ -40,8 +41,11 @@ MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.187
 
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     """The grid and the scalar search share one z and one kind: one
-    optimization computes each once, seeds and polish included."""
-    calls = {"z": 0, "kind": 0}
+    optimization computes each once, seeds and polish included. The float
+    rate picks its sigma2 variance form and computes sigma2 once per
+    transmission, not once per evaluation; the grid computes sigma2 once
+    per block of transmissions."""
+    calls = dict.fromkeys(("z", "kind", "sigma2", "form"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -54,10 +58,22 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
                             counted("z", confidence_quantile))
         monkeypatch.setattr(module, "_key_rate_kind",
                             counted("kind", security._key_rate_kind))
+    monkeypatch.setattr(security, "_sigma2",
+                        counted("sigma2", security._sigma2))
+    monkeypatch.setattr(security, "_sigma2_variance_form",
+                        counted("form", security._sigma2_variance_form))
     res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0),
                             seeds=[(3.0, 0.5)])
     assert res.best_key_rate > 0.0
-    assert calls == {"z": 1, "kind": 1}
+    assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 1}
+
+    calls.update(dict.fromkeys(calls, 0))
+    Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
+    results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts, seeds=[(3.0, 0.5)])
+    assert len(Ts) <= _T_BLOCK
+    assert all(r.evaluations > 576 + 20 for r in results)
+    assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts),
+                     "form": len(Ts)}
 
 
 def test_optimize_key_rate_is_deterministic():
@@ -351,7 +367,14 @@ def _scipy_nelder_mead(f, x0, bounds, maxiter, xatol, fatol):
 
 
 def _assert_same_run(f, x0, bounds, maxiter, xatol, fatol):
-    x, fun, nfev = _nelder_mead(f, x0, bounds, maxiter, xatol, fatol)
+    # f takes a list of floats, as scipy's objective takes its array; the
+    # in-package polishes take one float a coordinate
+    if len(x0) == 2:
+        *x, fun, nfev = _nelder_mead_2d(lambda a, b: f([a, b]), *x0, bounds,
+                                        maxiter, xatol, fatol)
+    else:
+        *x, fun, nfev = _nelder_mead_1d(lambda a: f([a]), *x0, *bounds,
+                                        maxiter, xatol, fatol)
     ref_x, ref_fun, ref_nfev = _scipy_nelder_mead(f, x0, bounds, maxiter,
                                                   xatol, fatol)
     assert [v.hex() for v in x] == [v.hex() for v in ref_x]
@@ -423,6 +446,7 @@ def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
         (valley, [0.0, 0.0], [(-0.0, 2.0), (0.0, 2.0)]),
         (capped, [0.2, 0.2], [(-1.0, 1.0), (-1.0, 1.0)]),
         (capped, [0.4], [(-1.0, 1.0)]),
+        (lambda v: -min(v[0], 0.5), [0.4], [(-1.0, 1.0)]),
         (lambda v: 0.0, [0.2, 0.7], [(0.0, 1.0), (0.0, 1.0)]),
         (lambda v: -abs(v[0]), [-0.0], [(-1.0, 0.0)]),
     ]
