@@ -360,7 +360,10 @@ def sigma2_variance(kind: EstimatorKind, V_A: float, T: float, sigma2: float,
 
 def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,
                     m: int, n: int, N: int, V_M2: float = 0.0) -> float:
-    """Closed-form standard deviation of an estimator at true parameters."""
+    """Closed-form standard deviation of an estimator at true parameters.
+
+    ``kind`` is an EstimatorKind or its value, such as "t_mle"."""
+    kind = EstimatorKind(kind)
     sigma2 = _sigma2(T, xi)
     if kind is EstimatorKind.T_MLE:
         var = var_t_mle(V_A, T, sigma2, m)

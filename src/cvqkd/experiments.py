@@ -55,7 +55,12 @@ from .optimizer import (
     optimize_key_rate,
     optimize_key_rates,
 )
-from .security import key_rate_asymptotic, key_rate_finite
+from .security import (
+    _rate_at,
+    confidence_quantile,
+    key_rate_asymptotic,
+    key_rate_finite,
+)
 
 __all__ = [
     "run_estimator_trials",
@@ -333,17 +338,16 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
     return path
 
 
-def _best_over_candidates(kind: EstimatorKind, T: float,
-                          cfg: ExperimentConfig, N: int,
-                          own: OptimizationResult,
+def _best_over_candidates(rate_at, N: int, own: OptimizationResult,
                           others: list[OptimizationResult]) -> OptimizationResult:
     # An optimum found for one estimator is a valid candidate for the rest;
     # re-scoring them keeps the reported curves free of refinement jitter.
+    # rate_at is the cell's float rate, security._rate_at; max(raw, 0.0)
+    # is key_rate_finite's key_rate there, bit for bit.
     best = own
     for cand in others:
-        m = _round_m(cand.best_m_fraction, N)
-        k = key_rate_finite(cand.best_V_A, T, cfg.xi, cfg.beta, N, m,
-                            cfg.epsilon_pe, kind, cfg.convention).key_rate
+        k = max(rate_at(cand.best_V_A, _round_m(cand.best_m_fraction, N))[0],
+                0.0)
         if k > best.best_key_rate:
             best = OptimizationResult(
                 best_V_A=cand.best_V_A,
@@ -364,6 +368,7 @@ def _optimize_grid(cfg: ExperimentConfig, n_values: list[int]):
                   cfg.xi, cfg.beta, N, cfg.epsilon_pe, _KIND_BY_NAME[name],
                   Ts=Ts, convention=cfg.convention)
               for N in n_values for name in cfg.estimators}
+    z = confidence_quantile(cfg.epsilon_pe, cfg.convention)
     results = {}
     trace_rows = []
     for di, (d, T) in enumerate(zip(cfg.distances_km, Ts)):
@@ -371,8 +376,9 @@ def _optimize_grid(cfg: ExperimentConfig, n_values: list[int]):
             own = {name: column[N, name][di] for name in cfg.estimators}
             for name in cfg.estimators:
                 others = [own[o] for o in cfg.estimators if o != name]
-                res = _best_over_candidates(_KIND_BY_NAME[name], T, cfg, N,
-                                            own[name], others)
+                res = _best_over_candidates(
+                    _rate_at(T, cfg.xi, cfg.beta, N, z, _KIND_BY_NAME[name]),
+                    N, own[name], others)
                 results[(d, N, name)] = res
                 for stage, va, frac, k, nev in res.trace:
                     trace_rows.append([d, name, _n_label(N), stage, va,

@@ -12,7 +12,11 @@ path, ``security._rate_at``, built once per transmission; an evaluation
 there costs about 2.5 us (2-vCPU Xeon, Python 3.11.7), over 30 times
 less than the array path on one point, and every reported rate is the
 value ``key_rate_finite`` gives at that point, bit for bit. The reported
-optimum is never below the best grid point.
+optimum is never below the best grid point, and it is positive exactly
+when that point is, so ``maximum_distance`` decides each probe's sign
+from the re-scored grid alone, with no polish. ``optimize_asymptotic_rate``
+builds the asymptotic float rate, ``security._asymptotic_at``, once per
+transmission in the same way.
 
 The polishes are bounded Nelder-Mead searches written here on scalar
 floats: ``_nelder_mead_2d`` over (log10 V_A, m/N) for the finite-size
@@ -33,13 +37,14 @@ import numpy as np
 from .channel import fiber_transmission
 from .estimators import EstimatorKind
 from .security import (
+    _asymptotic_at,
     _key_rate_kind,
     _rate_at,
     _rate_grid,
     confidence_quantile,
-    key_rate_asymptotic,
-    # unused here, kept importable as cvqkd.optimizer.key_rate_finite,
-    # which perfbench's tracer wraps
+    # unused here, kept importable as cvqkd.optimizer.key_rate_asymptotic
+    # and .key_rate_finite, which perfbench's tracer wraps
+    key_rate_asymptotic,  # noqa: F401
     key_rate_finite,  # noqa: F401
 )
 
@@ -357,25 +362,31 @@ def optimize_key_rates(xi: float, beta: float, N: int,
     """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
+    return [_optimize_ranked(raw, rate, seeds)
+            for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts)]
+
+
+def _ranked_grids(xi: float, beta: float, N: int, z: float,
+                  kind: EstimatorKind, Ts):
+    """(grid rates, search rate) of each transmission of ``Ts``, in order:
+    the raw array rates of its 24 x 24 cells, flattened, and its
+    ``_search_rate``. One _rate_grid call ranks each block of up to
+    _T_BLOCK transmissions, when the first of them is asked for."""
     # the grid inputs are the scalar path's own, bit for bit (m as float,
     # so m**2 cannot overflow); V_A outer and fraction inner
     ms = np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
-    results = []
     for i in range(0, len(Ts), _T_BLOCK):
         block = Ts[i:i + _T_BLOCK]
         raw = _rate_grid(
             _GRID_VAS, np.array(block, dtype=float)[:, None, None], xi, beta,
             N, ms, z, kind)
-        results += [_optimize_ranked(rank.ravel(),
-                                     _search_rate(T, xi, beta, N, z, kind),
-                                     seeds)
-                    for T, rank in zip(block, raw)]
-    return results
+        for T, rank in zip(block, raw):
+            yield rank.ravel(), _search_rate(T, xi, beta, N, z, kind)
 
 
-def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
-    """One transmission's optimum from its grid's array rates ``raw`` and
-    its scalar search rate."""
+def _grid_best(raw, rate):
+    """(k, log10 V_A, m/N) of the grid's best cell, re-scored by the
+    scalar search rate ``rate`` from the array rates ``raw``."""
     # The array rate is the scalar one up to _GRID_TOL of round-off, so the
     # scalar scan's first strict maximum is among these cells, or is cell 0
     # when no rate is positive. Scanning them with the scalar rate returns
@@ -390,6 +401,13 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
         k = rate(lv, fr)
         if k > best[0]:
             best = (k, lv, fr)
+    return best
+
+
+def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
+    """One transmission's optimum from its grid's array rates ``raw`` and
+    its scalar search rate."""
+    best = _grid_best(raw, rate)
     evaluations = raw.size
     trace = [("grid", 10.0 ** best[1], best[2], best[0], evaluations)]
 
@@ -428,8 +446,13 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
 def optimize_asymptotic_rate(xi: float, beta: float,
                              T: float) -> OptimizationResult:
     """Maximize the asymptotic rate at transmission T over V_A only."""
+    rate_at = _asymptotic_at(T, xi, beta)
+
     def rate(log_va: float) -> float:
-        return key_rate_asymptotic(10.0 ** log_va, T, xi, beta).key_rate
+        # key_rate_asymptotic(10**log_va, T, xi, beta).key_rate, bit for
+        # bit: max(raw, 0.0), signed zeros and NaN included
+        raw = rate_at(10.0 ** log_va)[0]
+        return 0.0 if 0.0 > raw else raw
 
     ks = [rate(lv) for lv in _ASYMPTOTIC_LOG_VAS]
     i = int(np.argmax(ks))
@@ -458,16 +481,24 @@ def maximum_distance(xi: float, beta: float, N: int,
                      convention: str = "paper",
                      d_cap_km: float = 1000.0) -> MaximumDistanceResult:
     """Largest distance with a positive optimized key rate, by bisection to
-    0.1 km."""
+    0.1 km.
+
+    The grid alone decides each probe's sign. optimize_key_rate polishes
+    only from a positive grid cell, and a polish never lowers the grid's
+    best, so its optimum is positive exactly when the re-scored best grid
+    cell is; each probe ranks its transmission's grid and re-scores the
+    best cells, with no polish.
+    """
+    z = confidence_quantile(epsilon_pe, convention)
+    kind = _key_rate_kind(estimator_kind)
     evaluations = 0
 
     def positive(d: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        r = optimize_key_rate(xi, beta, N, epsilon_pe, estimator_kind,
-                              T=fiber_transmission(d, loss_db_per_km),
-                              convention=convention)
-        return r.best_key_rate > 0.0
+        (raw, rate), = _ranked_grids(xi, beta, N, z, kind,
+                                     [fiber_transmission(d, loss_db_per_km)])
+        return _grid_best(raw, rate)[0] > 0.0
 
     d = _last_positive(positive, d_cap_km, 0.1)
     return MaximumDistanceResult(0.0 if d is None else d,

@@ -18,8 +18,13 @@ built once per channel and block size, with sigma2, sqrt(T) and the
 estimator's variance form fixed there, it returns the rate as a function
 of (V_A, m). Its steps (the corner's hold ``_hold``, the mutual
 information ``_i_ab``, the Holevo term ``_holevo``) also serve
-``worst_case_params``, ``mutual_information`` and ``holevo_bound``, and
-``key_rate_finite`` and the optimizer's polish call it. ``_rate_grid``
+``worst_case_params`` and ``holevo_bound``, and ``_asymptotic_at``, the
+asymptotic rate built the same way once per channel, as a function of
+V_A. Rates are built once and then evaluated many times by the
+optimizer's polish (``_rate_at``, once per transmission), its asymptotic
+search (``_asymptotic_at``, once per transmission) and the figures'
+cross re-scores (``_rate_at``, once per cell); ``key_rate_finite`` and
+``key_rate_asymptotic`` build one for a single evaluation. ``_rate_grid``
 takes numpy arrays, for the optimizer's grid, ranked for a block of
 transmissions at once (so T is an array there too), and raises if any
 cell fails a check.
@@ -28,19 +33,21 @@ Each path is the better one on its own input. numpy's log2 and powers
 differ from math's in the last bit (log2 on 24 to 172 of 100k random
 inputs, depending on their range), so the grid's values only rank cells
 and every reported rate comes from the float path. On floats one
-evaluation of a built rate costs 2.1-2.5 us, against 3.5-4.2 us when
+evaluation of a built rate costs 2.1-2.6 us, against 3.5-4.2 us when
 sigma2, sqrt(T) and the variance form were redone at every evaluation,
-and over 80 us as a one-cell array (2-vCPU Xeon, Python 3.11.7, numpy
-2.4.6). Both paths take sigma2, Var(t_hat) and the sigma2 variance from
-``_sigma2``, ``var_t_mle`` and the estimators' one kind -> variance
-table; tests/test_security.py checks them against each other cell by
-cell.
+6.5 us through key_rate_finite and over 80 us as a one-cell array; a
+built asymptotic rate costs 1.7 us, against 5.1 us through
+key_rate_asymptotic (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6). Both
+paths take sigma2, Var(t_hat) and the sigma2 variance from ``_sigma2``,
+``var_t_mle`` and the estimators' one kind -> variance table;
+tests/test_security.py checks them against each other cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -58,7 +65,6 @@ __all__ = [
     "covariance_matrix",
     "confidence_quantile",
     "worst_case_params",
-    "mutual_information",
     "holevo_bound",
     "key_rate_asymptotic",
     "key_rate_finite",
@@ -66,6 +72,8 @@ __all__ = [
 
 # eigenvalues this far below 1 are treated as round-off on a physical state
 _NU_TOL = 1e-9
+# the smallest normal float, the floor of _g_grid's log2 argument
+_TINY = float_info.min
 
 KEY_RATE_ESTIMATORS = (
     EstimatorKind.SIGMA2_MLE,
@@ -86,13 +94,8 @@ class TwoModeCovariance:
 def covariance_matrix(V_A: float, T: float, xi: float) -> TwoModeCovariance:
     if V_A <= 0:
         raise ValueError(f"V_A must be > 0, got {V_A}")
-    if T < 0 or xi < 0:
-        raise ValueError(f"T and xi must be >= 0, got T={T}, xi={xi}")
-    return TwoModeCovariance(
-        a=V_A + 1.0,
-        b=T * V_A + 1.0 + T * xi,
-        c=sqrt(T * (V_A**2 + 2.0 * V_A)),
-    )
+    _check_channel(T, xi)
+    return TwoModeCovariance(*_channel_abc(V_A, T, xi))
 
 
 def _erfinv(x: float) -> float:
@@ -138,13 +141,6 @@ def worst_case_params(t_hat: float, std_t: float, sigma2_hat: float,
     return _hold(t_hat - z * std_t, sigma2_hat + z * std_sigma2)
 
 
-def mutual_information(V_A: float, T: float, xi: float) -> float:
-    """Alice-Bob mutual information (1/2)*log2(1 + T*V_A/(1 + T*xi))."""
-    if V_A <= 0:
-        raise ValueError(f"V_A must be > 0, got {V_A}")
-    return _i_ab(V_A, T, _sigma2(T, xi))
-
-
 def holevo_bound(cov: TwoModeCovariance) -> float:
     """Eve's information on Bob's homodyne outcome, S(AB) - S(A|y)."""
     return _holevo(cov.a, cov.b, cov.c)
@@ -169,6 +165,16 @@ def _hold(t_min, sigma2_max):
 def _i_ab(V_A, T, sigma2):
     # Alice-Bob mutual information of the Gaussian channel
     return 0.5 * log2(1.0 + T * V_A / sigma2)
+
+
+def _check_channel(T, xi):
+    if T < 0 or xi < 0:
+        raise ValueError(f"T and xi must be >= 0, got T={T}, xi={xi}")
+
+
+def _channel_abc(V_A, T, xi):
+    # (a, b, c) of the covariance matrix at the channel's own (T, xi)
+    return V_A + 1.0, T * V_A + 1.0 + T * xi, sqrt(T * (V_A**2 + 2.0 * V_A))
 
 
 def _corner(t_min, sigma2_max, V_A):
@@ -266,6 +272,20 @@ def _rate_at(T, xi, beta, N, z, kind):
     return rate
 
 
+def _asymptotic_at(T, xi, beta):
+    """rate(V_A) -> (raw rate, I_AB, S): the asymptotic rate beta*I_AB - S
+    of one channel. T and xi are checked and sigma2 is fixed here, once;
+    rate needs V_A > 0."""
+    _check_channel(T, xi)
+    sigma2 = _sigma2(T, xi)
+
+    def rate(V_A):
+        i_ab = _i_ab(V_A, T, sigma2)
+        s = _holevo(*_channel_abc(V_A, T, xi))
+        return beta * i_ab - s, i_ab, s
+    return rate
+
+
 # ---------------------------------------------------------------------------
 # The same formula on numpy arrays, for the optimizer's grid: the raw rate
 # of _rate_at cell by cell, with the same operations in the same order, and a
@@ -274,37 +294,39 @@ def _rate_at(T, xi, beta, N, z, kind):
 # bit; tests/test_security.py bounds the gap cell by cell.
 
 def _g_grid(x):
-    zero = x == 0.0
-    x = np.where(zero, 1.0, x)
-    return np.where(zero, 0.0, (x + 1.0) * np.log2(x + 1.0) - x * np.log2(x))
+    # g(0) = 1*log2(1) - 0*log2(tiny) = 0 exactly, and NaN stays NaN
+    x1 = x + 1.0
+    return x1 * np.log2(x1) - x * np.log2(np.maximum(x, _TINY))
 
 
 def _holevo_grid(a, b, c):
-    delta = a * a + b * b - 2.0 * c * c
-    d = a * b - c * c
+    # a check's second, costlier condition is computed only when its first
+    # one fires in some cell
+    aa, bb, cc = a * a, b * b, c * c
+    delta = aa + bb - 2.0 * cc
+    d = a * b - cc
     disc = delta * delta - 4.0 * d * d
     bad = disc < -_NU_TOL
-    if np.any(bad):
-        bad = bad & ((a - b) ** 2 * _split(a, b, c) < -_NU_TOL)
-    if np.any(bad):
+    if bad.any() and (bad & ((a - b) ** 2 * _split(a, b, c)
+                             < -_NU_TOL)).any():
         raise ValueError("complex symplectic spectrum on the rate grid")
     root = np.sqrt(np.maximum(disc, 0.0))
     nu1 = np.sqrt((delta + root) / 2.0)
     nu2_sq = (delta - root) / 2.0
-    if np.any(nu2_sq < 0.0):
+    if (nu2_sq < 0.0).any():
         raise ValueError("negative squared eigenvalue on the rate grid")
     nu2 = np.sqrt(nu2_sq)
     bad = nu2 < 1.0 - _NU_TOL
-    if np.any(bad):
+    if bad.any():
         factored = abs(a - b) * np.sqrt(np.maximum(_split(a, b, c), 0.0))
-        bad = bad & (d < (1.0 - _NU_TOL) * np.sqrt((delta + factored) / 2.0))
-    if np.any(bad):
-        raise ValueError("unphysical covariance matrix on the rate grid")
-    reduced = a - c * c / b
-    if np.any(reduced < -_NU_TOL):
+        if (bad & (d < (1.0 - _NU_TOL)
+                   * np.sqrt((delta + factored) / 2.0))).any():
+            raise ValueError("unphysical covariance matrix on the rate grid")
+    reduced = a - cc / b
+    if (reduced < -_NU_TOL).any():
         raise ValueError("negative conditional variance on the rate grid")
     nu3 = np.sqrt(a * np.maximum(reduced, 0.0))
-    if np.any(nu3 < 1.0 - _NU_TOL):
+    if (nu3 < 1.0 - _NU_TOL).any():
         raise ValueError("unphysical conditional state on the rate grid")
     s = (_g_grid((np.maximum(nu1, 1.0) - 1.0) / 2.0)
          + _g_grid((np.maximum(nu2, 1.0) - 1.0) / 2.0)
@@ -341,9 +363,9 @@ class KeyRateResult:
 def key_rate_asymptotic(V_A: float, T: float, xi: float,
                         beta: float = 1.0) -> KeyRateResult:
     """Reverse-reconciliation rate beta*I - S with known channel parameters."""
-    i_ab = mutual_information(V_A, T, xi)
-    s = holevo_bound(covariance_matrix(V_A, T, xi))
-    raw = beta * i_ab - s
+    # covariance_matrix checks V_A, T and xi, in that order
+    covariance_matrix(V_A, T, xi)
+    raw, i_ab, s = _asymptotic_at(T, xi, beta)(V_A)
     return KeyRateResult(
         key_rate=max(raw, 0.0),
         key_rate_raw=raw,

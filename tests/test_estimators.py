@@ -315,6 +315,18 @@ def test_theoretical_std_reference_values():
         theoretical_std("not a kind", **kw)
 
 
+def test_theoretical_std_takes_every_kind_by_its_value():
+    """Each EstimatorKind's value string gives the kind's std bit for bit;
+    a string that names no kind raises ValueError."""
+    kw = dict(V_A=REF["V_A"], T=REF["T"], xi=REF["xi"], m=REF["m"],
+              n=REF["n"], N=REF["N"], V_M2=REF["V_M2"])
+    for kind in EstimatorKind:
+        assert (theoretical_std(kind.value, **kw).hex()
+                == theoretical_std(kind, **kw).hex()), kind
+    with pytest.raises(ValueError):
+        theoretical_std("sigma2_bogus", **kw)
+
+
 def test_sigma2_variance_dispatches_to_the_named_forms():
     """One kind -> closed-form table: each sigma2 kind's variance is its
     named var_sigma2_* form bit for bit, and every other kind raises."""

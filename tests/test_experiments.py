@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ from cvqkd.experiments import (
     run_simulate,
 )
 from cvqkd.config import _KIND_BY_NAME
-from cvqkd.optimizer import optimize_key_rate
+from cvqkd.optimizer import OptimizationResult, _round_m, optimize_key_rate
+from cvqkd.security import _rate_at, confidence_quantile, key_rate_finite
 
 SMALL_CFG = (
     "N = 2000\n"
@@ -346,6 +348,7 @@ def _per_cell_grid(cfg, n_values):
     """_optimize_grid as one optimize_key_rate call per (distance, N,
     estimator) cell, the reference for the column calls."""
     results, trace_rows = {}, []
+    z = confidence_quantile(cfg.epsilon_pe, cfg.convention)
     for d in cfg.distances_km:
         T = fiber_transmission(d, cfg.loss_db_per_km)
         for N in n_values:
@@ -355,7 +358,8 @@ def _per_cell_grid(cfg, n_values):
                    for name in cfg.estimators}
             for name in cfg.estimators:
                 res = experiments._best_over_candidates(
-                    _KIND_BY_NAME[name], T, cfg, N, own[name],
+                    _rate_at(T, cfg.xi, cfg.beta, N, z, _KIND_BY_NAME[name]),
+                    N, own[name],
                     [own[o] for o in cfg.estimators if o != name])
                 results[(d, N, name)] = res
                 trace_rows += [[d, name, experiments._n_label(N), *row]
@@ -379,6 +383,61 @@ def test_optimize_grid_columns_match_per_cell_optimizations(convention):
     assert repr(trace_rows) == repr(ref_rows)
     assert any(r.best_key_rate > 0.0 for r in results.values())
     assert any(r.best_key_rate == 0.0 for r in results.values())
+
+
+def _key_rate_finite_best(kind, T, cfg, N, own, others):
+    """The cross re-score as key_rate_finite calls, one per candidate: the
+    reference for _best_over_candidates' built float rate."""
+    best = own
+    for cand in others:
+        m = _round_m(cand.best_m_fraction, N)
+        k = key_rate_finite(cand.best_V_A, T, cfg.xi, cfg.beta, N, m,
+                            cfg.epsilon_pe, kind, cfg.convention).key_rate
+        if k > best.best_key_rate:
+            best = OptimizationResult(
+                best_V_A=cand.best_V_A,
+                best_m_fraction=cand.best_m_fraction,
+                best_key_rate=k,
+                evaluations=own.evaluations + 1,
+                trace=own.trace + [("cross", cand.best_V_A,
+                                    cand.best_m_fraction, k, 1)],
+            )
+    return best
+
+
+@pytest.mark.parametrize("convention", ["paper", "gaussian"])
+def test_cross_rescores_match_key_rate_finite(convention):
+    """Re-scoring each cell's candidates through its built float rate gives
+    the results, by repr, that one key_rate_finite call per candidate
+    gives: on the default distances and n_list, every estimator. The
+    other estimators' optima never beat a cell's own there, so each cell
+    is also re-scored against its own optimum with the rate set to 0,
+    which they beat wherever their rate is positive."""
+    cfg = ExperimentConfig()
+    cfg.convention = convention
+    z = confidence_quantile(cfg.epsilon_pe, convention)
+    Ts = [fiber_transmission(d, cfg.loss_db_per_km) for d in cfg.distances_km]
+    crossed = 0
+    for N in cfg.n_list:
+        column = {name: experiments.optimize_key_rates(
+                      cfg.xi, cfg.beta, N, cfg.epsilon_pe,
+                      _KIND_BY_NAME[name], Ts=Ts, convention=convention)
+                  for name in cfg.estimators}
+        for di, T in enumerate(Ts):
+            own = {name: column[name][di] for name in cfg.estimators}
+            for name in cfg.estimators:
+                kind = _KIND_BY_NAME[name]
+                others = [own[o] for o in cfg.estimators if o != name]
+                rate_at = _rate_at(T, cfg.xi, cfg.beta, N, z, kind)
+                for start in (own[name],
+                              replace(own[name], best_key_rate=0.0)):
+                    got = experiments._best_over_candidates(
+                        rate_at, N, start, others)
+                    ref = _key_rate_finite_best(kind, T, cfg, N, start,
+                                                others)
+                    assert repr(got) == repr(ref)
+                    crossed += got is not start
+    assert crossed > 0
 
 
 def test_figure_verbs_exit_two_when_a_grid_cell_fails(tmp_path, monkeypatch,

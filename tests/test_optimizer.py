@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvqkd.channel import fiber_transmission
+from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
     _BOUNDS,
@@ -256,6 +257,9 @@ def test_optimize_asymptotic_rate_basics():
     assert res.best_m_fraction == 0.0
     unscaled = optimize_asymptotic_rate(XI, 1.0, T)
     assert unscaled.best_key_rate >= res.best_key_rate
+    for xi, T in ((-0.01, 0.5), (XI, -0.5)):
+        with pytest.raises(ValueError, match="T and xi must be >= 0"):
+            optimize_asymptotic_rate(xi, BETA, T)
 
 
 def test_finite_optimum_below_asymptotic_optimum():
@@ -279,6 +283,45 @@ def test_maximum_distance_opt_at_least_mle():
     opt = maximum_distance(XI, BETA, 10**5, estimator_kind=EstimatorKind.SIGMA2_OPT)
     mle = maximum_distance(XI, BETA, 10**5, estimator_kind=EstimatorKind.SIGMA2_MLE)
     assert opt.distance_km >= mle.distance_km - 1e-9
+
+
+@pytest.mark.parametrize("convention", ["paper", "gaussian"])
+def test_range_probe_signs_match_the_polished_optimum(monkeypatch,
+                                                      convention):
+    """maximum_distance decides each probe from the re-scored grid alone;
+    at every distance it probes, that sign is the sign of
+    optimize_key_rate's polished optimum there: the default n_list with
+    every key-rate kind, a search stopped at a 3 km cap and a dead
+    channel."""
+    real = optimizer._last_positive
+    probes = []
+
+    def recording(positive, d_cap_km, resolution_km):
+        def probe(d):
+            sign = positive(d)
+            probes.append((d, sign))
+            return sign
+        return real(probe, d_cap_km, resolution_km)
+
+    monkeypatch.setattr(optimizer, "_last_positive", recording)
+    cases = [(XI, N, kind, 1000.0) for N in ExperimentConfig().n_list
+             for kind in KEY_RATE_ESTIMATORS]
+    cases += [(XI, 10**5, EstimatorKind.SIGMA2_OPT, 3.0),
+              (100.0, 10**5, EstimatorKind.SIGMA2_OPT, 1000.0)]
+    signs = set()
+    for xi, N, kind, cap in cases:
+        probes.clear()
+        res = maximum_distance(xi, BETA, N, estimator_kind=kind,
+                               convention=convention, d_cap_km=cap)
+        assert res.evaluations == len(probes) > 0
+        for d, sign in probes:
+            best = optimize_key_rate(xi, BETA, N, estimator_kind=kind,
+                                     T=fiber_transmission(d),
+                                     convention=convention).best_key_rate
+            assert sign == (best > 0.0), (xi, N, kind, cap, d, best)
+            signs.add(sign)
+    assert probes == [(0.0, False)]
+    assert signs == {False, True}
 
 
 def test_maximum_distance_dead_channel():

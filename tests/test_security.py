@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cvqkd.channel import fiber_transmission
+from cvqkd.channel import _sigma2, fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
@@ -20,10 +20,12 @@ from cvqkd.security import (
     _NU_TOL,
     KEY_RATE_ESTIMATORS,
     TwoModeCovariance,
+    _asymptotic_at,
     _conditional,
     _corner,
     _g,
     _hold,
+    _i_ab,
     _rate_grid,
     _symplectic,
     confidence_quantile,
@@ -31,7 +33,6 @@ from cvqkd.security import (
     holevo_bound,
     key_rate_asymptotic,
     key_rate_finite,
-    mutual_information,
     worst_case_params,
 )
 
@@ -182,10 +183,10 @@ def test_worst_case_zero_width_recovers_channel_covariance():
 
 
 def test_mutual_information_reference_points():
-    assert mutual_information(3.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert mutual_information(3.0, 0.1, 0.01) == pytest.approx(
+    assert _i_ab(3.0, 1.0, _sigma2(1.0, 0.0)) == pytest.approx(1.0, rel=1e-15)
+    assert _i_ab(3.0, 0.1, _sigma2(0.1, 0.01)) == pytest.approx(
         0.18908949394090097, rel=1e-12)
-    assert mutual_information(3.0, 0.0, 0.0) == 0.0
+    assert _i_ab(3.0, 0.0, _sigma2(0.0, 0.0)) == 0.0
 
 
 def test_symplectic_eigenvalues_epr_state_is_pure():
@@ -290,6 +291,34 @@ def test_key_rate_asymptotic_reference_points():
     dead = key_rate_asymptotic(3.0, 0.0, 0.0, beta=0.95)
     assert dead.key_rate == 0.0
     assert dead.key_rate_raw <= 0.0
+
+
+def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
+    """The asymptotic rate built once per channel gives, at every V_A, the
+    raw rate, I_AB and Holevo term that key_rate_asymptotic reports, and
+    those are the terms composed from I_AB at sigma2 = 1 + T*xi and
+    holevo_bound(covariance_matrix(...)), by .hex(): a seeded sample with
+    T from 1 down to 1e-16."""
+    rng = random.Random(1503)
+    for _ in range(150):
+        T = 10.0 ** (-16.0 * rng.random())
+        xi = rng.choice((0.0, 10.0 ** rng.uniform(-6.0, -0.5)))
+        beta = rng.uniform(0.85, 1.0)
+        rate = _asymptotic_at(T, xi, beta)
+        for _ in range(8):
+            V_A = 10.0 ** rng.uniform(-1.0, 2.0)
+            i_ab = _i_ab(V_A, T, _sigma2(T, xi))
+            s = holevo_bound(covariance_matrix(V_A, T, xi))
+            raw = beta * i_ab - s
+            assert [v.hex() for v in rate(V_A)] == [raw.hex(), i_ab.hex(),
+                                                    s.hex()]
+            res = key_rate_asymptotic(V_A, T, xi, beta)
+            assert [v.hex() for v in (res.key_rate, res.key_rate_raw,
+                                      res.mutual_information, res.holevo,
+                                      res.n_fraction)] == [
+                max(raw, 0.0).hex(), raw.hex(), i_ab.hex(), s.hex(),
+                (1.0).hex()]
+            assert (res.reason, res.clamped) == (None, False)
 
 
 def test_key_rate_finite_edge_fractions():
@@ -419,6 +448,14 @@ def test_key_rate_finite_reports_key_fraction():
 # raise and 480 return a NaN
 FLOAT_PATH_DIGEST = ("14a8b67741fbbf4ddcbace75a9e3792f"
                      "a70afc3179c58054fdf408d82c74dc7e")
+
+
+def mutual_information(V_A, T, xi):
+    """I_AB at known channel parameters, with the V_A check the public
+    function of that name made when the digest was pinned."""
+    if V_A <= 0:
+        raise ValueError(f"V_A must be > 0, got {V_A}")
+    return _i_ab(V_A, T, _sigma2(T, xi))
 
 
 def _float_path_digest() -> str:
