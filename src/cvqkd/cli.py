@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .channel import fiber_transmission
+from .channel import _sigma2, fiber_transmission
 from .config import ExperimentConfig, load_config
 from .estimators import var_T_secondmod
 from .experiments import (
@@ -100,7 +100,7 @@ def _effective_config(args) -> ExperimentConfig:
         # Var(T_hat) divides by T*V_M2, and validate divides by its root
         T = fiber_transmission(d, cfg.loss_db_per_km)
         if T * cfg.V_M2 == 0.0 or not var_T_secondmod(
-                cfg.V_A, T, cfg.xi, cfg.N, cfg.V_M2) > 0.0:
+                cfg.V_A, T, _sigma2(T, cfg.xi), cfg.N, cfg.V_M2) > 0.0:
             raise ValueError(f"{args.command} needs Var(T_hat) > 0 at {key} "
                              f"= {d} km, where {cfg.loss_db_per_km} dB/km "
                              f"leaves T = {T}")

@@ -23,7 +23,9 @@ _VALID_CONVENTIONS = ("paper", "gaussian")
 # V_A and xi set the covariance entries, whose squares' round-off, eps*v**2,
 # passes the Holevo eigenvalue checks' tolerance _NU_TOL past this size
 _MAX_VARIANCE = sqrt(_NU_TOL / sys.float_info.epsilon)
-# the second-modulation estimator squares N*V_M2, which overflows past this
+# the second-modulation sums grow as N*V_M2, and vxi_hat's plug-in variance
+# squares its noise term V_N, which they bound: this cap keeps that square
+# finite
 _MAX_N_TIMES_V_M2 = sqrt(sys.float_info.max)
 
 

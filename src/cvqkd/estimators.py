@@ -22,9 +22,12 @@ the slope ``t_hat`` of ``estimate_t_mle(pe)``:
   modulation, with ``m2 = moments(x_m2, y)``.
 
 ``second_moment`` and ``residual_second_moment`` are not estimators: they
-are the raw-array forms the sums are checked against. Closed-form
-variances come from ``theoretical_std``, cross-checked against a
-delta-method engine in the test suite.
+are the raw-array forms the sums are checked against. Every estimator's
+closed-form variance is one entry of the kind -> form table ``_VARIANCE``,
+a function of (V_A, T, sigma2, m, n, N, V_M2): ``theoretical_std`` reads
+it at true parameters and the finite-size rate reads its sigma2 kind's
+entry. The test suite cross-checks the forms against a delta-method
+engine.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ __all__ = [
     "var_sigma2_mm_key",
     "var_T_secondmod",
     "var_vxi_secondmod",
-    "sigma2_variance",
     "theoretical_std",
 ]
 
@@ -234,13 +236,16 @@ def estimate_T_secondmod(m2: Moments, V_M2: float) -> Estimate:
     """Transmission estimate from the revealed second modulation.
 
     ``m2`` holds the sums of (x_m2, y) over all N states.
-    T_hat = (sum(x_m2*y))**2 / (N*V_M2)**2. The variance formula needs the
+    T_hat = (sum(x_m2*y) / (N*V_M2))**2. The variance formula needs the
     non-signal variance V_N = Var(y) - T*V_M2, estimated from y itself.
     """
     if V_M2 <= 0:
         raise ValueError(f"V_M2 must be > 0, got {V_M2}")
     N = m2.k
-    value = m2.uy ** 2 / (N * V_M2) ** 2
+    # squared as r*r: Python's r**2 (libm pow) can round one ulp away from
+    # numpy's square, and a float and an array of sums must agree
+    r = m2.uy / (N * V_M2)
+    value = r * r
     v_n = m2.yy / N - value * V_M2
     var = (4.0 / N) * (2.0 * value**2 + value * v_n / V_M2)
     return Estimate(value=value, variance=var)
@@ -293,7 +298,7 @@ def var_sigma2_mm_key(V_A: float, T: float, sigma2: float, m: int,
     return 2.0 * sigma2**2 / n + (1.0 / m + 1.0 / n) * 4.0 * T * sigma2 * V_A
 
 
-def var_T_secondmod(V_A: float, T: float, xi: float, N: int,
+def var_T_secondmod(V_A: float, T: float, sigma2: float, N: int,
                     V_M2: float) -> float:
     """Var(T_hat) = (4/N)*T**2*(2 + V_N/(T*V_M2)), V_N = sigma2 + T*V_A.
 
@@ -303,15 +308,16 @@ def var_T_secondmod(V_A: float, T: float, xi: float, N: int,
     if not T * V_M2 > 0:
         raise ValueError(f"Var(T_hat) needs T*V_M2 > 0, got T={T}, "
                          f"V_M2={V_M2}")
-    v_n = _sigma2(T, xi) + T * V_A
+    v_n = sigma2 + T * V_A
     return (4.0 / N) * T**2 * (2.0 + v_n / (T * V_M2))
 
 
-def var_vxi_secondmod(V_A: float, T: float, xi: float, N: int,
+def var_vxi_secondmod(V_A: float, T: float, sigma2: float, N: int,
                       V_M2: float) -> float:
     """Var(vxi_hat) = (2/N)*V_N**2 + V_A**2*Var(T_hat)."""
-    v_n = _sigma2(T, xi) + T * V_A
-    return (2.0 / N) * v_n**2 + V_A**2 * var_T_secondmod(V_A, T, xi, N, V_M2)
+    v_n = sigma2 + T * V_A
+    return (2.0 / N) * v_n**2 + V_A**2 * var_T_secondmod(V_A, T, sigma2, N,
+                                                         V_M2)
 
 
 def _combined_variance(v1: float, v2: float) -> float:
@@ -319,43 +325,38 @@ def _combined_variance(v1: float, v2: float) -> float:
     return v1 * v2 / (v1 + v2)
 
 
-# The closed-form variance of each sigma2 estimator that has one, as a
-# function of (V_A, T, sigma2, m, n, N): the one kind -> form table.
-# sigma2_variance dispatches through it, and the finite-size rate looks its
-# kind's form up once per channel, with _sigma2_variance_form.
-_SIGMA2_VARIANCE = {
+# The closed-form variance of every estimator, as a function of (V_A, T,
+# sigma2, m, n, N, V_M2): the one kind -> form table. theoretical_std reads
+# it, and the finite-size rate looks its sigma2 kind's form up once per
+# build, which sets the noise confidence width.
+_VARIANCE = {
+    EstimatorKind.T_MLE:
+        lambda V_A, T, sigma2, m, n, N, V_M2: var_t_mle(V_A, T, sigma2, m),
     EstimatorKind.SIGMA2_MLE:
-        lambda V_A, T, sigma2, m, n, N: var_sigma2_mle(sigma2, m),
+        lambda V_A, T, sigma2, m, n, N, V_M2: var_sigma2_mle(sigma2, m),
     EstimatorKind.SIGMA2_MM_FULL:
-        lambda V_A, T, sigma2, m, n, N: var_sigma2_mm_full(V_A, T, sigma2,
-                                                           m, N),
+        lambda V_A, T, sigma2, m, n, N, V_M2: var_sigma2_mm_full(
+            V_A, T, sigma2, m, N),
+    EstimatorKind.SIGMA2_MM_KEY:
+        lambda V_A, T, sigma2, m, n, N, V_M2: var_sigma2_mm_key(
+            V_A, T, sigma2, m, n),
     EstimatorKind.SIGMA2_OPT:
-        lambda V_A, T, sigma2, m, n, N: _combined_variance(
+        lambda V_A, T, sigma2, m, n, N, V_M2: _combined_variance(
             var_sigma2_mle(sigma2, m),
             var_sigma2_mm_key(V_A, T, sigma2, m, n)),
-    EstimatorKind.SIGMA2_MM_KEY:
-        lambda V_A, T, sigma2, m, n, N: var_sigma2_mm_key(V_A, T, sigma2,
-                                                          m, n),
+    EstimatorKind.T_SECONDMOD:
+        lambda V_A, T, sigma2, m, n, N, V_M2: var_T_secondmod(
+            V_A, T, sigma2, N, V_M2),
+    EstimatorKind.VXI_SECONDMOD:
+        lambda V_A, T, sigma2, m, n, N, V_M2: var_vxi_secondmod(
+            V_A, T, sigma2, N, V_M2),
+    # Reconstruction: the second-modulation estimate combined with the
+    # residual MLE recast as an excess-noise estimate (same variance).
+    EstimatorKind.VXI_OPT:
+        lambda V_A, T, sigma2, m, n, N, V_M2: _combined_variance(
+            var_vxi_secondmod(V_A, T, sigma2, N, V_M2),
+            var_sigma2_mle(sigma2, m)),
 }
-
-
-def _sigma2_variance_form(kind: EstimatorKind):
-    """The closed form (V_A, T, sigma2, m, n, N) -> variance of ``kind``."""
-    form = _SIGMA2_VARIANCE.get(kind)
-    if form is None:
-        raise ValueError(f"no closed-form variance for {kind}")
-    return form
-
-
-def sigma2_variance(kind: EstimatorKind, V_A: float, T: float, sigma2: float,
-                    m: int, n: int, N: int) -> float:
-    """Closed-form variance of the sigma2 estimator ``kind``.
-
-    ``_SIGMA2_VARIANCE`` is the one place that decides which variance sets
-    a sigma2 confidence width: the estimator spread reads it here, the
-    finite-size key rate through ``_sigma2_variance_form``.
-    """
-    return _sigma2_variance_form(kind)(V_A, T, sigma2, m, n, N)
 
 
 def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,
@@ -363,19 +364,5 @@ def theoretical_std(kind: EstimatorKind, V_A: float, T: float, xi: float,
     """Closed-form standard deviation of an estimator at true parameters.
 
     ``kind`` is an EstimatorKind or its value, such as "t_mle"."""
-    kind = EstimatorKind(kind)
-    sigma2 = _sigma2(T, xi)
-    if kind is EstimatorKind.T_MLE:
-        var = var_t_mle(V_A, T, sigma2, m)
-    elif kind is EstimatorKind.T_SECONDMOD:
-        var = var_T_secondmod(V_A, T, xi, N, V_M2)
-    elif kind is EstimatorKind.VXI_SECONDMOD:
-        var = var_vxi_secondmod(V_A, T, xi, N, V_M2)
-    elif kind is EstimatorKind.VXI_OPT:
-        # Reconstruction: the second-modulation estimate combined with the
-        # residual MLE recast as an excess-noise estimate (same variance).
-        var = _combined_variance(var_vxi_secondmod(V_A, T, xi, N, V_M2),
-                                 var_sigma2_mle(sigma2, m))
-    else:
-        var = sigma2_variance(kind, V_A, T, sigma2, m, n, N)
-    return sqrt(var)
+    return sqrt(_VARIANCE[EstimatorKind(kind)](V_A, T, _sigma2(T, xi), m, n,
+                                               N, V_M2))

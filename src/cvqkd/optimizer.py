@@ -363,18 +363,24 @@ def optimize_key_rates(xi: float, beta: float, N: int,
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
     return [_optimize_ranked(raw, rate, seeds)
-            for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts)]
+            for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts,
+                                           _grid_ms(N))]
+
+
+def _grid_ms(N: int):
+    """The grid's m column at block size N, as _rate_grid takes it."""
+    # the grid inputs are the scalar path's own, bit for bit (m as float,
+    # so m**2 cannot overflow)
+    return np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
 
 
 def _ranked_grids(xi: float, beta: float, N: int, z: float,
-                  kind: EstimatorKind, Ts):
+                  kind: EstimatorKind, Ts, ms):
     """(grid rates, search rate) of each transmission of ``Ts``, in order:
     the raw array rates of its 24 x 24 cells, flattened, and its
-    ``_search_rate``. One _rate_grid call ranks each block of up to
-    _T_BLOCK transmissions, when the first of them is asked for."""
-    # the grid inputs are the scalar path's own, bit for bit (m as float,
-    # so m**2 cannot overflow); V_A outer and fraction inner
-    ms = np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
+    ``_search_rate``; ``ms`` is ``_grid_ms(N)``. One _rate_grid call ranks
+    each block of up to _T_BLOCK transmissions, V_A outer and fraction
+    inner, when the first of them is asked for."""
     for i in range(0, len(Ts), _T_BLOCK):
         block = Ts[i:i + _T_BLOCK]
         raw = _rate_grid(
@@ -491,13 +497,15 @@ def maximum_distance(xi: float, beta: float, N: int,
     """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
+    ms = _grid_ms(N)
     evaluations = 0
 
     def positive(d: float) -> bool:
         nonlocal evaluations
         evaluations += 1
         (raw, rate), = _ranked_grids(xi, beta, N, z, kind,
-                                     [fiber_transmission(d, loss_db_per_km)])
+                                     [fiber_transmission(d, loss_db_per_km)],
+                                     ms)
         return _grid_best(raw, rate)[0] > 0.0
 
     d = _last_positive(positive, d_cap_km, 0.1)

@@ -6,10 +6,16 @@ The Alice-Bob state after the channel is Gaussian with covariance matrix
              [ c*sz, b*I2 ]],         b = T*V_A + 1 + T*xi
                                       c = sqrt(T*(V_A**2 + 2*V_A))
 
-in shot-noise units, with sz = diag(1, -1). Finite-size security enters
-through confidence bounds on (t, sigma2): Eve is credited with the least
-favorable parameters inside the confidence region, which shrinks with the
-number of revealed states and with the estimator's variance.
+in shot-noise units, with sz = diag(1, -1); ``_channel_abc`` gives (a, b,
+c). Finite-size security enters through confidence bounds on (t,
+sigma2): Eve is credited with the least favorable parameters inside the
+confidence region, which shrinks with the number of revealed states and
+with the estimator's variance.
+
+``holevo_bound``, ``key_rate_asymptotic`` and ``key_rate_finite`` take
+(V_A, T, xi) and check them in one place, ``_check_inputs``: V_A > 0,
+then T >= 0 and xi >= 0, each with one message; a NaN passes and gives a
+NaN. ``key_rate_finite`` also rejects m outside [0, N].
 
 The finite-size rate is written twice, once per input type, with the
 same operations in the same order. ``_rate_at`` takes Python floats
@@ -52,17 +58,10 @@ from sys import float_info
 import numpy as np
 
 from .channel import _sigma2
-from .estimators import (
-    EstimatorKind,
-    _sigma2_variance_form,
-    sigma2_variance,
-    var_t_mle,
-)
+from .estimators import _VARIANCE, EstimatorKind, var_t_mle
 
 __all__ = [
-    "TwoModeCovariance",
     "KeyRateResult",
-    "covariance_matrix",
     "confidence_quantile",
     "worst_case_params",
     "holevo_bound",
@@ -80,22 +79,6 @@ KEY_RATE_ESTIMATORS = (
     EstimatorKind.SIGMA2_MM_FULL,
     EstimatorKind.SIGMA2_OPT,
 )
-
-
-@dataclass(frozen=True)
-class TwoModeCovariance:
-    """Block parameters (a, b, c) of a two-mode Gaussian covariance matrix."""
-
-    a: float
-    b: float
-    c: float
-
-
-def covariance_matrix(V_A: float, T: float, xi: float) -> TwoModeCovariance:
-    if V_A <= 0:
-        raise ValueError(f"V_A must be > 0, got {V_A}")
-    _check_channel(T, xi)
-    return TwoModeCovariance(*_channel_abc(V_A, T, xi))
 
 
 def _erfinv(x: float) -> float:
@@ -141,9 +124,11 @@ def worst_case_params(t_hat: float, std_t: float, sigma2_hat: float,
     return _hold(t_hat - z * std_t, sigma2_hat + z * std_sigma2)
 
 
-def holevo_bound(cov: TwoModeCovariance) -> float:
-    """Eve's information on Bob's homodyne outcome, S(AB) - S(A|y)."""
-    return _holevo(cov.a, cov.b, cov.c)
+def holevo_bound(V_A: float, T: float, xi: float) -> float:
+    """Eve's information on Bob's homodyne outcome, S(AB) - S(A|y), at
+    known channel parameters."""
+    _check_inputs(V_A, T, xi)
+    return _holevo(*_channel_abc(V_A, T, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +155,14 @@ def _i_ab(V_A, T, sigma2):
 def _check_channel(T, xi):
     if T < 0 or xi < 0:
         raise ValueError(f"T and xi must be >= 0, got T={T}, xi={xi}")
+
+
+def _check_inputs(V_A, T, xi):
+    # the public rate functions' one check of the channel and modulation;
+    # a NaN passes both comparisons and gives a NaN rate
+    if V_A <= 0:
+        raise ValueError(f"V_A must be > 0, got {V_A}")
+    _check_channel(T, xi)
 
 
 def _channel_abc(V_A, T, xi):
@@ -259,13 +252,13 @@ def _rate_at(T, xi, beta, N, z, kind):
     """
     sigma2 = _sigma2(T, xi)
     sqrt_t = sqrt(T)
-    variance = _sigma2_variance_form(kind)
+    variance = _VARIANCE[kind]
 
     def rate(V_A, m):
         n = N - m
         t_min, sigma2_max, clamped = _hold(
             sqrt_t - z * sqrt(var_t_mle(V_A, T, sigma2, m)),
-            sigma2 + z * sqrt(variance(V_A, T, sigma2, m, n, N)))
+            sigma2 + z * sqrt(variance(V_A, T, sigma2, m, n, N, 0.0)))
         s_wc = _holevo(*_corner(t_min, sigma2_max, V_A))
         i_ab = _i_ab(V_A, T, sigma2)
         return (n / N) * (beta * i_ab - s_wc), i_ab, s_wc, clamped
@@ -341,7 +334,7 @@ def _rate_grid(V_A, T, xi, beta, N, m, z, kind):
     t_min = np.maximum(np.sqrt(T) - z * np.sqrt(var_t_mle(V_A, T, sigma2, m)),
                        0.0)
     sigma2_max = np.maximum(
-        sigma2 + z * np.sqrt(sigma2_variance(kind, V_A, T, sigma2, m, n, N)),
+        sigma2 + z * np.sqrt(_VARIANCE[kind](V_A, T, sigma2, m, n, N, 0.0)),
         1.0)
     s_wc = _holevo_grid(V_A + 1.0, t_min**2 * V_A + sigma2_max,
                         t_min * np.sqrt(V_A**2 + 2.0 * V_A))
@@ -363,8 +356,7 @@ class KeyRateResult:
 def key_rate_asymptotic(V_A: float, T: float, xi: float,
                         beta: float = 1.0) -> KeyRateResult:
     """Reverse-reconciliation rate beta*I - S with known channel parameters."""
-    # covariance_matrix checks V_A, T and xi, in that order
-    covariance_matrix(V_A, T, xi)
+    _check_inputs(V_A, T, xi)
     raw, i_ab, s = _asymptotic_at(T, xi, beta)(V_A)
     return KeyRateResult(
         key_rate=max(raw, 0.0),
@@ -397,7 +389,10 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
     confidence width.
     """
     estimator_kind = _key_rate_kind(estimator_kind)
-    if m >= N:
+    _check_inputs(V_A, T, xi)
+    if not 0 <= m <= N:
+        raise ValueError(f"m must be in [0, N], got m={m}, N={N}")
+    if m == N:
         return KeyRateResult(key_rate=0.0, key_rate_raw=0.0,
                              mutual_information=0.0, holevo=0.0,
                              n_fraction=0.0, reason="no key states (m == N)")
@@ -406,8 +401,6 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
                              mutual_information=0.0, holevo=0.0,
                              n_fraction=1.0, reason="no parameter estimation (m == 0)")
 
-    if V_A <= 0:
-        raise ValueError(f"V_A must be > 0, got {V_A}")
     z = confidence_quantile(epsilon_pe, convention)
     raw, i_ab, s_wc, clamped = _rate_at(T, xi, beta, N, z,
                                         estimator_kind)(V_A, m)

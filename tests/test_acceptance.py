@@ -37,8 +37,8 @@ from cvqkd.experiments import (
 )
 from cvqkd.optimizer import maximum_distance, range_limit_ratio
 from cvqkd.security import (
+    _channel_abc,
     _symplectic,
-    covariance_matrix,
     holevo_bound,
     key_rate_asymptotic,
 )
@@ -227,14 +227,13 @@ def test_std_curve_structure(tmp_path, report):
 
 def test_security_reference_points(report):
     problems = []
-    s_epr = holevo_bound(covariance_matrix(3.0, 1.0, 0.0))
+    s_epr = holevo_bound(3.0, 1.0, 0.0)
     if abs(s_epr) > 1e-9:
         problems.append(f"lossless noiseless Holevo {s_epr:.2e}")
-    s_dead = holevo_bound(covariance_matrix(3.0, 0.0, 0.0))
+    s_dead = holevo_bound(3.0, 0.0, 0.0)
     if abs(s_dead) > 1e-9:
         problems.append(f"broken-channel Holevo {s_dead:.2e}")
-    epr = covariance_matrix(3.0, 1.0, 0.0)
-    nus = _symplectic(epr.a, epr.b, epr.c)
+    nus = _symplectic(*_channel_abc(3.0, 1.0, 0.0))
     if max(abs(nu - 1.0) for nu in nus) > 1e-9:
         problems.append(f"shared pure state not pure: {nus}")
     k = key_rate_asymptotic(3.0, 1.0, 0.0, beta=1.0).key_rate

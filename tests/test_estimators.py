@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from cvqkd.channel import ChannelParams, ProtocolParams, sample_session, split_session
 from cvqkd.estimators import (
+    _VARIANCE,
     Estimate,
     EstimatorKind,
     Moments,
@@ -21,7 +21,6 @@ from cvqkd.estimators import (
     moments,
     residual_second_moment,
     second_moment,
-    sigma2_variance,
     theoretical_std,
     var_T_secondmod,
     var_sigma2_mle,
@@ -291,10 +290,10 @@ def test_var_sigma2_mm_reference_values():
 
 def test_var_secondmod_reference_values():
     assert var_T_secondmod(
-        REF["V_A"], REF["T"], REF["xi"], REF["N"], REF["V_M2"]
+        REF["V_A"], REF["T"], REF_SIGMA2, REF["N"], REF["V_M2"]
     ) == pytest.approx(9.604e-5, rel=1e-12)
     assert var_vxi_secondmod(
-        REF["V_A"], REF["T"], REF["xi"], REF["N"], REF["V_M2"]
+        REF["V_A"], REF["T"], REF_SIGMA2, REF["N"], REF["V_M2"]
     ) == pytest.approx(1.185962e-3, rel=1e-12)
 
 
@@ -327,14 +326,17 @@ def test_theoretical_std_takes_every_kind_by_its_value():
         theoretical_std("sigma2_bogus", **kw)
 
 
-def test_sigma2_variance_dispatches_to_the_named_forms():
-    """One kind -> closed-form table: each sigma2 kind's variance is its
-    named var_sigma2_* form bit for bit, and every other kind raises."""
-    for V_A, T, sigma2, m, n, N in ((3.0, 1.0, 1.01, 50_000, 50_000, 100_000),
-                                    (0.37, 1e-4, 1.0003, 7, 993, 1000),
-                                    (41.0, 0.25, 1.5, 10**9, 10**3,
-                                     10**9 + 10**3)):
+def test_variance_table_dispatches_to_the_named_forms():
+    """One kind -> closed-form table: each kind's variance is its named
+    var_* form, or the combination of two, bit for bit; theoretical_std
+    is the root of the table's entry at sigma2 = 1 + T*xi."""
+    for V_A, T, xi, m, n, N, V_M2 in (
+            (3.0, 1.0, 0.01, 50_000, 50_000, 100_000, 10.0),
+            (0.37, 1e-4, 3.0, 7, 993, 1000, 0.5),
+            (41.0, 0.25, 2.0, 10**9, 10**3, 10**9 + 10**3, 1e3)):
+        sigma2 = 1.0 + T * xi
         named = {
+            EstimatorKind.T_MLE: var_t_mle(V_A, T, sigma2, m),
             EstimatorKind.SIGMA2_MLE: var_sigma2_mle(sigma2, m),
             EstimatorKind.SIGMA2_MM_FULL: var_sigma2_mm_full(V_A, T, sigma2,
                                                              m, N),
@@ -343,16 +345,20 @@ def test_sigma2_variance_dispatches_to_the_named_forms():
             EstimatorKind.SIGMA2_OPT: _combined_variance(
                 var_sigma2_mle(sigma2, m),
                 var_sigma2_mm_key(V_A, T, sigma2, m, n)),
+            EstimatorKind.T_SECONDMOD: var_T_secondmod(V_A, T, sigma2, N,
+                                                       V_M2),
+            EstimatorKind.VXI_SECONDMOD: var_vxi_secondmod(V_A, T, sigma2,
+                                                           N, V_M2),
+            EstimatorKind.VXI_OPT: _combined_variance(
+                var_vxi_secondmod(V_A, T, sigma2, N, V_M2),
+                var_sigma2_mle(sigma2, m)),
         }
+        assert list(named) == list(EstimatorKind) == list(_VARIANCE)
         for kind, var in named.items():
-            assert sigma2_variance(kind, V_A, T, sigma2, m, n,
-                                   N).hex() == var.hex()
-    others = [kind for kind in EstimatorKind if kind not in named]
-    assert len(others) == 4
-    for kind in [*others, "not a kind"]:
-        with pytest.raises(ValueError, match=re.escape(
-                f"no closed-form variance for {kind}")):
-            sigma2_variance(kind, 3.0, 1.0, 1.01, 10, 10, 20)
+            assert _VARIANCE[kind](V_A, T, sigma2, m, n, N,
+                                   V_M2).hex() == var.hex()
+            assert (theoretical_std(kind, V_A, T, xi, m, n, N, V_M2).hex()
+                    == np.sqrt(var).hex()), kind
 
 
 SECOND_MODULATION_KINDS = (EstimatorKind.T_SECONDMOD,
@@ -366,7 +372,7 @@ def test_second_modulation_std_needs_v_m2():
         with pytest.raises(ValueError, match=r"T\*V_M2 > 0"):
             theoretical_std(kind, 3.0, 0.5, 0.01, 10, 10, 20)
     with pytest.raises(ValueError):
-        var_T_secondmod(3.0, 0.5, 0.01, 20, 0.0)
+        var_T_secondmod(3.0, 0.5, 1.005, 20, 0.0)
 
 
 def test_second_modulation_std_needs_transmission():
@@ -374,7 +380,7 @@ def test_second_modulation_std_needs_transmission():
         with pytest.raises(ValueError, match=r"T\*V_M2 > 0"):
             theoretical_std(kind, 3.0, 0.0, 0.01, 10, 10, 20, V_M2=10.0)
     with pytest.raises(ValueError):
-        var_vxi_secondmod(3.0, 0.0, 0.01, 20, 10.0)
+        var_vxi_secondmod(3.0, 0.0, 1.0, 20, 10.0)
 
 
 def test_optimal_variance_dominates_both_inputs_in_closed_form():

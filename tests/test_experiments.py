@@ -705,8 +705,8 @@ PINNED_DEFAULT_TABLES = {
     "fig1": ("fig1.csv", 42, "356f2779cfc3044d809209737543e3dd"
                              "27b191f24b06edc173555cd7b806faf1"),
     "validate": ("validate_report.csv", 67,
-                 "aafc838aa90b496e25e8c1c4144dcf13"
-                 "d9b04783c3ed35cc3fefd427b9836b5b"),
+                 "444482626dd51df7a8c3d514dd1a54ce"
+                 "cc71ded06fb2faf487ef9584c66384ac"),
     "keyrate": ("keyrate.csv", 42, "eb521c07e2974da21fdaab71ff67cb5c"
                                    "e948597a226c779c9066ac681ceb69ad"),
     "optimize": ("optimize.csv", 4, "80a7567942e37a4f2b7d2a6d6fd50f5d"

@@ -43,9 +43,9 @@ MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.187
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     """The grid and the scalar search share one z and one kind: one
     optimization computes each once, seeds and polish included. The float
-    rate picks its sigma2 variance form and computes sigma2 once per
-    transmission, not once per evaluation; the grid computes sigma2 once
-    per block of transmissions."""
+    rate looks its sigma2 variance form up and computes sigma2 once per
+    transmission, not once per evaluation; the grid does each once per
+    block of transmissions."""
     calls = dict.fromkeys(("z", "kind", "sigma2", "form"), 0)
 
     def counted(name, fn):
@@ -54,6 +54,11 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    class CountedTable(dict):
+        def __getitem__(self, kind):
+            calls["form"] += 1
+            return super().__getitem__(kind)
+
     for module in (optimizer, security):
         monkeypatch.setattr(module, "confidence_quantile",
                             counted("z", confidence_quantile))
@@ -61,12 +66,12 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
                             counted("kind", security._key_rate_kind))
     monkeypatch.setattr(security, "_sigma2",
                         counted("sigma2", security._sigma2))
-    monkeypatch.setattr(security, "_sigma2_variance_form",
-                        counted("form", security._sigma2_variance_form))
+    monkeypatch.setattr(security, "_VARIANCE",
+                        CountedTable(security._VARIANCE))
     res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0),
                             seeds=[(3.0, 0.5)])
     assert res.best_key_rate > 0.0
-    assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 1}
+    assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 2}
 
     calls.update(dict.fromkeys(calls, 0))
     Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
@@ -74,7 +79,7 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     assert len(Ts) <= _T_BLOCK
     assert all(r.evaluations > 576 + 20 for r in results)
     assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts),
-                     "form": len(Ts)}
+                     "form": 1 + len(Ts)}
 
 
 def test_optimize_key_rate_is_deterministic():

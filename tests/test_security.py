@@ -19,17 +19,17 @@ from cvqkd.optimizer import (
 from cvqkd.security import (
     _NU_TOL,
     KEY_RATE_ESTIMATORS,
-    TwoModeCovariance,
     _asymptotic_at,
+    _channel_abc,
     _conditional,
     _corner,
     _g,
     _hold,
+    _holevo,
     _i_ab,
     _rate_grid,
     _symplectic,
     confidence_quantile,
-    covariance_matrix,
     holevo_bound,
     key_rate_asymptotic,
     key_rate_finite,
@@ -40,12 +40,12 @@ SQRT15 = 3.872983346207417
 Z_PAPER = confidence_quantile(1e-10)
 
 
-def _nu12(cov):
-    return _symplectic(cov.a, cov.b, cov.c)
+def _nu12(abc):
+    return _symplectic(*abc)
 
 
-def _nu3(cov):
-    return _conditional(cov.a, cov.b, cov.c)
+def _nu3(abc):
+    return _conditional(*abc)
 
 
 def _grid_rate(V_A, T, xi, beta, N, m, kind=EstimatorKind.SIGMA2_OPT):
@@ -55,12 +55,13 @@ def _grid_rate(V_A, T, xi, beta, N, m, kind=EstimatorKind.SIGMA2_OPT):
                       np.asarray(m, dtype=float), Z_PAPER, kind)
 
 
-def _symplectic_oracle(cov):
+def _symplectic_oracle(abc):
     """Symplectic spectrum via |eig(i * Omega * Gamma)| on the full 4x4 matrix."""
+    a, b, c = abc
     sz = np.diag([1.0, -1.0])
     gamma = np.block([
-        [cov.a * np.eye(2), cov.c * sz],
-        [cov.c * sz, cov.b * np.eye(2)],
+        [a * np.eye(2), c * sz],
+        [c * sz, b * np.eye(2)],
     ])
     omega = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -72,50 +73,64 @@ def _symplectic_oracle(cov):
     return float(ev[-1]), float(ev[0])
 
 
-def _conditional_oracle(cov):
+def _conditional_oracle(abc):
     """Mode-A spectrum after a perfect x-homodyne of mode B."""
+    a, b, c = abc
     sz = np.diag([1.0, -1.0])
-    gamma_a = cov.a * np.eye(2)
-    gamma_b = cov.b * np.eye(2)
-    gamma_c = cov.c * sz
+    gamma_a = a * np.eye(2)
+    gamma_b = b * np.eye(2)
+    gamma_c = c * sz
     x_proj = np.diag([1.0, 0.0])
     reduced = gamma_a - gamma_c @ np.linalg.pinv(x_proj @ gamma_b @ x_proj) @ gamma_c.T
     return float(np.sqrt(np.linalg.det(reduced)))
 
 
-def _grid():
-    for V_A in (1.0, 3.0, 10.0):
-        for T in (1.0, 0.5, 0.1, 0.01):
-            for xi in (0.0, 0.01, 0.1):
-                yield covariance_matrix(V_A, T, xi)
+# (V_A, T, xi) of the channels the eigenvalue steps are checked on
+GRID = [(V_A, T, xi) for V_A in (1.0, 3.0, 10.0)
+        for T in (1.0, 0.5, 0.1, 0.01) for xi in (0.0, 0.01, 0.1)]
 
 
-def test_covariance_matrix_reference_points():
-    epr = covariance_matrix(3.0, 1.0, 0.0)
-    assert (epr.a, epr.b) == (4.0, 4.0)
-    assert epr.c == pytest.approx(SQRT15, rel=1e-12)
-    lossy = covariance_matrix(3.0, 0.1, 0.01)
-    assert lossy.a == 4.0
-    assert lossy.b == pytest.approx(1.301, rel=1e-12)
-    assert lossy.c == pytest.approx(1.224744871391589, rel=1e-12)
-    cut = covariance_matrix(3.0, 0.0, 0.0)
-    assert (cut.a, cut.b, cut.c) == (4.0, 1.0, 0.0)
+def test_channel_abc_reference_points():
+    a, b, c = _channel_abc(3.0, 1.0, 0.0)
+    assert (a, b) == (4.0, 4.0)
+    assert c == pytest.approx(SQRT15, rel=1e-12)
+    a, b, c = _channel_abc(3.0, 0.1, 0.01)
+    assert a == 4.0
+    assert b == pytest.approx(1.301, rel=1e-12)
+    assert c == pytest.approx(1.224744871391589, rel=1e-12)
+    assert _channel_abc(3.0, 0.0, 0.0) == (4.0, 1.0, 0.0)
 
 
-def test_covariance_matrix_is_physical_on_grid():
+def test_channel_abc_is_physical_on_grid():
     """Heisenberg: a*b - c**2 >= 1, and the symplectic step accepts it."""
-    for cov in _grid():
-        assert cov.a * cov.b - cov.c**2 >= 1.0 - _NU_TOL
-        assert _nu12(cov)[1] >= 1.0
+    for params in GRID:
+        a, b, c = _channel_abc(*params)
+        assert a * b - c**2 >= 1.0 - _NU_TOL
+        assert _nu12((a, b, c))[1] >= 1.0
 
 
-def test_covariance_matrix_validation():
-    with pytest.raises(ValueError):
-        covariance_matrix(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        covariance_matrix(3.0, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        covariance_matrix(3.0, 1.0, -0.01)
+@pytest.mark.parametrize("V_A, T, xi, m, message", [
+    (0.0, 0.5, 0.01, 5 * 10**5, "V_A must be > 0, got 0.0"),
+    (-1.0, -0.5, -0.5, 5 * 10**5, "V_A must be > 0, got -1.0"),
+    (3.0, -0.5, 0.01, 5 * 10**5,
+     "T and xi must be >= 0, got T=-0.5, xi=0.01"),
+    (3.0, 0.5, -0.5, 5 * 10**5, "T and xi must be >= 0, got T=0.5, xi=-0.5"),
+    (3.0, 0.5, 0.01, -1, "m must be in [0, N], got m=-1, N=1000000"),
+    (3.0, 0.5, 0.01, 10**6 + 1,
+     "m must be in [0, N], got m=1000001, N=1000000"),
+], ids=["V_A=0", "V_A-first", "T<0", "xi<0", "m<0", "m>N"])
+def test_rate_functions_reject_out_of_range_inputs(V_A, T, xi, m, message):
+    """holevo_bound, key_rate_asymptotic and key_rate_finite check (V_A,
+    T, xi) in one place, V_A first, each with one message;
+    key_rate_finite also rejects m outside [0, N]."""
+    calls = [lambda: key_rate_finite(V_A, T, xi, 0.95, 10**6, m)]
+    if 0 <= m <= 10**6:
+        calls += [lambda: holevo_bound(V_A, T, xi),
+                  lambda: key_rate_asymptotic(V_A, T, xi, 0.95)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_confidence_quantile_conventions():
@@ -173,13 +188,13 @@ def test_worst_case_covariance_clamps_below_vacuum_noise():
 
 def test_worst_case_zero_width_recovers_channel_covariance():
     V_A, T, xi = 3.0, 0.4, 0.02
-    ch = covariance_matrix(V_A, T, xi)
+    ch_a, ch_b, ch_c = _channel_abc(V_A, T, xi)
     t_min, sigma2_max, _ = worst_case_params(np.sqrt(T), 0.0, 1.0 + T * xi,
                                              0.0, 1e-10)
     a, b, c = _corner(t_min, sigma2_max, V_A)
-    assert a == ch.a
-    assert b == pytest.approx(ch.b, rel=1e-14)
-    assert c == pytest.approx(ch.c, rel=1e-14)
+    assert a == ch_a
+    assert b == pytest.approx(ch_b, rel=1e-14)
+    assert c == pytest.approx(ch_c, rel=1e-14)
 
 
 def test_mutual_information_reference_points():
@@ -190,24 +205,25 @@ def test_mutual_information_reference_points():
 
 
 def test_symplectic_eigenvalues_epr_state_is_pure():
-    nu1, nu2 = _nu12(covariance_matrix(3.0, 1.0, 0.0))
+    nu1, nu2 = _nu12(_channel_abc(3.0, 1.0, 0.0))
     assert nu1 == pytest.approx(1.0, abs=1e-9)
     assert nu2 == pytest.approx(1.0, abs=1e-9)
     for V_A in (0.5, 3.0, 10.0):
-        nus = _nu12(covariance_matrix(V_A, 1.0, 0.0))
+        nus = _nu12(_channel_abc(V_A, 1.0, 0.0))
         np.testing.assert_allclose(nus, (1.0, 1.0), atol=1e-9)
 
 
 def test_symplectic_eigenvalues_broken_channel():
-    nu1, nu2 = _nu12(covariance_matrix(3.0, 0.0, 0.0))
+    nu1, nu2 = _nu12(_channel_abc(3.0, 0.0, 0.0))
     assert nu1 == pytest.approx(4.0, rel=1e-12)
     assert nu2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_symplectic_eigenvalues_match_brute_force():
-    for cov in _grid():
-        nus = _nu12(cov)
-        np.testing.assert_allclose(nus, _symplectic_oracle(cov), rtol=1e-10, atol=1e-10)
+    for params in GRID:
+        abc = _channel_abc(*params)
+        np.testing.assert_allclose(_nu12(abc), _symplectic_oracle(abc),
+                                   rtol=1e-10, atol=1e-10)
 
 
 def test_symplectic_eigenvalues_reject_unphysical_matrix():
@@ -221,16 +237,16 @@ def test_near_pure_states_pass_the_eigenvalue_checks():
     checks read well-conditioned forms, so these states are physical."""
     for V_A in (1.03, 11.0, 100.0, 1000.0):
         for xi in (0.0, 1e-14, 2.3e-10, 1e-8, 1e-6):
-            nu1, nu2 = _nu12(covariance_matrix(V_A, 1.0, xi))
+            nu1, nu2 = _nu12(_channel_abc(V_A, 1.0, xi))
             assert 1.0 <= nu2 <= nu1 < 1.001
             assert key_rate_asymptotic(V_A, 1.0, xi, 0.95).key_rate > 0.0
             _grid_rate([V_A], 1.0, xi, 0.95, 10**5, [5e4])
 
 
 def test_conditional_eigenvalue_matches_schur_complement():
-    for cov in _grid():
-        nu3 = _nu3(cov)
-        assert nu3 == pytest.approx(_conditional_oracle(cov), rel=1e-10)
+    for params in GRID:
+        abc = _channel_abc(*params)
+        assert _nu3(abc) == pytest.approx(_conditional_oracle(abc), rel=1e-10)
     assert _conditional(2.5, 3.0, 0.0) == pytest.approx(2.5, rel=1e-12)
 
 
@@ -254,7 +270,7 @@ def test_nan_entropy_propagates_to_the_rates():
     """Only g(0) is defined as 0: a NaN argument, or the NaN eigenvalues of
     V_A = inf, give a NaN entropy and a NaN rate, never S = 0."""
     assert math.isnan(_g(float("nan")))
-    assert math.isnan(holevo_bound(covariance_matrix(math.inf, 0.5, 0.01)))
+    assert math.isnan(holevo_bound(math.inf, 0.5, 0.01))
     assert math.isnan(key_rate_asymptotic(math.inf, 0.5, 0.01, 0.95).key_rate)
     assert math.isnan(
         key_rate_finite(math.inf, 0.5, 0.01, 0.95, 10**6, 10**5).key_rate)
@@ -264,21 +280,23 @@ def test_nan_entropy_propagates_to_the_rates():
 
 
 def test_holevo_bound_vanishes_for_pure_and_broken_channels():
-    assert holevo_bound(covariance_matrix(3.0, 1.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
-    assert holevo_bound(covariance_matrix(3.0, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
+    assert holevo_bound(3.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+    assert holevo_bound(3.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_holevo_bound_matches_eigenvalue_composition():
-    for cov in _grid():
-        nu1, nu2 = _nu12(cov)
-        nu3 = _nu3(cov)
+    for params in GRID:
+        abc = _channel_abc(*params)
+        nu1, nu2 = _nu12(abc)
+        nu3 = _nu3(abc)
         expected = (_g((nu1 - 1) / 2) + _g((nu2 - 1) / 2)
                     - _g((nu3 - 1) / 2))
-        assert holevo_bound(cov) == pytest.approx(max(expected, 0.0), abs=1e-12)
+        assert holevo_bound(*params) == pytest.approx(max(expected, 0.0),
+                                                      abs=1e-12)
 
 
 def test_holevo_bound_increases_with_excess_noise():
-    values = [holevo_bound(covariance_matrix(3.0, 0.5, xi))
+    values = [holevo_bound(3.0, 0.5, xi)
               for xi in (0.0, 0.02, 0.05, 0.1, 0.2)]
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
 
@@ -297,7 +315,7 @@ def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
     """The asymptotic rate built once per channel gives, at every V_A, the
     raw rate, I_AB and Holevo term that key_rate_asymptotic reports, and
     those are the terms composed from I_AB at sigma2 = 1 + T*xi and
-    holevo_bound(covariance_matrix(...)), by .hex(): a seeded sample with
+    holevo_bound(V_A, T, xi), by .hex(): a seeded sample with
     T from 1 down to 1e-16."""
     rng = random.Random(1503)
     for _ in range(150):
@@ -308,7 +326,7 @@ def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
         for _ in range(8):
             V_A = 10.0 ** rng.uniform(-1.0, 2.0)
             i_ab = _i_ab(V_A, T, _sigma2(T, xi))
-            s = holevo_bound(covariance_matrix(V_A, T, xi))
+            s = holevo_bound(V_A, T, xi)
             raw = beta * i_ab - s
             assert [v.hex() for v in rate(V_A)] == [raw.hex(), i_ab.hex(),
                                                     s.hex()]
@@ -443,11 +461,13 @@ def test_key_rate_finite_reports_key_fraction():
     assert res.n_fraction == pytest.approx(0.9, rel=1e-12)
 
 
-# sha256 of _float_path_digest's sample, pinned when the rate ran on floats
-# through a namespace of math functions; of the sample's 9550 calls, 725
-# raise and 480 return a NaN
-FLOAT_PATH_DIGEST = ("14a8b67741fbbf4ddcbace75a9e3792f"
-                     "a70afc3179c58054fdf408d82c74dc7e")
+# sha256 of _float_path_digest's sample; of its 9550 calls, 725 raise and
+# 480 return a NaN. Re-pinned when key_rate_finite took the shared T/xi
+# check: its 30 calls at T = -0.1 now raise "T and xi must be >= 0, ..."
+# where they raised "math domain error", and mapping that message back
+# gives the digest pinned before, 14a8b677...82c74dc7e
+FLOAT_PATH_DIGEST = ("00b80f6b260e9de85eb8c8d52e84ad7d"
+                     "e3baa1e52a5b5cf6b554f0e5135c24c3")
 
 
 def mutual_information(V_A, T, xi):
@@ -481,7 +501,7 @@ def _float_path_digest() -> str:
     def point(V_A, T, xi, beta, N, m, kind, convention):
         eps = rng.choice((1e-10, 1e-3))
         put(key_rate_finite, V_A, T, xi, beta, N, m, eps, kind, convention)
-        put(lambda: holevo_bound(covariance_matrix(V_A, T, xi)))
+        put(holevo_bound, V_A, T, xi)
         put(key_rate_asymptotic, V_A, T, xi, beta)
         put(mutual_information, V_A, T, xi)
         put(worst_case_params, math.sqrt(T) if T >= 0 else T,
@@ -518,7 +538,7 @@ def _float_path_digest() -> str:
     # raw covariance blocks, physical or not, reach the eigenvalue checks
     for _ in range(400):
         a, b, c = (rng.uniform(-1.0, 5.0) for _ in range(3))
-        put(holevo_bound, TwoModeCovariance(a, b, rng.choice((c, c / 3.0))))
+        put(_holevo, a, b, rng.choice((c, c / 3.0)))
     return digest.hexdigest()
 
 
