@@ -16,7 +16,6 @@ draws only the moment sums the estimators read, in O(1) per session.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import sqrt
 
@@ -32,7 +31,6 @@ __all__ = [
     "split_session",
     "sample_moments",
     "trial_seed",
-    "write_session_csv",
 ]
 
 
@@ -256,18 +254,3 @@ def trial_seed(master_seed: int, stream: int, trial: int) -> int:
     ss = np.random.SeedSequence((master_seed, stream, trial))
     return int(ss.generate_state(1, np.uint64)[0])
 
-
-# ---------------------------------------------------------------------------
-# Session CSV format: header "index,x,x_m2,y", floats written with repr so
-# a read-back reproduces the doubles bit-for-bit; x_m2 column is empty when
-# the second modulation is off.
-
-def write_session_csv(session: SessionData, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x", "x_m2", "y"])
-        has_m2 = session.x_m2 is not None
-        for i in range(session.n_states):
-            m2 = repr(float(session.x_m2[i])) if has_m2 else ""
-            writer.writerow([i, repr(float(session.x[i])), m2,
-                             repr(float(session.y[i]))])

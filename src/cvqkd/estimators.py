@@ -189,11 +189,8 @@ def estimate_sigma2_mm_full(pe: Moments, key: Moments | None,
     MLE residual estimate; with the slope from the revealed subset only,
     the N - m extra states enter through the second moments alone.
     """
-    full = pe if key is None else pe + key
-    sigma2_a = full.uu / full.k
-    value = full.yy / full.k - t_hat**2 * sigma2_a
-    var = var_sigma2_mm_full(sigma2_a, t_hat**2, value, pe.k, full.k)
-    return Estimate(value=value, variance=var)
+    return _moment_estimate(pe if key is None else pe + key, t_hat,
+                            var_sigma2_mm_full, pe.k)
 
 
 def estimate_sigma2_mm_key(pe: Moments, key: Moments | None,
@@ -210,10 +207,17 @@ def estimate_sigma2_mm_key(pe: Moments, key: Moments | None,
     """
     if key is None:
         raise ValueError("no key states: n == 0")
-    sigma2_a = key.uu / key.k
-    value = key.yy / key.k - t_hat**2 * sigma2_a
-    var = var_sigma2_mm_key(sigma2_a, t_hat**2, value, pe.k, key.k)
-    return Estimate(value=value, variance=var)
+    return _moment_estimate(key, t_hat, var_sigma2_mm_key, pe.k)
+
+
+def _moment_estimate(sums: Moments, t_hat: float, variance,
+                     m: int) -> Estimate:
+    # sigma2_b - t_hat**2 * sigma2_a over ``sums``, and its variance form
+    # at the plug-in (V_A, T, sigma2) = (sigma2_a, t_hat**2, the estimate)
+    sigma2_a = sums.uu / sums.k
+    value = sums.yy / sums.k - t_hat**2 * sigma2_a
+    return Estimate(value=value,
+                    variance=variance(sigma2_a, t_hat**2, value, m, sums.k))
 
 
 def combine_optimal(first: Estimate, second: Estimate) -> Estimate:

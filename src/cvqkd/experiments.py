@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import replace
+from itertools import repeat
 from math import log, log10, sqrt
 
 import numpy as np
@@ -166,6 +167,13 @@ def run_estimator_trials(cfg: ExperimentConfig, distance_km: float,
                            Moments(*m2.T, protocol.N), cfg.V_A, cfg.V_M2)
 
 
+def _mc_trials(cfg: ExperimentConfig, di: int) -> dict:
+    """The trial table of Monte Carlo distance ``cfg.mc_distances_km[di]``,
+    drawn on its own streams 3*di and 3*di + 1 whichever verb asks."""
+    return run_estimator_trials(cfg, cfg.mc_distances_km[di], cfg.trials,
+                                3 * di)
+
+
 def check_identities() -> tuple[float, float]:
     """Exact algebraic identities on IDENTITY_SESSIONS random sessions of
     IDENTITY_N states.
@@ -250,7 +258,7 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
         worst_split, 0.0, SPLIT_IDENTITY_TOL, worst_split <= SPLIT_IDENTITY_TOL)
 
     for di, d in enumerate(cfg.mc_distances_km):
-        res = run_estimator_trials(cfg, d, trials, stream_base=3 * di)
+        res = _mc_trials(cfg, di)
         channel = ChannelParams.from_distance(d, cfg.xi, cfg.loss_db_per_km)
         truth = {EstimatorKind.T_MLE: channel.t,
                  EstimatorKind.T_SECONDMOD: channel.T,
@@ -316,7 +324,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
     mc: dict[float, list] = {}
     for di, d in enumerate(cfg.mc_distances_km):
         if d in cfg.distances_km:
-            res = run_estimator_trials(cfg, d, cfg.trials, stream_base=3 * di)
+            res = _mc_trials(cfg, di)
             mc[d] = [float(np.std(res[name], ddof=1))
                      for name in ("sigma2_mm_full", "sigma2_opt")]
             del res
@@ -342,12 +350,11 @@ def _best_over_candidates(rate_at, N: int, own: OptimizationResult,
                           others: list[OptimizationResult]) -> OptimizationResult:
     # An optimum found for one estimator is a valid candidate for the rest;
     # re-scoring them keeps the reported curves free of refinement jitter.
-    # rate_at is the cell's float rate, security._rate_at; max(raw, 0.0)
-    # is key_rate_finite's key_rate there, bit for bit.
+    # rate_at is the cell's float rate, security._rate_at, whose key rate
+    # is key_rate_finite's there, bit for bit.
     best = own
     for cand in others:
-        k = max(rate_at(cand.best_V_A, _round_m(cand.best_m_fraction, N))[0],
-                0.0)
+        k = rate_at(cand.best_V_A, _round_m(cand.best_m_fraction, N))[0]
         if k > best.best_key_rate:
             best = OptimizationResult(
                 best_V_A=cand.best_V_A,
@@ -436,16 +443,17 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str) -> str:
 # small CLI verbs
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> str:
-    """Write one sampled session (at the first grid distance) to CSV."""
-    from .channel import write_session_csv
-
+    """Write one sampled session (at the first grid distance) to CSV, a
+    row ``index, x, x_m2, y`` per state (x_m2 empty without it)."""
     os.makedirs(out_dir, exist_ok=True)
     d = cfg.distances_km[0]
     channel = ChannelParams.from_distance(d, cfg.xi, cfg.loss_db_per_km)
     protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
     session = sample_session(protocol, channel, cfg.seed)
+    x_m2 = repeat(None) if session.x_m2 is None else session.x_m2
     path = os.path.join(out_dir, "session.csv")
-    write_session_csv(session, path)
+    _write_table(path, cfg, ["index", "x", "x_m2", "y"],
+                 zip(range(session.n_states), session.x, x_m2, session.y))
     return path
 
 

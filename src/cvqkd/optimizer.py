@@ -8,10 +8,10 @@ the rate's array path, ``security._rate_grid``, ranks the grids of a
 block of at most _T_BLOCK transmissions (a constant, not a parameter),
 and ``optimize_key_rate`` is its one-transmission case. The re-scored
 grid cells, the seeds and the polish of each transmission call the float
-path, ``security._rate_at``, built once per transmission; an evaluation
-there costs about 2.5 us (2-vCPU Xeon, Python 3.11.7), over 30 times
-less than the array path on one point, and every reported rate is the
-value ``key_rate_finite`` gives at that point, bit for bit. The reported
+path, ``security._rate_at``, built once per transmission before its
+block is ranked, so a bad channel or block size fails that build's check
+before the array path runs; every reported rate is the value
+``key_rate_finite`` gives at that point, bit for bit. The reported
 optimum is never below the best grid point, and it is positive exactly
 when that point is, so ``maximum_distance`` decides each probe's sign
 from the re-scored grid alone, with no polish. ``optimize_asymptotic_rate``
@@ -106,10 +106,10 @@ _BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
 _GRID_VAS = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
 # Transmissions whose grids one _rate_grid call ranks, as (block, 24, 24)
 # arrays. A call's fixed cost is most of its time at one transmission;
-# at 8 it is spread thin. Ranking the 41 default distances (2-vCPU Xeon,
-# numpy 2.4.6) takes 172 us a transmission one at a time, 57 us in blocks
-# of 8 and 56 us in one call, but that one call's temporaries peak at
-# 2.5 MB (tracemalloc, the whole column optimized) against 0.54 MB.
+# at 8 it is spread thin. Ranking the 41 default distances (N = 1e5 and
+# 1e9, best of 9 in each of four runs, 2-vCPU Xeon, 2026-10-19) takes
+# 118-145 us a transmission one at a time, 47-83 us in blocks of 8 and
+# 70-110 us in one call, whose temporaries peak at 4.0 MB against 0.78.
 _T_BLOCK = 8
 
 # bound on the gap between the raw rates of the array path (_rate_grid)
@@ -316,14 +316,12 @@ def _search_rate(T: float, xi: float, beta: float, N: int, z: float,
     z is confidence_quantile(epsilon_pe, convention) and kind one of
     KEY_RATE_ESTIMATORS; each value is key_rate_finite(10**log_va, T, xi,
     beta, N, _round_m(frac, N), epsilon_pe, kind, convention).key_rate,
-    bit for bit.
+    bit for bit. Building the float rate checks T, xi and N.
     """
     rate_at = _rate_at(T, xi, beta, N, z, kind)
 
     def rate(log_va: float, frac: float) -> float:
-        raw = rate_at(10.0 ** log_va, _round_m(frac, N))[0]
-        # max(raw, 0.0), signed zeros and NaN included
-        return 0.0 if 0.0 > raw else raw
+        return rate_at(10.0 ** log_va, _round_m(frac, N))[0]
     return rate
 
 
@@ -380,14 +378,16 @@ def _ranked_grids(xi: float, beta: float, N: int, z: float,
     the raw array rates of its 24 x 24 cells, flattened, and its
     ``_search_rate``; ``ms`` is ``_grid_ms(N)``. One _rate_grid call ranks
     each block of up to _T_BLOCK transmissions, V_A outer and fraction
-    inner, when the first of them is asked for."""
+    inner, when the first of them is asked for, after the block's search
+    rates are built, so their checks fire before numpy sees the block."""
     for i in range(0, len(Ts), _T_BLOCK):
         block = Ts[i:i + _T_BLOCK]
+        rates = [_search_rate(T, xi, beta, N, z, kind) for T in block]
         raw = _rate_grid(
             _GRID_VAS, np.array(block, dtype=float)[:, None, None], xi, beta,
             N, ms, z, kind)
-        for T, rank in zip(block, raw):
-            yield rank.ravel(), _search_rate(T, xi, beta, N, z, kind)
+        for rank, rate in zip(raw, rates):
+            yield rank.ravel(), rate
 
 
 def _grid_best(raw, rate):
@@ -395,17 +395,17 @@ def _grid_best(raw, rate):
     scalar search rate ``rate`` from the array rates ``raw``."""
     # The array rate is the scalar one up to _GRID_TOL of round-off, so the
     # scalar scan's first strict maximum is among these cells, or is cell 0
-    # when no rate is positive. Scanning them with the scalar rate returns
-    # the cell, and the value, that scanning the whole grid would.
+    # when no rate is positive or none compares (NaN). Scanning them with
+    # the scalar rate returns the cell and value a whole-grid scan would.
     top = raw.max()
     cells = np.flatnonzero(raw >= top - 2.0 * _GRID_TOL)
-    if top <= _GRID_TOL and cells[0] != 0:
+    if not top > _GRID_TOL and (cells.size == 0 or cells[0] != 0):
         cells = np.concatenate(([0], cells))
-    best = (-1.0, _LOG_VAS[0], _FRACS[0])
+    best = None
     for i in cells:
         lv, fr = _LOG_VAS[i // len(_FRACS)], _FRACS[i % len(_FRACS)]
         k = rate(lv, fr)
-        if k > best[0]:
+        if best is None or k > best[0]:
             best = (k, lv, fr)
     return best
 
@@ -455,10 +455,8 @@ def optimize_asymptotic_rate(xi: float, beta: float,
     rate_at = _asymptotic_at(T, xi, beta)
 
     def rate(log_va: float) -> float:
-        # key_rate_asymptotic(10**log_va, T, xi, beta).key_rate, bit for
-        # bit: max(raw, 0.0), signed zeros and NaN included
-        raw = rate_at(10.0 ** log_va)[0]
-        return 0.0 if 0.0 > raw else raw
+        # key_rate_asymptotic(10**log_va, T, xi, beta).key_rate, bit for bit
+        return rate_at(10.0 ** log_va)[0]
 
     ks = [rate(lv) for lv in _ASYMPTOTIC_LOG_VAS]
     i = int(np.argmax(ks))

@@ -26,27 +26,28 @@ of (V_A, m). Its steps (the corner's hold ``_hold``, the mutual
 information ``_i_ab``, the Holevo term ``_holevo``) also serve
 ``worst_case_params`` and ``holevo_bound``, and ``_asymptotic_at``, the
 asymptotic rate built the same way once per channel, as a function of
-V_A. Rates are built once and then evaluated many times by the
-optimizer's polish (``_rate_at``, once per transmission), its asymptotic
-search (``_asymptotic_at``, once per transmission) and the figures'
-cross re-scores (``_rate_at``, once per cell); ``key_rate_finite`` and
-``key_rate_asymptotic`` build one for a single evaluation. ``_rate_grid``
-takes numpy arrays, for the optimizer's grid, ranked for a block of
-transmissions at once (so T is an array there too), and raises if any
-cell fails a check.
+V_A. Each built rate checks its channel, and ``_rate_at`` also N >= 2,
+when it is built, and returns the key rate, the raw rate held at 0,
+next to the raw rate: the check and the zero clamp are written there
+and nowhere else. Rates are built once and then evaluated many times by
+the optimizer's polish (``_rate_at``, once per transmission), its
+asymptotic search (``_asymptotic_at``, once per transmission) and the
+figures' cross re-scores (``_rate_at``, once per cell);
+``key_rate_finite`` and ``key_rate_asymptotic`` build one for a single
+evaluation. ``_rate_grid`` takes numpy arrays, for the optimizer's grid,
+ranked for a block of transmissions at once (so T is an array there
+too), and raises if any cell fails a check.
 
 Each path is the better one on its own input. numpy's log2 and powers
 differ from math's in the last bit (log2 on 24 to 172 of 100k random
 inputs, depending on their range), so the grid's values only rank cells
 and every reported rate comes from the float path. On floats one
-evaluation of a built rate costs 2.1-2.6 us, against 3.5-4.2 us when
-sigma2, sqrt(T) and the variance form were redone at every evaluation,
-6.5 us through key_rate_finite and over 80 us as a one-cell array; a
-built asymptotic rate costs 1.7 us, against 5.1 us through
-key_rate_asymptotic (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6). Both
-paths take sigma2, Var(t_hat) and the sigma2 variance from ``_sigma2``,
-``var_t_mle`` and the estimators' one kind -> variance table;
-tests/test_security.py checks them against each other cell by cell.
+evaluation of a built rate costs 2.1-2.6 us and of a built asymptotic
+rate 1.7 us, against over 80 us for a one-cell array (2-vCPU Xeon,
+Python 3.11.7, numpy 2.4.6). Both paths take sigma2, Var(t_hat) and the
+sigma2 variance from ``_sigma2``, ``var_t_mle`` and the estimators' one
+kind -> variance table; tests/test_security.py checks them against each
+other cell by cell.
 """
 
 from __future__ import annotations
@@ -239,17 +240,21 @@ def _holevo(a, b, c):
 
 
 def _rate_at(T, xi, beta, N, z, kind):
-    """rate(V_A, m) -> (raw rate, I_AB, S_worst, clamped): the finite-size
-    rate of one channel and block size.
+    """rate(V_A, m) -> (key rate, raw rate, I_AB, S_worst, clamped): the
+    finite-size rate of one channel and block size.
 
     The raw rate is (n/N) * (beta*I_AB - S_worst), S_worst the Holevo
     bound at the confidence-region corner t_min = t - z*std_t, sigma2_max
     = sigma2 + z*std_sigma2, held by _hold at t_min >= 0 and sigma2_max
-    >= 1; clamped says whether either hold fired. sigma2, sqrt(T) and the
-    kind's variance form are fixed here, once; each call does the (V_A, m)
-    arithmetic. Needs z from confidence_quantile and a kind of
-    KEY_RATE_ESTIMATORS; rate needs V_A > 0 and 1 <= m <= N-1.
+    >= 1; clamped says whether either hold fired; the key rate is the raw
+    rate held at 0 (a NaN or -0.0 passes). T, xi and N >= 2 are checked,
+    and sigma2, sqrt(T) and the kind's variance form fixed, here, once.
+    Needs z from confidence_quantile and a kind of KEY_RATE_ESTIMATORS;
+    rate needs V_A > 0 and 1 <= m <= N-1.
     """
+    _check_channel(T, xi)
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     sigma2 = _sigma2(T, xi)
     sqrt_t = sqrt(T)
     variance = _VARIANCE[kind]
@@ -261,21 +266,23 @@ def _rate_at(T, xi, beta, N, z, kind):
             sigma2 + z * sqrt(variance(V_A, T, sigma2, m, n, N, 0.0)))
         s_wc = _holevo(*_corner(t_min, sigma2_max, V_A))
         i_ab = _i_ab(V_A, T, sigma2)
-        return (n / N) * (beta * i_ab - s_wc), i_ab, s_wc, clamped
+        raw = (n / N) * (beta * i_ab - s_wc)
+        return 0.0 if 0.0 > raw else raw, raw, i_ab, s_wc, clamped
     return rate
 
 
 def _asymptotic_at(T, xi, beta):
-    """rate(V_A) -> (raw rate, I_AB, S): the asymptotic rate beta*I_AB - S
-    of one channel. T and xi are checked and sigma2 is fixed here, once;
-    rate needs V_A > 0."""
+    """rate(V_A) -> (key rate, raw rate, I_AB, S): the asymptotic rate
+    beta*I_AB - S of one channel, held at 0 as in _rate_at. T and xi are
+    checked and sigma2 is fixed here, once; rate needs V_A > 0."""
     _check_channel(T, xi)
     sigma2 = _sigma2(T, xi)
 
     def rate(V_A):
         i_ab = _i_ab(V_A, T, sigma2)
         s = _holevo(*_channel_abc(V_A, T, xi))
-        return beta * i_ab - s, i_ab, s
+        raw = beta * i_ab - s
+        return 0.0 if 0.0 > raw else raw, raw, i_ab, s
     return rate
 
 
@@ -357,9 +364,9 @@ def key_rate_asymptotic(V_A: float, T: float, xi: float,
                         beta: float = 1.0) -> KeyRateResult:
     """Reverse-reconciliation rate beta*I - S with known channel parameters."""
     _check_inputs(V_A, T, xi)
-    raw, i_ab, s = _asymptotic_at(T, xi, beta)(V_A)
+    key, raw, i_ab, s = _asymptotic_at(T, xi, beta)(V_A)
     return KeyRateResult(
-        key_rate=max(raw, 0.0),
+        key_rate=key,
         key_rate_raw=raw,
         mutual_information=i_ab,
         holevo=s,
@@ -402,10 +409,10 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
                              n_fraction=1.0, reason="no parameter estimation (m == 0)")
 
     z = confidence_quantile(epsilon_pe, convention)
-    raw, i_ab, s_wc, clamped = _rate_at(T, xi, beta, N, z,
-                                        estimator_kind)(V_A, m)
+    key, raw, i_ab, s_wc, clamped = _rate_at(T, xi, beta, N, z,
+                                             estimator_kind)(V_A, m)
     return KeyRateResult(
-        key_rate=max(raw, 0.0),
+        key_rate=key,
         key_rate_raw=raw,
         mutual_information=i_ab,
         holevo=s_wc,

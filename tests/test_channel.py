@@ -12,8 +12,9 @@ from cvqkd.channel import (
     sample_session,
     split_session,
     trial_seed,
-    write_session_csv,
 )
+from cvqkd.config import ExperimentConfig
+from cvqkd.experiments import _metadata_lines, run_simulate
 
 
 def test_fiber_transmission_reference_points():
@@ -254,17 +255,28 @@ def test_sample_moments_single_key_state_and_bounds():
             sample_moments(ProtocolParams(V_A=3.0, N=10, m=m), channel, 5, 1, 0)
 
 
+def _simulate(tmp_path, **params):
+    """(config, session, path): ``cvqkd simulate``'s session at 15 km
+    (T about 0.5) and the session.csv it writes."""
+    cfg = ExperimentConfig(distances_km=[15.0], seed=77, **params)
+    path = tmp_path / "session.csv"
+    assert run_simulate(cfg, str(tmp_path)) == str(path)
+    proto = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
+    sess = sample_session(proto, ChannelParams.from_distance(15.0, cfg.xi),
+                          seed=cfg.seed)
+    return cfg, sess, path
+
+
 def _read_session_csv(path):
     with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
+        header, *rows = csv.reader(line for line in fh
+                                   if not line.startswith("#"))
     return header, rows
 
 
 def test_session_csv_round_trip(tmp_path):
-    proto = ProtocolParams(V_A=3.0, N=64, m=32, V_M2=10.0)
-    sess = sample_session(proto, ChannelParams(T=0.5, xi=0.05), seed=77)
-    path = tmp_path / "session.csv"
-    write_session_csv(sess, path)
+    _, sess, path = _simulate(tmp_path, V_A=3.0, N=64, m=32, V_M2=10.0,
+                              xi=0.05)
     header, rows = _read_session_csv(path)
     assert header == ["index", "x", "x_m2", "y"]
     assert [int(r[0]) for r in rows] == list(range(64))
@@ -274,10 +286,20 @@ def test_session_csv_round_trip(tmp_path):
 
 
 def test_session_csv_round_trip_without_x_m2(tmp_path):
-    proto = ProtocolParams(V_A=3.0, N=16, m=8)
-    sess = sample_session(proto, ChannelParams(T=1.0, xi=0.0), seed=8)
-    path = tmp_path / "plain.csv"
-    write_session_csv(sess, path)
+    _, sess, path = _simulate(tmp_path, V_A=3.0, N=16, m=8, V_M2=0.0,
+                              xi=0.0)
     _, rows = _read_session_csv(path)
     assert all(r[2] == "" for r in rows)
     np.testing.assert_array_equal([float(r[3]) for r in rows], sess.y)
+
+
+def test_session_csv_starts_with_the_metadata_lines(tmp_path):
+    """session.csv carries the `#` lines every output CSV starts with
+    (version, master seed, effective configuration), then the header."""
+    cfg, _, path = _simulate(tmp_path, N=16, m=8)
+    lines = path.read_text().splitlines()
+    head = _metadata_lines(cfg)
+    assert "# master_seed = 77" in head
+    assert lines[:len(head)] == head
+    assert lines[len(head)] == "index,x,x_m2,y"
+    assert not any(line.startswith("#") for line in lines[len(head):])

@@ -1,3 +1,4 @@
+import warnings
 from math import floor
 
 import numpy as np
@@ -501,3 +502,55 @@ def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
     for f, x0, bounds in cases:
         for maxiter in (1, 3, 400):
             _assert_same_run(f, x0, bounds, maxiter, 1e-4, 1e-12)
+
+
+_CHANNEL = "T and xi must be >= 0"
+_BLOCK = "N must be >= 2"
+
+
+@pytest.mark.parametrize("search, message", [
+    pytest.param(lambda: optimize_key_rate(-0.01, BETA, 10**5, T=0.5),
+                 _CHANNEL, id="optimize_key_rate-xi"),
+    pytest.param(lambda: optimize_key_rate(XI, BETA, 10**5, T=-0.1),
+                 _CHANNEL, id="optimize_key_rate-T"),
+    pytest.param(lambda: optimize_key_rate(XI, BETA, 1, T=0.5),
+                 _BLOCK, id="optimize_key_rate-N"),
+    pytest.param(lambda: optimize_key_rates(-0.01, BETA, 10**5,
+                                            Ts=[0.9, 0.5]),
+                 _CHANNEL, id="optimize_key_rates-xi"),
+    pytest.param(lambda: optimize_key_rates(XI, BETA, 10**5,
+                                            Ts=[0.9, 0.5, -0.1, 0.2]),
+                 _CHANNEL, id="optimize_key_rates-T-inside-a-block"),
+    pytest.param(lambda: optimize_key_rates(XI, BETA, 1, Ts=[0.9, 0.5]),
+                 _BLOCK, id="optimize_key_rates-N"),
+    pytest.param(lambda: maximum_distance(-0.01, BETA, 10**5),
+                 _CHANNEL, id="maximum_distance-xi"),
+    pytest.param(lambda: maximum_distance(XI, BETA, 1),
+                 _BLOCK, id="maximum_distance-N"),
+    pytest.param(lambda: range_limit_ratio(-0.01, BETA, 10**5),
+                 _CHANNEL, id="range_limit_ratio-xi"),
+    pytest.param(lambda: range_limit_ratio(XI, BETA, 1),
+                 _BLOCK, id="range_limit_ratio-N"),
+])
+def test_searches_reject_a_bad_channel_or_block_size(search, message):
+    """The optimizer and range searches build the float rate, which checks
+    T, xi and N, before the array path ranks a block: each raises the rate
+    layer's message, with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            search()
+
+
+@pytest.mark.parametrize("xi, beta, T", [
+    (float("nan"), BETA, 0.5), (XI, BETA, float("nan")),
+    (XI, float("nan"), 0.5)])
+def test_nan_inputs_give_a_nan_optimum(xi, beta, T):
+    """A NaN input gives a NaN rate at every grid cell; the search reports
+    the scored cell 0's NaN, as the asymptotic search reports its NaN,
+    and no start value of its own."""
+    res = optimize_key_rate(xi, beta, 10**5, T=T)
+    assert np.isnan(res.best_key_rate)
+    assert (res.best_V_A, res.best_m_fraction) == (10.0 ** _LOG_VAS[0],
+                                                   _FRACS[0])
+    assert np.isnan(optimize_asymptotic_rate(xi, beta, T=T).best_key_rate)

@@ -313,9 +313,9 @@ def test_key_rate_asymptotic_reference_points():
 
 def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
     """The asymptotic rate built once per channel gives, at every V_A, the
-    raw rate, I_AB and Holevo term that key_rate_asymptotic reports, and
-    those are the terms composed from I_AB at sigma2 = 1 + T*xi and
-    holevo_bound(V_A, T, xi), by .hex(): a seeded sample with
+    key rate, raw rate, I_AB and Holevo term that key_rate_asymptotic
+    reports, and those are the terms composed from I_AB at sigma2 = 1 +
+    T*xi and holevo_bound(V_A, T, xi), by .hex(): a seeded sample with
     T from 1 down to 1e-16."""
     rng = random.Random(1503)
     for _ in range(150):
@@ -328,8 +328,8 @@ def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
             i_ab = _i_ab(V_A, T, _sigma2(T, xi))
             s = holevo_bound(V_A, T, xi)
             raw = beta * i_ab - s
-            assert [v.hex() for v in rate(V_A)] == [raw.hex(), i_ab.hex(),
-                                                    s.hex()]
+            assert [v.hex() for v in rate(V_A)] == [
+                max(raw, 0.0).hex(), raw.hex(), i_ab.hex(), s.hex()]
             res = key_rate_asymptotic(V_A, T, xi, beta)
             assert [v.hex() for v in (res.key_rate, res.key_rate_raw,
                                       res.mutual_information, res.holevo,
