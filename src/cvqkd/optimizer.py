@@ -14,9 +14,12 @@ before the array path runs; every reported rate is the value
 ``key_rate_finite`` gives at that point, bit for bit. The reported
 optimum is never below the best grid point, and it is positive exactly
 when that point is, so ``maximum_distance`` decides each probe's sign
-from the re-scored grid alone, with no polish. ``optimize_asymptotic_rate``
-builds the asymptotic float rate, ``security._asymptotic_at``, once per
-transmission in the same way.
+from the grid alone, with no polish: from the best cell of its last
+positive ranking when that cell's rate is positive, else from the
+re-scored grid. ``range_limit_ratio`` polishes every probe, and ranks
+the distances it knows before their polishes in blocks.
+``optimize_asymptotic_rate`` builds the asymptotic float rate,
+``security._asymptotic_at``, once per transmission in the same way.
 
 The polishes are bounded Nelder-Mead searches written here on scalar
 floats: ``_nelder_mead_2d`` over (log10 V_A, m/N) for the finite-size
@@ -30,7 +33,7 @@ checks this against scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor, log10
+from math import floor, isnan, log10
 
 import numpy as np
 
@@ -283,23 +286,37 @@ def _nelder_mead_1d(f, x0: float, bounds, maxiter: int, xatol: float,
     return b[1], b[0], nfev
 
 
+def _ladder(d_cap_km: float) -> list[float]:
+    """The distances _last_positive probes before it bisects: 0, then 1,
+    2, 4, ... km, each clipped to the cap, up to the cap."""
+    ds = [0.0]
+    hi = min(1.0, d_cap_km)
+    while True:
+        ds.append(hi)
+        if hi >= d_cap_km:
+            return ds
+        hi = min(2.0 * hi, d_cap_km)
+
+
 def _last_positive(positive, d_cap_km: float,
                    resolution_km: float) -> float | None:
     """Largest distance d with positive(d): doubling, then bisection.
 
-    Probes 0, then 1, 2, 4, ... km, each clipped to the cap, until
-    positive fails, then halves the bracket down to ``resolution_km``.
-    Returns None when positive(0) fails and the cap when it never fails.
+    Probes the ``_ladder`` until positive fails, then halves the bracket
+    down to ``resolution_km``. Returns None when positive(0) fails and the
+    cap when it never fails.
     """
-    if not positive(0.0):
+    ladder = _ladder(d_cap_km)
+    if not positive(ladder[0]):
         return None
-    lo, hi = 0.0, min(1.0, d_cap_km)
-    while positive(hi):
+    lo = ladder[0]
+    for hi in ladder[1:]:
+        if not positive(hi):
+            break
         lo = hi
-        if hi >= d_cap_km:
-            # still secure at the cap; report the cap rather than extrapolate
-            return d_cap_km
-        hi = min(2.0 * hi, d_cap_km)
+    else:
+        # still secure at the cap; report the cap rather than extrapolate
+        return d_cap_km
     while hi - lo > resolution_km:
         mid = (lo + hi) / 2.0
         if positive(mid):
@@ -383,11 +400,15 @@ def _ranked_grids(xi: float, beta: float, N: int, z: float,
     for i in range(0, len(Ts), _T_BLOCK):
         block = Ts[i:i + _T_BLOCK]
         rates = [_search_rate(T, xi, beta, N, z, kind) for T in block]
-        raw = _rate_grid(
-            _GRID_VAS, np.array(block, dtype=float)[:, None, None], xi, beta,
-            N, ms, z, kind)
-        for rank, rate in zip(raw, rates):
-            yield rank.ravel(), rate
+        yield from zip(_rank(block, xi, beta, N, z, kind, ms), rates)
+
+
+def _rank(Ts, xi: float, beta: float, N: int, z: float, kind: EstimatorKind,
+          ms):
+    """The raw array rates of the grids at the transmissions ``Ts``, one
+    flattened row each, from one _rate_grid call."""
+    return _rate_grid(_GRID_VAS, np.array(Ts, dtype=float)[:, None, None],
+                      xi, beta, N, ms, z, kind).reshape(len(Ts), -1)
 
 
 def _grid_best(raw, rate):
@@ -485,31 +506,49 @@ def maximum_distance(xi: float, beta: float, N: int,
                      convention: str = "paper",
                      d_cap_km: float = 1000.0) -> MaximumDistanceResult:
     """Largest distance with a positive optimized key rate, by bisection to
-    0.1 km.
+    0.1 km; NaN when the rate at 0 km is NaN.
 
     The grid alone decides each probe's sign. optimize_key_rate polishes
     only from a positive grid cell, and a polish never lowers the grid's
     best, so its optimum is positive exactly when the re-scored best grid
-    cell is; each probe ranks its transmission's grid and re-scores the
-    best cells, with no polish.
+    cell is. The re-scored best is the whole grid's scalar maximum, so a
+    probe is positive when one cell's scalar rate is: each probe first
+    scores the best cell of the last positive ranking, and ranks its
+    transmission's grid and re-scores the best cells only when that cell's
+    rate is not positive.
     """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
     ms = _grid_ms(N)
     evaluations = 0
+    # the best (log10 V_A, m/N) cell of the last positive ranking, and the
+    # re-scored best of each ranking, the first at 0 km
+    cell = None
+    bests = []
 
     def positive(d: float) -> bool:
-        nonlocal evaluations
+        nonlocal evaluations, cell
         evaluations += 1
-        (raw, rate), = _ranked_grids(xi, beta, N, z, kind,
-                                     [fiber_transmission(d, loss_db_per_km)],
-                                     ms)
-        return _grid_best(raw, rate)[0] > 0.0
+        T = fiber_transmission(d, loss_db_per_km)
+        rate = _search_rate(T, xi, beta, N, z, kind)
+        if cell is not None and rate(*cell) > 0.0:
+            return True
+        k, *best = _grid_best(_rank([T], xi, beta, N, z, kind, ms)[0], rate)
+        bests.append(k)
+        if k > 0.0:
+            cell = best
+        return k > 0.0
 
     d = _last_positive(positive, d_cap_km, 0.1)
-    return MaximumDistanceResult(0.0 if d is None else d,
+    return MaximumDistanceResult(_no_range(bests[0]) if d is None else d,
                                  positive_at_zero=d is not None,
                                  evaluations=evaluations)
+
+
+def _no_range(k0: float) -> float:
+    """The range when the best rate at 0 km, k0, is not positive: none, or
+    NaN when k0 is NaN, as the optimum there is."""
+    return k0 if isnan(k0) else 0.0
 
 
 def range_limit_ratio(xi: float, beta: float, N: int,
@@ -528,34 +567,66 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     boundary is located by warm-started bisection to 0.5 m (continuation
     seeds keep the optimizer from losing the shrinking positive region),
     then both rates are sampled 50, 20, 10, 5, 2, 1 and 0 m inside it.
+    Each probe is optimize_key_rate's optimum there. A grid's ranking
+    needs no seed, so the distances known before their polishes, the
+    search's ``_ladder`` and the sampled offsets, are ranked in blocks,
+    and each (estimator, distance) pair is ranked once.
     """
+    z = confidence_quantile(epsilon_pe, convention)
+    kinds = {k: _key_rate_kind(k) for k in (denominator, numerator)}
+    ms = _grid_ms(N)
     evaluations = 0
     seed_of: dict[EstimatorKind, tuple] = {}
+    # (estimator, d) -> (grid rates, search rate) once ranked, and before
+    # that the iterator that ranks it, in blocks
+    ranked: dict[tuple, tuple] = {}
+    queued: dict[tuple, object] = {}
+
+    def queue(kind: EstimatorKind, ds) -> None:
+        # kind's grids at ds, those not ranked yet, each block ranked when
+        # its first grid is asked for
+        ds = [d for d in dict.fromkeys(ds) if (kind, d) not in ranked]
+        grids = zip(ds, _ranked_grids(
+            xi, beta, N, z, kinds[kind],
+            [fiber_transmission(d, loss_db_per_km) for d in ds], ms))
+        queued.update(((kind, d), grids) for d in ds)
 
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
+        if (kind, d) not in ranked:
+            if (kind, d) not in queued:
+                queue(kind, [d])
+            for dd, grid in queued[kind, d]:
+                ranked[kind, dd] = grid
+                if dd == d:
+                    break
         seeds = [s for s in (seed_of.get(kind), *extra) if s is not None]
-        r = optimize_key_rate(xi, beta, N, epsilon_pe, kind,
-                              T=fiber_transmission(d, loss_db_per_km),
-                              convention=convention, seeds=seeds)
+        r = _optimize_ranked(*ranked[kind, d], seeds)
         evaluations += r.evaluations
         if r.best_key_rate > 0.0:
             seed_of[kind] = (r.best_V_A, r.best_m_fraction)
         return r
 
-    boundary = _last_positive(
-        lambda d: opt(denominator, d).best_key_rate > 0.0, d_cap_km, 5e-4)
+    queue(denominator, _ladder(d_cap_km))
+    bests = []  # the denominator's optimum at each probe, the first at 0 km
+
+    def positive(d: float) -> bool:
+        bests.append(opt(denominator, d).best_key_rate)
+        return bests[-1] > 0.0
+
+    boundary = _last_positive(positive, d_cap_km, 5e-4)
     if boundary is None:
-        return RangeLimitRatio(rows=(), boundary_km=0.0,
+        return RangeLimitRatio(rows=(), boundary_km=_no_range(bests[0]),
                                max_ratio=float("nan"),
                                evaluations=evaluations)
 
+    ds = [boundary - w for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)]
+    ds = [d for d in ds if d >= 0.0]
+    for kind in kinds:
+        queue(kind, ds)
     rows = []
     max_ratio = 0.0
-    for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0):
-        d = boundary - w
-        if d < 0.0:
-            continue
+    for d in ds:
         r_den = opt(denominator, d)
         r_num = opt(numerator, d, extra=(seed_of.get(denominator),))
         k_den, k_num = r_den.best_key_rate, r_num.best_key_rate

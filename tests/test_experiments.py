@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvqkd import cli, experiments
+from cvqkd import cli, estimators, experiments
 from cvqkd.channel import (
     ChannelParams,
     ProtocolParams,
@@ -89,6 +89,21 @@ def _read_table(path):
 def test_check_identities_are_exact():
     worst_mm, worst_split = check_identities()
     assert worst_mm <= 1e-10
+    assert worst_split <= 1e-12
+
+
+def test_check_identities_runs_the_moment_estimator(monkeypatch):
+    """The full-set identity checks the package's own moment estimator: a
+    moment form that divides sum(y**2) by k - 1 fails it."""
+    def mutated(sums, t_hat, variance, m):
+        sigma2_a = sums.uu / sums.k
+        value = sums.yy / (sums.k - 1) - t_hat**2 * sigma2_a
+        return Estimate(value=value, variance=variance(
+            sigma2_a, t_hat**2, value, m, sums.k))
+
+    monkeypatch.setattr(estimators, "_moment_estimate", mutated)
+    worst_mm, worst_split = check_identities()
+    assert worst_mm > 1e-10
     assert worst_split <= 1e-12
 
 

@@ -404,6 +404,126 @@ def test_range_limit_ratio_dead_channel():
     assert np.isnan(rr.max_ratio)
 
 
+# probes of maximum_distance at the default n_list
+MAX_DIST_PROBES = {10**5: 17, 10**7: 19, 10**9: 19, 10**12: 21}
+
+# the three range_limit_ratio calls of the range_limit benchmark, bit for
+# bit: boundary_km and max_ratio, evaluations, then each row's six fields
+RATIO_PINS = {
+    (10**5, EstimatorKind.SIGMA2_MLE): (
+        "0x1.35c4000000000p+5 0x1.7354ef3158f31p+3", 23592, (
+            "0x1.355d99999999ap+5 0x1.aa71e3d8a6e98p-23 0x1.be9f2c831db23p-23 "
+            "0x1.0c1cc838ad18ep+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.359b0a3d70a3dp+5 0x1.57251023978d5p-24 0x1.7f8cb9368b439p-24 "
+            "0x1.1e24cae6b9b31p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35af851eb851fp+5 0x1.5adb948df3b64p-25 0x1.abb3d3936c8b4p-25 "
+            "0x1.3baaf67ccede4p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872ap-1",
+            "0x1.35b9c28f5c28fp+5 0x1.626f94038d4fep-26 0x1.021426e05a1cbp-25 "
+            "0x1.74ceb0dfb556fp+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35bfe76c8b439p+5 0x1.2dd47c447ae15p-27 0x1.38a81b6fd70a4p-26 "
+            "0x1.092ec6feaf3a1p+1 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35c1f3b645a1dp+5 0x1.4c5487fe978d5p-28 0x1.e9a96a17df3b6p-27 "
+            "0x1.7932041728858p+1 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35c4000000000p+5 0x1.e820c2db22d0fp-31 0x1.6204b69c18937p-27 "
+            "0x1.7354ef3158f31p+3 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+        )),
+    (10**5, EstimatorKind.SIGMA2_OPT): (
+        "0x1.35c9000000000p+5 0x1.0000000000000p+0", 23648, (
+            "0x1.356299999999ap+5 0x1.a9dd944f5b22dp-23 0x1.a9dd944f5b22dp-23 "
+            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35a00a3d70a3dp+5 0x1.561c2f0d4fdf4p-24 0x1.561c2f0d4fdf4p-24 "
+            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35b4851eb851fp+5 0x1.58df18d256042p-25 0x1.58df18d256042p-25 "
+            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35bec28f5c28fp+5 0x1.5e8b6d991eb85p-26 0x1.5e8b6d991eb85p-26 "
+            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35c4e76c8b439p+5 0x1.2625d4f6d9169p-27 0x1.2625d4f6d9169p-27 "
+            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35c6f3b645a1dp+5 0x1.3d0851f2b020cp-28 0x1.3d0851f2b020cp-28 "
+            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+            "0x1.35c9000000000p+5 0x1.6e47d520c49bbp-31 0x1.6e47d520c49bbp-31 "
+            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
+        )),
+    (10**9, EstimatorKind.SIGMA2_OPT): (
+        "0x1.d65f800000000p+6 0x1.0000530983f2ep+0", 26070, (
+            "0x1.d62c4cccccccdp+6 0x1.105d0cd363be1p-22 0x1.105d0cd363be1p-22 "
+            "0x1.0000000000000p+0 0x1.beee086519840p-1 0x1.beee086519840p-1",
+            "0x1.d64b051eb851fp+6 0x1.b7a9cd9479a7ep-25 0x1.b7a9cd9479a7ep-25 "
+            "0x1.0000000000000p+0 0x1.e01e9cb7df5c0p-1 0x1.e01e9cb7df5c0p-1",
+            "0x1.d655428f5c28fp+6 0x1.19a1afb9f1997p-26 0x1.19a1b01d74a8fp-26 "
+            "0x1.0000005a748c6p+0 0x1.ed5724e36c32dp-1 0x1.ed622edaed97ep-1",
+            "0x1.d65a6147ae148p+6 0x1.9eade88efe57ep-28 0x1.9eae03aff95f4p-28 "
+            "0x1.000010bf720cap+0 0x1.f482d678a2890p-1 0x1.f47828cae183cp-1",
+            "0x1.d65d73b645a1dp+6 0x1.301d155d66472p-29 0x1.301d155d66472p-29 "
+            "0x1.0000000000000p+0 0x1.f8f16e9dc85f6p-1 0x1.f8f16e9dc85f6p-1",
+            "0x1.d65e79db22d0ep+6 0x1.73444e285a3abp-30 0x1.7344c6954c54bp-30 "
+            "0x1.0000530983f2ep+0 0x1.fa74e91bad2fep-1 0x1.fa7cefc290b8cp-1",
+            "0x1.d65f800000000p+6 0x1.7fe57c2636d8ep-31 0x1.7fe57c2636d8ep-31 "
+            "0x1.0000000000000p+0 0x1.fc06c8385b1f9p-1 0x1.fc06c8385b1f9p-1",
+        )),
+}
+
+
+def _hex(values) -> str:
+    return " ".join(float(v).hex() for v in values)
+
+
+def test_maximum_distance_probe_counts_are_frozen():
+    for N, probes in MAX_DIST_PROBES.items():
+        assert maximum_distance(XI, BETA, N).evaluations == probes
+
+
+@pytest.mark.parametrize("N, denominator", list(RATIO_PINS))
+def test_range_limit_ratio_is_frozen_bit_for_bit(N, denominator):
+    head, evaluations, rows = RATIO_PINS[N, denominator]
+    rr = range_limit_ratio(XI, BETA, N, denominator=denominator)
+    assert _hex((rr.boundary_km, rr.max_ratio)) == head
+    assert rr.evaluations == evaluations
+    assert [_hex(row) for row in rr.rows] == list(rows)
+
+
+# most _rate_grid calls and grids ranked by each benchmark ratio call;
+# one call a probe, 38 / 38 / 40 grids, before the block ranking
+RATIO_RANKINGS = {(10**5, EstimatorKind.SIGMA2_MLE): (19, 37),
+                  (10**5, EstimatorKind.SIGMA2_OPT): (18, 30),
+                  (10**9, EstimatorKind.SIGMA2_OPT): (20, 35)}
+
+
+def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
+    """A maximum_distance probe decided by the carried positive cell ranks
+    no grid; range_limit_ratio ranks its ladder and sampled offsets in
+    blocks, each (estimator, distance) pair once."""
+    grids = []
+
+    def counting(V_A, T, *args):
+        grids.append(T.shape[0])
+        return _rate_grid(V_A, T, *args)
+
+    monkeypatch.setattr(optimizer, "_rate_grid", counting)
+    for N, probes in MAX_DIST_PROBES.items():
+        grids.clear()
+        assert maximum_distance(XI, BETA, N).evaluations == probes
+        assert sum(grids) == len(grids) < probes
+    for (N, denominator), (calls, ranked) in RATIO_RANKINGS.items():
+        grids.clear()
+        range_limit_ratio(XI, BETA, N, denominator=denominator)
+        assert len(grids) <= calls and sum(grids) <= ranked
+        assert max(grids) <= _T_BLOCK
+
+
+@pytest.mark.parametrize("xi, beta", [(float("nan"), BETA),
+                                      (XI, float("nan"))])
+def test_nan_inputs_give_a_nan_range(xi, beta):
+    """A NaN rate at 0 km gives a NaN range, as it gives a NaN optimum,
+    not a made-up 0 km one."""
+    res = maximum_distance(xi, beta, 10**5)
+    assert np.isnan(res.distance_km)
+    assert not res.positive_at_zero and res.evaluations == 1
+    rr = range_limit_ratio(xi, beta, 10**5)
+    assert np.isnan(rr.boundary_km) and np.isnan(rr.max_ratio)
+    assert rr.rows == () and rr.evaluations == len(_LOG_VAS) * len(_FRACS)
+
+
 def _scipy_nelder_mead(f, x0, bounds, maxiter, xatol, fatol):
     # the reference the in-package polish retraces; the package itself
     # never imports scipy.optimize
