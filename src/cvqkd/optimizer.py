@@ -138,17 +138,22 @@ def _round_m(frac: float, N: int) -> int:
 # vertex clipped to the box, the same coefficients in the same operation
 # order, the same strict and non-strict comparisons, a stable sort of the
 # vertices, iterations counted from 1, no evaluation limit and f(x) = min
-# over the final simplex. A vertex is an (f, x[, y]) tuple. Each clip is
+# over the final simplex, for f the rate negated: each routine negates
+# the rate itself, so no wrapper runs per evaluation, and returns its
+# maximum (-(-r) is r bit for bit, -0.0 included). The caller passes the
+# rate at the start, which it has computed already; it counts as an
+# evaluation, as in scipy. A vertex is an (f, x[, y]) tuple. Each clip is
 # numpy.clip on one float, written out: a bound wins a tie, so -0.0
 # clipped at a lower bound of 0.0 becomes 0.0. The trial points are
 # scipy's (1 + rho)*xbar - rho*worst and its kin at rho = 1, chi = 2,
 # psi = 0.5: reflection 2*c - w, expansion 3*c - 2*w, outside contraction
 # 1.5*c - 0.5*w and inside contraction 0.5*c + 0.5*w.
 
-def _nelder_mead_2d(f, x0: float, y0: float, bounds, maxiter: int,
-                    xatol: float, fatol: float):
-    """Minimize f(x, y) over the box ``bounds``; returns (x, y, f(x, y),
-    evaluations). f returns a number, never NaN."""
+def _nelder_mead_2d(f, x0: float, y0: float, f0: float, bounds,
+                    maxiter: int, xatol: float, fatol: float):
+    """Maximize f(x, y) over the box ``bounds`` from (x0, y0), clipped to
+    it, where f is f0; returns (x, y, f(x, y), evaluations). f returns a
+    number, never NaN."""
     (xlo, xhi), (ylo, yhi) = bounds
     x0 = w if (w := x0 if x0 > xlo else xlo) < xhi else xhi
     y0 = w if (w := y0 if y0 > ylo else ylo) < yhi else yhi
@@ -162,10 +167,10 @@ def _nelder_mead_2d(f, x0: float, y0: float, bounds, maxiter: int,
     y2 = w if (w := y2 if y2 > ylo else ylo) < yhi else yhi
     # the best, second and worst vertex b, s, r, sorted by insertion: each
     # pass of the loop sorts the vertex ``new`` in after the ones it ties
-    b, s = (f(x0, y0), x0, y0), (f(x1, y0), x1, y0)
+    b, s = (-f0, x0, y0), (-f(x1, y0), x1, y0)
     if s[0] < b[0]:
         b, s = s, b
-    new = (f(x0, y2), x0, y2)
+    new = (-f(x0, y2), x0, y2)
     nfev = 3
     iterations = 0
     while True:
@@ -194,13 +199,13 @@ def _nelder_mead_2d(f, x0: float, y0: float, bounds, maxiter: int,
         x, y = 2 * cx - wx, 2 * cy - wy
         xr = w if (w := x if x > xlo else xlo) < xhi else xhi
         yr = w if (w := y if y > ylo else ylo) < yhi else yhi
-        fxr = f(xr, yr)
+        fxr = -f(xr, yr)
         nfev += 1
         if fxr < fb:
             x, y = 3 * cx - 2 * wx, 3 * cy - 2 * wy
             x = w if (w := x if x > xlo else xlo) < xhi else xhi
             y = w if (w := y if y > ylo else ylo) < yhi else yhi
-            fxe = f(x, y)
+            fxe = -f(x, y)
             nfev += 1
             new = (fxe, x, y) if fxe < fxr else (fxr, xr, yr)
             continue
@@ -213,7 +218,7 @@ def _nelder_mead_2d(f, x0: float, y0: float, bounds, maxiter: int,
             x, y = 0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy
         x = w if (w := x if x > xlo else xlo) < xhi else xhi
         y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        fxc = f(x, y)
+        fxc = -f(x, y)
         nfev += 1
         if fxc <= fxr if fxr < fw else fxc < fw:
             new = (fxc, x, y)
@@ -223,21 +228,22 @@ def _nelder_mead_2d(f, x0: float, y0: float, bounds, maxiter: int,
         x, y = bx + 0.5 * (sx - bx), by + 0.5 * (sy - by)
         x = w if (w := x if x > xlo else xlo) < xhi else xhi
         y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        s = (f(x, y), x, y)
+        s = (-f(x, y), x, y)
         if s[0] < b[0]:
             b, s = s, b
         x, y = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
         x = w if (w := x if x > xlo else xlo) < xhi else xhi
         y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        new = (f(x, y), x, y)
+        new = (-f(x, y), x, y)
         nfev += 2
-    return b[1], b[2], b[0], nfev
+    return b[1], b[2], -b[0], nfev
 
 
-def _nelder_mead_1d(f, x0: float, bounds, maxiter: int, xatol: float,
-                    fatol: float):
-    """Minimize f(x) over the interval ``bounds``; returns (x, f(x),
-    evaluations). f returns a number, never NaN."""
+def _nelder_mead_1d(f, x0: float, f0: float, bounds, maxiter: int,
+                    xatol: float, fatol: float):
+    """Maximize f(x) over the interval ``bounds`` from x0, clipped to it,
+    where f is f0; returns (x, f(x), evaluations). f returns a number,
+    never NaN."""
     lo, hi = bounds
     x0 = w if (w := x0 if x0 > lo else lo) < hi else hi
     x1 = (1 + 0.05) * x0 if x0 != 0 else 0.00025
@@ -246,7 +252,7 @@ def _nelder_mead_1d(f, x0: float, bounds, maxiter: int, xatol: float,
     x1 = w if (w := x1 if x1 > lo else lo) < hi else hi
     # the best and worst vertex b, r; each pass of the loop sorts the
     # vertex ``new`` in after b if they tie
-    b, new = (f(x0), x0), (f(x1), x1)
+    b, new = (-f0, x0), (-f(x1), x1)
     nfev = 2
     iterations = 0
     while True:
@@ -263,27 +269,27 @@ def _nelder_mead_1d(f, x0: float, bounds, maxiter: int, xatol: float,
         # it is contracted
         x = 2 * c - wx
         xr = w if (w := x if x > lo else lo) < hi else hi
-        fxr = f(xr)
+        fxr = -f(xr)
         nfev += 1
         if fxr < fb:
             x = 3 * c - 2 * wx
             x = w if (w := x if x > lo else lo) < hi else hi
-            fxe = f(x)
+            fxe = -f(x)
             nfev += 1
             new = (fxe, x) if fxe < fxr else (fxr, xr)
             continue
         x = 1.5 * c - 0.5 * wx if fxr < fw else 0.5 * c + 0.5 * wx
         x = w if (w := x if x > lo else lo) < hi else hi
-        fxc = f(x)
+        fxc = -f(x)
         nfev += 1
         if not (fxc <= fxr if fxr < fw else fxc < fw):
             # shrink the worst vertex halfway towards the best one
             x = c + 0.5 * (wx - c)
             x = w if (w := x if x > lo else lo) < hi else hi
-            fxc = f(x)
+            fxc = -f(x)
             nfev += 1
         new = (fxc, x)
-    return b[1], b[0], nfev
+    return b[1], -b[0], nfev
 
 
 def _ladder(d_cap_km: float) -> list[float]:
@@ -438,10 +444,14 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
     evaluations = raw.size
     trace = [("grid", 10.0 ** best[1], best[2], best[0], evaluations)]
 
+    # each polish start with its rate, (k, log10 V_A, m/N)
     starts = []
     if best[0] > 0.0:
-        starts.append((best[1], best[2]))
+        starts.append(best)
     for va, fr in seeds or ():
+        if not va > 0.0 or isnan(fr):
+            raise ValueError(f"a seed needs V_A > 0 and an m/N that is not "
+                             f"NaN, got {(va, fr)}")
         lv = min(max(log10(va), _LOG_VAS[0]), _LOG_VAS[-1])
         fr = min(max(fr, _FRACS[0]), _FRACS[-1])
         k = rate(lv, fr)
@@ -449,16 +459,15 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
         if k > best[0]:
             best = (k, lv, fr)
         if k > 0.0:
-            starts.append((lv, fr))
+            starts.append((k, lv, fr))
         trace.append(("seed", 10.0 ** lv, fr, k, 1))
 
-    for lv0, fr0 in starts:
-        lv, fr, fun, nfev = _nelder_mead_2d(
-            lambda lv, fr: -rate(lv, fr), lv0, fr0, _BOUNDS, _MAXITER,
-            xatol=1e-4, fatol=1e-12)
+    for k0, lv0, fr0 in starts:
+        lv, fr, k, nfev = _nelder_mead_2d(rate, lv0, fr0, k0, _BOUNDS,
+                                          _MAXITER, xatol=1e-4, fatol=1e-12)
         evaluations += nfev
-        if -fun > best[0]:
-            best = (-fun, lv, fr)
+        if k > best[0]:
+            best = (k, lv, fr)
         trace.append(("refine", 10.0 ** best[1], best[2], best[0], nfev))
 
     return OptimizationResult(
@@ -484,12 +493,11 @@ def optimize_asymptotic_rate(xi: float, beta: float,
     best = (ks[i], _ASYMPTOTIC_LOG_VAS[i])
     evaluations = len(ks)
     if best[0] > 0.0:
-        lv, fun, nfev = _nelder_mead_1d(
-            lambda lv: -rate(lv), best[1], _BOUNDS[0], _MAXITER,
-            xatol=1e-5, fatol=1e-13)
+        lv, k, nfev = _nelder_mead_1d(rate, best[1], best[0], _BOUNDS[0],
+                                      _MAXITER, xatol=1e-5, fatol=1e-13)
         evaluations += nfev
-        if -fun > best[0]:
-            best = (-fun, lv)
+        if k > best[0]:
+            best = (k, lv)
     return OptimizationResult(
         best_V_A=10.0 ** best[1],
         best_m_fraction=0.0,

@@ -1,5 +1,7 @@
+import re
+import sys
 import warnings
-from math import floor
+from math import floor, inf, nan
 
 import numpy as np
 import pytest
@@ -175,6 +177,50 @@ def test_seed_continuation_rescues_boundary_optimum():
     assert cold.best_key_rate == 0.0
     assert warm.best_key_rate > 0.0
     assert warm.best_m_fraction > 0.9
+
+
+@pytest.mark.parametrize("seed", [(3.0, nan), (0.0, 0.5), (-1.0, 0.5),
+                                  (nan, 0.5)])
+def test_seeds_need_a_positive_modulation_and_a_fraction(seed):
+    """A seed is (V_A > 0, m/N not NaN), or a ValueError that names it:
+    these raised a NaN-to-integer or math domain error, or, for a NaN V_A,
+    were dropped with a NaN trace row. Infinite values are clipped to the
+    box."""
+    with pytest.raises(ValueError, match=re.escape(f"got {seed}")):
+        optimize_key_rate(XI, BETA, 10**5, T=0.5, seeds=[seed])
+    res = optimize_key_rate(XI, BETA, 10**5, T=0.5,
+                            seeds=[(inf, -inf)])
+    assert res.trace[1] == ("seed", 10.0 ** _LOG_VAS[-1], _FRACS[0],
+                            res.trace[1][3], 1)
+
+
+def test_polish_runs_few_python_frames_per_evaluation():
+    """Each polish evaluation of the float rate runs 11 Python frames at
+    the optimal estimator: the search rate, the built rate, the m
+    rounding, Var(t_hat), the sigma2 variance form (which calls the two
+    variances it combines and their combination), the corner's hold, the
+    Holevo term and I_AB. A frame added per evaluation, a wrapper or a
+    helper split out again, costs time on every one; counting Python call
+    events, with no clock, catches it."""
+    N, kind = 10**5, EstimatorKind.SIGMA2_OPT
+    (raw, rate), = optimizer._ranked_grids(
+        XI, BETA, N, confidence_quantile(1e-10), kind,
+        [fiber_transmission(20.0)], optimizer._grid_ms(N))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        res = optimizer._optimize_ranked(raw, rate, None)
+    finally:
+        sys.setprofile(None)
+    polished = sum(row[4] for row in res.trace if row[0] == "refine")
+    assert polished > 20
+    # the grid re-score and the polish's own frames are a few dozen calls
+    assert calls <= 12 * polished
 
 
 # one figure column, the default distances: 41 = 5 blocks of 8 and a
@@ -537,17 +583,20 @@ def _scipy_nelder_mead(f, x0, bounds, maxiter, xatol, fatol):
 
 def _assert_same_run(f, x0, bounds, maxiter, xatol, fatol):
     # f takes a list of floats, as scipy's objective takes its array; the
-    # in-package polishes take one float a coordinate
+    # in-package polishes take one float a coordinate, maximize, so they
+    # get -f, and take -f at the start clipped to the box as numpy clips
+    start = [float(v) for v in np.clip(x0, *np.array(bounds).T)]
     if len(x0) == 2:
-        *x, fun, nfev = _nelder_mead_2d(lambda a, b: f([a, b]), *x0, bounds,
-                                        maxiter, xatol, fatol)
+        *x, fun, nfev = _nelder_mead_2d(lambda a, b: -f([a, b]), *x0,
+                                        -f(start), bounds, maxiter, xatol,
+                                        fatol)
     else:
-        *x, fun, nfev = _nelder_mead_1d(lambda a: f([a]), *x0, *bounds,
-                                        maxiter, xatol, fatol)
+        *x, fun, nfev = _nelder_mead_1d(lambda a: -f([a]), *x0, -f(start),
+                                        *bounds, maxiter, xatol, fatol)
     ref_x, ref_fun, ref_nfev = _scipy_nelder_mead(f, x0, bounds, maxiter,
                                                   xatol, fatol)
     assert [v.hex() for v in x] == [v.hex() for v in ref_x]
-    assert fun.hex() == ref_fun.hex()
+    assert (-fun).hex() == ref_fun.hex()
     assert nfev == ref_nfev
     return nfev
 

@@ -8,7 +8,7 @@ import pytest
 
 from cvqkd.channel import _sigma2, fiber_transmission
 from cvqkd.config import ExperimentConfig
-from cvqkd.estimators import EstimatorKind
+from cvqkd.estimators import _VARIANCE, EstimatorKind, var_t_mle
 from cvqkd.optimizer import (
     _FRACS,
     _LOG_VAS,
@@ -21,31 +21,26 @@ from cvqkd.security import (
     KEY_RATE_ESTIMATORS,
     _asymptotic_at,
     _channel_abc,
-    _conditional,
-    _corner,
-    _g,
     _hold,
     _holevo,
     _i_ab,
+    _rate_at,
     _rate_grid,
-    _symplectic,
     confidence_quantile,
     holevo_bound,
     key_rate_asymptotic,
     key_rate_finite,
     worst_case_params,
 )
+from oracles import (
+    conditional_eigenvalue,
+    entropy,
+    holevo,
+    symplectic_spectrum,
+)
 
 SQRT15 = 3.872983346207417
 Z_PAPER = confidence_quantile(1e-10)
-
-
-def _nu12(abc):
-    return _symplectic(*abc)
-
-
-def _nu3(abc):
-    return _conditional(*abc)
 
 
 def _grid_rate(V_A, T, xi, beta, N, m, kind=EstimatorKind.SIGMA2_OPT):
@@ -55,37 +50,7 @@ def _grid_rate(V_A, T, xi, beta, N, m, kind=EstimatorKind.SIGMA2_OPT):
                       np.asarray(m, dtype=float), Z_PAPER, kind)
 
 
-def _symplectic_oracle(abc):
-    """Symplectic spectrum via |eig(i * Omega * Gamma)| on the full 4x4 matrix."""
-    a, b, c = abc
-    sz = np.diag([1.0, -1.0])
-    gamma = np.block([
-        [a * np.eye(2), c * sz],
-        [c * sz, b * np.eye(2)],
-    ])
-    omega = np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ])
-    ev = np.sort(np.abs(np.linalg.eigvals(1j * omega @ gamma)))
-    return float(ev[-1]), float(ev[0])
-
-
-def _conditional_oracle(abc):
-    """Mode-A spectrum after a perfect x-homodyne of mode B."""
-    a, b, c = abc
-    sz = np.diag([1.0, -1.0])
-    gamma_a = a * np.eye(2)
-    gamma_b = b * np.eye(2)
-    gamma_c = c * sz
-    x_proj = np.diag([1.0, 0.0])
-    reduced = gamma_a - gamma_c @ np.linalg.pinv(x_proj @ gamma_b @ x_proj) @ gamma_c.T
-    return float(np.sqrt(np.linalg.det(reduced)))
-
-
-# (V_A, T, xi) of the channels the eigenvalue steps are checked on
+# (V_A, T, xi) of the channels the Holevo term is checked on
 GRID = [(V_A, T, xi) for V_A in (1.0, 3.0, 10.0)
         for T in (1.0, 0.5, 0.1, 0.01) for xi in (0.0, 0.01, 0.1)]
 
@@ -102,11 +67,12 @@ def test_channel_abc_reference_points():
 
 
 def test_channel_abc_is_physical_on_grid():
-    """Heisenberg: a*b - c**2 >= 1, and the symplectic step accepts it."""
+    """Heisenberg: a*b - c**2 >= 1, and the Holevo term's eigenvalue
+    checks accept it."""
     for params in GRID:
         a, b, c = _channel_abc(*params)
         assert a * b - c**2 >= 1.0 - _NU_TOL
-        assert _nu12((a, b, c))[1] >= 1.0
+        assert _holevo(a, b, c) >= 0.0
 
 
 @pytest.mark.parametrize("V_A, T, xi, m, message", [
@@ -166,35 +132,57 @@ def test_worst_case_params_clamps_negative_t():
     assert clamped
 
 
+def _corner(T, xi, N, m, z, V_A, kind=EstimatorKind.SIGMA2_OPT):
+    """(t_min, sigma2_max, clamped) of the built rate at (V_A, m): the
+    confidence-region corner, held by _hold."""
+    sigma2 = _sigma2(T, xi)
+    return _hold(math.sqrt(T) - z * math.sqrt(var_t_mle(V_A, T, sigma2, m)),
+                 sigma2 + z * math.sqrt(_VARIANCE[kind](V_A, T, sigma2, m,
+                                                        N - m, N, 0.0)))
+
+
 def test_worst_case_covariance_example():
-    t_min, sigma2_max, clamped = _hold(0.3, 1.05)
-    a, b, c = _corner(t_min, sigma2_max, 3.0)
-    assert a == 4.0
-    assert b == pytest.approx(1.32, rel=1e-12)
-    assert c == pytest.approx(1.161895003862225, rel=1e-12)
+    """At zero width the corner is the channel's own t = 0.3, sigma2 =
+    1.05, and at V_A = 3 the rate's worst-case matrix is a = 4, b =
+    t**2*V_A + sigma2 = 1.32, c = t*sqrt(V_A**2 + 2*V_A) = 1.1619..."""
+    T, xi = 0.09, 0.05 / 0.09
+    assert _corner(T, xi, 10**6, 10**5, 0.0, 3.0)[:2] == pytest.approx(
+        (0.3, 1.05), rel=1e-15)
+    *_, s_wc, clamped = _rate_at(T, xi, 0.95, 10**6, 0.0,
+                                 EstimatorKind.SIGMA2_OPT)(3.0, 10**5)
+    assert s_wc == pytest.approx(_holevo(4.0, 1.32, 1.161895003862225),
+                                 rel=1e-12)
     assert not clamped
 
 
 def test_worst_case_covariance_clamps_below_vacuum_noise():
+    """Each hold of the rate's corner fires on its own, and the worst-case
+    matrix is built from the held value: sigma2_max below 1 (reached with
+    a negative z) becomes 1, t_min below 0 becomes 0, so c = 0."""
+    V_A, T, xi, N, m = 3.0, 0.25, 0.001, 10**4, 10**3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        t_min, sigma2_max, clamped = _hold(0.5, 0.9)
-        _, b, _ = _corner(t_min, sigma2_max, 3.0)
-    assert b == pytest.approx(0.25 * 3.0 + 1.0, rel=1e-12)
-    assert clamped
+        for z in (-3.0, 80.0):
+            t_min, sigma2_max, clamped = _corner(T, xi, N, m, z, V_A)
+            assert clamped and (sigma2_max == 1.0 if z < 0 else t_min == 0.0)
+            *_, s_wc, held = _rate_at(T, xi, 0.95, N, z,
+                                      EstimatorKind.SIGMA2_OPT)(V_A, m)
+            assert held
+            assert s_wc.hex() == _holevo(
+                V_A + 1.0, t_min**2 * V_A + sigma2_max,
+                t_min * math.sqrt(V_A**2 + 2.0 * V_A)).hex()
     # worst_case_params holds the noise bound the same way
     assert worst_case_params(0.5, 0.0, 0.9, 0.0, 1e-10) == (0.5, 1.0, True)
 
 
 def test_worst_case_zero_width_recovers_channel_covariance():
-    V_A, T, xi = 3.0, 0.4, 0.02
-    ch_a, ch_b, ch_c = _channel_abc(V_A, T, xi)
-    t_min, sigma2_max, _ = worst_case_params(np.sqrt(T), 0.0, 1.0 + T * xi,
-                                             0.0, 1e-10)
-    a, b, c = _corner(t_min, sigma2_max, V_A)
-    assert a == ch_a
-    assert b == pytest.approx(ch_b, rel=1e-14)
-    assert c == pytest.approx(ch_c, rel=1e-14)
+    """At z = 0 the rate's worst-case Holevo term is the channel's own."""
+    for V_A, T, xi in ((3.0, 0.4, 0.02), *GRID):
+        *_, s_wc, clamped = _rate_at(T, xi, 0.95, 10**6, 0.0,
+                                     EstimatorKind.SIGMA2_OPT)(V_A, 10**5)
+        assert s_wc == pytest.approx(holevo_bound(V_A, T, xi), rel=1e-12,
+                                     abs=1e-14)
+        assert not clamped
 
 
 def test_mutual_information_reference_points():
@@ -205,30 +193,58 @@ def test_mutual_information_reference_points():
 
 
 def test_symplectic_eigenvalues_epr_state_is_pure():
-    nu1, nu2 = _nu12(_channel_abc(3.0, 1.0, 0.0))
-    assert nu1 == pytest.approx(1.0, abs=1e-9)
-    assert nu2 == pytest.approx(1.0, abs=1e-9)
+    """The lossless noiseless channel shares a pure state: every
+    eigenvalue is 1, so S(AB) = S(A|y) = 0 and the Holevo term is 0."""
     for V_A in (0.5, 3.0, 10.0):
-        nus = _nu12(_channel_abc(V_A, 1.0, 0.0))
-        np.testing.assert_allclose(nus, (1.0, 1.0), atol=1e-9)
+        abc = _channel_abc(V_A, 1.0, 0.0)
+        np.testing.assert_allclose(symplectic_spectrum(*abc), (1.0, 1.0),
+                                   atol=1e-9)
+        assert conditional_eigenvalue(*abc) == pytest.approx(1.0, abs=1e-9)
+        assert _holevo(*abc) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_symplectic_eigenvalues_broken_channel():
-    nu1, nu2 = _nu12(_channel_abc(3.0, 0.0, 0.0))
-    assert nu1 == pytest.approx(4.0, rel=1e-12)
-    assert nu2 == pytest.approx(1.0, rel=1e-12)
+    """At T = 0, nu1 = nu3 = a = 4 and nu2 = 1: their entropies cancel."""
+    abc = _channel_abc(3.0, 0.0, 0.0)
+    np.testing.assert_allclose(symplectic_spectrum(*abc), (4.0, 1.0),
+                               rtol=1e-12)
+    assert conditional_eigenvalue(*abc) == pytest.approx(4.0, rel=1e-12)
+    assert _holevo(*abc) == 0.0
 
 
 def test_symplectic_eigenvalues_match_brute_force():
-    for params in GRID:
-        abc = _channel_abc(*params)
-        np.testing.assert_allclose(_nu12(abc), _symplectic_oracle(abc),
-                                   rtol=1e-10, atol=1e-10)
+    """The Holevo term against the entropies of the 4x4 |eig(i Omega
+    Gamma)| spectrum and the Schur-complement conditional eigenvalue, on
+    the channel grid and on raw physical matrices."""
+    rng = random.Random(22)
+    blocks = [_channel_abc(*params) for params in GRID]
+    for _ in range(200):
+        a, b = 1.0 + 9.0 * rng.random(), 1.0 + 9.0 * rng.random()
+        # physical: a*b - c**2 >= max(a, b)
+        blocks.append((a, b, math.sqrt((a * b - max(a, b)) * rng.random())))
+    for abc in blocks:
+        assert _holevo(*abc) == pytest.approx(holevo(*abc), rel=1e-10,
+                                              abs=1e-10)
 
 
 def test_symplectic_eigenvalues_reject_unphysical_matrix():
-    with pytest.raises(ValueError):
-        _symplectic(2.0, 2.0, 2.5)
+    """Each eigenvalue check raises with its own message: a complex
+    symplectic spectrum (c > (a + b)/2), a squared eigenvalue that
+    round-off makes negative, nu2 < 1, a negative conditional variance
+    and nu3 < 1."""
+    cases = [
+        ((2.0, 3.0, 3.0), "complex symplectic spectrum (-11.0)"),
+        ((1.852533774049284, 1.8525337740492853, 1.8525337740492847),
+         "negative squared eigenvalue (-8.881784197001252e-16)"),
+        ((0.5, 0.5, 0.0), "unphysical covariance matrix (0.5)"),
+        ((-2.0, -2.0, 0.0), "negative conditional variance (-2.0)"),
+        ((0.5, -3.0, 1.0),
+         "unphysical conditional state (0.6454972243679028)"),
+    ]
+    for abc, message in cases:
+        with pytest.raises(ValueError) as info:
+            _holevo(*abc)
+        assert str(info.value) == message
 
 
 def test_near_pure_states_pass_the_eigenvalue_checks():
@@ -237,39 +253,47 @@ def test_near_pure_states_pass_the_eigenvalue_checks():
     checks read well-conditioned forms, so these states are physical."""
     for V_A in (1.03, 11.0, 100.0, 1000.0):
         for xi in (0.0, 1e-14, 2.3e-10, 1e-8, 1e-6):
-            nu1, nu2 = _nu12(_channel_abc(V_A, 1.0, xi))
-            assert 1.0 <= nu2 <= nu1 < 1.001
+            # 1 <= nu2 <= nu1 < 1.001 bounds S(AB), and so the term
+            assert 0.0 <= _holevo(*_channel_abc(V_A, 1.0, xi)) < 2.0 * entropy(
+                1.001)
             assert key_rate_asymptotic(V_A, 1.0, xi, 0.95).key_rate > 0.0
             _grid_rate([V_A], 1.0, xi, 0.95, 10**5, [5e4])
 
 
 def test_conditional_eigenvalue_matches_schur_complement():
+    """S(A|y) = g(nu3) on its own: the term less the brute-force S(AB) is
+    -g of the Schur-complement eigenvalue; at c = 0, nu3 = a = nu2 and
+    their entropies cancel, leaving g(nu1)."""
     for params in GRID:
         abc = _channel_abc(*params)
-        assert _nu3(abc) == pytest.approx(_conditional_oracle(abc), rel=1e-10)
-    assert _conditional(2.5, 3.0, 0.0) == pytest.approx(2.5, rel=1e-12)
+        nu1, nu2 = symplectic_spectrum(*abc)
+        assert _holevo(*abc) - entropy(nu1) - entropy(nu2) == pytest.approx(
+            -entropy(conditional_eigenvalue(*abc)), rel=1e-10, abs=1e-10)
+    assert _holevo(2.5, 3.0, 0.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_g_entropy_reference_points():
-    assert _g(0.0) == 0.0
-    assert _g(1.0) == pytest.approx(2.0, rel=1e-15)
-    assert _g(0.5) == pytest.approx(1.3774437510817343, rel=1e-12)
-    # an eigenvalue 2e-12 below 1 is round-off: the eigenvalue step holds
-    # it at 1, so g's argument, (nu - 1)/2 = -1e-12 unheld, is exactly 0
-    nu3 = _conditional(1.0 - 2e-12, 1.0, 0.0)
-    assert _g((nu3 - 1.0) / 2.0) == 0.0
-    # a negative argument is outside g's domain, and an eigenvalue that
-    # far below 1 is rejected by the eigenvalue step
-    with pytest.raises(ValueError):
-        _g(-0.1)
-    with pytest.raises(ValueError):
-        _conditional(0.8, 1.0, 0.0)
+    """g(x) = (x+1)*log2(x+1) - x*log2(x) at x = (nu - 1)/2: at a = 1 and
+    c = 0, nu1 = b and nu2 = nu3 = 1, so the term is g((b - 1)/2)."""
+    assert _holevo(1.0, 1.0, 0.0) == 0.0
+    assert _holevo(1.0, 3.0, 0.0) == pytest.approx(2.0, rel=1e-15)
+    assert _holevo(1.0, 2.0, 0.0) == pytest.approx(1.3774437510817343,
+                                                   rel=1e-12)
+    # eigenvalues 2e-12 below 1 are round-off: they are held at 1, so g's
+    # argument, (nu - 1)/2 = -1e-12 unheld and outside its domain, is
+    # exactly 0 and adds nothing
+    assert _holevo(1.0 - 2e-12, 1.0, 0.0) == 0.0
+    assert _holevo(1.0 - 2e-12, 3.0, 0.0) == 2.0
+    # an eigenvalue that far below 1 is rejected
+    with pytest.raises(ValueError, match="unphysical covariance matrix"):
+        _holevo(0.8, 1.0, 0.0)
 
 
 def test_nan_entropy_propagates_to_the_rates():
-    """Only g(0) is defined as 0: a NaN argument, or the NaN eigenvalues of
-    V_A = inf, give a NaN entropy and a NaN rate, never S = 0."""
-    assert math.isnan(_g(float("nan")))
+    """Only g(0) is defined as 0: a NaN matrix entry, or the NaN
+    eigenvalues of V_A = inf, give a NaN entropy and a NaN rate, never
+    S = 0."""
+    assert math.isnan(_holevo(1.0, float("nan"), 0.0))
     assert math.isnan(holevo_bound(math.inf, 0.5, 0.01))
     assert math.isnan(key_rate_asymptotic(math.inf, 0.5, 0.01, 0.95).key_rate)
     assert math.isnan(
@@ -286,13 +310,8 @@ def test_holevo_bound_vanishes_for_pure_and_broken_channels():
 
 def test_holevo_bound_matches_eigenvalue_composition():
     for params in GRID:
-        abc = _channel_abc(*params)
-        nu1, nu2 = _nu12(abc)
-        nu3 = _nu3(abc)
-        expected = (_g((nu1 - 1) / 2) + _g((nu2 - 1) / 2)
-                    - _g((nu3 - 1) / 2))
-        assert holevo_bound(*params) == pytest.approx(max(expected, 0.0),
-                                                      abs=1e-12)
+        assert holevo_bound(*params) == pytest.approx(
+            max(holevo(*_channel_abc(*params)), 0.0), abs=1e-12)
 
 
 def test_holevo_bound_increases_with_excess_noise():
