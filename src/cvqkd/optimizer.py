@@ -7,7 +7,7 @@ searched on a log scale; the revealed fraction linearly.
 the rate's array path, ``security._rate_grid``, ranks the grids of a
 block of at most _T_BLOCK transmissions (a constant, not a parameter),
 and ``optimize_key_rate`` is its one-transmission case. The re-scored
-grid cells, the seeds and the polish of each transmission call the float
+grid cells, any seeds and the polish of each transmission call the float
 path, ``security._rate_at``, built once per transmission before its
 block is ranked, so a bad channel or block size fails that build's check
 before the array path runs; every reported rate is the value
@@ -16,8 +16,11 @@ optimum is never below the best grid point, and it is positive exactly
 when that point is, so ``maximum_distance`` decides each probe's sign
 from the grid alone, with no polish: from the best cell of its last
 positive ranking when that cell's rate is positive, else from the
-re-scored grid. ``range_limit_ratio`` polishes every probe, and ranks
-the distances it knows before their polishes in blocks.
+re-scored grid. ``range_limit_ratio``, sigma2_opt's rate over another
+estimator's, polishes every probe, also from the optima of earlier
+probes as seeds, and ranks the distances it knows before their polishes
+in blocks. Both range searches climb the same ladder of distances up
+to a 1000 km cap, a constant as their resolutions are.
 ``optimize_asymptotic_rate`` builds the asymptotic float rate,
 ``security._asymptotic_at``, once per transmission in the same way.
 
@@ -86,7 +89,8 @@ class RangeLimitRatio:
     rows holds (distance_km, k_denominator, k_numerator, ratio,
     m_fraction_denominator, m_fraction_numerator) from the farthest
     sampled offset in to ``boundary_km``, the last distance at which the
-    denominator estimator still yields a positive rate.
+    denominator estimator still yields a positive rate; the numerator is
+    always sigma2_opt.
     """
 
     rows: tuple
@@ -119,6 +123,10 @@ _T_BLOCK = 8
 # and of the float path (key_rate_finite.key_rate_raw) over the
 # optimizer's grids; tests/test_security.py checks it cell by cell
 _GRID_TOL = 1e-12
+
+# The distances the range searches probe before they bisect: 0, then 1, 2,
+# 4, ... 512 km, then the cap, 1000 km, which no fiber link reaches.
+_LADDER = [0.0, *(2.0 ** i for i in range(10)), 1000.0]
 
 
 def _round_m(frac: float, N: int) -> int:
@@ -292,37 +300,23 @@ def _nelder_mead_1d(f, x0: float, f0: float, bounds, maxiter: int,
     return b[1], -b[0], nfev
 
 
-def _ladder(d_cap_km: float) -> list[float]:
-    """The distances _last_positive probes before it bisects: 0, then 1,
-    2, 4, ... km, each clipped to the cap, up to the cap."""
-    ds = [0.0]
-    hi = min(1.0, d_cap_km)
-    while True:
-        ds.append(hi)
-        if hi >= d_cap_km:
-            return ds
-        hi = min(2.0 * hi, d_cap_km)
-
-
-def _last_positive(positive, d_cap_km: float,
-                   resolution_km: float) -> float | None:
+def _last_positive(positive, resolution_km: float) -> float | None:
     """Largest distance d with positive(d): doubling, then bisection.
 
-    Probes the ``_ladder`` until positive fails, then halves the bracket
+    Probes the ``_LADDER`` until positive fails, then halves the bracket
     down to ``resolution_km``. Returns None when positive(0) fails and the
-    cap when it never fails.
+    cap, the ladder's last rung, when it never fails.
     """
-    ladder = _ladder(d_cap_km)
-    if not positive(ladder[0]):
+    if not positive(_LADDER[0]):
         return None
-    lo = ladder[0]
-    for hi in ladder[1:]:
+    lo = _LADDER[0]
+    for hi in _LADDER[1:]:
         if not positive(hi):
             break
         lo = hi
     else:
         # still secure at the cap; report the cap rather than extrapolate
-        return d_cap_km
+        return lo
     while hi - lo > resolution_km:
         mid = (lo + hi) / 2.0
         if positive(mid):
@@ -351,39 +345,32 @@ def _search_rate(T: float, xi: float, beta: float, N: int, z: float,
 def optimize_key_rate(xi: float, beta: float, N: int,
                       epsilon_pe: float = 1e-10,
                       estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
-                      *, T: float, convention: str = "paper",
-                      seeds=None) -> OptimizationResult:
+                      *, T: float,
+                      convention: str = "paper") -> OptimizationResult:
     """Maximize the finite-size key rate over (V_A, m/N) at transmission T.
 
     The search is fully deterministic: fixed grid, fixed simplex start, no
     randomness.
-
-    ``seeds`` is an optional list of (V_A, m_fraction) starting points,
-    refined in addition to the best grid cell. Near the range limit the
-    positive region shrinks below the grid pitch, so continuation from a
-    neighbouring distance's optimum keeps the search from reporting a
-    false zero there.
     """
     return optimize_key_rates(xi, beta, N, epsilon_pe, estimator_kind,
-                              Ts=[T], convention=convention, seeds=seeds)[0]
+                              Ts=[T], convention=convention)[0]
 
 
 def optimize_key_rates(xi: float, beta: float, N: int,
                        epsilon_pe: float = 1e-10,
                        estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
-                       *, Ts, convention: str = "paper",
-                       seeds=None) -> list[OptimizationResult]:
+                       *, Ts,
+                       convention: str = "paper") -> list[OptimizationResult]:
     """``optimize_key_rate`` at each transmission of ``Ts``, in order.
 
     The grids of up to _T_BLOCK transmissions are ranked by one call of
     the rate's array path; each transmission's cells are then
     re-scored and polished on their own, so every result is the one a
-    call of ``optimize_key_rate`` at that T gives. ``seeds`` apply to
-    every transmission.
+    call of ``optimize_key_rate`` at that T gives.
     """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
-    return [_optimize_ranked(raw, rate, seeds)
+    return [_optimize_ranked(raw, rate, ())
             for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts,
                                            _grid_ms(N))]
 
@@ -439,7 +426,13 @@ def _grid_best(raw, rate):
 
 def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
     """One transmission's optimum from its grid's array rates ``raw`` and
-    its scalar search rate."""
+    its scalar search rate, polished from the best grid cell and from each
+    (V_A, m/N) of ``seeds`` at which the rate is positive.
+
+    Near the range limit the positive region shrinks below the grid pitch;
+    ``range_limit_ratio`` seeds each search with the positive optima of its
+    earlier ones, so continuation keeps it from reporting a false zero.
+    """
     best = _grid_best(raw, rate)
     evaluations = raw.size
     trace = [("grid", 10.0 ** best[1], best[2], best[0], evaluations)]
@@ -448,10 +441,7 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
     starts = []
     if best[0] > 0.0:
         starts.append(best)
-    for va, fr in seeds or ():
-        if not va > 0.0 or isnan(fr):
-            raise ValueError(f"a seed needs V_A > 0 and an m/N that is not "
-                             f"NaN, got {(va, fr)}")
+    for va, fr in seeds:
         lv = min(max(log10(va), _LOG_VAS[0]), _LOG_VAS[-1])
         fr = min(max(fr, _FRACS[0]), _FRACS[-1])
         k = rate(lv, fr)
@@ -511,8 +501,7 @@ def maximum_distance(xi: float, beta: float, N: int,
                      epsilon_pe: float = 1e-10,
                      estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
                      loss_db_per_km: float = 0.2,
-                     convention: str = "paper",
-                     d_cap_km: float = 1000.0) -> MaximumDistanceResult:
+                     convention: str = "paper") -> MaximumDistanceResult:
     """Largest distance with a positive optimized key rate, by bisection to
     0.1 km; NaN when the rate at 0 km is NaN.
 
@@ -547,7 +536,7 @@ def maximum_distance(xi: float, beta: float, N: int,
             cell = best
         return k > 0.0
 
-    d = _last_positive(positive, d_cap_km, 0.1)
+    d = _last_positive(positive, 0.1)
     return MaximumDistanceResult(_no_range(bests[0]) if d is None else d,
                                  positive_at_zero=d is not None,
                                  evaluations=evaluations)
@@ -561,53 +550,51 @@ def _no_range(k0: float) -> float:
 
 def range_limit_ratio(xi: float, beta: float, N: int,
                       epsilon_pe: float = 1e-10,
-                      numerator: EstimatorKind = EstimatorKind.SIGMA2_OPT,
                       denominator: EstimatorKind = EstimatorKind.SIGMA2_MLE,
                       loss_db_per_km: float = 0.2,
-                      convention: str = "paper",
-                      d_cap_km: float = 1000.0) -> RangeLimitRatio:
-    """Ratio of two estimators' optimized rates approaching the range limit.
+                      convention: str = "paper") -> RangeLimitRatio:
+    """Ratio of sigma2_opt's optimized rate to the ``denominator``
+    estimator's, approaching the range limit.
 
     The two rate curves vanish within metres of each other, so the
     interesting behaviour lives in the last few metres before the
-    denominator's boundary: there its rate goes to zero while the
-    numerator's stays finite and the ratio grows without bound. The
-    boundary is located by warm-started bisection to 0.5 m (continuation
-    seeds keep the optimizer from losing the shrinking positive region),
-    then both rates are sampled 50, 20, 10, 5, 2, 1 and 0 m inside it.
-    Each probe is optimize_key_rate's optimum there. A grid's ranking
-    needs no seed, so the distances known before their polishes, the
-    search's ``_ladder`` and the sampled offsets, are ranked in blocks,
-    and each (estimator, distance) pair is ranked once.
+    denominator's boundary: there its rate goes to zero while sigma2_opt's
+    stays finite and the ratio grows without bound. The boundary is located
+    by warm-started bisection to 0.5 m, then both rates are sampled 50, 20,
+    10, 5, 2, 1 and 0 m inside it. Each probe is optimize_key_rate's optimum
+    there, polished also from continuation seeds, the positive optima of
+    earlier probes, which keep the search from losing the shrinking
+    positive region. A grid's ranking needs no seed, so the distances known
+    before their polishes, the ``_LADDER`` and the sampled offsets, are
+    planned in blocks of up to _T_BLOCK; one _rate_grid call ranks a block
+    when any of its distances is first asked for, and each (estimator,
+    distance) pair is ranked once.
     """
+    numerator = EstimatorKind.SIGMA2_OPT
     z = confidence_quantile(epsilon_pe, convention)
     kinds = {k: _key_rate_kind(k) for k in (denominator, numerator)}
     ms = _grid_ms(N)
     evaluations = 0
     seed_of: dict[EstimatorKind, tuple] = {}
     # (estimator, d) -> (grid rates, search rate) once ranked, and before
-    # that the iterator that ranks it, in blocks
+    # that, when planned, the block of distances ranked with d
     ranked: dict[tuple, tuple] = {}
-    queued: dict[tuple, object] = {}
+    blocks: dict[tuple, list] = {}
 
-    def queue(kind: EstimatorKind, ds) -> None:
-        # kind's grids at ds, those not ranked yet, each block ranked when
-        # its first grid is asked for
+    def plan(kind: EstimatorKind, ds) -> None:
         ds = [d for d in dict.fromkeys(ds) if (kind, d) not in ranked]
-        grids = zip(ds, _ranked_grids(
-            xi, beta, N, z, kinds[kind],
-            [fiber_transmission(d, loss_db_per_km) for d in ds], ms))
-        queued.update(((kind, d), grids) for d in ds)
+        for i in range(0, len(ds), _T_BLOCK):
+            block = ds[i:i + _T_BLOCK]
+            blocks.update(((kind, d), block) for d in block)
 
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
         if (kind, d) not in ranked:
-            if (kind, d) not in queued:
-                queue(kind, [d])
-            for dd, grid in queued[kind, d]:
+            block = blocks.get((kind, d), [d])
+            Ts = [fiber_transmission(dd, loss_db_per_km) for dd in block]
+            for dd, grid in zip(block, _ranked_grids(xi, beta, N, z,
+                                                     kinds[kind], Ts, ms)):
                 ranked[kind, dd] = grid
-                if dd == d:
-                    break
         seeds = [s for s in (seed_of.get(kind), *extra) if s is not None]
         r = _optimize_ranked(*ranked[kind, d], seeds)
         evaluations += r.evaluations
@@ -615,14 +602,14 @@ def range_limit_ratio(xi: float, beta: float, N: int,
             seed_of[kind] = (r.best_V_A, r.best_m_fraction)
         return r
 
-    queue(denominator, _ladder(d_cap_km))
+    plan(denominator, _LADDER)
     bests = []  # the denominator's optimum at each probe, the first at 0 km
 
     def positive(d: float) -> bool:
         bests.append(opt(denominator, d).best_key_rate)
         return bests[-1] > 0.0
 
-    boundary = _last_positive(positive, d_cap_km, 5e-4)
+    boundary = _last_positive(positive, 5e-4)
     if boundary is None:
         return RangeLimitRatio(rows=(), boundary_km=_no_range(bests[0]),
                                max_ratio=float("nan"),
@@ -631,7 +618,7 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     ds = [boundary - w for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)]
     ds = [d for d in ds if d >= 0.0]
     for kind in kinds:
-        queue(kind, ds)
+        plan(kind, ds)
     rows = []
     max_ratio = 0.0
     for d in ds:

@@ -65,6 +65,8 @@ def test_protocol_params_validation():
         ProtocolParams(V_A=3.0, N=1000, m=1001)
     with pytest.raises(ValueError):
         ProtocolParams(V_A=3.0, N=1000, m=400, V_M2=-1.0)
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        ProtocolParams(V_A=3.0, N=0, m=0)
 
 
 def test_sample_session_is_deterministic():

@@ -1,14 +1,18 @@
+import re
 from dataclasses import fields
 
 import pytest
 
-from cvqkd.config import _KIND_BY_NAME, ExperimentConfig, load_config, parse_config
+from cvqkd import cli
+from cvqkd.config import (
+    _KIND_BY_NAME,
+    _MAX_N_TIMES_V_M2,
+    _MAX_VARIANCE,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+)
 from cvqkd.security import KEY_RATE_ESTIMATORS
-
-NON_FINITE = ("V_A = inf\n", "V_A = nan\n", "xi = nan\n", "V_M2 = nan\n",
-              "beta = nan\n", "epsilon_pe = nan\n", "loss_db_per_km = nan\n",
-              "distances_km = 0, nan\n", "distances_km = 0:inf:5\n",
-              "mc_distances_km = inf\n", "N = inf\n", "trials = nan\n")
 
 
 def test_defaults_are_valid():
@@ -63,28 +67,84 @@ def test_parse_rejects_missing_equals():
 def test_parse_rejects_fractional_counts():
     with pytest.raises(ValueError, match="line 1"):
         parse_config("N = 100.5\n")
-
-
-def test_validate_rejects_inconsistent_values():
-    with pytest.raises(ValueError):
-        parse_config("m = 2e5\n")  # m > default N
-    with pytest.raises(ValueError):
-        parse_config("beta = 1.5\n")
-    with pytest.raises(ValueError):
-        parse_config("estimators = mle, magic\n")
-    with pytest.raises(ValueError):
-        parse_config("trials = 1\n")
-    with pytest.raises(ValueError):
-        parse_config("xi = -0.01\n")
-    with pytest.raises(ValueError,
-                       match="loss_db_per_km must be >= 0, got -0.1"):
-        parse_config("loss_db_per_km = -0.1\n")
-    # m = N leaves no key states, m < 2 no residual degree of freedom; a
-    # NaN passes every range check, an inf fails later
-    for text in ("m = 1e5\n", "m = 1\n", "m = 0\n", "distances_km = \n",
-                 "estimators = \n", "n_list = \n") + NON_FINITE:
-        with pytest.raises(ValueError):
+    # a non-finite count or range end fails in the parser, before validate
+    for text, message in (
+            ("N = inf\n", "N must be an integer, got 'inf'"),
+            ("trials = nan\n", "trials must be an integer, got 'nan'"),
+            ("distances_km = 0:inf:5\n",
+             "distances_km range must be finite, got '0:inf:5'")):
+        with pytest.raises(ValueError, match=re.escape(f"line 1: {message}")):
             parse_config(text)
+
+
+# every rejection of ExperimentConfig.validate, as (config text, message):
+# m = N leaves no key states, m < 2 no residual degree of freedom; a NaN
+# passes every range check, an inf fails later
+REJECTIONS = [
+    ("V_A = inf\n", "V_A must be finite, got inf"),
+    ("V_A = nan\n", "V_A must be finite, got nan"),
+    ("xi = nan\n", "xi must be finite, got nan"),
+    ("V_M2 = nan\n", "V_M2 must be finite, got nan"),
+    ("beta = nan\n", "beta must be finite, got nan"),
+    ("epsilon_pe = nan\n", "epsilon_pe must be finite, got nan"),
+    ("loss_db_per_km = nan\n", "loss_db_per_km must be finite, got nan"),
+    ("distances_km = 0, nan\n", "distances_km must be finite, got [0.0, nan]"),
+    ("mc_distances_km = inf\n", "mc_distances_km must be finite, got [inf]"),
+    ("V_A = 0\n", "V_A must be > 0, got 0.0"),
+    ("V_A = -1\n", "V_A must be > 0, got -1.0"),
+    ("xi = -0.01\n", "xi must be >= 0, got -0.01"),
+    ("N = 1\n", "N must be >= 2, got 1"),
+    ("m = 2e5\n", "m must be in [2, N-1], got m=200000, N=100000"),
+    ("m = 1e5\n", "m must be in [2, N-1], got m=100000, N=100000"),
+    ("m = 1\n", "m must be in [2, N-1], got m=1, N=100000"),
+    ("m = 0\n", "m must be in [2, N-1], got m=0, N=100000"),
+    ("beta = 1.5\n", "beta must be in (0, 1], got 1.5"),
+    ("beta = 0\n", "beta must be in (0, 1], got 0.0"),
+    ("V_M2 = -1\n", "V_M2 must be >= 0, got -1.0"),
+    ("V_A = 1e4\n", f"V_A must be <= {_MAX_VARIANCE!r}, past which the "
+                    "model's arithmetic breaks down, got 10000.0"),
+    ("xi = 1e4\n", f"xi must be <= {_MAX_VARIANCE!r}, past which"),
+    ("V_M2 = 1e150\n", f"V_M2 must be <= {_MAX_N_TIMES_V_M2 / 10**5!r}, "
+                       "past which"),
+    ("epsilon_pe = 0\n", "epsilon_pe must be in (0, 1), got 0.0"),
+    ("epsilon_pe = 1\n", "epsilon_pe must be in (0, 1), got 1.0"),
+    ("loss_db_per_km = -0.1\n", "loss_db_per_km must be >= 0, got -0.1"),
+    ("trials = 1\n", "trials must be >= 2, got 1"),
+    ("seed = -1\n", "seed must be >= 0, got -1"),
+    ("distances_km = \n", "distances_km must not be empty"),
+    ("distances_km = 0, -5\n", "distances must be >= 0"),
+    ("mc_distances_km = -1\n", "distances must be >= 0"),
+    ("estimators = \n", "estimators must not be empty"),
+    ("estimators = mle, magic\n",
+     "unknown estimator 'magic', expected one of ('mle', 'mm', 'opt')"),
+    ("convention = bayes\n",
+     "unknown convention 'bayes', expected one of ('paper', 'gaussian')"),
+    ("n_list = \n", "n_list must not be empty"),
+    ("n_list = 1e5, 1\n", "block sizes must be >= 2"),
+    ("fig3_N = 1\n", "block sizes must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTIONS,
+                         ids=[text.replace(" ", "").strip()
+                              for text, _ in REJECTIONS])
+def test_validate_rejects_inconsistent_values(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text, verb", [("V_A = -1\n", "keyrate"),
+                                        ("seed = -1\n", "validate")],
+                         ids=["V_A-keyrate", "seed-validate"])
+def test_config_errors_exit_two_through_the_cli(tmp_path, capsys, text,
+                                                verb):
+    message = dict(REJECTIONS)[text]
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main([verb, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"cvqkd: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_estimator_name_has_a_key_rate_kind():

@@ -170,6 +170,13 @@ def test_collect_statistics_requires_revealed_states():
     split = split_session(sess, 0, seed=2)
     with pytest.raises(ValueError):
         collect_statistics(sess, split)
+    # a split of another session's states
+    other = split_session(sess, 5, seed=2)
+    short = sample_session(replace(proto, N=10), ChannelParams(T=1.0, xi=0.0),
+                           seed=1)
+    with pytest.raises(ValueError,
+                       match="split does not partition the session"):
+        collect_statistics(short, other)
 
 
 def test_float_sums_give_python_floats():

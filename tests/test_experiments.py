@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvqkd import cli, estimators, experiments
+from cvqkd import __version__, cli, estimators, experiments
 from cvqkd.channel import (
     ChannelParams,
     ProtocolParams,
@@ -874,6 +874,29 @@ def test_rate_verbs_load_no_scipy_optimize(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    """``python -m cvqkd.cli`` runs main and exits with its code: 0 for
+    --version and a run, 2 with the message for a bad config."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "cvqkd.cli", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = run("--version")
+    assert (done.returncode, done.stdout) == (0, f"{__version__}\n")
+    done = run("keyrate", "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "keyrate.csv").exists()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("V_A = -1\n")
+    done = run("keyrate", "--config", str(bad), "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert done.stderr == "cvqkd: config error: V_A must be > 0, got -1.0\n"
 
 
 @pytest.mark.parametrize("verb", ["validate", "fig1"])

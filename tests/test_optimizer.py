@@ -1,7 +1,6 @@
-import re
 import sys
 import warnings
-from math import floor, inf, nan
+from math import floor
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.187
 
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     """The grid and the scalar search share one z and one kind: one
-    optimization computes each once, seeds and polish included. The float
+    optimization computes each once, polish included. The float
     rate looks its sigma2 variance form up and computes sigma2 once per
     transmission, not once per evaluation; the grid does each once per
     block of transmissions."""
@@ -71,14 +70,13 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
                         counted("sigma2", security._sigma2))
     monkeypatch.setattr(security, "_VARIANCE",
                         CountedTable(security._VARIANCE))
-    res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0),
-                            seeds=[(3.0, 0.5)])
+    res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0))
     assert res.best_key_rate > 0.0
     assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 2}
 
     calls.update(dict.fromkeys(calls, 0))
     Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
-    results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts, seeds=[(3.0, 0.5)])
+    results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts)
     assert len(Ts) <= _T_BLOCK
     assert all(r.evaluations > 576 + 20 for r in results)
     assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts),
@@ -155,10 +153,22 @@ def test_key_rate_monotone_in_distance_and_block_size():
     assert all(lo <= hi for lo, hi in zip(rates_n, rates_n[1:]))
 
 
+def _ranked(N, kind, T):
+    """(grid rates, search rate) of one transmission, as
+    range_limit_ratio hands them to the seeded search."""
+    (raw, rate), = optimizer._ranked_grids(
+        XI, BETA, N, confidence_quantile(1e-10), kind, [T],
+        optimizer._grid_ms(N))
+    return raw, rate
+
+
 def test_seeds_are_clipped_and_traced():
     T = fiber_transmission(20.0)
-    res = optimize_key_rate(XI, BETA, 10**7, T=T, seeds=[(1000.0, 0.99999)])
-    assert any(row[0] == "seed" for row in res.trace)
+    res = optimizer._optimize_ranked(*_ranked(10**7, EstimatorKind.SIGMA2_OPT,
+                                              T), [(1000.0, 0.99999)])
+    seed_rows = [row for row in res.trace if row[0] == "seed"]
+    assert seed_rows == [("seed", 10.0 ** _LOG_VAS[-1], _FRACS[-1],
+                          seed_rows[0][3], 1)]
     unseeded = optimize_key_rate(XI, BETA, 10**7, T=T)
     assert res.best_key_rate >= unseeded.best_key_rate - 1e-15
 
@@ -172,26 +182,12 @@ def test_seed_continuation_rescues_boundary_optimum():
     assert inside.best_key_rate > 0.0
     T_edge = fiber_transmission(38.7207)
     cold = optimize_key_rate(XI, BETA, N, estimator_kind=kind, T=T_edge)
-    warm = optimize_key_rate(XI, BETA, N, estimator_kind=kind, T=T_edge,
-                             seeds=[(inside.best_V_A, inside.best_m_fraction)])
+    warm = optimizer._optimize_ranked(
+        *_ranked(N, kind, T_edge),
+        [(inside.best_V_A, inside.best_m_fraction)])
     assert cold.best_key_rate == 0.0
     assert warm.best_key_rate > 0.0
     assert warm.best_m_fraction > 0.9
-
-
-@pytest.mark.parametrize("seed", [(3.0, nan), (0.0, 0.5), (-1.0, 0.5),
-                                  (nan, 0.5)])
-def test_seeds_need_a_positive_modulation_and_a_fraction(seed):
-    """A seed is (V_A > 0, m/N not NaN), or a ValueError that names it:
-    these raised a NaN-to-integer or math domain error, or, for a NaN V_A,
-    were dropped with a NaN trace row. Infinite values are clipped to the
-    box."""
-    with pytest.raises(ValueError, match=re.escape(f"got {seed}")):
-        optimize_key_rate(XI, BETA, 10**5, T=0.5, seeds=[seed])
-    res = optimize_key_rate(XI, BETA, 10**5, T=0.5,
-                            seeds=[(inf, -inf)])
-    assert res.trace[1] == ("seed", 10.0 ** _LOG_VAS[-1], _FRACS[0],
-                            res.trace[1][3], 1)
 
 
 def test_polish_runs_few_python_frames_per_evaluation():
@@ -202,10 +198,8 @@ def test_polish_runs_few_python_frames_per_evaluation():
     Holevo term and I_AB. A frame added per evaluation, a wrapper or a
     helper split out again, costs time on every one; counting Python call
     events, with no clock, catches it."""
-    N, kind = 10**5, EstimatorKind.SIGMA2_OPT
-    (raw, rate), = optimizer._ranked_grids(
-        XI, BETA, N, confidence_quantile(1e-10), kind,
-        [fiber_transmission(20.0)], optimizer._grid_ms(N))
+    raw, rate = _ranked(10**5, EstimatorKind.SIGMA2_OPT,
+                        fiber_transmission(20.0))
     calls = 0
 
     def count(frame, event, arg):
@@ -214,7 +208,7 @@ def test_polish_runs_few_python_frames_per_evaluation():
 
     sys.setprofile(count)
     try:
-        res = optimizer._optimize_ranked(raw, rate, None)
+        res = optimizer._optimize_ranked(raw, rate, ())
     finally:
         sys.setprofile(None)
     polished = sum(row[4] for row in res.trace if row[0] == "refine")
@@ -348,29 +342,31 @@ def test_range_probe_signs_match_the_polished_optimum(monkeypatch,
     real = optimizer._last_positive
     probes = []
 
-    def recording(positive, d_cap_km, resolution_km):
+    def recording(positive, resolution_km):
         def probe(d):
             sign = positive(d)
             probes.append((d, sign))
             return sign
-        return real(probe, d_cap_km, resolution_km)
+        return real(probe, resolution_km)
 
     monkeypatch.setattr(optimizer, "_last_positive", recording)
-    cases = [(XI, N, kind, 1000.0) for N in ExperimentConfig().n_list
+    ladder, capped = optimizer._LADDER, [0.0, 1.0, 2.0, 3.0]
+    cases = [(XI, N, kind, ladder) for N in ExperimentConfig().n_list
              for kind in KEY_RATE_ESTIMATORS]
-    cases += [(XI, 10**5, EstimatorKind.SIGMA2_OPT, 3.0),
-              (100.0, 10**5, EstimatorKind.SIGMA2_OPT, 1000.0)]
+    cases += [(XI, 10**5, EstimatorKind.SIGMA2_OPT, capped),
+              (100.0, 10**5, EstimatorKind.SIGMA2_OPT, ladder)]
     signs = set()
-    for xi, N, kind, cap in cases:
+    for xi, N, kind, rungs in cases:
         probes.clear()
+        monkeypatch.setattr(optimizer, "_LADDER", rungs)
         res = maximum_distance(xi, BETA, N, estimator_kind=kind,
-                               convention=convention, d_cap_km=cap)
+                               convention=convention)
         assert res.evaluations == len(probes) > 0
         for d, sign in probes:
             best = optimize_key_rate(xi, BETA, N, estimator_kind=kind,
                                      T=fiber_transmission(d),
                                      convention=convention).best_key_rate
-            assert sign == (best > 0.0), (xi, N, kind, cap, d, best)
+            assert sign == (best > 0.0), (xi, N, kind, rungs[-1], d, best)
             signs.add(sign)
     assert probes == [(0.0, False)]
     assert signs == {False, True}
@@ -382,12 +378,14 @@ def test_maximum_distance_dead_channel():
     assert not res.positive_at_zero
 
 
-def test_range_search_stops_at_the_cap():
-    """Both range searches report the cap after the same probes."""
-    res = maximum_distance(XI, BETA, 10**5, d_cap_km=3.0)
+def test_range_search_stops_at_the_cap(monkeypatch):
+    """Both range searches report the cap, the ladder's last rung, after
+    the same probes."""
+    monkeypatch.setattr(optimizer, "_LADDER", [0.0, 1.0, 2.0, 3.0])
+    res = maximum_distance(XI, BETA, 10**5)
     assert res.distance_km == 3.0 and res.positive_at_zero
     assert res.evaluations == 4  # 0, 1, 2 and 3 km
-    rr = range_limit_ratio(XI, BETA, 10**5, d_cap_km=3.0)
+    rr = range_limit_ratio(XI, BETA, 10**5)
     assert rr.boundary_km == 3.0
     assert [row[0] for row in rr.rows] == [2.95, 2.98, 2.99, 2.995, 2.998,
                                            2.999, 3.0]
@@ -395,16 +393,20 @@ def test_range_search_stops_at_the_cap():
 
 
 def test_range_search_below_one_km_never_probes_past_the_cap():
-    for limit in (0.3, 10.0):
+    """The search brackets a limit below the first rung, or between two,
+    to its resolution, and reports the cap when it is never insecure."""
+    cap = optimizer._LADDER[-1]
+    assert cap == 1000.0
+    for limit in (0.3, 10.0, 2 * cap):
         probes = []
 
         def positive(d):
             probes.append(d)
             return d <= limit
 
-        d = _last_positive(positive, 0.5, 1e-3)
-        assert max(probes) <= 0.5 and d <= 0.5
-        assert d == (pytest.approx(limit, abs=1e-3) if limit < 0.5 else 0.5)
+        d = _last_positive(positive, 1e-3)
+        assert max(probes) <= cap and d <= cap
+        assert d == (pytest.approx(limit, abs=1e-3) if limit < cap else cap)
 
 
 def test_range_limit_ratio_structure():
@@ -437,7 +439,6 @@ def test_range_limit_ratio_fraction_approaches_one():
     assert rr.rows[-1][4] >= 0.99
     assert rr.rows[-1][5] >= 0.99
     own = range_limit_ratio(XI, BETA, 10**5,
-                            numerator=EstimatorKind.SIGMA2_OPT,
                             denominator=EstimatorKind.SIGMA2_OPT)
     assert own.boundary_km >= rr.boundary_km - 1e-9
     assert own.rows[-1][4] >= 0.99

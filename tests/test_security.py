@@ -23,6 +23,7 @@ from cvqkd.security import (
     _channel_abc,
     _hold,
     _holevo,
+    _holevo_grid,
     _i_ab,
     _rate_at,
     _rate_grid,
@@ -231,7 +232,8 @@ def test_symplectic_eigenvalues_reject_unphysical_matrix():
     """Each eigenvalue check raises with its own message: a complex
     symplectic spectrum (c > (a + b)/2), a squared eigenvalue that
     round-off makes negative, nu2 < 1, a negative conditional variance
-    and nu3 < 1."""
+    and nu3 < 1. The grid path raises the same check's message, "... on
+    the rate grid", for the case in a cell beside the physical (4, 4, 1)."""
     cases = [
         ((2.0, 3.0, 3.0), "complex symplectic spectrum (-11.0)"),
         ((1.852533774049284, 1.8525337740492853, 1.8525337740492847),
@@ -241,10 +243,16 @@ def test_symplectic_eigenvalues_reject_unphysical_matrix():
         ((0.5, -3.0, 1.0),
          "unphysical conditional state (0.6454972243679028)"),
     ]
+    physical = (4.0, 4.0, 1.0)
+    assert _holevo_grid(*(np.array([v]) for v in physical)) >= 0.0
     for abc, message in cases:
         with pytest.raises(ValueError) as info:
             _holevo(*abc)
         assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            _holevo_grid(*(np.array(pair) for pair in zip(physical, abc)))
+        assert str(info.value) == (message.rsplit(" (", 1)[0]
+                                   + " on the rate grid")
 
 
 def test_near_pure_states_pass_the_eigenvalue_checks():
