@@ -27,6 +27,10 @@ _MAX_VARIANCE = sqrt(_NU_TOL / sys.float_info.epsilon)
 # squares its noise term V_N, which they bound: this cap keeps that square
 # finite
 _MAX_N_TIMES_V_M2 = sqrt(sys.float_info.max)
+# the rates square the revealed count m < N (the sigma2 MLE's chi-square
+# variance divides by m**2, as a float), so a block size past this cap
+# overflows
+_MAX_BLOCK = sqrt(sys.float_info.max)
 
 
 def _default_distances() -> list[float]:
@@ -86,12 +90,15 @@ class ExperimentConfig:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.V_M2 < 0:
             raise ValueError(f"V_M2 must be >= 0, got {self.V_M2}")
-        for key, top in (("V_A", _MAX_VARIANCE), ("xi", _MAX_VARIANCE),
+        # the block sizes first: V_M2's cap scales with N
+        for key, top in (("N", _MAX_BLOCK), ("n_list", _MAX_BLOCK),
+                         ("fig3_N", _MAX_BLOCK), ("V_A", _MAX_VARIANCE),
+                         ("xi", _MAX_VARIANCE),
                          ("V_M2", _MAX_N_TIMES_V_M2 / self.N)):
-            if getattr(self, key) > top:
+            val = getattr(self, key)
+            if any(v > top for v in (val if isinstance(val, list) else [val])):
                 raise ValueError(f"{key} must be <= {top!r}, past which the "
-                                 f"model's arithmetic breaks down, got "
-                                 f"{getattr(self, key)}")
+                                 f"model's arithmetic breaks down, got {val}")
         if not 0 < self.epsilon_pe < 1:
             raise ValueError(f"epsilon_pe must be in (0, 1), got {self.epsilon_pe}")
         if self.loss_db_per_km < 0:

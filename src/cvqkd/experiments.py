@@ -16,7 +16,7 @@ import csv
 import os
 from dataclasses import replace
 from itertools import repeat
-from math import log, log10, sqrt
+from math import copysign, inf, log, log10, nan, sqrt
 
 import numpy as np
 
@@ -270,16 +270,22 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
             emp_std = float(np.std(values, ddof=1))
             th_std = _theory_std(cfg, kind, channel.T)
             ratio_dev = abs(emp_std / th_std - 1.0)
-            # the log std ratio has standard error 1/sqrt(2*(trials - 1))
+            # the log std ratio has standard error 1/sqrt(2*(trials - 1));
+            # a spread below float resolution (at a huge N) reads 0, and
+            # each z is then its limit, an infinity or NaN, and fails
             add("std_ratio", d, name, emp_std, th_std, STD_RATIO_TOL,
                 ratio_dev <= STD_RATIO_TOL,
-                log(emp_std / th_std) * sqrt(2.0 * (trials - 1)))
+                log(emp_std / th_std) * sqrt(2.0 * (trials - 1))
+                if emp_std > 0.0 else -inf)
             bias = float(np.mean(values)) - truth.get(kind, channel.sigma2)
             se = emp_std / sqrt(trials)
             add("bias", d, name, bias, 0.0, BIAS_SIGMAS * se,
-                abs(bias) <= BIAS_SIGMAS * se, bias / se)
-        corr = float(np.corrcoef(res["sigma2_mle"],
-                                 res["sigma2_mm_key"])[0, 1])
+                abs(bias) <= BIAS_SIGMAS * se,
+                bias / se if se > 0.0 else copysign(inf, bias) if bias
+                else nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = float(np.corrcoef(res["sigma2_mle"],
+                                     res["sigma2_mm_key"])[0, 1])
         add("corr_mle_mm_key", d, "sigma2_opt", corr, 0.0, CORR_TOL,
             abs(corr) <= CORR_TOL, corr * sqrt(trials))
         std_opt = float(np.std(res["sigma2_opt"], ddof=1))

@@ -27,8 +27,11 @@ to a 1000 km cap, a constant as their resolutions are.
 The polishes are bounded Nelder-Mead searches written here on scalar
 floats: ``_nelder_mead_2d`` over (log10 V_A, m/N) for the finite-size
 rate and ``_nelder_mead_1d`` over log10 V_A for the asymptotic one. Each
-takes the steps that ``scipy.optimize.minimize(method="Nelder-Mead",
-bounds=...)`` takes (scipy 1.17), so the iterates, and every output
+is handed the built float rate and maps its search coordinates to (V_A,
+m) inline, so one evaluation runs two Python frames, the built rate and
+its Holevo term. Each takes the steps that
+``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)`` takes
+(scipy 1.17) on that mapped rate, so the iterates, and every output
 byte, are the ones that scipy routine gives; tests/test_optimizer.py
 checks this against scipy.
 """
@@ -131,7 +134,8 @@ _LADDER = [0.0, *(2.0 ** i for i in range(10)), 1000.0]
 
 def _round_m(frac: float, N: int) -> int:
     # ties round up: revealing one more state is the conservative choice;
-    # min(max(m, 1), N - 1), written out to save two builtin calls
+    # min(max(m, 1), N - 1), written out to save two builtin calls.
+    # _nelder_mead_2d writes the same two lines out at each evaluation.
     m = floor(frac * N + 0.5)
     m = 1 if 1 > m else m
     return N - 1 if N - 1 < m else m
@@ -146,23 +150,28 @@ def _round_m(frac: float, N: int) -> int:
 # vertex clipped to the box, the same coefficients in the same operation
 # order, the same strict and non-strict comparisons, a stable sort of the
 # vertices, iterations counted from 1, no evaluation limit and f(x) = min
-# over the final simplex, for f the rate negated: each routine negates
-# the rate itself, so no wrapper runs per evaluation, and returns its
-# maximum (-(-r) is r bit for bit, -0.0 included). The caller passes the
-# rate at the start, which it has computed already; it counts as an
-# evaluation, as in scipy. A vertex is an (f, x[, y]) tuple. Each clip is
-# numpy.clip on one float, written out: a bound wins a tie, so -0.0
-# clipped at a lower bound of 0.0 becomes 0.0. The trial points are
-# scipy's (1 + rho)*xbar - rho*worst and its kin at rho = 1, chi = 2,
-# psi = 0.5: reflection 2*c - w, expansion 3*c - 2*w, outside contraction
-# 1.5*c - 0.5*w and inside contraction 0.5*c + 0.5*w.
+# over the final simplex, for f the search's rate negated. Each routine is
+# handed the built float rate, security._rate_at or _asymptotic_at, and
+# evaluates f inline: it maps log10 V_A to V_A = 10.0**x and, in two
+# coordinates, m/N to m by _round_m's rule, negates the key rate, and
+# returns the maximum (-(-r) is r bit for bit, -0.0 included), so each
+# evaluation runs the built rate and its Holevo term and no other Python
+# frame. The caller passes the rate at the start, which it has computed
+# already; it counts as an evaluation, as in scipy. A vertex is an (f, x[,
+# y]) tuple. Each clip is numpy.clip on one float, written out: a bound
+# wins a tie, so -0.0 clipped at a lower bound of 0.0 becomes 0.0. The
+# trial points are scipy's (1 + rho)*xbar - rho*worst and its kin at rho =
+# 1, chi = 2, psi = 0.5: reflection 2*c - w, expansion 3*c - 2*w, outside
+# contraction 1.5*c - 0.5*w and inside contraction 0.5*c + 0.5*w.
 
-def _nelder_mead_2d(f, x0: float, y0: float, f0: float, bounds,
+def _nelder_mead_2d(rate, N: int, x0: float, y0: float, f0: float, bounds,
                     maxiter: int, xatol: float, fatol: float):
-    """Maximize f(x, y) over the box ``bounds`` from (x0, y0), clipped to
-    it, where f is f0; returns (x, y, f(x, y), evaluations). f returns a
-    number, never NaN."""
+    """Maximize the key rate of rate(10**x, _round_m(y, N)), a built
+    finite-size rate, over the box ``bounds`` from (x0, y0), clipped to
+    it, where it is f0; returns (x, y, key rate, evaluations). The key
+    rate is a number, never NaN."""
     (xlo, xhi), (ylo, yhi) = bounds
+    n1 = N - 1
     x0 = w if (w := x0 if x0 > xlo else xlo) < xhi else xhi
     y0 = w if (w := y0 if y0 > ylo else ylo) < yhi else yhi
     x1 = (1 + 0.05) * x0 if x0 != 0 else 0.00025
@@ -175,10 +184,14 @@ def _nelder_mead_2d(f, x0: float, y0: float, f0: float, bounds,
     y2 = w if (w := y2 if y2 > ylo else ylo) < yhi else yhi
     # the best, second and worst vertex b, s, r, sorted by insertion: each
     # pass of the loop sorts the vertex ``new`` in after the ones it ties
-    b, s = (-f0, x0, y0), (-f(x1, y0), x1, y0)
+    m = floor(y0 * N + 0.5)
+    m = 1 if 1 > m else n1 if n1 < m else m
+    b, s = (-f0, x0, y0), (-rate(10.0 ** x1, m)[0], x1, y0)
     if s[0] < b[0]:
         b, s = s, b
-    new = (-f(x0, y2), x0, y2)
+    m = floor(y2 * N + 0.5)
+    m = 1 if 1 > m else n1 if n1 < m else m
+    new = (-rate(10.0 ** x0, m)[0], x0, y2)
     nfev = 3
     iterations = 0
     while True:
@@ -207,13 +220,17 @@ def _nelder_mead_2d(f, x0: float, y0: float, f0: float, bounds,
         x, y = 2 * cx - wx, 2 * cy - wy
         xr = w if (w := x if x > xlo else xlo) < xhi else xhi
         yr = w if (w := y if y > ylo else ylo) < yhi else yhi
-        fxr = -f(xr, yr)
+        m = floor(yr * N + 0.5)
+        m = 1 if 1 > m else n1 if n1 < m else m
+        fxr = -rate(10.0 ** xr, m)[0]
         nfev += 1
         if fxr < fb:
             x, y = 3 * cx - 2 * wx, 3 * cy - 2 * wy
             x = w if (w := x if x > xlo else xlo) < xhi else xhi
             y = w if (w := y if y > ylo else ylo) < yhi else yhi
-            fxe = -f(x, y)
+            m = floor(y * N + 0.5)
+            m = 1 if 1 > m else n1 if n1 < m else m
+            fxe = -rate(10.0 ** x, m)[0]
             nfev += 1
             new = (fxe, x, y) if fxe < fxr else (fxr, xr, yr)
             continue
@@ -226,7 +243,9 @@ def _nelder_mead_2d(f, x0: float, y0: float, f0: float, bounds,
             x, y = 0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy
         x = w if (w := x if x > xlo else xlo) < xhi else xhi
         y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        fxc = -f(x, y)
+        m = floor(y * N + 0.5)
+        m = 1 if 1 > m else n1 if n1 < m else m
+        fxc = -rate(10.0 ** x, m)[0]
         nfev += 1
         if fxc <= fxr if fxr < fw else fxc < fw:
             new = (fxc, x, y)
@@ -236,22 +255,27 @@ def _nelder_mead_2d(f, x0: float, y0: float, f0: float, bounds,
         x, y = bx + 0.5 * (sx - bx), by + 0.5 * (sy - by)
         x = w if (w := x if x > xlo else xlo) < xhi else xhi
         y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        s = (-f(x, y), x, y)
+        m = floor(y * N + 0.5)
+        m = 1 if 1 > m else n1 if n1 < m else m
+        s = (-rate(10.0 ** x, m)[0], x, y)
         if s[0] < b[0]:
             b, s = s, b
         x, y = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
         x = w if (w := x if x > xlo else xlo) < xhi else xhi
         y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        new = (-f(x, y), x, y)
+        m = floor(y * N + 0.5)
+        m = 1 if 1 > m else n1 if n1 < m else m
+        new = (-rate(10.0 ** x, m)[0], x, y)
         nfev += 2
     return b[1], b[2], -b[0], nfev
 
 
-def _nelder_mead_1d(f, x0: float, f0: float, bounds, maxiter: int,
+def _nelder_mead_1d(rate, x0: float, f0: float, bounds, maxiter: int,
                     xatol: float, fatol: float):
-    """Maximize f(x) over the interval ``bounds`` from x0, clipped to it,
-    where f is f0; returns (x, f(x), evaluations). f returns a number,
-    never NaN."""
+    """Maximize the key rate of rate(10**x), a built asymptotic rate, over
+    the interval ``bounds`` from x0, clipped to it, where it is f0;
+    returns (x, key rate, evaluations). The key rate is a number, never
+    NaN."""
     lo, hi = bounds
     x0 = w if (w := x0 if x0 > lo else lo) < hi else hi
     x1 = (1 + 0.05) * x0 if x0 != 0 else 0.00025
@@ -260,7 +284,7 @@ def _nelder_mead_1d(f, x0: float, f0: float, bounds, maxiter: int,
     x1 = w if (w := x1 if x1 > lo else lo) < hi else hi
     # the best and worst vertex b, r; each pass of the loop sorts the
     # vertex ``new`` in after b if they tie
-    b, new = (-f0, x0), (-f(x1), x1)
+    b, new = (-f0, x0), (-rate(10.0 ** x1)[0], x1)
     nfev = 2
     iterations = 0
     while True:
@@ -277,24 +301,24 @@ def _nelder_mead_1d(f, x0: float, f0: float, bounds, maxiter: int,
         # it is contracted
         x = 2 * c - wx
         xr = w if (w := x if x > lo else lo) < hi else hi
-        fxr = -f(xr)
+        fxr = -rate(10.0 ** xr)[0]
         nfev += 1
         if fxr < fb:
             x = 3 * c - 2 * wx
             x = w if (w := x if x > lo else lo) < hi else hi
-            fxe = -f(x)
+            fxe = -rate(10.0 ** x)[0]
             nfev += 1
             new = (fxe, x) if fxe < fxr else (fxr, xr)
             continue
         x = 1.5 * c - 0.5 * wx if fxr < fw else 0.5 * c + 0.5 * wx
         x = w if (w := x if x > lo else lo) < hi else hi
-        fxc = -f(x)
+        fxc = -rate(10.0 ** x)[0]
         nfev += 1
         if not (fxc <= fxr if fxr < fw else fxc < fw):
             # shrink the worst vertex halfway towards the best one
             x = c + 0.5 * (wx - c)
             x = w if (w := x if x > lo else lo) < hi else hi
-            fxc = -f(x)
+            fxc = -rate(10.0 ** x)[0]
             nfev += 1
         new = (fxc, x)
     return b[1], -b[0], nfev
@@ -326,22 +350,6 @@ def _last_positive(positive, resolution_km: float) -> float | None:
     return lo
 
 
-def _search_rate(T: float, xi: float, beta: float, N: int, z: float,
-                 kind: EstimatorKind):
-    """rate(log10 V_A, m/N) for the search, straight from the float rate.
-
-    z is confidence_quantile(epsilon_pe, convention) and kind one of
-    KEY_RATE_ESTIMATORS; each value is key_rate_finite(10**log_va, T, xi,
-    beta, N, _round_m(frac, N), epsilon_pe, kind, convention).key_rate,
-    bit for bit. Building the float rate checks T, xi and N.
-    """
-    rate_at = _rate_at(T, xi, beta, N, z, kind)
-
-    def rate(log_va: float, frac: float) -> float:
-        return rate_at(10.0 ** log_va, _round_m(frac, N))[0]
-    return rate
-
-
 def optimize_key_rate(xi: float, beta: float, N: int,
                       epsilon_pe: float = 1e-10,
                       estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
@@ -370,7 +378,7 @@ def optimize_key_rates(xi: float, beta: float, N: int,
     """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
-    return [_optimize_ranked(raw, rate, ())
+    return [_optimize_ranked(raw, rate, N, ())
             for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts,
                                            _grid_ms(N))]
 
@@ -384,15 +392,16 @@ def _grid_ms(N: int):
 
 def _ranked_grids(xi: float, beta: float, N: int, z: float,
                   kind: EstimatorKind, Ts, ms):
-    """(grid rates, search rate) of each transmission of ``Ts``, in order:
-    the raw array rates of its 24 x 24 cells, flattened, and its
-    ``_search_rate``; ``ms`` is ``_grid_ms(N)``. One _rate_grid call ranks
-    each block of up to _T_BLOCK transmissions, V_A outer and fraction
-    inner, when the first of them is asked for, after the block's search
-    rates are built, so their checks fire before numpy sees the block."""
+    """(grid rates, float rate) of each transmission of ``Ts``, in order:
+    the raw array rates of its 24 x 24 cells, flattened, and its built
+    float rate, ``security._rate_at``; ``ms`` is ``_grid_ms(N)``. One
+    _rate_grid call ranks each block of up to _T_BLOCK transmissions, V_A
+    outer and fraction inner, when the first of them is asked for, after
+    the block's float rates are built, so their checks fire before numpy
+    sees the block."""
     for i in range(0, len(Ts), _T_BLOCK):
         block = Ts[i:i + _T_BLOCK]
-        rates = [_search_rate(T, xi, beta, N, z, kind) for T in block]
+        rates = [_rate_at(T, xi, beta, N, z, kind) for T in block]
         yield from zip(_rank(block, xi, beta, N, z, kind, ms), rates)
 
 
@@ -404,9 +413,9 @@ def _rank(Ts, xi: float, beta: float, N: int, z: float, kind: EstimatorKind,
                       xi, beta, N, ms, z, kind).reshape(len(Ts), -1)
 
 
-def _grid_best(raw, rate):
+def _grid_best(raw, rate, N: int):
     """(k, log10 V_A, m/N) of the grid's best cell, re-scored by the
-    scalar search rate ``rate`` from the array rates ``raw``."""
+    float rate ``rate`` at block size N from the array rates ``raw``."""
     # The array rate is the scalar one up to _GRID_TOL of round-off, so the
     # scalar scan's first strict maximum is among these cells, or is cell 0
     # when no rate is positive or none compares (NaN). Scanning them with
@@ -418,22 +427,22 @@ def _grid_best(raw, rate):
     best = None
     for i in cells:
         lv, fr = _LOG_VAS[i // len(_FRACS)], _FRACS[i % len(_FRACS)]
-        k = rate(lv, fr)
+        k = rate(10.0 ** lv, _round_m(fr, N))[0]
         if best is None or k > best[0]:
             best = (k, lv, fr)
     return best
 
 
-def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
+def _optimize_ranked(raw, rate, N: int, seeds) -> OptimizationResult:
     """One transmission's optimum from its grid's array rates ``raw`` and
-    its scalar search rate, polished from the best grid cell and from each
-    (V_A, m/N) of ``seeds`` at which the rate is positive.
+    its float rate at block size N, polished from the best grid cell and
+    from each (V_A, m/N) of ``seeds`` at which the rate is positive.
 
     Near the range limit the positive region shrinks below the grid pitch;
     ``range_limit_ratio`` seeds each search with the positive optima of its
     earlier ones, so continuation keeps it from reporting a false zero.
     """
-    best = _grid_best(raw, rate)
+    best = _grid_best(raw, rate, N)
     evaluations = raw.size
     trace = [("grid", 10.0 ** best[1], best[2], best[0], evaluations)]
 
@@ -444,7 +453,7 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
     for va, fr in seeds:
         lv = min(max(log10(va), _LOG_VAS[0]), _LOG_VAS[-1])
         fr = min(max(fr, _FRACS[0]), _FRACS[-1])
-        k = rate(lv, fr)
+        k = rate(10.0 ** lv, _round_m(fr, N))[0]
         evaluations += 1
         if k > best[0]:
             best = (k, lv, fr)
@@ -453,7 +462,7 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
         trace.append(("seed", 10.0 ** lv, fr, k, 1))
 
     for k0, lv0, fr0 in starts:
-        lv, fr, k, nfev = _nelder_mead_2d(rate, lv0, fr0, k0, _BOUNDS,
+        lv, fr, k, nfev = _nelder_mead_2d(rate, N, lv0, fr0, k0, _BOUNDS,
                                           _MAXITER, xatol=1e-4, fatol=1e-12)
         evaluations += nfev
         if k > best[0]:
@@ -472,13 +481,9 @@ def _optimize_ranked(raw, rate, seeds) -> OptimizationResult:
 def optimize_asymptotic_rate(xi: float, beta: float,
                              T: float) -> OptimizationResult:
     """Maximize the asymptotic rate at transmission T over V_A only."""
-    rate_at = _asymptotic_at(T, xi, beta)
-
-    def rate(log_va: float) -> float:
-        # key_rate_asymptotic(10**log_va, T, xi, beta).key_rate, bit for bit
-        return rate_at(10.0 ** log_va)[0]
-
-    ks = [rate(lv) for lv in _ASYMPTOTIC_LOG_VAS]
+    rate = _asymptotic_at(T, xi, beta)
+    # key_rate_asymptotic(10**lv, T, xi, beta).key_rate, bit for bit
+    ks = [rate(10.0 ** lv)[0] for lv in _ASYMPTOTIC_LOG_VAS]
     i = int(np.argmax(ks))
     best = (ks[i], _ASYMPTOTIC_LOG_VAS[i])
     evaluations = len(ks)
@@ -518,7 +523,7 @@ def maximum_distance(xi: float, beta: float, N: int,
     kind = _key_rate_kind(estimator_kind)
     ms = _grid_ms(N)
     evaluations = 0
-    # the best (log10 V_A, m/N) cell of the last positive ranking, and the
+    # the best (V_A, m) cell of the last positive ranking, and the
     # re-scored best of each ranking, the first at 0 km
     cell = None
     bests = []
@@ -527,13 +532,14 @@ def maximum_distance(xi: float, beta: float, N: int,
         nonlocal evaluations, cell
         evaluations += 1
         T = fiber_transmission(d, loss_db_per_km)
-        rate = _search_rate(T, xi, beta, N, z, kind)
-        if cell is not None and rate(*cell) > 0.0:
+        rate = _rate_at(T, xi, beta, N, z, kind)
+        if cell is not None and rate(*cell)[0] > 0.0:
             return True
-        k, *best = _grid_best(_rank([T], xi, beta, N, z, kind, ms)[0], rate)
+        k, lv, fr = _grid_best(_rank([T], xi, beta, N, z, kind, ms)[0], rate,
+                               N)
         bests.append(k)
         if k > 0.0:
-            cell = best
+            cell = 10.0 ** lv, _round_m(fr, N)
         return k > 0.0
 
     d = _last_positive(positive, 0.1)
@@ -576,7 +582,7 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     ms = _grid_ms(N)
     evaluations = 0
     seed_of: dict[EstimatorKind, tuple] = {}
-    # (estimator, d) -> (grid rates, search rate) once ranked, and before
+    # (estimator, d) -> (grid rates, float rate) once ranked, and before
     # that, when planned, the block of distances ranked with d
     ranked: dict[tuple, tuple] = {}
     blocks: dict[tuple, list] = {}
@@ -596,7 +602,7 @@ def range_limit_ratio(xi: float, beta: float, N: int,
                                                      kinds[kind], Ts, ms)):
                 ranked[kind, dd] = grid
         seeds = [s for s in (seed_of.get(kind), *extra) if s is not None]
-        r = _optimize_ranked(*ranked[kind, d], seeds)
+        r = _optimize_ranked(*ranked[kind, d], N, seeds)
         evaluations += r.evaluations
         if r.best_key_rate > 0.0:
             seed_of[kind] = (r.best_V_A, r.best_m_fraction)

@@ -22,38 +22,42 @@ same operations in the same order. ``_rate_at`` takes Python floats
 through ``math`` and ``if`` tests and raises at the first failed check:
 built once per channel and block size, with sigma2, sqrt(T) and the
 estimator's variance form fixed there, it returns the rate as a function
-of (V_A, m). Its steps (the corner's hold ``_hold``, the mutual
-information ``_i_ab``, the Holevo term ``_holevo``) also serve
-``worst_case_params`` and ``holevo_bound``, and ``_asymptotic_at``, the
-asymptotic rate built the same way once per channel, as a function of
-V_A. Each built rate checks its channel, and ``_rate_at`` also N >= 2,
-when it is built, and returns the key rate, the raw rate held at 0,
-next to the raw rate: the check and the zero clamp are written there
-and nowhere else. Rates are built once and then evaluated many times by
-the optimizer's polish (``_rate_at``, once per transmission), its
-asymptotic search (``_asymptotic_at``, once per transmission) and the
-figures' cross re-scores (``_rate_at``, once per cell);
-``key_rate_finite`` and ``key_rate_asymptotic`` build one for a single
-evaluation. ``_rate_grid`` takes numpy arrays, for the optimizer's grid,
-ranked for a block of transmissions at once (so T is an array there
-too), and raises if any cell fails a check.
+of (V_A, m), the one float form of the rate. That function writes
+Var(t_hat), the sigma2 variance, the corner's hold and the mutual
+information out in one frame and calls only the Holevo term ``_holevo``,
+as ``_asymptotic_at``, the asymptotic rate built the same way once per
+channel as a function of V_A, does; each evaluation of the optimizer's
+polish is two Python calls. ``_hold`` and ``_holevo`` also serve
+``worst_case_params`` and ``holevo_bound``. Each built rate checks its
+channel, and ``_rate_at`` also N >= 2, when it is built, and returns the
+key rate, the raw rate held at 0, next to the raw rate: the check and
+the zero clamp are written there and nowhere else. Rates are built once
+and then evaluated many times by the optimizer's polish (``_rate_at``,
+once per transmission), its asymptotic search (``_asymptotic_at``, once
+per transmission) and the figures' cross re-scores (``_rate_at``, once
+per cell); ``key_rate_finite`` and ``key_rate_asymptotic`` build one for
+a single evaluation. ``_rate_grid`` takes numpy arrays, for the
+optimizer's grid, ranked for a block of transmissions at once (so T is
+an array there too), and raises if any cell fails a check.
 
 Each path is the better one on its own input. numpy's log2 and powers
 differ from math's in the last bit (log2 on 24 to 172 of 100k random
 inputs, depending on their range), so the grid's values only rank cells
 and every reported rate comes from the float path. On floats one
-evaluation of a built rate costs 2.1-2.5 us and of a built asymptotic
-rate 1.5-1.7 us, against over 80 us for a one-cell array (2-vCPU Xeon,
-Python 3.11.7, numpy 2.4.6). Both paths take sigma2, Var(t_hat) and the
+evaluation of a built rate costs 1.8-2.0 us and of a built asymptotic
+rate 1.3-1.4 us, against over 80 us for a one-cell array (2-vCPU Xeon,
+Python 3.11.7, numpy 2.4.6). The grid takes sigma2, Var(t_hat) and the
 sigma2 variance from ``_sigma2``, ``var_t_mle`` and the estimators' one
-kind -> variance table; tests/test_security.py checks them against each
+kind -> variance table; the float rate restates the last two inline.
+tests/test_security.py checks the float rate bit for bit against a
+reference composed of those functions, and the two paths against each
 other cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2, sqrt
+from math import isfinite, log2, sqrt
 from sys import float_info
 
 import numpy as np
@@ -80,6 +84,13 @@ KEY_RATE_ESTIMATORS = (
     EstimatorKind.SIGMA2_MM_FULL,
     EstimatorKind.SIGMA2_OPT,
 )
+# the sigma2 variance form of each key-rate kind, which _rate_at picks
+# once per build and writes out: the MLE's chi-square variance, the
+# full-set moment variance, or the combination of the MLE's and the
+# key-subset moment variance
+_MLE, _MM_FULL, _OPT = "mle", "mm_full", "opt"
+_SIGMA2_FORM = dict(zip(KEY_RATE_ESTIMATORS, (_MLE, _MM_FULL, _OPT),
+                        strict=True))
 
 
 def _erfinv(x: float) -> float:
@@ -96,18 +107,26 @@ def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
 
     convention="paper" uses z = erfinv(1 - epsilon_pe/2); "gaussian" uses
     the two-sided normal quantile z = sqrt(2)*erfinv(1 - epsilon_pe). At
-    epsilon_pe = 1e-10 these give about 4.65 and 6.47 respectively.
+    epsilon_pe = 1e-10 these give about 4.65 and 6.47 respectively. An
+    epsilon_pe so small that the erfinv argument rounds to 1 (2**-53, about
+    1.1e-16, and below for "paper"; 2**-54 and below for "gaussian") gives
+    an infinite z, which raises ValueError.
     """
     if not 0.0 < epsilon_pe < 1.0:
         raise ValueError(f"epsilon_pe must be in (0, 1), got {epsilon_pe}")
     if convention == "paper":
-        return float(_erfinv(1.0 - epsilon_pe / 2.0))
-    if convention == "gaussian":
-        return float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))
-    raise ValueError(f"unknown convention {convention!r}")
+        z = float(_erfinv(1.0 - epsilon_pe / 2.0))
+    elif convention == "gaussian":
+        z = float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))
+    else:
+        raise ValueError(f"unknown convention {convention!r}")
+    if not isfinite(z):
+        raise ValueError(f"epsilon_pe = {epsilon_pe} is too small: the "
+                         f"{convention!r} confidence quantile is {z}")
+    return z
 
 
-# The rate takes z and holds the corner itself, with _hold; this
+# The rate takes z and holds the corner itself, as _hold does; this
 # function and holevo_bound stay public, and importable as
 # cvqkd.security.*, which perfbench's tracer wraps.
 def worst_case_params(t_hat: float, std_t: float, sigma2_hat: float,
@@ -146,11 +165,6 @@ def _hold(t_min, sigma2_max):
     return (0.0 if 0.0 > t_min else t_min,
             1.0 if 1.0 > sigma2_max else sigma2_max,
             t_min < 0.0 or sigma2_max < 1.0)
-
-
-def _i_ab(V_A, T, sigma2):
-    # Alice-Bob mutual information of the Gaussian channel
-    return 0.5 * log2(1.0 + T * V_A / sigma2)
 
 
 def _check_channel(T, xi):
@@ -231,29 +245,55 @@ def _rate_at(T, xi, beta, N, z, kind):
 
     The raw rate is (n/N) * (beta*I_AB - S_worst), S_worst the Holevo
     bound at the confidence-region corner t_min = t - z*std_t, sigma2_max
-    = sigma2 + z*std_sigma2, held by _hold at t_min >= 0 and sigma2_max
-    >= 1; clamped says whether either hold fired; the key rate is the raw
-    rate held at 0 (a NaN or -0.0 passes). T, xi and N >= 2 are checked,
-    and sigma2, sqrt(T) and the kind's variance form fixed, here, once.
-    Needs z from confidence_quantile and a kind of KEY_RATE_ESTIMATORS;
-    rate needs V_A > 0 and 1 <= m <= N-1.
+    = sigma2 + z*std_sigma2, held at t_min >= 0 and sigma2_max >= 1 as
+    _hold holds it; clamped says whether either hold fired; the key rate
+    is the raw rate held at 0 (a NaN or -0.0 passes). T, xi and N >= 2
+    are checked, and sigma2, sqrt(T) and the kind's variance form fixed,
+    here, once. Needs z from confidence_quantile and a kind of
+    KEY_RATE_ESTIMATORS; rate needs V_A > 0 and 1 <= m <= N-1.
+
+    rate is the one float form of the finite-size rate, written out in one
+    frame with _holevo as its only Python call: Var(t_hat) is var_t_mle's,
+    the sigma2 variance the kind's entry of estimators._VARIANCE, the hold
+    _hold's and I_AB = 0.5*log2(1 + T*V_A/sigma2), each with the same
+    operations in the same order, so every value and error is theirs, bit
+    for bit; tests/test_security.py checks the rate against a reference
+    composed of those functions.
     """
     _check_channel(T, xi)
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     sigma2 = _sigma2(T, xi)
     sqrt_t = sqrt(T)
-    variance = _VARIANCE[kind]
+    form = _SIGMA2_FORM[kind]
+    full, opt = form is _MM_FULL, form is _OPT
+    # 2*sigma2**2, the first factor of each sigma2 variance, and the whole
+    # first term of sigma2_mm_full's, 2*sigma2**2/N
+    two_s2 = 2.0 * sigma2**2
+    two_s2_n = two_s2 / N
 
     def rate(V_A, m):
         n = N - m
-        t_min, sigma2_max, clamped = _hold(
-            sqrt_t - z * sqrt(var_t_mle(V_A, T, sigma2, m)),
-            sigma2 + z * sqrt(variance(V_A, T, sigma2, m, n, N, 0.0)))
+        t_min = sqrt_t - z * sqrt(sigma2 / (m * V_A))
+        if full:
+            var = two_s2_n + (1.0 / m - 1.0 / N) * 4.0 * T * sigma2 * V_A
+        else:
+            # the MLE's chi-square variance, which sigma2_opt combines by
+            # inverse variance with the key-subset moment estimator's
+            var = two_s2 * (m - 1) / m**2
+            if opt:
+                key = two_s2 / n + (1.0 / m + 1.0 / n) * 4.0 * T * sigma2 * V_A
+                var = var * key / (var + key)
+        sigma2_max = sigma2 + z * sqrt(var)
+        clamped = t_min < 0.0 or sigma2_max < 1.0
+        if 0.0 > t_min:
+            t_min = 0.0
+        if 1.0 > sigma2_max:
+            sigma2_max = 1.0
         # the covariance matrix at the worst-case (t, sigma2)
         s_wc = _holevo(V_A + 1.0, t_min**2 * V_A + sigma2_max,
                        t_min * sqrt(V_A**2 + 2.0 * V_A))
-        i_ab = _i_ab(V_A, T, sigma2)
+        i_ab = 0.5 * log2(1.0 + T * V_A / sigma2)
         raw = (n / N) * (beta * i_ab - s_wc)
         return 0.0 if 0.0 > raw else raw, raw, i_ab, s_wc, clamped
     return rate
@@ -262,13 +302,17 @@ def _rate_at(T, xi, beta, N, z, kind):
 def _asymptotic_at(T, xi, beta):
     """rate(V_A) -> (key rate, raw rate, I_AB, S): the asymptotic rate
     beta*I_AB - S of one channel, held at 0 as in _rate_at. T and xi are
-    checked and sigma2 is fixed here, once; rate needs V_A > 0."""
+    checked and sigma2 is fixed here, once; rate needs V_A > 0. It writes
+    I_AB and the channel's (a, b, c) of _channel_abc out, as _rate_at
+    does, and calls _holevo alone."""
     _check_channel(T, xi)
     sigma2 = _sigma2(T, xi)
+    t_xi = T * xi
 
     def rate(V_A):
-        i_ab = _i_ab(V_A, T, sigma2)
-        s = _holevo(*_channel_abc(V_A, T, xi))
+        i_ab = 0.5 * log2(1.0 + T * V_A / sigma2)
+        s = _holevo(V_A + 1.0, T * V_A + 1.0 + t_xi,
+                    sqrt(T * (V_A**2 + 2.0 * V_A)))
         raw = beta * i_ab - s
         return 0.0 if 0.0 > raw else raw, raw, i_ab, s
     return rate

@@ -25,6 +25,7 @@ from cvqkd.channel import (
     trial_seed,
 )
 from cvqkd.config import (
+    _MAX_BLOCK,
     _MAX_N_TIMES_V_M2,
     _MAX_VARIANCE,
     ExperimentConfig,
@@ -621,42 +622,81 @@ ALL_VERBS = ("fig1", "fig2", "fig3", "validate", "simulate", "keyrate",
 
 
 def test_huge_variances_are_config_errors(tmp_path):
-    """V_A, xi and V_M2 have upper bounds where the arithmetic breaks down:
-    past them every verb exits 2 naming the key; at them every verb
-    finishes."""
+    """V_A, xi and V_M2, and the block sizes N, n_list and fig3_N, have
+    upper bounds where the arithmetic breaks down: past them every verb
+    exits 2 naming the key; at them every verb finishes, but simulate,
+    which refuses so large an N by its own limit."""
     small = ("distances_km = 0, 100\nmc_distances_km = 0, 100\n"
              "n_list = 1e5\nfig3_N = 1e9\ntrials = 50\n")
     largest = {"V_A": _MAX_VARIANCE, "xi": _MAX_VARIANCE,
-               "V_M2": _MAX_N_TIMES_V_M2 / ExperimentConfig().N}
+               "V_M2": _MAX_N_TIMES_V_M2 / ExperimentConfig().N,
+               "N": _MAX_BLOCK, "n_list": _MAX_BLOCK, "fig3_N": _MAX_BLOCK}
     for key, top in largest.items():
+        # V_M2's bound is 1.0 at the largest N
+        text = small + ("V_M2 = 1e-3\n" if key == "N" else "")
         for verb in ALL_VERBS:
-            rc, err = _cli_run(tmp_path, verb, small + f"{key} = 1e300\n")
+            rc, err = _cli_run(tmp_path, verb, text + f"{key} = 1e300\n")
             assert rc == 2, (key, verb)
             assert f"cvqkd: config error: {key} must be <=" in err, err
-            rc, _ = _cli_run(tmp_path, verb, small + f"{key} = {top!r}\n")
-            assert rc in (0, 1), (key, verb)
+            rc, err = _cli_run(tmp_path, verb, text + f"{key} = {top!r}\n")
+            if key == "N" and verb == "simulate":
+                assert rc == 2 and "simulate holds every state" in err, err
+            else:
+                assert rc in (0, 1), (key, verb, err)
+
+
+@pytest.mark.parametrize("verb", ["fig2", "keyrate", "optimize"])
+def test_an_infinite_confidence_quantile_is_a_rate_error(tmp_path, verb):
+    """At epsilon_pe = 1e-17, 1 - epsilon_pe/2 rounds to 1 and the
+    quantile is infinite: the rate verbs exit 2 naming epsilon_pe, where
+    they wrote NaN rates and exited 0. At 2**-50 both conventions run and
+    write no NaN."""
+    small = "distances_km = 0, 100\nn_list = 1e5\nfig3_N = 1e9\n"
+    rc, err = _cli_run(tmp_path, verb, small + "epsilon_pe = 1e-17\n")
+    assert rc == 2, err
+    assert f"cvqkd: {verb}: epsilon_pe = 1e-17 is too small" in err, err
+    for convention in ("paper", "gaussian"):
+        out = tmp_path / convention
+        rc, err = _cli_run(out, verb, small + f"epsilon_pe = {2.0**-50!r}\n"
+                           f"convention = {convention}\n")
+        assert rc == 0, err
+        tables = list((out / verb).glob("*.csv"))
+        assert tables and not any("nan" in t.read_text() for t in tables)
 
 
 def _log_uniform(rng, lo, hi):
     return float(10 ** rng.uniform(np.log10(lo), np.log10(hi)))
 
 
+def _far(rng, near, far):
+    """The end of a drawn range: ``far`` on a quarter of the draws."""
+    return far if rng.uniform() < 0.25 else near
+
+
 def _random_config(rng):
-    N = int(_log_uniform(rng, 3, 1e12))
+    # the block sizes reach up to 1e300, past their cap, and epsilon_pe
+    # down to 1e-300, past the smallest value with a finite confidence
+    # quantile, each on a quarter of the draws, so the rejections show
+    # while most configs still run
+    N = int(_log_uniform(rng, 3, _far(rng, 1e12, 1e300)))
     estimators = rng.permutation(["mle", "mm", "opt"])[:rng.integers(1, 4)]
     return N, "".join(f"{key} = {value}\n" for key, value in (
         ("V_A", repr(_log_uniform(rng, 1e-3, _MAX_VARIANCE))),
         ("xi", repr(_log_uniform(rng, 1e-12, _MAX_VARIANCE))),
-        ("V_M2", repr(_log_uniform(rng, 1e-3, _MAX_N_TIMES_V_M2 / N))),
-        ("N", N), ("m", int(rng.integers(2, N))),
+        ("V_M2", repr(_log_uniform(rng, 1e-3,
+                                   _MAX_N_TIMES_V_M2 / min(N, _MAX_BLOCK)))),
+        # m = 2 + floor(u * (N - 2)) in [2, N - 1], drawn on floats: N may
+        # pass int64, past which rng.integers fails
+        ("N", N), ("m", 2 + int(float(rng.uniform()) * (N - 2))),
         ("beta", repr(float(rng.uniform(0.01, 1.0)))),
-        ("epsilon_pe", repr(_log_uniform(rng, 1e-15, 0.5))),
+        ("epsilon_pe", repr(_log_uniform(rng, _far(rng, 1e-15, 1e-300),
+                                         0.5))),
         ("loss_db_per_km", repr(float(rng.uniform(0.0, 30.0)))),
         ("distances_km", f"0, {float(rng.uniform(0.0, 3000.0))!r}"),
         ("mc_distances_km", repr(float(rng.uniform(0.0, 3000.0)))),
         ("trials", int(rng.integers(2, 50))),
-        ("n_list", int(_log_uniform(rng, 3, 1e12))),
-        ("fig3_N", int(_log_uniform(rng, 3, 1e12))),
+        ("n_list", int(_log_uniform(rng, 3, _far(rng, 1e12, 1e300)))),
+        ("fig3_N", int(_log_uniform(rng, 3, _far(rng, 1e12, 1e300)))),
         ("estimators", ", ".join(estimators)),
         ("convention", rng.choice(["paper", "gaussian"])),
         ("seed", int(rng.integers(0, 2**31)))))
@@ -666,9 +706,11 @@ def test_random_valid_configs_never_raise(tmp_path):
     """Seeded random configs, drawn log-uniform over many decades: every
     verb returns 0, 1 or 2 and raises nothing. simulate draws and writes
     all N states: it runs where N <= 1e5, must refuse with 2 above its
-    limit, and is skipped in between, where it would run but slowly."""
+    limit, and is skipped in between, where it would run but slowly. 40
+    configs, as a quarter of the draws of each of four keys reach past
+    its limit."""
     rng = np.random.default_rng(20261018)
-    for i in range(20):
+    for i in range(40):
         N, text = _random_config(rng)
         for verb in ALL_VERBS:
             if verb == "simulate" and 10**5 < N <= cli._MAX_SIMULATE_N:

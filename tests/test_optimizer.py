@@ -1,6 +1,6 @@
 import sys
 import warnings
-from math import floor
+from math import floor, log10
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from cvqkd.optimizer import (
     _nelder_mead_1d,
     _nelder_mead_2d,
     _round_m,
-    _search_rate,
     maximum_distance,
     optimize_asymptotic_rate,
     optimize_key_rate,
@@ -32,9 +31,9 @@ from cvqkd.security import (
     KEY_RATE_ESTIMATORS,
     _rate_grid,
     confidence_quantile,
-    key_rate_asymptotic,
     key_rate_finite,
 )
+from reference_rate import search_rate
 
 XI, BETA = 0.01, 0.95
 
@@ -44,11 +43,12 @@ MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.187
 
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     """The grid and the scalar search share one z and one kind: one
-    optimization computes each once, polish included. The float
-    rate looks its sigma2 variance form up and computes sigma2 once per
-    transmission, not once per evaluation; the grid does each once per
-    block of transmissions."""
-    calls = dict.fromkeys(("z", "kind", "sigma2", "form"), 0)
+    optimization computes each once, polish included. The float rate
+    picks its sigma2 variance form ("choice") and computes sigma2 once per
+    transmission, not once per evaluation; the grid looks its form up in
+    the variance table ("form") and computes sigma2 once per block of
+    transmissions."""
+    calls = dict.fromkeys(("z", "kind", "sigma2", "form", "choice"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -56,10 +56,12 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    class CountedTable(dict):
-        def __getitem__(self, kind):
-            calls["form"] += 1
-            return super().__getitem__(kind)
+    def counted_table(name, table):
+        class CountedTable(dict):
+            def __getitem__(self, kind):
+                calls[name] += 1
+                return super().__getitem__(kind)
+        return CountedTable(table)
 
     for module in (optimizer, security):
         monkeypatch.setattr(module, "confidence_quantile",
@@ -69,18 +71,20 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     monkeypatch.setattr(security, "_sigma2",
                         counted("sigma2", security._sigma2))
     monkeypatch.setattr(security, "_VARIANCE",
-                        CountedTable(security._VARIANCE))
+                        counted_table("form", security._VARIANCE))
+    monkeypatch.setattr(security, "_SIGMA2_FORM",
+                        counted_table("choice", security._SIGMA2_FORM))
     res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0))
     assert res.best_key_rate > 0.0
-    assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 2}
+    assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 1, "choice": 1}
 
     calls.update(dict.fromkeys(calls, 0))
     Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
     results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts)
     assert len(Ts) <= _T_BLOCK
     assert all(r.evaluations > 576 + 20 for r in results)
-    assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts),
-                     "form": 1 + len(Ts)}
+    assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts), "form": 1,
+                     "choice": len(Ts)}
 
 
 def test_optimize_key_rate_is_deterministic():
@@ -154,7 +158,7 @@ def test_key_rate_monotone_in_distance_and_block_size():
 
 
 def _ranked(N, kind, T):
-    """(grid rates, search rate) of one transmission, as
+    """(grid rates, float rate) of one transmission, as
     range_limit_ratio hands them to the seeded search."""
     (raw, rate), = optimizer._ranked_grids(
         XI, BETA, N, confidence_quantile(1e-10), kind, [T],
@@ -165,7 +169,7 @@ def _ranked(N, kind, T):
 def test_seeds_are_clipped_and_traced():
     T = fiber_transmission(20.0)
     res = optimizer._optimize_ranked(*_ranked(10**7, EstimatorKind.SIGMA2_OPT,
-                                              T), [(1000.0, 0.99999)])
+                                              T), 10**7, [(1000.0, 0.99999)])
     seed_rows = [row for row in res.trace if row[0] == "seed"]
     assert seed_rows == [("seed", 10.0 ** _LOG_VAS[-1], _FRACS[-1],
                           seed_rows[0][3], 1)]
@@ -183,23 +187,15 @@ def test_seed_continuation_rescues_boundary_optimum():
     T_edge = fiber_transmission(38.7207)
     cold = optimize_key_rate(XI, BETA, N, estimator_kind=kind, T=T_edge)
     warm = optimizer._optimize_ranked(
-        *_ranked(N, kind, T_edge),
+        *_ranked(N, kind, T_edge), N,
         [(inside.best_V_A, inside.best_m_fraction)])
     assert cold.best_key_rate == 0.0
     assert warm.best_key_rate > 0.0
     assert warm.best_m_fraction > 0.9
 
 
-def test_polish_runs_few_python_frames_per_evaluation():
-    """Each polish evaluation of the float rate runs 11 Python frames at
-    the optimal estimator: the search rate, the built rate, the m
-    rounding, Var(t_hat), the sigma2 variance form (which calls the two
-    variances it combines and their combination), the corner's hold, the
-    Holevo term and I_AB. A frame added per evaluation, a wrapper or a
-    helper split out again, costs time on every one; counting Python call
-    events, with no clock, catches it."""
-    raw, rate = _ranked(10**5, EstimatorKind.SIGMA2_OPT,
-                        fiber_transmission(20.0))
+def _python_calls(run):
+    """(run's result, the Python call events it makes)."""
     calls = 0
 
     def count(frame, event, arg):
@@ -208,13 +204,37 @@ def test_polish_runs_few_python_frames_per_evaluation():
 
     sys.setprofile(count)
     try:
-        res = optimizer._optimize_ranked(raw, rate, ())
+        res = run()
     finally:
         sys.setprofile(None)
+    return res, calls
+
+
+def test_polish_runs_few_python_frames_per_evaluation():
+    """Each polish evaluation of the float rate runs 2 Python frames at
+    the optimal estimator: the built rate, which writes Var(t_hat), the
+    sigma2 variance, the corner's hold and I_AB out, and its Holevo term;
+    the polish maps its coordinates to (V_A, m) inline. A frame added per
+    evaluation, a wrapper or a helper split out again, costs time on
+    every one; counting Python call events, with no clock, catches it."""
+    N = 10**5
+    raw, rate = _ranked(N, EstimatorKind.SIGMA2_OPT, fiber_transmission(20.0))
+    res, calls = _python_calls(
+        lambda: optimizer._optimize_ranked(raw, rate, N, ()))
     polished = sum(row[4] for row in res.trace if row[0] == "refine")
     assert polished > 20
     # the grid re-score and the polish's own frames are a few dozen calls
-    assert calls <= 12 * polished
+    assert calls <= 3 * polished
+
+
+def test_asymptotic_search_runs_few_python_frames_per_evaluation():
+    """Each evaluation of the asymptotic search, grid and polish, runs 2
+    Python frames: the built rate, which writes I_AB and the channel's
+    (a, b, c) out, and its Holevo term."""
+    res, calls = _python_calls(
+        lambda: optimize_asymptotic_rate(XI, BETA, fiber_transmission(20.0)))
+    assert res.evaluations > len(optimizer._ASYMPTOTIC_LOG_VAS) + 20
+    assert calls <= 3 * res.evaluations
 
 
 # one figure column, the default distances: 41 = 5 blocks of 8 and a
@@ -228,9 +248,9 @@ def _ranked_rows(monkeypatch, block, N, kind):
     rows = []
     ranked = optimizer._optimize_ranked
 
-    def spy(raw, rate, seeds):
+    def spy(raw, rate, N, seeds):
         rows.append(raw)
-        return ranked(raw, rate, seeds)
+        return ranked(raw, rate, N, seeds)
 
     monkeypatch.setattr(optimizer, "_optimize_ranked", spy)
     monkeypatch.setattr(optimizer, "_T_BLOCK", block)
@@ -582,20 +602,31 @@ def _scipy_nelder_mead(f, x0, bounds, maxiter, xatol, fatol):
     return [float(v) for v in res.x], float(res.fun), res.nfev
 
 
-def _assert_same_run(f, x0, bounds, maxiter, xatol, fatol):
-    # f takes a list of floats, as scipy's objective takes its array; the
-    # in-package polishes take one float a coordinate, maximize, so they
-    # get -f, and take -f at the start clipped to the box as numpy clips
-    start = [float(v) for v in np.clip(x0, *np.array(bounds).T)]
-    if len(x0) == 2:
-        *x, fun, nfev = _nelder_mead_2d(lambda a, b: -f([a, b]), *x0,
-                                        -f(start), bounds, maxiter, xatol,
-                                        fatol)
+def _assert_same_run(rate, N, x0, bounds, maxiter, xatol, fatol):
+    # rate is a built rate: the finite-size one on (V_A, m) at block size
+    # N, or the asymptotic one on V_A when N is None. The polishes take it
+    # as it is and map their coordinates inline; scipy minimizes the same
+    # mapped function of a list of floats, the key rate at 10**x and, in
+    # two coordinates, _round_m(y, N), negated. The polishes take the key
+    # rate at the start clipped to the box as numpy clips it.
+    if N is None:
+        def key(v):
+            return rate(10.0 ** v[0])[0]
     else:
-        *x, fun, nfev = _nelder_mead_1d(lambda a: -f([a]), *x0, -f(start),
-                                        *bounds, maxiter, xatol, fatol)
-    ref_x, ref_fun, ref_nfev = _scipy_nelder_mead(f, x0, bounds, maxiter,
-                                                  xatol, fatol)
+        search = search_rate(rate, N)
+
+        def key(v):
+            return search(*v)
+    start = [float(v) for v in np.clip(x0, *np.array(bounds).T)]
+    if N is None:
+        *x, fun, nfev = _nelder_mead_1d(rate, *x0, key(start), *bounds,
+                                        maxiter, xatol, fatol)
+    else:
+        *x, fun, nfev = _nelder_mead_2d(rate, N, *x0, key(start), bounds,
+                                        maxiter, xatol, fatol)
+    ref_x, ref_fun, ref_nfev = _scipy_nelder_mead(
+        lambda v: -key([float(c) for c in v]), x0, bounds, maxiter, xatol,
+        fatol)
     assert [v.hex() for v in x] == [v.hex() for v in ref_x]
     assert (-fun).hex() == ref_fun.hex()
     assert nfev == ref_nfev
@@ -618,14 +649,14 @@ def test_nelder_mead_retraces_scipy_on_the_key_rate():
         kind = KEY_RATE_ESTIMATORS[i % 3]
         convention = ("paper", "gaussian")[(i // 3) % 2]
         epsilon_pe = float(rng.choice([1e-10, 1e-5]))
-        rate = _search_rate(T, xi, beta, N,
-                            confidence_quantile(epsilon_pe, convention), kind)
+        rate = security._rate_at(
+            T, xi, beta, N, confidence_quantile(epsilon_pe, convention), kind)
         lv0, fr0 = starts[i % len(starts)] or (None, None)
         x0 = [float(rng.uniform(*_BOUNDS[0])) if lv0 is None else lv0,
               float(rng.uniform(*_BOUNDS[1])) if fr0 is None else fr0]
         maxiter = _MAXITER if i % 10 else 7
-        nfevs.append(_assert_same_run(lambda v: -rate(v[0], v[1]), x0,
-                                      _BOUNDS, maxiter, 1e-4, 1e-12))
+        nfevs.append(_assert_same_run(rate, N, x0, _BOUNDS, maxiter, 1e-4,
+                                      1e-12))
     # the runs are real searches, not a start and a stop
     assert np.median(nfevs) > 20
 
@@ -638,15 +669,16 @@ def test_nelder_mead_retraces_scipy_in_one_dimension():
         beta = float(rng.uniform(0.85, 1.0))
         T = fiber_transmission(float(rng.uniform(0.0, 150.0)), 0.2)
         x0 = [(0.0, 2.0, float(rng.uniform(*_BOUNDS[0])))[min(i % 5, 2)]]
-        _assert_same_run(
-            lambda v: -key_rate_asymptotic(10.0 ** v[0], T, xi, beta).key_rate,
-            x0, _BOUNDS[:1], _MAXITER, 1e-5, 1e-13)
+        _assert_same_run(security._asymptotic_at(T, xi, beta), None, x0,
+                         _BOUNDS[:1], _MAXITER, 1e-5, 1e-13)
 
 
 def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
     """Plateaus make ties in every sort; bounds at 0 and starts at -0.0
     exercise numpy's clip and the 0.00025 step; x0 at the upper bound
-    exercises the reflection; a sharp valley makes shrink steps."""
+    exercises the reflection; a sharp valley makes shrink steps. Each f
+    of the search coordinates is handed over as a built rate whose key
+    rate is -f back at log10(V_A) and m/N, at N = 2**20."""
     def plateau(v):
         return float(np.round((v[0] - 0.3) ** 2 + (v[1] + 0.2) ** 2, 1))
 
@@ -671,7 +703,17 @@ def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
     ]
     for f, x0, bounds in cases:
         for maxiter in (1, 3, 400):
-            _assert_same_run(f, x0, bounds, maxiter, 1e-4, 1e-12)
+            _assert_same_run(*_as_rate(f, len(x0)), x0, bounds, maxiter, 1e-4,
+                             1e-12)
+
+
+def _as_rate(f, dims, N=2**20):
+    """(rate, N) of a built rate whose key rate is -f of the search
+    coordinates, taken back as log10(V_A) and m/N; N is None in one
+    coordinate."""
+    if dims == 1:
+        return (lambda V_A: (-f([log10(V_A)]),)), None
+    return (lambda V_A, m: (-f([log10(V_A), m / N]),)), N
 
 
 _CHANNEL = "T and xi must be >= 0"

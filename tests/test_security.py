@@ -13,7 +13,6 @@ from cvqkd.optimizer import (
     _FRACS,
     _LOG_VAS,
     _round_m,
-    _search_rate,
     optimize_key_rate,
 )
 from cvqkd.security import (
@@ -24,7 +23,6 @@ from cvqkd.security import (
     _hold,
     _holevo,
     _holevo_grid,
-    _i_ab,
     _rate_at,
     _rate_grid,
     confidence_quantile,
@@ -39,6 +37,7 @@ from oracles import (
     holevo,
     symplectic_spectrum,
 )
+from reference_rate import finite_rate, i_ab, search_rate
 
 SQRT15 = 3.872983346207417
 Z_PAPER = confidence_quantile(1e-10)
@@ -111,6 +110,18 @@ def test_confidence_quantile_conventions():
         confidence_quantile(0.0)
     with pytest.raises(ValueError):
         confidence_quantile(1.0)
+    # where the erfinv argument rounds to 1 the quantile is infinite, and
+    # every rate built on it NaN: that epsilon_pe raises, naming itself;
+    # the last representable steps below 1 still give finite quantiles
+    for epsilon_pe, convention in ((2.0**-53, "paper"), (1e-17, "paper"),
+                                   (2.0**-54, "gaussian"),
+                                   (1e-300, "gaussian")):
+        with pytest.raises(ValueError, match=f"epsilon_pe = {epsilon_pe!r} "
+                           f"is too small: the '{convention}' confidence "
+                           "quantile is inf"):
+            confidence_quantile(epsilon_pe, convention)
+    assert 5.0 < confidence_quantile(2.0**-52) < 6.0
+    assert 8.0 < confidence_quantile(2.0**-53, "gaussian") < 9.0
 
 
 def test_worst_case_params_example():
@@ -187,10 +198,10 @@ def test_worst_case_zero_width_recovers_channel_covariance():
 
 
 def test_mutual_information_reference_points():
-    assert _i_ab(3.0, 1.0, _sigma2(1.0, 0.0)) == pytest.approx(1.0, rel=1e-15)
-    assert _i_ab(3.0, 0.1, _sigma2(0.1, 0.01)) == pytest.approx(
+    assert i_ab(3.0, 1.0, _sigma2(1.0, 0.0)) == pytest.approx(1.0, rel=1e-15)
+    assert i_ab(3.0, 0.1, _sigma2(0.1, 0.01)) == pytest.approx(
         0.18908949394090097, rel=1e-12)
-    assert _i_ab(3.0, 0.0, _sigma2(0.0, 0.0)) == 0.0
+    assert i_ab(3.0, 0.0, _sigma2(0.0, 0.0)) == 0.0
 
 
 def test_symplectic_eigenvalues_epr_state_is_pure():
@@ -352,16 +363,16 @@ def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
         rate = _asymptotic_at(T, xi, beta)
         for _ in range(8):
             V_A = 10.0 ** rng.uniform(-1.0, 2.0)
-            i_ab = _i_ab(V_A, T, _sigma2(T, xi))
+            i = i_ab(V_A, T, _sigma2(T, xi))
             s = holevo_bound(V_A, T, xi)
-            raw = beta * i_ab - s
+            raw = beta * i - s
             assert [v.hex() for v in rate(V_A)] == [
-                max(raw, 0.0).hex(), raw.hex(), i_ab.hex(), s.hex()]
+                max(raw, 0.0).hex(), raw.hex(), i.hex(), s.hex()]
             res = key_rate_asymptotic(V_A, T, xi, beta)
             assert [v.hex() for v in (res.key_rate, res.key_rate_raw,
                                       res.mutual_information, res.holevo,
                                       res.n_fraction)] == [
-                max(raw, 0.0).hex(), raw.hex(), i_ab.hex(), s.hex(),
+                max(raw, 0.0).hex(), raw.hex(), i.hex(), s.hex(),
                 (1.0).hex()]
             assert (res.reason, res.clamped) == (None, False)
 
@@ -416,25 +427,60 @@ def test_key_rate_finite_grid_matches_scalar_rate(kind):
             assert np.argmax(np.maximum(grid, 0.0)) == first
 
 
+def _outcome(f, *args):
+    """Every member of f(*args) by .hex() (so NaN and -0.0 show) and repr,
+    or the error's type and message."""
+    try:
+        out = f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(v.hex() if type(v) is float else repr(v) for v in out)
+
+
 @pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
-def test_search_rate_is_key_rate_finite_bitwise(kind):
-    """The optimizer's polish evaluates the float rate directly; every
-    value, signed zeros included, is key_rate_finite's key_rate."""
-    log_vas = [float(v) for v in np.linspace(-1.0, 2.0, 19)]
-    fracs = [float(f) for f in np.linspace(1e-3, 0.999, 19)]
-    for N in (10**3, 10**5, 10**9, 10**12):
-        for d in (0.0, 20.0, 38.7, 100.0, 184.0, 400.0):
-            T = fiber_transmission(d, 0.2)
-            for convention in ("paper", "gaussian"):
-                rate = _search_rate(T, 0.01, 0.95, N,
-                                    confidence_quantile(1e-10, convention),
-                                    kind)
-                for lv in log_vas:
-                    for fr in fracs:
-                        ref = key_rate_finite(10.0 ** lv, T, 0.01, 0.95, N,
-                                              _round_m(fr, N), 1e-10, kind,
-                                              convention)
-                        assert rate(lv, fr).hex() == ref.key_rate.hex()
+def test_float_rate_matches_the_reference_bitwise(kind):
+    """The built rate writes Var(t_hat), the kind's sigma2 variance, the
+    corner's hold and I_AB out inline: every member it returns (NaN, -0.0
+    and clamped included) and every error it raises is the reference's,
+    composed of var_t_mle, _VARIANCE[kind], _hold, _holevo and i_ab, at
+    block sizes down to 2, m at both ends, T from 0 to 1, a NaN xi, a
+    negative beta (a raw rate of -0.0) and a zero, negative and huge z.
+    key_rate_finite, which builds the same rate, reports its values, and
+    the polish's objective is its key rate at 10**x and _round_m(y, N)."""
+    seen = set()
+    for N in (2, 3, 10**5, 10**12):
+        for T in (0.0, 1e-300, 1e-6, 0.5, 1.0):
+            for xi in (0.0, 0.01, float("nan")):
+                for beta, z in ((0.95, Z_PAPER), (0.95, 0.0), (-1.0, 80.0),
+                                (0.95, -3.0)):
+                    rate = _rate_at(T, xi, beta, N, z, kind)
+                    for m in sorted({1, 2, N // 2, N - 1}):
+                        for V_A in (1e-320, 0.1, 3.0, 100.0):
+                            ref = _outcome(finite_rate, V_A, T, xi, beta, N,
+                                           m, z, kind)
+                            assert _outcome(rate, V_A, m) == ref, (
+                                N, T, xi, beta, z, m, V_A)
+                            seen.add(ref[0] if len(ref) == 2 else
+                                     (ref[0] in ("-0x0.0p+0", "nan"),
+                                      ref[4]))
+    # errors, plain values, -0.0 or NaN key rates, and both clamp states;
+    # at m = N = 2 (n = 0) only sigma2_opt's variance divides by n
+    assert {"OverflowError", "ValueError", (False, "False"), (False, "True"),
+            (True, "False"), (True, "True")} <= seen, seen
+    assert ("ZeroDivisionError" in seen) == (kind is EstimatorKind.SIGMA2_OPT)
+    for N in (3, 10**5):
+        rate = _rate_at(0.5, 0.01, 0.95, N, Z_PAPER, kind)
+        for lv in (-1.0, 0.5, 2.0):
+            for fr in (1e-3, 0.5, 0.999):
+                m = _round_m(fr, N)
+                res = key_rate_finite(10.0 ** lv, 0.5, 0.01, 0.95, N, m,
+                                      1e-10, kind)
+                assert _outcome(rate, 10.0 ** lv, m) == tuple(
+                    v.hex() if type(v) is float else repr(v) for v in (
+                        res.key_rate, res.key_rate_raw,
+                        res.mutual_information, res.holevo, res.clamped))
+                assert search_rate(rate, N)(lv, fr).hex() == \
+                    res.key_rate.hex()
 
 
 def test_key_rate_finite_grid_rejects_unphysical_cells():
@@ -502,7 +548,7 @@ def mutual_information(V_A, T, xi):
     function of that name made when the digest was pinned."""
     if V_A <= 0:
         raise ValueError(f"V_A must be > 0, got {V_A}")
-    return _i_ab(V_A, T, _sigma2(T, xi))
+    return i_ab(V_A, T, _sigma2(T, xi))
 
 
 def _float_path_digest() -> str:
