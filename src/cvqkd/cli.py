@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a validation tolerance fails, 2 on usage
-or configuration errors and when a rate check fails at some input of a run.
+or configuration errors, when a rate check fails at some input of a run
+and when an output cannot be written.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 from ._version import __version__
 from .channel import _sigma2, fiber_transmission
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _shown, load_config
 from .estimators import var_T_secondmod
 from .experiments import (
     monte_carlo_validate,
@@ -86,13 +87,14 @@ def _effective_config(args) -> ExperimentConfig:
         cfg.convention = args.convention
     cfg.validate()
     if args.command == "simulate" and cfg.N > _MAX_SIMULATE_N:
-        raise ValueError(f"simulate holds every state in memory: N = {cfg.N} "
-                         f"is above its limit of {_MAX_SIMULATE_N} states")
+        raise ValueError(f"simulate holds every state in memory: N = "
+                         f"{_shown(cfg.N)} is above its limit of "
+                         f"{_MAX_SIMULATE_N} states")
     key = _NEED_SECOND_MODULATION.get(args.command)
     if key and cfg.trials > _MAX_TRIALS:
         raise ValueError(f"{args.command} holds every trial in memory: "
-                         f"trials = {cfg.trials} is above its limit of "
-                         f"{_MAX_TRIALS}")
+                         f"trials = {_shown(cfg.trials)} is above its limit "
+                         f"of {_MAX_TRIALS}")
     if key and cfg.V_M2 == 0:
         raise ValueError(f"{args.command} needs V_M2 > 0: it runs the "
                          f"second-modulation estimators")
@@ -116,21 +118,22 @@ def main(argv=None) -> int:
         print(f"cvqkd: config error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or cfg.out_dir
-
+    try:
+        if args.command == "validate":
+            rows, ok = monte_carlo_validate(cfg, out_dir)
+        else:
+            path = _RUNNERS[args.command](cfg, out_dir)
+    except (OSError, ValueError) as exc:
+        # a value the model rejects at some input of the run, such as the
+        # rate's check for a physical covariance matrix, or an output
+        # directory that cannot be made or written
+        print(f"cvqkd: {args.command}: {exc}", file=sys.stderr)
+        return 2
     if args.command == "validate":
-        rows, ok = monte_carlo_validate(cfg, out_dir)
         n_fail = sum(1 for r in rows if r[6] != "pass")
         print(f"validate: {len(rows) - n_fail}/{len(rows)} checks passed; "
               f"report in {out_dir}/validate_report.csv")
         return 0 if ok else 1
-
-    try:
-        path = _RUNNERS[args.command](cfg, out_dir)
-    except ValueError as exc:
-        # a value the model rejects at some input of the run, such as the
-        # rate's check for a physical covariance matrix
-        print(f"cvqkd: {args.command}: {exc}", file=sys.stderr)
-        return 2
     print(f"{args.command}: wrote {path}")
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from math import isfinite, sqrt
 
 from .security import _NU_TOL, KEY_RATE_ESTIMATORS
@@ -31,6 +32,20 @@ _MAX_N_TIMES_V_M2 = sqrt(sys.float_info.max)
 # variance divides by m**2, as a float), so a block size past this cap
 # overflows
 _MAX_BLOCK = sqrt(sys.float_info.max)
+
+
+def _shown(val) -> str:
+    """A config value as a message prints it: an integer past 2**53 in
+    float notation, as a config file writes it, so N = 1e300 reads 1e+300
+    and not 301 digits; a list item by item; anything else as str does."""
+    if isinstance(val, list):
+        return "[" + ", ".join(map(_shown, val)) + "]"
+    if isinstance(val, int) and abs(val) > 2**53:
+        # a config file's counts pass through float; one past its range
+        # can only be set in code, and prints 17 digits
+        return (repr(float(val)) if abs(val) < 2**1024
+                else f"{Decimal(val):.17g}")
+    return str(val)
 
 
 def _default_distances() -> list[float]:
@@ -82,10 +97,10 @@ class ExperimentConfig:
         if self.xi < 0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
         if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+            raise ValueError(f"N must be >= 2, got {_shown(self.N)}")
         if not 2 <= self.m <= self.N - 1:
-            raise ValueError(f"m must be in [2, N-1], got m={self.m}, "
-                             f"N={self.N}")
+            raise ValueError(f"m must be in [2, N-1], got "
+                             f"m={_shown(self.m)}, N={_shown(self.N)}")
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.V_M2 < 0:
@@ -98,16 +113,17 @@ class ExperimentConfig:
             val = getattr(self, key)
             if any(v > top for v in (val if isinstance(val, list) else [val])):
                 raise ValueError(f"{key} must be <= {top!r}, past which the "
-                                 f"model's arithmetic breaks down, got {val}")
+                                 f"model's arithmetic breaks down, got "
+                                 f"{_shown(val)}")
         if not 0 < self.epsilon_pe < 1:
             raise ValueError(f"epsilon_pe must be in (0, 1), got {self.epsilon_pe}")
         if self.loss_db_per_km < 0:
             raise ValueError(f"loss_db_per_km must be >= 0, got "
                              f"{self.loss_db_per_km}")
         if self.trials < 2:
-            raise ValueError(f"trials must be >= 2, got {self.trials}")
+            raise ValueError(f"trials must be >= 2, got {_shown(self.trials)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {_shown(self.seed)}")
         if not self.distances_km:
             raise ValueError("distances_km must not be empty")
         if any(d < 0 for d in self.distances_km + self.mc_distances_km):

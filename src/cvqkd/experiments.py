@@ -93,7 +93,12 @@ def _metadata_lines(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _write_table(path, cfg: ExperimentConfig, columns: list[str], rows) -> None:
+def _write_table(out_dir: str, name: str, cfg: ExperimentConfig,
+                 columns: list[str], rows) -> str:
+    """Write the table ``name`` into ``out_dir``, made if missing, behind
+    the run's metadata lines; returns its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
         for line in _metadata_lines(cfg):
             fh.write(line + "\n")
@@ -101,6 +106,7 @@ def _write_table(path, cfg: ExperimentConfig, columns: list[str], rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return path
 
 
 def _n_label(N: int) -> str:
@@ -245,7 +251,6 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
     the status comes from the fixed tolerance.
     """
     trials = cfg.trials
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
 
     def add(check, distance, estimator, observed, expected, tol, ok, z=None):
@@ -298,7 +303,7 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
         del res
 
     all_ok = all(r[6] == "pass" for r in rows)
-    _write_table(os.path.join(out_dir, "validate_report.csv"), cfg,
+    _write_table(out_dir, "validate_report.csv", cfg,
                  ["check", "distance_km", "estimator", "observed",
                   "expected", "tolerance", "status", "z"], rows)
 
@@ -326,7 +331,6 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
     Theory curves at every grid distance; Monte Carlo spot checks for the
     moment and combined estimators at the configured sample distances.
     """
-    os.makedirs(out_dir, exist_ok=True)
     # each distance's trial table is reduced to its two stds and dropped
     # before the next is drawn, so the peak is one distance's
     mc: dict[float, list] = {}
@@ -346,10 +350,10 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
             EstimatorKind.SIGMA2_OPT)]
         rows.append(row + mc.get(d, [None, None]))
 
-    path = os.path.join(out_dir, "fig1.csv")
-    _write_table(path, cfg,
-                 ["distance_km", "std_Vxi", "std_MM", "std_MLE",
-                  "std_Vxi_opt", "std_opt", "mc_std_MM", "mc_std_opt"], rows)
+    path = _write_table(out_dir, "fig1.csv", cfg,
+                        ["distance_km", "std_Vxi", "std_MM", "std_MLE",
+                         "std_Vxi_opt", "std_opt", "mc_std_MM", "mc_std_opt"],
+                        rows)
     _write_plot_script(out_dir)
     return path
 
@@ -403,7 +407,6 @@ def _optimize_grid(cfg: ExperimentConfig, n_values: list[int]):
 
 def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimized finite-size key rate versus distance for several N."""
-    os.makedirs(out_dir, exist_ok=True)
     results, trace_rows = _optimize_grid(cfg, cfg.n_list)
 
     columns = ["distance_km", "K_asymptotic"]
@@ -420,9 +423,8 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
                 row.append(results[(d, N, name)].best_key_rate)
         rows.append(row)
 
-    path = os.path.join(out_dir, "fig2.csv")
-    _write_table(path, cfg, columns, rows)
-    _write_table(os.path.join(out_dir, "fig2_trace.csv"), cfg,
+    path = _write_table(out_dir, "fig2.csv", cfg, columns, rows)
+    _write_table(out_dir, "fig2_trace.csv", cfg,
                  ["distance_km", "estimator", "N", "stage", "V_A",
                   "m_fraction", "key_rate", "evaluations"], trace_rows)
     _write_plot_script(out_dir)
@@ -431,7 +433,6 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
 
 def run_fig3(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimal (m/N, V_A) versus distance at one block size."""
-    os.makedirs(out_dir, exist_ok=True)
     results, _ = _optimize_grid(cfg, [cfg.fig3_N])
     rows = []
     for d in cfg.distances_km:
@@ -439,10 +440,9 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str) -> str:
             res = results[(d, cfg.fig3_N, name)]
             rows.append([d, name, res.best_m_fraction, res.best_V_A,
                          res.best_key_rate])
-    path = os.path.join(out_dir, "fig3.csv")
-    _write_table(path, cfg,
-                 ["distance_km", "estimator", "opt_m_over_N", "opt_V_A",
-                  "key_rate"], rows)
+    path = _write_table(out_dir, "fig3.csv", cfg,
+                        ["distance_km", "estimator", "opt_m_over_N",
+                         "opt_V_A", "key_rate"], rows)
     _write_plot_script(out_dir)
     return path
 
@@ -453,21 +453,19 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str) -> str:
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> str:
     """Write one sampled session (at the first grid distance) to CSV, a
     row ``index, x, x_m2, y`` per state (x_m2 empty without it)."""
-    os.makedirs(out_dir, exist_ok=True)
     d = cfg.distances_km[0]
     channel = ChannelParams.from_distance(d, cfg.xi, cfg.loss_db_per_km)
     protocol = ProtocolParams(V_A=cfg.V_A, N=cfg.N, m=cfg.m, V_M2=cfg.V_M2)
     session = sample_session(protocol, channel, cfg.seed)
     x_m2 = repeat(None) if session.x_m2 is None else session.x_m2
-    path = os.path.join(out_dir, "session.csv")
-    _write_table(path, cfg, ["index", "x", "x_m2", "y"],
-                 zip(range(session.n_states), session.x, x_m2, session.y))
-    return path
+    return _write_table(out_dir, "session.csv", cfg,
+                        ["index", "x", "x_m2", "y"],
+                        zip(range(session.n_states), session.x, x_m2,
+                            session.y))
 
 
 def run_keyrate(cfg: ExperimentConfig, out_dir: str) -> str:
     """Key rates at the configured (V_A, N, m), no optimization."""
-    os.makedirs(out_dir, exist_ok=True)
     columns = ["distance_km", "K_asymptotic"] + [f"K_{e}" for e in cfg.estimators]
     rows = []
     for d in cfg.distances_km:
@@ -479,14 +477,11 @@ def run_keyrate(cfg: ExperimentConfig, out_dir: str) -> str:
                                        _KIND_BY_NAME[name],
                                        cfg.convention).key_rate)
         rows.append(row)
-    path = os.path.join(out_dir, "keyrate.csv")
-    _write_table(path, cfg, columns, rows)
-    return path
+    return _write_table(out_dir, "keyrate.csv", cfg, columns, rows)
 
 
 def run_optimize(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimize (V_A, m/N) at the first grid distance for each estimator."""
-    os.makedirs(out_dir, exist_ok=True)
     d = cfg.distances_km[0]
     rows = []
     for name in cfg.estimators:
@@ -497,11 +492,10 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str) -> str:
         m = _round_m(res.best_m_fraction, cfg.N)
         rows.append([d, name, res.best_V_A, res.best_m_fraction, m,
                      res.best_key_rate, res.evaluations])
-    path = os.path.join(out_dir, "optimize.csv")
-    _write_table(path, cfg,
-                 ["distance_km", "estimator", "opt_V_A", "opt_m_over_N",
-                  "opt_m", "key_rate", "evaluations"], rows)
-    return path
+    return _write_table(out_dir, "optimize.csv", cfg,
+                        ["distance_km", "estimator", "opt_V_A",
+                         "opt_m_over_N", "opt_m", "key_rate", "evaluations"],
+                        rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,11 @@ to a 1000 km cap, a constant as their resolutions are.
 The polishes are bounded Nelder-Mead searches written here on scalar
 floats: ``_nelder_mead_2d`` over (log10 V_A, m/N) for the finite-size
 rate and ``_nelder_mead_1d`` over log10 V_A for the asymptotic one. Each
-is handed the built float rate and maps its search coordinates to (V_A,
-m) inline, so one evaluation runs two Python frames, the built rate and
-its Holevo term. Each takes the steps that
+is handed the built float rate and evaluates it at one site, where it
+clips the next point, maps its search coordinates to (V_A, m) and counts
+the evaluation, before it dispatches on the step the point belongs to;
+so one evaluation runs two Python frames, the built rate and its Holevo
+term. Each takes the steps that
 ``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)`` takes
 (scipy 1.17) on that mapped rate, so the iterates, and every output
 byte, are the ones that scipy routine gives; tests/test_optimizer.py
@@ -135,7 +137,7 @@ _LADDER = [0.0, *(2.0 ** i for i in range(10)), 1000.0]
 def _round_m(frac: float, N: int) -> int:
     # ties round up: revealing one more state is the conservative choice;
     # min(max(m, 1), N - 1), written out to save two builtin calls.
-    # _nelder_mead_2d writes the same two lines out at each evaluation.
+    # _nelder_mead_2d writes the same two lines out at its one evaluation.
     m = floor(frac * N + 0.5)
     m = 1 if 1 > m else m
     return N - 1 if N - 1 < m else m
@@ -152,49 +154,101 @@ def _round_m(frac: float, N: int) -> int:
 # vertices, iterations counted from 1, no evaluation limit and f(x) = min
 # over the final simplex, for f the search's rate negated. Each routine is
 # handed the built float rate, security._rate_at or _asymptotic_at, and
-# evaluates f inline: it maps log10 V_A to V_A = 10.0**x and, in two
-# coordinates, m/N to m by _round_m's rule, negates the key rate, and
-# returns the maximum (-(-r) is r bit for bit, -0.0 included), so each
+# evaluates f at one site: a loop whose every pass clips the next point
+# (x[, y]) to the box, maps log10 V_A to V_A = 10.0**x and, in two
+# coordinates, m/N to m by _round_m's rule, negates the key rate and counts
+# the evaluation, then goes on by the step the point belongs to:
+#   "vertex 1", "vertex 2" - the vertices of a new simplex besides the
+#       best one, the start's (scipy's initial simplex) or a shrink's; the
+#       first is sorted against the best vertex, the second goes in as the
+#       vertex ``new``; in one coordinate there is only the second;
+#   "reflect" - the reflection xr, which is kept as ``new`` if it beats
+#       the second vertex but not the best;
+#   "expand" - the expansion, tried when xr beats the best; the better of
+#       the two is kept;
+#   "contract" - the outside contraction when xr beats the worst, else the
+#       inside one; kept if it beats xr, or the worst, else the simplex is
+#       shrunk towards the best vertex.
+# Each kept ``new`` is sorted in, the iteration counted and convergence
+# tested, and the next reflection is the loop's next point. The returned
+# key rate is the maximum (-(-r) is r bit for bit, -0.0 included), so each
 # evaluation runs the built rate and its Holevo term and no other Python
 # frame. The caller passes the rate at the start, which it has computed
 # already; it counts as an evaluation, as in scipy. A vertex is an (f, x[,
 # y]) tuple. Each clip is numpy.clip on one float, written out: a bound
-# wins a tie, so -0.0 clipped at a lower bound of 0.0 becomes 0.0. The
-# trial points are scipy's (1 + rho)*xbar - rho*worst and its kin at rho =
-# 1, chi = 2, psi = 0.5: reflection 2*c - w, expansion 3*c - 2*w, outside
-# contraction 1.5*c - 0.5*w and inside contraction 0.5*c + 0.5*w.
+# wins a tie, so -0.0 clipped at a lower bound of 0.0 becomes 0.0; clipping
+# a clipped point again leaves it as it is. The trial points are scipy's
+# (1 + rho)*xbar - rho*worst and its kin at rho = 1, chi = 2, psi = 0.5:
+# reflection 2*c - w, expansion 3*c - 2*w, outside contraction 1.5*c -
+# 0.5*w and inside contraction 0.5*c + 0.5*w.
 
 def _nelder_mead_2d(rate, N: int, x0: float, y0: float, f0: float, bounds,
                     maxiter: int, xatol: float, fatol: float):
-    """Maximize the key rate of rate(10**x, _round_m(y, N)), a built
-    finite-size rate, over the box ``bounds`` from (x0, y0), clipped to
-    it, where it is f0; returns (x, y, key rate, evaluations). The key
-    rate is a number, never NaN."""
+    """Maximize the key rate of the built finite-size rate at (10**x,
+    _round_m(y, N)) over the box ``bounds`` from (x0, y0), clipped to it,
+    where it is f0; returns (x, y, key rate, evaluations). The key rate is
+    a number, never NaN."""
     (xlo, xhi), (ylo, yhi) = bounds
     n1 = N - 1
     x0 = w if (w := x0 if x0 > xlo else xlo) < xhi else xhi
     y0 = w if (w := y0 if y0 > ylo else ylo) < yhi else yhi
-    x1 = (1 + 0.05) * x0 if x0 != 0 else 0.00025
-    if x1 > xhi:
-        x1 = 2 * xhi - x1
-    x1 = w if (w := x1 if x1 > xlo else xlo) < xhi else xhi
+    # the best vertex b; the start's other two vertices, (x, y) and (x2,
+    # y2), go in as a shrink's two do
+    b = (-f0, x0, y0)
+    x = (1 + 0.05) * x0 if x0 != 0 else 0.00025
+    if x > xhi:
+        x = 2 * xhi - x
+    y = y0
+    x2 = x0
     y2 = (1 + 0.05) * y0 if y0 != 0 else 0.00025
     if y2 > yhi:
         y2 = 2 * yhi - y2
-    y2 = w if (w := y2 if y2 > ylo else ylo) < yhi else yhi
-    # the best, second and worst vertex b, s, r, sorted by insertion: each
-    # pass of the loop sorts the vertex ``new`` in after the ones it ties
-    m = floor(y0 * N + 0.5)
-    m = 1 if 1 > m else n1 if n1 < m else m
-    b, s = (-f0, x0, y0), (-rate(10.0 ** x1, m)[0], x1, y0)
-    if s[0] < b[0]:
-        b, s = s, b
-    m = floor(y2 * N + 0.5)
-    m = 1 if 1 > m else n1 if n1 < m else m
-    new = (-rate(10.0 ** x0, m)[0], x0, y2)
-    nfev = 3
+    step = "vertex 1"
+    nfev = 1
     iterations = 0
     while True:
+        x = w if (w := x if x > xlo else xlo) < xhi else xhi
+        y = w if (w := y if y > ylo else ylo) < yhi else yhi
+        m = floor(y * N + 0.5)
+        m = 1 if 1 > m else n1 if n1 < m else m
+        f = -rate(10.0 ** x, m)[0]
+        nfev += 1
+        if step == "reflect":
+            fxr, xr, yr = f, x, y
+            if f < fb:
+                x, y = 3 * cx - 2 * wx, 3 * cy - 2 * wy
+                step = "expand"
+                continue
+            if f < fs:
+                new = (f, x, y)
+            else:
+                if f < fw:
+                    x, y = 1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy
+                else:
+                    x, y = 0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy
+                step = "contract"
+                continue
+        elif step == "contract":
+            if not (f <= fxr if fxr < fw else f < fw):
+                # shrink both other vertices halfway towards the best one
+                x, y = bx + 0.5 * (sx - bx), by + 0.5 * (sy - by)
+                x2, y2 = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
+                step = "vertex 1"
+                continue
+            new = (f, x, y)
+        elif step == "expand":
+            new = (f, x, y) if f < fxr else (fxr, xr, yr)
+        elif step == "vertex 1":
+            s = (f, x, y)
+            if f < b[0]:
+                b, s = s, b
+            x, y = x2, y2
+            step = "vertex 2"
+            continue
+        else:
+            new = (f, x, y)
+        # the best, second and worst vertex b, s, r, sorted by insertion:
+        # ``new`` goes in after the vertices it ties
         if new[0] < s[0]:
             r = s
             if new[0] < b[0]:
@@ -218,76 +272,55 @@ def _nelder_mead_2d(rate, N: int, x0: float, y0: float, f0: float, bounds,
         cx = (bx + sx) / 2
         cy = (by + sy) / 2
         x, y = 2 * cx - wx, 2 * cy - wy
-        xr = w if (w := x if x > xlo else xlo) < xhi else xhi
-        yr = w if (w := y if y > ylo else ylo) < yhi else yhi
-        m = floor(yr * N + 0.5)
-        m = 1 if 1 > m else n1 if n1 < m else m
-        fxr = -rate(10.0 ** xr, m)[0]
-        nfev += 1
-        if fxr < fb:
-            x, y = 3 * cx - 2 * wx, 3 * cy - 2 * wy
-            x = w if (w := x if x > xlo else xlo) < xhi else xhi
-            y = w if (w := y if y > ylo else ylo) < yhi else yhi
-            m = floor(y * N + 0.5)
-            m = 1 if 1 > m else n1 if n1 < m else m
-            fxe = -rate(10.0 ** x, m)[0]
-            nfev += 1
-            new = (fxe, x, y) if fxe < fxr else (fxr, xr, yr)
-            continue
-        if fxr < fs:
-            new = (fxr, xr, yr)
-            continue
-        if fxr < fw:
-            x, y = 1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy
-        else:
-            x, y = 0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy
-        x = w if (w := x if x > xlo else xlo) < xhi else xhi
-        y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        m = floor(y * N + 0.5)
-        m = 1 if 1 > m else n1 if n1 < m else m
-        fxc = -rate(10.0 ** x, m)[0]
-        nfev += 1
-        if fxc <= fxr if fxr < fw else fxc < fw:
-            new = (fxc, x, y)
-            continue
-        # shrink both other vertices halfway towards the best one; the
-        # three are sorted again as the start simplex is
-        x, y = bx + 0.5 * (sx - bx), by + 0.5 * (sy - by)
-        x = w if (w := x if x > xlo else xlo) < xhi else xhi
-        y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        m = floor(y * N + 0.5)
-        m = 1 if 1 > m else n1 if n1 < m else m
-        s = (-rate(10.0 ** x, m)[0], x, y)
-        if s[0] < b[0]:
-            b, s = s, b
-        x, y = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
-        x = w if (w := x if x > xlo else xlo) < xhi else xhi
-        y = w if (w := y if y > ylo else ylo) < yhi else yhi
-        m = floor(y * N + 0.5)
-        m = 1 if 1 > m else n1 if n1 < m else m
-        new = (-rate(10.0 ** x, m)[0], x, y)
-        nfev += 2
+        step = "reflect"
     return b[1], b[2], -b[0], nfev
 
 
 def _nelder_mead_1d(rate, x0: float, f0: float, bounds, maxiter: int,
                     xatol: float, fatol: float):
-    """Maximize the key rate of rate(10**x), a built asymptotic rate, over
+    """Maximize the key rate of the built asymptotic rate at 10**x over
     the interval ``bounds`` from x0, clipped to it, where it is f0;
     returns (x, key rate, evaluations). The key rate is a number, never
     NaN."""
     lo, hi = bounds
     x0 = w if (w := x0 if x0 > lo else lo) < hi else hi
-    x1 = (1 + 0.05) * x0 if x0 != 0 else 0.00025
-    if x1 > hi:
-        x1 = 2 * hi - x1
-    x1 = w if (w := x1 if x1 > lo else lo) < hi else hi
-    # the best and worst vertex b, r; each pass of the loop sorts the
-    # vertex ``new`` in after b if they tie
-    b, new = (-f0, x0), (-rate(10.0 ** x1)[0], x1)
-    nfev = 2
+    # the best vertex b; the start's other one goes in as a shrink's does
+    b = (-f0, x0)
+    x = (1 + 0.05) * x0 if x0 != 0 else 0.00025
+    if x > hi:
+        x = 2 * hi - x
+    step = "vertex 2"
+    nfev = 1
     iterations = 0
     while True:
+        x = w if (w := x if x > lo else lo) < hi else hi
+        f = -rate(10.0 ** x)[0]
+        nfev += 1
+        # the centroid c of all vertices but the worst is the best vertex,
+        # which is also the second worst: a reflection that does not beat
+        # it is contracted
+        if step == "reflect":
+            fxr, xr = f, x
+            if f < fb:
+                x = 3 * c - 2 * wx
+                step = "expand"
+            else:
+                x = 1.5 * c - 0.5 * wx if f < fw else 0.5 * c + 0.5 * wx
+                step = "contract"
+            continue
+        if step == "contract":
+            if not (f <= fxr if fxr < fw else f < fw):
+                # shrink the worst vertex halfway towards the best one
+                x = c + 0.5 * (wx - c)
+                step = "vertex 2"
+                continue
+            new = (f, x)
+        elif step == "expand":
+            new = (f, x) if f < fxr else (fxr, xr)
+        else:
+            new = (f, x)
+        # the best and worst vertex b, r: ``new`` goes in after b if they
+        # tie
         b, r = (new, b) if new[0] < b[0] else (b, new)
         iterations += 1
         if iterations >= maxiter:
@@ -296,31 +329,8 @@ def _nelder_mead_1d(rate, x0: float, f0: float, bounds, maxiter: int,
         fw, wx = r
         if abs(fb - fw) <= fatol and abs(wx - c) <= xatol:
             break
-        # the centroid c of all vertices but the worst is the best vertex,
-        # which is also the second worst: a reflection that does not beat
-        # it is contracted
         x = 2 * c - wx
-        xr = w if (w := x if x > lo else lo) < hi else hi
-        fxr = -rate(10.0 ** xr)[0]
-        nfev += 1
-        if fxr < fb:
-            x = 3 * c - 2 * wx
-            x = w if (w := x if x > lo else lo) < hi else hi
-            fxe = -rate(10.0 ** x)[0]
-            nfev += 1
-            new = (fxe, x) if fxe < fxr else (fxr, xr)
-            continue
-        x = 1.5 * c - 0.5 * wx if fxr < fw else 0.5 * c + 0.5 * wx
-        x = w if (w := x if x > lo else lo) < hi else hi
-        fxc = -rate(10.0 ** x)[0]
-        nfev += 1
-        if not (fxc <= fxr if fxr < fw else fxc < fw):
-            # shrink the worst vertex halfway towards the best one
-            x = c + 0.5 * (wx - c)
-            x = w if (w := x if x > lo else lo) < hi else hi
-            fxc = -rate(10.0 ** x)[0]
-            nfev += 1
-        new = (fxc, x)
+        step = "reflect"
     return b[1], -b[0], nfev
 
 

@@ -84,13 +84,6 @@ KEY_RATE_ESTIMATORS = (
     EstimatorKind.SIGMA2_MM_FULL,
     EstimatorKind.SIGMA2_OPT,
 )
-# the sigma2 variance form of each key-rate kind, which _rate_at picks
-# once per build and writes out: the MLE's chi-square variance, the
-# full-set moment variance, or the combination of the MLE's and the
-# key-subset moment variance
-_MLE, _MM_FULL, _OPT = "mle", "mm_full", "opt"
-_SIGMA2_FORM = dict(zip(KEY_RATE_ESTIMATORS, (_MLE, _MM_FULL, _OPT),
-                        strict=True))
 
 
 def _erfinv(x: float) -> float:
@@ -265,8 +258,11 @@ def _rate_at(T, xi, beta, N, z, kind):
         raise ValueError(f"N must be >= 2, got {N}")
     sigma2 = _sigma2(T, xi)
     sqrt_t = sqrt(T)
-    form = _SIGMA2_FORM[kind]
-    full, opt = form is _MM_FULL, form is _OPT
+    # the kind's sigma2 variance form, picked here once: the full-set
+    # moment variance, or the MLE's chi-square variance, alone or combined
+    # with the key-subset moment variance
+    full = kind is EstimatorKind.SIGMA2_MM_FULL
+    opt = kind is EstimatorKind.SIGMA2_OPT
     # 2*sigma2**2, the first factor of each sigma2 variance, and the whole
     # first term of sigma2_mm_full's, 2*sigma2**2/N
     two_s2 = 2.0 * sigma2**2

@@ -147,6 +147,31 @@ def test_config_errors_exit_two_through_the_cli(tmp_path, capsys, text,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, verb", [
+    ("N = 1e300\n", "fig2"), ("N = -1e300\n", "keyrate"),
+    ("m = 1e300\n", "keyrate"), ("n_list = 1e5, 1e300\n", "fig2"),
+    ("fig3_N = 1e300\n", "fig3"), ("trials = -1e300\n", "fig1"),
+    ("trials = 1e300\n", "validate"), ("seed = -1e300\n", "validate"),
+    ("N = 1e150\nm = 2\n", "simulate")],
+    ids=["N", "N-negative", "m", "n_list", "fig3_N", "trials-negative",
+         "trials-past-the-limit", "seed", "N-past-simulates-limit"])
+def test_huge_integers_give_short_config_errors(tmp_path, capsys, text,
+                                                verb):
+    """An integer past 2**53 prints in float notation: the message names
+    the key and the value, as the file writes it, in under 200
+    characters, where it printed every one of the integer's digits."""
+    key, value = text.split("\n")[0].split(" = ")
+    value = value.split(", ")[-1]
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main([verb, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cvqkd: config error: ") and err.count("\n") == 1
+    assert len(err) < 200, err
+    assert key in err and repr(float(value)) in err, err
+
+
 def test_every_estimator_name_has_a_key_rate_kind():
     for name, kind in _KIND_BY_NAME.items():
         assert parse_config(f"estimators = {name}\n").estimators == [name]

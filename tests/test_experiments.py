@@ -673,11 +673,12 @@ def _far(rng, near, far):
     return far if rng.uniform() < 0.25 else near
 
 
-def _random_config(rng):
+def _random_config(rng, max_loss=30.0, max_km=3000.0):
     # the block sizes reach up to 1e300, past their cap, and epsilon_pe
     # down to 1e-300, past the smallest value with a finite confidence
     # quantile, each on a quarter of the draws, so the rejections show
-    # while most configs still run
+    # while most configs still run; the loss and the distances are drawn
+    # up to max_loss dB/km and max_km
     N = int(_log_uniform(rng, 3, _far(rng, 1e12, 1e300)))
     estimators = rng.permutation(["mle", "mm", "opt"])[:rng.integers(1, 4)]
     return N, "".join(f"{key} = {value}\n" for key, value in (
@@ -691,9 +692,9 @@ def _random_config(rng):
         ("beta", repr(float(rng.uniform(0.01, 1.0)))),
         ("epsilon_pe", repr(_log_uniform(rng, _far(rng, 1e-15, 1e-300),
                                          0.5))),
-        ("loss_db_per_km", repr(float(rng.uniform(0.0, 30.0)))),
-        ("distances_km", f"0, {float(rng.uniform(0.0, 3000.0))!r}"),
-        ("mc_distances_km", repr(float(rng.uniform(0.0, 3000.0)))),
+        ("loss_db_per_km", repr(float(rng.uniform(0.0, max_loss)))),
+        ("distances_km", f"0, {float(rng.uniform(0.0, max_km))!r}"),
+        ("mc_distances_km", repr(float(rng.uniform(0.0, max_km)))),
         ("trials", int(rng.integers(2, 50))),
         ("n_list", int(_log_uniform(rng, 3, _far(rng, 1e12, 1e300)))),
         ("fig3_N", int(_log_uniform(rng, 3, _far(rng, 1e12, 1e300)))),
@@ -709,9 +710,27 @@ def test_random_valid_configs_never_raise(tmp_path):
     limit, and is skipped in between, where it would run but slowly. 40
     configs, as a quarter of the draws of each of four keys reach past
     its limit."""
-    rng = np.random.default_rng(20261018)
+    _run_random_configs(tmp_path, 20261018)
+
+
+def test_random_configs_in_reach_run_the_monte_carlo_verbs(tmp_path):
+    """Seeded random configs whose loss and distances, at most 1 dB/km
+    and 100 km, leave T >= 1e-10, far above underflow: fig1 and validate
+    draw their trials and finish, exit 0 or 1, on at least 10 of 40, and
+    every verb returns 0, 1 or 2."""
+    codes = _run_random_configs(tmp_path, 20261019, 1.0, 100.0)
+    for verb in ("fig1", "validate"):
+        assert sum(rc in (0, 1) for rc in codes[verb]) >= 10, codes[verb]
+
+
+def _run_random_configs(tmp_path, seed, *reach):
+    """Run every verb on 40 configs _random_config draws from ``seed``,
+    and ``reach`` if given; each must return 0, 1 or 2. Returns each
+    verb's exit codes."""
+    rng = np.random.default_rng(seed)
+    codes = {verb: [] for verb in ALL_VERBS}
     for i in range(40):
-        N, text = _random_config(rng)
+        N, text = _random_config(rng, *reach)
         for verb in ALL_VERBS:
             if verb == "simulate" and 10**5 < N <= cli._MAX_SIMULATE_N:
                 continue
@@ -719,6 +738,8 @@ def test_random_valid_configs_never_raise(tmp_path):
             if verb == "simulate" and N > cli._MAX_SIMULATE_N:
                 assert rc == 2, text
             assert rc in (0, 1, 2), (verb, text)
+            codes[verb].append(rc)
+    return codes
 
 
 def test_simulate_refuses_blocks_above_its_limit(tmp_path, monkeypatch):
@@ -960,6 +981,23 @@ def test_cli_validate_runs_small(tmp_path, capsys):
     assert rc in (0, 1)
     assert (tmp_path / "out" / "validate_report.csv").exists()
     assert "checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_an_unwritable_output_directory_exits_two(tmp_path, capsys, verb):
+    """--out naming an existing file, or a config's out_dir below one,
+    exits 2 with the verb and the OS error, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG + f"trials = 10\nout_dir = {blocker}/sub\n")
+    for argv, error in ((["--out", str(blocker)], "File exists"),
+                        ([], "Not a directory")):
+        assert cli.main([verb, "--config", str(cfg_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cvqkd: {verb}: [Errno "), captured
+        assert error in captured.err and captured.err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_cli_seed_override_changes_sessions(tmp_path):

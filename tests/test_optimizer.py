@@ -1,3 +1,4 @@
+import inspect
 import sys
 import warnings
 from math import floor, log10
@@ -44,11 +45,10 @@ MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.187
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     """The grid and the scalar search share one z and one kind: one
     optimization computes each once, polish included. The float rate
-    picks its sigma2 variance form ("choice") and computes sigma2 once per
-    transmission, not once per evaluation; the grid looks its form up in
-    the variance table ("form") and computes sigma2 once per block of
-    transmissions."""
-    calls = dict.fromkeys(("z", "kind", "sigma2", "form", "choice"), 0)
+    computes sigma2 once per transmission, not once per evaluation; the
+    grid looks its form up in the variance table ("form") and computes
+    sigma2 once per block of transmissions."""
+    calls = dict.fromkeys(("z", "kind", "sigma2", "form"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -72,19 +72,16 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
                         counted("sigma2", security._sigma2))
     monkeypatch.setattr(security, "_VARIANCE",
                         counted_table("form", security._VARIANCE))
-    monkeypatch.setattr(security, "_SIGMA2_FORM",
-                        counted_table("choice", security._SIGMA2_FORM))
     res = optimize_key_rate(XI, BETA, 10**7, T=fiber_transmission(30.0))
     assert res.best_key_rate > 0.0
-    assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 1, "choice": 1}
+    assert calls == {"z": 1, "kind": 1, "sigma2": 2, "form": 1}
 
     calls.update(dict.fromkeys(calls, 0))
     Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
     results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts)
     assert len(Ts) <= _T_BLOCK
     assert all(r.evaluations > 576 + 20 for r in results)
-    assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts), "form": 1,
-                     "choice": len(Ts)}
+    assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts), "form": 1}
 
 
 def test_optimize_key_rate_is_deterministic():
@@ -602,13 +599,14 @@ def _scipy_nelder_mead(f, x0, bounds, maxiter, xatol, fatol):
     return [float(v) for v in res.x], float(res.fun), res.nfev
 
 
-def _assert_same_run(rate, N, x0, bounds, maxiter, xatol, fatol):
+def _polish(rate, N, x0, bounds, maxiter, xatol, fatol):
     # rate is a built rate: the finite-size one on (V_A, m) at block size
     # N, or the asymptotic one on V_A when N is None. The polishes take it
-    # as it is and map their coordinates inline; scipy minimizes the same
-    # mapped function of a list of floats, the key rate at 10**x and, in
-    # two coordinates, _round_m(y, N), negated. The polishes take the key
-    # rate at the start clipped to the box as numpy clips it.
+    # as it is and map their coordinates at their one evaluation site; the
+    # returned key is the same mapped function of a list of floats, the
+    # key rate at 10**x and, in two coordinates, _round_m(y, N). The
+    # polishes take the key rate at the start clipped to the box as numpy
+    # clips it. Returns (x, key rate, evaluations, key).
     if N is None:
         def key(v):
             return rate(10.0 ** v[0])[0]
@@ -624,6 +622,12 @@ def _assert_same_run(rate, N, x0, bounds, maxiter, xatol, fatol):
     else:
         *x, fun, nfev = _nelder_mead_2d(rate, N, *x0, key(start), bounds,
                                         maxiter, xatol, fatol)
+    return x, fun, nfev, key
+
+
+def _assert_same_run(rate, N, x0, bounds, maxiter, xatol, fatol):
+    # scipy minimizes the polish's key, negated
+    x, fun, nfev, key = _polish(rate, N, x0, bounds, maxiter, xatol, fatol)
     ref_x, ref_fun, ref_nfev = _scipy_nelder_mead(
         lambda v: -key([float(c) for c in v]), x0, bounds, maxiter, xatol,
         fatol)
@@ -633,14 +637,13 @@ def _assert_same_run(rate, N, x0, bounds, maxiter, xatol, fatol):
     return nfev
 
 
-def test_nelder_mead_retraces_scipy_on_the_key_rate():
-    """x, f(x) and the evaluation count equal scipy's, bit for bit, on the
-    polish objective: random channels, block sizes, estimators and
-    conventions; starts on the optimum's slope, on the zero-rate plateau
-    (ties), at a zero coordinate and at the upper bounds (reflection)."""
+def _key_rate_runs():
+    """The polish on its objective: random channels, block sizes,
+    estimators and conventions; starts on the optimum's slope, on the
+    zero-rate plateau (ties), at a zero coordinate and at the upper bounds
+    (reflection). Each run is _assert_same_run's arguments."""
     rng = np.random.default_rng(20261018)
     starts = [None, None, (0.0, None), (None, _BOUNDS[1][1]), (2.0, None)]
-    nfevs = []
     for i in range(250):
         xi = float(rng.choice([0.0, rng.uniform(0.0, 0.1)]))
         beta = float(rng.uniform(0.85, 1.0))
@@ -655,13 +658,10 @@ def test_nelder_mead_retraces_scipy_on_the_key_rate():
         x0 = [float(rng.uniform(*_BOUNDS[0])) if lv0 is None else lv0,
               float(rng.uniform(*_BOUNDS[1])) if fr0 is None else fr0]
         maxiter = _MAXITER if i % 10 else 7
-        nfevs.append(_assert_same_run(rate, N, x0, _BOUNDS, maxiter, 1e-4,
-                                      1e-12))
-    # the runs are real searches, not a start and a stop
-    assert np.median(nfevs) > 20
+        yield rate, N, x0, _BOUNDS, maxiter, 1e-4, 1e-12
 
 
-def test_nelder_mead_retraces_scipy_in_one_dimension():
+def _one_dimension_runs():
     """The asymptotic polish: one coordinate, its own tolerances."""
     rng = np.random.default_rng(7)
     for i in range(200):
@@ -669,15 +669,16 @@ def test_nelder_mead_retraces_scipy_in_one_dimension():
         beta = float(rng.uniform(0.85, 1.0))
         T = fiber_transmission(float(rng.uniform(0.0, 150.0)), 0.2)
         x0 = [(0.0, 2.0, float(rng.uniform(*_BOUNDS[0])))[min(i % 5, 2)]]
-        _assert_same_run(security._asymptotic_at(T, xi, beta), None, x0,
-                         _BOUNDS[:1], _MAXITER, 1e-5, 1e-13)
+        yield (security._asymptotic_at(T, xi, beta), None, x0, _BOUNDS[:1],
+               _MAXITER, 1e-5, 1e-13)
 
 
-def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
+def _tie_runs():
     """Plateaus make ties in every sort; bounds at 0 and starts at -0.0
     exercise numpy's clip and the 0.00025 step; x0 at the upper bound
-    exercises the reflection; a sharp valley makes shrink steps. Each f
-    of the search coordinates is handed over as a built rate whose key
+    exercises the reflection; a sharp valley makes shrink steps, and from
+    (0.2, 0.7) a shrink whose first shrunk vertex beats the best one. Each
+    f of the search coordinates is handed over as a built rate whose key
     rate is -f back at log10(V_A) and m/N, at N = 2**20."""
     def plateau(v):
         return float(np.round((v[0] - 0.3) ** 2 + (v[1] + 0.2) ** 2, 1))
@@ -695,6 +696,7 @@ def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
         (plateau, [1.0, 1.0], [(0.0, 1.0), (0.0, 1.0)]),
         (valley, [0.9, -0.5], [(-1.0, 1.0), (-1.0, 1.0)]),
         (valley, [0.0, 0.0], [(-0.0, 2.0), (0.0, 2.0)]),
+        (valley, [0.2, 0.7], [(-1.0, 1.0), (-1.0, 1.0)]),
         (capped, [0.2, 0.2], [(-1.0, 1.0), (-1.0, 1.0)]),
         (capped, [0.4], [(-1.0, 1.0)]),
         (lambda v: -min(v[0], 0.5), [0.4], [(-1.0, 1.0)]),
@@ -703,8 +705,70 @@ def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
     ]
     for f, x0, bounds in cases:
         for maxiter in (1, 3, 400):
-            _assert_same_run(*_as_rate(f, len(x0)), x0, bounds, maxiter, 1e-4,
-                             1e-12)
+            yield (*_as_rate(f, len(x0)), x0, bounds, maxiter, 1e-4, 1e-12)
+
+
+def test_nelder_mead_retraces_scipy_on_the_key_rate():
+    """x, f(x) and the evaluation count equal scipy's, bit for bit, on the
+    polish objective."""
+    nfevs = [_assert_same_run(*run) for run in _key_rate_runs()]
+    # the runs are real searches, not a start and a stop
+    assert np.median(nfevs) > 20
+
+
+def test_nelder_mead_retraces_scipy_in_one_dimension():
+    for run in _one_dimension_runs():
+        _assert_same_run(*run)
+
+
+def test_nelder_mead_retraces_scipy_on_ties_and_signed_zeros():
+    for run in _tie_runs():
+        _assert_same_run(*run)
+
+
+def test_the_retrace_runs_reach_every_line_of_the_polishes():
+    """Every line of both polishes runs on the retrace corpus, so each
+    scipy step the routines take is compared with scipy; the best-vertex
+    swap runs for a shrink's first vertex, not only for the start's."""
+    routines = (_nelder_mead_2d.__code__, _nelder_mead_1d.__code__)
+    body = {code: dict(_body_lines(code)) for code in routines}
+    swap = next(n for n, text in body[routines[0]].items()
+                if text == "b, s = s, b")
+    ran = {code: set() for code in routines}
+    shrink_swaps = 0
+
+    def line(frame, event, arg):
+        nonlocal shrink_swaps
+        if event == "line":
+            ran[frame.f_code].add(frame.f_lineno)
+            shrink_swaps += (frame.f_lineno == swap
+                             and frame.f_locals["iterations"] > 0)
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code in ran else None
+
+    runs = [*_key_rate_runs(), *_one_dimension_runs(), *_tie_runs()]
+    sys.settrace(call)
+    try:
+        for run in runs:
+            _polish(*run)
+    finally:
+        sys.settrace(None)
+    for code in routines:
+        missed = {n: text for n, text in body[code].items()
+                  if n not in ran[code]}
+        assert not missed, (code.co_name, missed)
+    assert shrink_swaps > 0
+
+
+def _body_lines(code):
+    """(line number, text) of each line of ``code``'s body that can run:
+    every line the compiler placed an instruction on, after the def."""
+    lines, first = inspect.getsourcelines(code)
+    numbers = {n for _, _, n in code.co_lines() if n is not None}
+    return [(first + i, text.strip()) for i, text in enumerate(lines)
+            if first + i in numbers and first + i != first]
 
 
 def _as_rate(f, dims, N=2**20):
