@@ -105,11 +105,13 @@ class ExperimentConfig:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.V_M2 < 0:
             raise ValueError(f"V_M2 must be >= 0, got {self.V_M2}")
-        # the block sizes first: V_M2's cap scales with N
+        # the block sizes first: V_M2's cap divides by N, which past its
+        # own cap can be too large an integer to convert to float
         for key, top in (("N", _MAX_BLOCK), ("n_list", _MAX_BLOCK),
                          ("fig3_N", _MAX_BLOCK), ("V_A", _MAX_VARIANCE),
-                         ("xi", _MAX_VARIANCE),
-                         ("V_M2", _MAX_N_TIMES_V_M2 / self.N)):
+                         ("xi", _MAX_VARIANCE), ("V_M2", _MAX_N_TIMES_V_M2)):
+            if key == "V_M2":
+                top /= self.N
             val = getattr(self, key)
             if any(v > top for v in (val if isinstance(val, list) else [val])):
                 raise ValueError(f"{key} must be <= {top!r}, past which the "
@@ -173,10 +175,11 @@ def _parse_float_list(key: str, text: str) -> list[float]:
             raise ValueError(f"{key} range must be finite, got {text!r}")
         if step <= 0 or stop < start:
             raise ValueError(f"{key} range must have step > 0 and stop >= start")
-        out, d = [], start
-        while d <= stop + 1e-9:
+        # each point from start, so no step's round-off carries to the next
+        out, i = [], 0
+        while (d := start + i * step) <= stop + 1e-9:
             out.append(round(d, 9))
-            d += step
+            i += 1
         return out
     return [float(p) for p in text.split(",") if p.strip()]
 

@@ -52,18 +52,12 @@ from .estimators import (
     theoretical_std,
 )
 from .optimizer import (
-    OptimizationResult,
     _round_m,
     optimize_asymptotic_rate,
     optimize_key_rate,
     optimize_key_rates,
 )
-from .security import (
-    _rate_at,
-    confidence_quantile,
-    key_rate_asymptotic,
-    key_rate_finite,
-)
+from .security import key_rate_asymptotic, key_rate_finite
 
 __all__ = [
     "run_estimator_trials",
@@ -270,9 +264,10 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
         truth = {EstimatorKind.T_MLE: channel.t,
                  EstimatorKind.T_SECONDMOD: channel.T,
                  EstimatorKind.VXI_SECONDMOD: channel.v_xi}
+        emp_stds = {}
         for name, kind in _THEORY_KIND.items():
             values = res[name]
-            emp_std = float(np.std(values, ddof=1))
+            emp_std = emp_stds[name] = float(np.std(values, ddof=1))
             th_std = _theory_std(cfg, kind, channel.T)
             ratio_dev = abs(emp_std / th_std - 1.0)
             # the log std ratio has standard error 1/sqrt(2*(trials - 1));
@@ -293,9 +288,8 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
                                      res["sigma2_mm_key"])[0, 1])
         add("corr_mle_mm_key", d, "sigma2_opt", corr, 0.0, CORR_TOL,
             abs(corr) <= CORR_TOL, corr * sqrt(trials))
-        std_opt = float(np.std(res["sigma2_opt"], ddof=1))
-        floor = min(float(np.std(res["sigma2_mle"], ddof=1)),
-                    float(np.std(res["sigma2_mm_key"], ddof=1)))
+        std_opt = emp_stds["sigma2_opt"]
+        floor = min(emp_stds["sigma2_mle"], emp_stds["sigma2_mm_key"])
         add("opt_dominance", d, "sigma2_opt", std_opt, floor,
             DOMINANCE_SLACK, std_opt <= DOMINANCE_SLACK * floor)
         # drop this distance's trial table before the next is drawn, so the
@@ -358,69 +352,35 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
     return path
 
 
-def _best_over_candidates(rate_at, N: int, own: OptimizationResult,
-                          others: list[OptimizationResult]) -> OptimizationResult:
-    # An optimum found for one estimator is a valid candidate for the rest;
-    # re-scoring them keeps the reported curves free of refinement jitter.
-    # rate_at is the cell's float rate, security._rate_at, whose key rate
-    # is key_rate_finite's there, bit for bit.
-    best = own
-    for cand in others:
-        k = rate_at(cand.best_V_A, _round_m(cand.best_m_fraction, N))[0]
-        if k > best.best_key_rate:
-            best = OptimizationResult(
-                best_V_A=cand.best_V_A,
-                best_m_fraction=cand.best_m_fraction,
-                best_key_rate=k,
-                evaluations=own.evaluations + 1,
-                trace=own.trace + [("cross", cand.best_V_A,
-                                    cand.best_m_fraction, k, 1)],
-            )
-    return best
-
-
-def _optimize_grid(cfg: ExperimentConfig, n_values: list[int]):
-    """Optimized rates for each (distance, N, estimator)."""
-    Ts = [fiber_transmission(d, cfg.loss_db_per_km) for d in cfg.distances_km]
-    # each (N, estimator) column over every distance in one call
-    column = {(N, name): optimize_key_rates(
-                  cfg.xi, cfg.beta, N, cfg.epsilon_pe, _KIND_BY_NAME[name],
-                  Ts=Ts, convention=cfg.convention)
-              for N in n_values for name in cfg.estimators}
-    z = confidence_quantile(cfg.epsilon_pe, cfg.convention)
-    results = {}
-    trace_rows = []
-    for di, (d, T) in enumerate(zip(cfg.distances_km, Ts)):
-        for N in n_values:
-            own = {name: column[N, name][di] for name in cfg.estimators}
-            for name in cfg.estimators:
-                others = [own[o] for o in cfg.estimators if o != name]
-                res = _best_over_candidates(
-                    _rate_at(T, cfg.xi, cfg.beta, N, z, _KIND_BY_NAME[name]),
-                    N, own[name], others)
-                results[(d, N, name)] = res
-                for stage, va, frac, k, nev in res.trace:
-                    trace_rows.append([d, name, _n_label(N), stage, va,
-                                       frac, k, nev])
-    return results, trace_rows
+def _rate_table(cfg: ExperimentConfig, N: int) -> list[list]:
+    """The optimizer's table at block size N: at each grid distance, the
+    optimum of each estimator of ``cfg.estimators``, in order."""
+    return optimize_key_rates(
+        cfg.xi, cfg.beta, N, cfg.epsilon_pe,
+        [_KIND_BY_NAME[name] for name in cfg.estimators],
+        Ts=[fiber_transmission(d, cfg.loss_db_per_km)
+            for d in cfg.distances_km],
+        convention=cfg.convention)
 
 
 def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimized finite-size key rate versus distance for several N."""
-    results, trace_rows = _optimize_grid(cfg, cfg.n_list)
+    tables = [_rate_table(cfg, N) for N in cfg.n_list]
 
     columns = ["distance_km", "K_asymptotic"]
     for N in cfg.n_list:
         for name in cfg.estimators:
             columns.append(f"K_{name}_{_n_label(N)}")
     rows = []
-    for d in cfg.distances_km:
+    trace_rows = []
+    for di, d in enumerate(cfg.distances_km):
         asym = optimize_asymptotic_rate(
             cfg.xi, cfg.beta, fiber_transmission(d, cfg.loss_db_per_km))
         row = [d, asym.best_key_rate]
-        for N in cfg.n_list:
-            for name in cfg.estimators:
-                row.append(results[(d, N, name)].best_key_rate)
+        for N, table in zip(cfg.n_list, tables):
+            for name, res in zip(cfg.estimators, table[di]):
+                row.append(res.best_key_rate)
+                trace_rows += [[d, name, _n_label(N), *t] for t in res.trace]
         rows.append(row)
 
     path = _write_table(out_dir, "fig2.csv", cfg, columns, rows)
@@ -433,11 +393,9 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
 
 def run_fig3(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimal (m/N, V_A) versus distance at one block size."""
-    results, _ = _optimize_grid(cfg, [cfg.fig3_N])
     rows = []
-    for d in cfg.distances_km:
-        for name in cfg.estimators:
-            res = results[(d, cfg.fig3_N, name)]
+    for d, results in zip(cfg.distances_km, _rate_table(cfg, cfg.fig3_N)):
+        for name, res in zip(cfg.estimators, results):
             rows.append([d, name, res.best_m_fraction, res.best_V_A,
                          res.best_key_rate])
     path = _write_table(out_dir, "fig3.csv", cfg,

@@ -3,24 +3,26 @@
 The rate is cheap to evaluate (closed form), so a coarse deterministic
 grid over (V_A, m/N) followed by a Nelder-Mead polish is enough. V_A is
 searched on a log scale; the revealed fraction linearly.
-``optimize_key_rates`` optimizes a column of transmissions: one call of
+``optimize_key_rates`` optimizes the table fig2 and fig3 write at one
+block size, a column of transmissions per estimator kind; one call of
 the rate's array path, ``security._rate_grid``, ranks the grids of a
-block of at most _T_BLOCK transmissions (a constant, not a parameter),
-and ``optimize_key_rate`` is its one-transmission case. The re-scored
-grid cells, any seeds and the polish of each transmission call the float
-path, ``security._rate_at``, built once per transmission before its
-block is ranked, so a bad channel or block size fails that build's check
-before the array path runs; every reported rate is the value
-``key_rate_finite`` gives at that point, bit for bit. The reported
-optimum is never below the best grid point, and it is positive exactly
-when that point is, so ``maximum_distance`` decides each probe's sign
-from the grid alone, with no polish: from the best cell of its last
-positive ranking when that cell's rate is positive, else from the
-re-scored grid. ``range_limit_ratio``, sigma2_opt's rate over another
-estimator's, polishes every probe, also from the optima of earlier
-probes as seeds, and ranks the distances it knows before their polishes
-in blocks. Both range searches climb the same ladder of distances up
-to a 1000 km cap, a constant as their resolutions are.
+block of at most _T_BLOCK transmissions (a constant, not a parameter).
+The re-scored grid cells, any seeds, the polish and the cross re-score
+of each cell call the float path, ``security._rate_at``, built once per
+transmission and kind before its block is ranked, so a bad channel or
+block size fails that build's check before the array path runs; every
+reported rate is the value ``key_rate_finite`` gives at that point, bit
+for bit. ``optimize_key_rate`` is the case of one kind at one
+transmission. The reported optimum is never below the best grid point, and
+it is positive exactly when that point is, so ``maximum_distance``
+decides each probe's sign from the grid alone, with no polish: from the
+best cell of its last positive ranking when that cell's rate is
+positive, else from the re-scored grid. ``range_limit_ratio``,
+sigma2_opt's rate over another estimator's, polishes every probe, also
+from the optima of earlier probes as seeds, and ranks the distances it
+knows before their polishes in blocks. Both range searches climb the
+same ladder of distances up to a 1000 km cap, a constant as their
+resolutions are.
 ``optimize_asymptotic_rate`` builds the asymptotic float rate,
 ``security._asymptotic_at``, once per transmission in the same way.
 
@@ -370,27 +372,60 @@ def optimize_key_rate(xi: float, beta: float, N: int,
     The search is fully deterministic: fixed grid, fixed simplex start, no
     randomness.
     """
-    return optimize_key_rates(xi, beta, N, epsilon_pe, estimator_kind,
-                              Ts=[T], convention=convention)[0]
+    return optimize_key_rates(xi, beta, N, epsilon_pe, [estimator_kind],
+                              Ts=[T], convention=convention)[0][0]
 
 
 def optimize_key_rates(xi: float, beta: float, N: int,
                        epsilon_pe: float = 1e-10,
-                       estimator_kind: EstimatorKind = EstimatorKind.SIGMA2_OPT,
+                       estimator_kinds=(EstimatorKind.SIGMA2_OPT,),
                        *, Ts,
-                       convention: str = "paper") -> list[OptimizationResult]:
-    """``optimize_key_rate`` at each transmission of ``Ts``, in order.
+                       convention: str = "paper"
+                       ) -> list[list[OptimizationResult]]:
+    """The optimizer's table: at each transmission of ``Ts``, in order, one
+    optimum per kind of ``estimator_kinds``, in order.
 
-    The grids of up to _T_BLOCK transmissions are ranked by one call of
-    the rate's array path; each transmission's cells are then
-    re-scored and polished on their own, so every result is the one a
-    call of ``optimize_key_rate`` at that T gives.
+    Each kind's column is ranked in blocks and each cell polished on its
+    own, then crossed with the other kinds' optima at its transmission
+    (``_cross``); with one kind each result is ``optimize_key_rate``'s.
     """
     z = confidence_quantile(epsilon_pe, convention)
-    kind = _key_rate_kind(estimator_kind)
-    return [_optimize_ranked(raw, rate, N, ())
-            for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts,
-                                           _grid_ms(N))]
+    kinds = [_key_rate_kind(k) for k in estimator_kinds]
+    if not kinds:
+        raise ValueError("estimator_kinds must not be empty")
+    ms = _grid_ms(N)
+    # each kind's column of (float rate, optimum)
+    columns = [[(rate, _optimize_ranked(raw, rate, N, ()))
+                for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts, ms)]
+               for kind in kinds]
+    return [[_cross(rate, N, own, [o for k, (_, o) in zip(kinds, row)
+                                   if k is not kind])
+             for kind, (rate, own) in zip(kinds, row)]
+            for row in zip(*columns)]
+
+
+def _cross(rate, N: int, own: OptimizationResult,
+           others) -> OptimizationResult:
+    """``own``, or the best of the optima ``others`` re-scored by the float
+    rate ``rate`` at block size N that beats it, with one evaluation and
+    one "cross" trace row past ``own``'s.
+
+    An optimum found for one estimator is a valid candidate for the rest;
+    re-scoring them keeps the table's curves free of polish jitter.
+    """
+    best = own
+    for cand in others:
+        k = rate(cand.best_V_A, _round_m(cand.best_m_fraction, N))[0]
+        if k > best.best_key_rate:
+            best = OptimizationResult(
+                best_V_A=cand.best_V_A,
+                best_m_fraction=cand.best_m_fraction,
+                best_key_rate=k,
+                evaluations=own.evaluations + 1,
+                trace=own.trace + [("cross", cand.best_V_A,
+                                    cand.best_m_fraction, k, 1)],
+            )
+    return best
 
 
 def _grid_ms(N: int):

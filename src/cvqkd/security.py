@@ -32,11 +32,11 @@ polish is two Python calls. ``_hold`` and ``_holevo`` also serve
 channel, and ``_rate_at`` also N >= 2, when it is built, and returns the
 key rate, the raw rate held at 0, next to the raw rate: the check and
 the zero clamp are written there and nowhere else. Rates are built once
-and then evaluated many times by the optimizer's polish (``_rate_at``,
-once per transmission), its asymptotic search (``_asymptotic_at``, once
-per transmission) and the figures' cross re-scores (``_rate_at``, once
-per cell); ``key_rate_finite`` and ``key_rate_asymptotic`` build one for
-a single evaluation. ``_rate_grid`` takes numpy arrays, for the
+and then evaluated many times by the optimizer's polish and cross
+re-scores (``_rate_at``, once per transmission and estimator) and its
+asymptotic search (``_asymptotic_at``, once per transmission);
+``key_rate_finite`` and ``key_rate_asymptotic`` build one for a single
+evaluation. ``_rate_grid`` takes numpy arrays, for the
 optimizer's grid, ranked for a block of transmissions at once (so T is
 an array there too), and raises if any cell fails a check.
 

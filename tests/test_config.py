@@ -6,6 +6,7 @@ import pytest
 from cvqkd import cli
 from cvqkd.config import (
     _KIND_BY_NAME,
+    _MAX_BLOCK,
     _MAX_N_TIMES_V_M2,
     _MAX_VARIANCE,
     ExperimentConfig,
@@ -52,6 +53,17 @@ def test_parse_distance_range_and_list():
         parse_config("distances_km = 0:50\n")
     with pytest.raises(ValueError):
         parse_config("distances_km = 50:0:10\n")
+
+
+def test_range_points_do_not_drift():
+    """Each point of a range is start + i*step, rounded to 1e-9 km, so a
+    long fine grid keeps its endpoint; summing the step drifted 1e-8 km
+    from 0:3000:0.01's and dropped it."""
+    grid = parse_config("distances_km = 0:3000:0.01\n").distances_km
+    assert len(grid) == 300_001 and grid[-1] == 3000.0
+    assert grid == [round(i * 0.01, 9) for i in range(300_001)]
+    assert parse_config("distances_km = 2.5:4:0.5\n").distances_km == [
+        2.5, 3.0, 3.5, 4.0]
 
 
 def test_parse_rejects_unknown_key_with_line_number():
@@ -170,6 +182,21 @@ def test_huge_integers_give_short_config_errors(tmp_path, capsys, text,
     assert err.startswith("cvqkd: config error: ") and err.count("\n") == 1
     assert len(err) < 200, err
     assert key in err and repr(float(value)) in err, err
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("N", 10**400, "1.0000000000000000e+400"),
+    ("n_list", [10**5, 10**400], "[100000, 1.0000000000000000e+400]"),
+    ("fig3_N", 10**400, "1.0000000000000000e+400")],
+    ids=["N", "n_list", "fig3_N"])
+def test_a_block_size_past_a_float_gives_its_cap_error(key, value, shown):
+    """A block size too large to convert to float, which only code can
+    set, fails its cap check before anything divides by it."""
+    cfg = ExperimentConfig(**{key: value})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{key} must be <= {_MAX_BLOCK!r}, past which the model's "
+            f"arithmetic breaks down, got {shown}")):
+        cfg.validate()
 
 
 def test_every_estimator_name_has_a_key_rate_kind():

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvqkd import __version__, cli, estimators, experiments
+from cvqkd import __version__, cli, estimators, experiments, optimizer
 from cvqkd.channel import (
     ChannelParams,
     ProtocolParams,
@@ -58,7 +58,7 @@ from cvqkd.experiments import (
 )
 from cvqkd.config import _KIND_BY_NAME
 from cvqkd.optimizer import OptimizationResult, _round_m, optimize_key_rate
-from cvqkd.security import _rate_at, confidence_quantile, key_rate_finite
+from cvqkd.security import key_rate_finite
 
 SMALL_CFG = (
     "N = 2000\n"
@@ -361,10 +361,10 @@ def test_validate_peak_memory_does_not_grow_with_distances(tmp_path):
 
 
 def _per_cell_grid(cfg, n_values):
-    """_optimize_grid as one optimize_key_rate call per (distance, N,
-    estimator) cell, the reference for the column calls."""
+    """The figures' tables as one optimize_key_rate call per (distance, N,
+    estimator) cell and one key_rate_finite call per cross candidate, the
+    reference for the column calls."""
     results, trace_rows = {}, []
-    z = confidence_quantile(cfg.epsilon_pe, cfg.convention)
     for d in cfg.distances_km:
         T = fiber_transmission(d, cfg.loss_db_per_km)
         for N in n_values:
@@ -373,9 +373,8 @@ def _per_cell_grid(cfg, n_values):
                        _KIND_BY_NAME[name], T=T, convention=cfg.convention)
                    for name in cfg.estimators}
             for name in cfg.estimators:
-                res = experiments._best_over_candidates(
-                    _rate_at(T, cfg.xi, cfg.beta, N, z, _KIND_BY_NAME[name]),
-                    N, own[name],
+                res = _key_rate_finite_best(
+                    _KIND_BY_NAME[name], T, cfg, N, own[name],
                     [own[o] for o in cfg.estimators if o != name])
                 results[(d, N, name)] = res
                 trace_rows += [[d, name, experiments._n_label(N), *row]
@@ -385,14 +384,21 @@ def _per_cell_grid(cfg, n_values):
 
 @pytest.mark.parametrize("convention", ["paper", "gaussian"])
 def test_optimize_grid_columns_match_per_cell_optimizations(convention):
-    """Ranking each (N, estimator) column in blocks of transmissions gives
-    every cell's result (values, evaluations, trace) and the trace rows in
-    their order, as one optimization per cell does; 9 distances are a
-    block of 8 and a ragged tail of 1."""
+    """Ranking each estimator's column in blocks of transmissions, in one
+    table per N, gives every cell's result (values, evaluations, trace)
+    and the trace rows in their order, as one optimization per cell does;
+    9 distances are a block of 8 and a ragged tail of 1."""
     cfg = parse_config("distances_km = 0, 10, 20, 30, 38.5, 40, 60, 120, "
                        "190\nn_list = 1e5, 1e9\n")
     cfg.convention = convention
-    results, trace_rows = experiments._optimize_grid(cfg, cfg.n_list)
+    tables = {N: experiments._rate_table(cfg, N) for N in cfg.n_list}
+    results, trace_rows = {}, []
+    for di, d in enumerate(cfg.distances_km):
+        for N in cfg.n_list:
+            for name, res in zip(cfg.estimators, tables[N][di]):
+                results[(d, N, name)] = res
+                trace_rows += [[d, name, experiments._n_label(N), *row]
+                               for row in res.trace]
     ref_results, ref_rows = _per_cell_grid(cfg, cfg.n_list)
     assert list(results) == list(ref_results)
     assert repr(results) == repr(ref_results)
@@ -403,7 +409,7 @@ def test_optimize_grid_columns_match_per_cell_optimizations(convention):
 
 def _key_rate_finite_best(kind, T, cfg, N, own, others):
     """The cross re-score as key_rate_finite calls, one per candidate: the
-    reference for _best_over_candidates' built float rate."""
+    reference for the optimizer's cross stage."""
     best = own
     for cand in others:
         m = _round_m(cand.best_m_fraction, N)
@@ -422,37 +428,43 @@ def _key_rate_finite_best(kind, T, cfg, N, own, others):
 
 
 @pytest.mark.parametrize("convention", ["paper", "gaussian"])
-def test_cross_rescores_match_key_rate_finite(convention):
-    """Re-scoring each cell's candidates through its built float rate gives
-    the results, by repr, that one key_rate_finite call per candidate
-    gives: on the default distances and n_list, every estimator. The
-    other estimators' optima never beat a cell's own there, so each cell
-    is also re-scored against its own optimum with the rate set to 0,
-    which they beat wherever their rate is positive."""
+def test_cross_rescores_match_key_rate_finite(convention, monkeypatch):
+    """Re-scoring each cell's candidates through the float rate its column
+    built gives the results, by repr, that one key_rate_finite call per
+    candidate gives: on the default distances and n_list, every estimator.
+    The other estimators' optima never beat a cell's own there, so each
+    cell is also re-scored against its own optimum with the rate set to
+    0, which they beat wherever their rate is positive."""
     cfg = ExperimentConfig()
     cfg.convention = convention
-    z = confidence_quantile(cfg.epsilon_pe, convention)
     Ts = [fiber_transmission(d, cfg.loss_db_per_km) for d in cfg.distances_km]
+    kinds = [_KIND_BY_NAME[name] for name in cfg.estimators]
+    cross = optimizer._cross
     crossed = 0
     for N in cfg.n_list:
-        column = {name: experiments.optimize_key_rates(
-                      cfg.xi, cfg.beta, N, cfg.epsilon_pe,
-                      _KIND_BY_NAME[name], Ts=Ts, convention=convention)
-                  for name in cfg.estimators}
-        for di, T in enumerate(Ts):
-            own = {name: column[name][di] for name in cfg.estimators}
-            for name in cfg.estimators:
-                kind = _KIND_BY_NAME[name]
-                others = [own[o] for o in cfg.estimators if o != name]
-                rate_at = _rate_at(T, cfg.xi, cfg.beta, N, z, kind)
-                for start in (own[name],
-                              replace(own[name], best_key_rate=0.0)):
-                    got = experiments._best_over_candidates(
-                        rate_at, N, start, others)
-                    ref = _key_rate_finite_best(kind, T, cfg, N, start,
-                                                others)
-                    assert repr(got) == repr(ref)
-                    crossed += got is not start
+        calls = []
+
+        def spy(rate, N, own, others):
+            calls.append((rate, own, others, cross(rate, N, own, others)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(optimizer, "_cross", spy)
+        table = experiments._rate_table(cfg, N)
+        monkeypatch.undo()
+        # one cross stage per cell, row by row, each against the other
+        # estimators' optima at its transmission
+        assert len(calls) == len(Ts) * len(kinds)
+        for i, (rate, own, others, got) in enumerate(calls):
+            di, ki = divmod(i, len(kinds))
+            T, kind = Ts[di], kinds[ki]
+            row = calls[di * len(kinds):(di + 1) * len(kinds)]
+            assert others == [c[1] for j, c in enumerate(row) if j != ki]
+            assert got is table[di][ki]
+            for start in (own, replace(own, best_key_rate=0.0)):
+                got = cross(rate, N, start, others)
+                ref = _key_rate_finite_best(kind, T, cfg, N, start, others)
+                assert repr(got) == repr(ref)
+                crossed += got is not start
     assert crossed > 0
 
 

@@ -80,8 +80,18 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
     results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts)
     assert len(Ts) <= _T_BLOCK
-    assert all(r.evaluations > 576 + 20 for r in results)
+    assert all(r.evaluations > 576 + 20 for r, in results)
     assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts), "form": 1}
+
+    # the table: one z per call, one kind check, float rate per
+    # transmission and grid call per block for each kind
+    calls.update(dict.fromkeys(calls, 0))
+    table = optimize_key_rates(XI, BETA, 10**7, 1e-10, KEY_RATE_ESTIMATORS,
+                               Ts=Ts)
+    assert [len(row) for row in table] == [3] * len(Ts)
+    assert all(r.evaluations > 576 + 20 for row in table for r in row)
+    assert calls == {"z": 1, "kind": 3, "sigma2": 3 * (1 + len(Ts)),
+                     "form": 3}
 
 
 def test_optimize_key_rate_is_deterministic():
@@ -252,7 +262,8 @@ def _ranked_rows(monkeypatch, block, N, kind):
     monkeypatch.setattr(optimizer, "_optimize_ranked", spy)
     monkeypatch.setattr(optimizer, "_T_BLOCK", block)
     Ts = [fiber_transmission(d) for d in COLUMN_KM]
-    results = optimize_key_rates(XI, BETA, N, estimator_kind=kind, Ts=Ts)
+    results = [r for r, in optimize_key_rates(XI, BETA, N,
+                                               estimator_kinds=[kind], Ts=Ts)]
     monkeypatch.undo()
     assert len(rows) == len(results) == len(Ts)
     return Ts, rows, results
@@ -309,6 +320,28 @@ def test_one_failed_cell_fails_its_block():
         optimize_key_rates(XI, BETA, 10**5, Ts=Ts)
     with pytest.raises(ValueError, match="on the rate grid"):
         optimize_key_rate(XI, BETA, 10**5, T=10.0)
+
+
+def test_a_kind_listed_twice_gets_the_same_optimum_twice():
+    """Each kind is crossed with the other kinds' optima at its
+    transmission: a kind listed twice gets one result in both places, the
+    one the table without its twin gives; with one kind there is nothing
+    to cross and each result is optimize_key_rate's; with none there is
+    no table."""
+    N = 10**5
+    Ts = [fiber_transmission(d) for d in (0.0, 20.0, 38.5)]
+    mle, opt = EstimatorKind.SIGMA2_MLE, EstimatorKind.SIGMA2_OPT
+    table = optimize_key_rates(XI, BETA, N, 1e-10, [mle, "sigma2_mle", opt],
+                               Ts=Ts)
+    pairs = optimize_key_rates(XI, BETA, N, 1e-10, [mle, opt], Ts=Ts)
+    for row, (r_mle, r_opt) in zip(table, pairs):
+        assert repr(row) == repr([r_mle, r_mle, r_opt])
+    for T, (r_mle,) in zip(Ts, optimize_key_rates(XI, BETA, N, 1e-10,
+                                                    [mle], Ts=Ts)):
+        assert repr(r_mle) == repr(optimize_key_rate(
+            XI, BETA, N, estimator_kind=mle, T=T))
+    with pytest.raises(ValueError, match="estimator_kinds must not be empty"):
+        optimize_key_rates(XI, BETA, N, 1e-10, [], Ts=Ts)
 
 
 def test_optimize_asymptotic_rate_basics():
