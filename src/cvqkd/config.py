@@ -32,6 +32,10 @@ _MAX_N_TIMES_V_M2 = sqrt(sys.float_info.max)
 # variance divides by m**2, as a float), so a block size past this cap
 # overflows
 _MAX_BLOCK = sqrt(sys.float_info.max)
+# a start:stop:step grid's points: a million take 1.1 s to parse and 32 MB
+# to hold (2-vCPU Xeon), and fig2 spends about 2.7 ms a distance, so a
+# grid past this cap is a typo, one of 1e-12 steps a memory exhaustion
+_MAX_POINTS = 10**6
 
 
 def _shown(val) -> str:
@@ -96,8 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"V_A must be > 0, got {self.V_A}")
         if self.xi < 0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {_shown(self.N)}")
+        if self.N < 3:
+            raise ValueError(f"N must be >= 3, got {_shown(self.N)}")
         if not 2 <= self.m <= self.N - 1:
             raise ValueError(f"m must be in [2, N-1], got "
                              f"m={_shown(self.m)}, N={_shown(self.N)}")
@@ -141,8 +145,8 @@ class ExperimentConfig:
                              f"expected one of {_VALID_CONVENTIONS}")
         if not self.n_list:
             raise ValueError("n_list must not be empty")
-        if any(n < 2 for n in self.n_list) or self.fig3_N < 2:
-            raise ValueError("block sizes must be >= 2")
+        if any(n < 3 for n in self.n_list) or self.fig3_N < 3:
+            raise ValueError("block sizes must be >= 3")
 
     def echo_lines(self) -> list[str]:
         """Effective configuration, one key = value line per field."""
@@ -178,6 +182,9 @@ def _parse_float_list(key: str, text: str) -> list[float]:
         # each point from start, so no step's round-off carries to the next
         out, i = [], 0
         while (d := start + i * step) <= stop + 1e-9:
+            if i == _MAX_POINTS:
+                raise ValueError(f"{key} range must have at most "
+                                 f"{_MAX_POINTS} points, got {text!r}")
             out.append(round(d, 9))
             i += 1
         return out

@@ -19,10 +19,10 @@ decides each probe's sign from the grid alone, with no polish: from the
 best cell of its last positive ranking when that cell's rate is
 positive, else from the re-scored grid. ``range_limit_ratio``,
 sigma2_opt's rate over another estimator's, polishes every probe, also
-from the optima of earlier probes as seeds, and ranks the distances it
-knows before their polishes in blocks. Both range searches climb the
-same ladder of distances up to a 1000 km cap, a constant as their
-resolutions are.
+from the optima of earlier probes as seeds, and ranks through lazy
+``_ranked_grids`` streams. Both range searches climb the same ladder of
+distances up to a 1000 km cap, a constant as their resolutions are, in
+``_last_positive``, which owns the no-range rule too.
 ``optimize_asymptotic_rate`` builds the asymptotic float rate,
 ``security._asymptotic_at``, once per transmission in the same way.
 
@@ -137,11 +137,11 @@ _LADDER = [0.0, *(2.0 ** i for i in range(10)), 1000.0]
 
 
 def _round_m(frac: float, N: int) -> int:
-    # ties round up: revealing one more state is the conservative choice;
-    # min(max(m, 1), N - 1), written out to save two builtin calls.
-    # _nelder_mead_2d writes the same two lines out at its one evaluation.
+    # ties round up, revealing one more state being the conservative choice;
+    # min(max(m, 2), N - 1) (m = 1 leaves no noise estimate), written out
+    # to save two builtin calls, here and at _nelder_mead_2d's evaluation
     m = floor(frac * N + 0.5)
-    m = 1 if 1 > m else m
+    m = 2 if 2 > m else m
     return N - 1 if N - 1 < m else m
 
 
@@ -212,7 +212,7 @@ def _nelder_mead_2d(rate, N: int, x0: float, y0: float, f0: float, bounds,
         x = w if (w := x if x > xlo else xlo) < xhi else xhi
         y = w if (w := y if y > ylo else ylo) < yhi else yhi
         m = floor(y * N + 0.5)
-        m = 1 if 1 > m else n1 if n1 < m else m
+        m = 2 if 2 > m else n1 if n1 < m else m
         f = -rate(10.0 ** x, m)[0]
         nfev += 1
         if step == "reflect":
@@ -336,30 +336,38 @@ def _nelder_mead_1d(rate, x0: float, f0: float, bounds, maxiter: int,
     return b[1], -b[0], nfev
 
 
-def _last_positive(positive, resolution_km: float) -> float | None:
-    """Largest distance d with positive(d): doubling, then bisection.
+def _last_positive(probe, resolution_km: float):
+    """(d, positive at 0 km, probes) for the largest distance d at which
+    probe(d), the best rate there or a rate of its sign, is positive:
+    doubling, then bisection.
 
-    Probes the ``_LADDER`` until positive fails, then halves the bracket
-    down to ``resolution_km``. Returns None when positive(0) fails and the
-    cap, the ladder's last rung, when it never fails.
+    Probes the ``_LADDER`` until the rate is not positive, then halves the
+    bracket down to ``resolution_km``; the cap, the ladder's last rung, is
+    the result when the rate never fails. When the rate at 0 km is not
+    positive there is no range: d is 0.0, or NaN when that rate is NaN, as
+    the optimum there is.
     """
-    if not positive(_LADDER[0]):
-        return None
+    k0 = probe(_LADDER[0])
+    if not k0 > 0.0:
+        return k0 if isnan(k0) else 0.0, False, 1
+    probes = 1
     lo = _LADDER[0]
     for hi in _LADDER[1:]:
-        if not positive(hi):
+        probes += 1
+        if not probe(hi) > 0.0:
             break
         lo = hi
     else:
         # still secure at the cap; report the cap rather than extrapolate
-        return lo
+        return lo, True, probes
     while hi - lo > resolution_km:
         mid = (lo + hi) / 2.0
-        if positive(mid):
+        probes += 1
+        if probe(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, True, probes
 
 
 def optimize_key_rate(xi: float, beta: float, N: int,
@@ -562,41 +570,27 @@ def maximum_distance(xi: float, beta: float, N: int,
     probe is positive when one cell's scalar rate is: each probe first
     scores the best cell of the last positive ranking, and ranks its
     transmission's grid and re-scores the best cells only when that cell's
-    rate is not positive.
+    rate is not positive. ``evaluations`` counts the probes.
     """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
     ms = _grid_ms(N)
-    evaluations = 0
-    # the best (V_A, m) cell of the last positive ranking, and the
-    # re-scored best of each ranking, the first at 0 km
+    # the best (V_A, m) cell of the last positive ranking
     cell = None
-    bests = []
 
-    def positive(d: float) -> bool:
-        nonlocal evaluations, cell
-        evaluations += 1
+    def probe(d: float) -> float:
+        nonlocal cell
         T = fiber_transmission(d, loss_db_per_km)
         rate = _rate_at(T, xi, beta, N, z, kind)
-        if cell is not None and rate(*cell)[0] > 0.0:
-            return True
+        if cell is not None and (k := rate(*cell)[0]) > 0.0:
+            return k
         k, lv, fr = _grid_best(_rank([T], xi, beta, N, z, kind, ms)[0], rate,
                                N)
-        bests.append(k)
         if k > 0.0:
             cell = 10.0 ** lv, _round_m(fr, N)
-        return k > 0.0
+        return k
 
-    d = _last_positive(positive, 0.1)
-    return MaximumDistanceResult(_no_range(bests[0]) if d is None else d,
-                                 positive_at_zero=d is not None,
-                                 evaluations=evaluations)
-
-
-def _no_range(k0: float) -> float:
-    """The range when the best rate at 0 km, k0, is not positive: none, or
-    NaN when k0 is NaN, as the optimum there is."""
-    return k0 if isnan(k0) else 0.0
+    return MaximumDistanceResult(*_last_positive(probe, 0.1))
 
 
 def range_limit_ratio(xi: float, beta: float, N: int,
@@ -615,11 +609,12 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     10, 5, 2, 1 and 0 m inside it. Each probe is optimize_key_rate's optimum
     there, polished also from continuation seeds, the positive optima of
     earlier probes, which keep the search from losing the shrinking
-    positive region. A grid's ranking needs no seed, so the distances known
-    before their polishes, the ``_LADDER`` and the sampled offsets, are
-    planned in blocks of up to _T_BLOCK; one _rate_grid call ranks a block
-    when any of its distances is first asked for, and each (estimator,
-    distance) pair is ranked once.
+    positive region. A grid's ranking needs no seed, so it goes through
+    lazy ``_ranked_grids`` streams, each (estimator, distance) pair once:
+    the ``_LADDER`` is one stream, ranked a block of up to _T_BLOCK rungs
+    at a time as far as the search climbs it, each bisection probe is
+    ranked alone, and the sampled offsets not yet ranked are ranked per
+    estimator in one pass. ``_last_positive`` owns the no-range rule.
     """
     numerator = EstimatorKind.SIGMA2_OPT
     z = confidence_quantile(epsilon_pe, convention)
@@ -627,25 +622,17 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     ms = _grid_ms(N)
     evaluations = 0
     seed_of: dict[EstimatorKind, tuple] = {}
-    # (estimator, d) -> (grid rates, float rate) once ranked, and before
-    # that, when planned, the block of distances ranked with d
+    # (estimator, d) -> (grid rates, float rate)
     ranked: dict[tuple, tuple] = {}
-    blocks: dict[tuple, list] = {}
 
-    def plan(kind: EstimatorKind, ds) -> None:
-        ds = [d for d in dict.fromkeys(ds) if (kind, d) not in ranked]
-        for i in range(0, len(ds), _T_BLOCK):
-            block = ds[i:i + _T_BLOCK]
-            blocks.update(((kind, d), block) for d in block)
+    def grids(kind: EstimatorKind, ds):
+        # ((kind, d), (grid rates, float rate)) of each distance of ds
+        Ts = [fiber_transmission(d, loss_db_per_km) for d in ds]
+        return zip([(kind, d) for d in ds],
+                   _ranked_grids(xi, beta, N, z, kinds[kind], Ts, ms))
 
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
-        if (kind, d) not in ranked:
-            block = blocks.get((kind, d), [d])
-            Ts = [fiber_transmission(dd, loss_db_per_km) for dd in block]
-            for dd, grid in zip(block, _ranked_grids(xi, beta, N, z,
-                                                     kinds[kind], Ts, ms)):
-                ranked[kind, dd] = grid
         seeds = [s for s in (seed_of.get(kind), *extra) if s is not None]
         r = _optimize_ranked(*ranked[kind, d], N, seeds)
         evaluations += r.evaluations
@@ -653,23 +640,22 @@ def range_limit_ratio(xi: float, beta: float, N: int,
             seed_of[kind] = (r.best_V_A, r.best_m_fraction)
         return r
 
-    plan(denominator, _LADDER)
-    bests = []  # the denominator's optimum at each probe, the first at 0 km
+    # the search probes each rung once, in order, then bisects between two
+    ladder = grids(denominator, _LADDER)
 
-    def positive(d: float) -> bool:
-        bests.append(opt(denominator, d).best_key_rate)
-        return bests[-1] > 0.0
+    def probe(d: float) -> float:
+        ranked.update([next(ladder if d in _LADDER
+                            else grids(denominator, [d]))])
+        return opt(denominator, d).best_key_rate
 
-    boundary = _last_positive(positive, 5e-4)
-    if boundary is None:
-        return RangeLimitRatio(rows=(), boundary_km=_no_range(bests[0]),
-                               max_ratio=float("nan"),
-                               evaluations=evaluations)
+    boundary, positive_at_zero, _ = _last_positive(probe, 5e-4)
+    if not positive_at_zero:
+        return RangeLimitRatio((), boundary, float("nan"), evaluations)
 
     ds = [boundary - w for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)]
     ds = [d for d in ds if d >= 0.0]
     for kind in kinds:
-        plan(kind, ds)
+        ranked.update(grids(kind, [d for d in ds if (kind, d) not in ranked]))
     rows = []
     max_ratio = 0.0
     for d in ds:

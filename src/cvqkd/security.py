@@ -15,7 +15,8 @@ with the estimator's variance.
 ``holevo_bound``, ``key_rate_asymptotic`` and ``key_rate_finite`` take
 (V_A, T, xi) and check them in one place, ``_check_inputs``: V_A > 0,
 then T >= 0 and xi >= 0, each with one message; a NaN passes and gives a
-NaN. ``key_rate_finite`` also rejects m outside [0, N].
+NaN. ``key_rate_finite`` also rejects m outside [0, N], and gives a
+zero rate with a reason at m = N and at m < 2.
 
 The finite-size rate is written twice, once per input type, with the
 same operations in the same order. ``_rate_at`` takes Python floats
@@ -29,7 +30,7 @@ as ``_asymptotic_at``, the asymptotic rate built the same way once per
 channel as a function of V_A, does; each evaluation of the optimizer's
 polish is two Python calls. ``_hold`` and ``_holevo`` also serve
 ``worst_case_params`` and ``holevo_bound``. Each built rate checks its
-channel, and ``_rate_at`` also N >= 2, when it is built, and returns the
+channel, and ``_rate_at`` also N >= 3, when it is built, and returns the
 key rate, the raw rate held at 0, next to the raw rate: the check and
 the zero clamp are written there and nowhere else. Rates are built once
 and then evaluated many times by the optimizer's polish and cross
@@ -240,10 +241,10 @@ def _rate_at(T, xi, beta, N, z, kind):
     bound at the confidence-region corner t_min = t - z*std_t, sigma2_max
     = sigma2 + z*std_sigma2, held at t_min >= 0 and sigma2_max >= 1 as
     _hold holds it; clamped says whether either hold fired; the key rate
-    is the raw rate held at 0 (a NaN or -0.0 passes). T, xi and N >= 2
+    is the raw rate held at 0 (a NaN or -0.0 passes). T, xi and N >= 3
     are checked, and sigma2, sqrt(T) and the kind's variance form fixed,
     here, once. Needs z from confidence_quantile and a kind of
-    KEY_RATE_ESTIMATORS; rate needs V_A > 0 and 1 <= m <= N-1.
+    KEY_RATE_ESTIMATORS; rate needs V_A > 0 and 2 <= m <= N-1.
 
     rate is the one float form of the finite-size rate, written out in one
     frame with _holevo as its only Python call: Var(t_hat) is var_t_mle's,
@@ -254,8 +255,8 @@ def _rate_at(T, xi, beta, N, z, kind):
     composed of those functions.
     """
     _check_channel(T, xi)
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    if N < 3:
+        raise ValueError(f"N must be >= 3, got {N}")
     sigma2 = _sigma2(T, xi)
     sqrt_t = sqrt(T)
     # the kind's sigma2 variance form, picked here once: the full-set
@@ -431,10 +432,12 @@ def key_rate_finite(V_A: float, T: float, xi: float, beta: float,
         return KeyRateResult(key_rate=0.0, key_rate_raw=0.0,
                              mutual_information=0.0, holevo=0.0,
                              n_fraction=0.0, reason="no key states (m == N)")
-    if m == 0:
+    if m < 2:
+        # one revealed state leaves no noise estimate: t_hat fits it exactly
         return KeyRateResult(key_rate=0.0, key_rate_raw=0.0,
                              mutual_information=0.0, holevo=0.0,
-                             n_fraction=1.0, reason="no parameter estimation (m == 0)")
+                             n_fraction=(N - m) / N,
+                             reason=f"no parameter estimation (m == {m})")
 
     z = confidence_quantile(epsilon_pe, convention)
     key, raw, i_ab, s_wc, clamped = _rate_at(T, xi, beta, N, z,

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from cvqkd import cli
+from cvqkd import cli, config
 from cvqkd.config import (
     _KIND_BY_NAME,
     _MAX_BLOCK,
@@ -66,6 +66,23 @@ def test_range_points_do_not_drift():
         2.5, 3.0, 3.5, 4.0]
 
 
+def test_range_grids_are_capped(monkeypatch):
+    """A range stops at the point past _MAX_POINTS with a ValueError that
+    names its key, before the list grows further: a grid of 1e-12 steps
+    would otherwise exhaust memory."""
+    with pytest.raises(ValueError, match=re.escape(
+            "line 1: distances_km range must have at most 1000000 points, "
+            "got '0:1:1e-6'")):
+        parse_config("distances_km = 0:1:1e-6\n")
+    assert config._MAX_POINTS == 10**6
+    monkeypatch.setattr(config, "_MAX_POINTS", 5)
+    assert parse_config("mc_distances_km = 0:4:1\n").mc_distances_km == [
+        0.0, 1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValueError, match="mc_distances_km range must have "
+                                         "at most 5 points"):
+        parse_config("mc_distances_km = 0:5:1\n")
+
+
 def test_parse_rejects_unknown_key_with_line_number():
     with pytest.raises(ValueError, match="line 2"):
         parse_config("V_A = 3.0\nV_B = 1.0\n")
@@ -105,7 +122,8 @@ REJECTIONS = [
     ("V_A = 0\n", "V_A must be > 0, got 0.0"),
     ("V_A = -1\n", "V_A must be > 0, got -1.0"),
     ("xi = -0.01\n", "xi must be >= 0, got -0.01"),
-    ("N = 1\n", "N must be >= 2, got 1"),
+    ("N = 1\n", "N must be >= 3, got 1"),
+    ("N = 2\n", "N must be >= 3, got 2"),
     ("m = 2e5\n", "m must be in [2, N-1], got m=200000, N=100000"),
     ("m = 1e5\n", "m must be in [2, N-1], got m=100000, N=100000"),
     ("m = 1\n", "m must be in [2, N-1], got m=1, N=100000"),
@@ -132,8 +150,10 @@ REJECTIONS = [
     ("convention = bayes\n",
      "unknown convention 'bayes', expected one of ('paper', 'gaussian')"),
     ("n_list = \n", "n_list must not be empty"),
-    ("n_list = 1e5, 1\n", "block sizes must be >= 2"),
-    ("fig3_N = 1\n", "block sizes must be >= 2"),
+    ("n_list = 1e5, 1\n", "block sizes must be >= 3"),
+    ("n_list = 1e5, 2\n", "block sizes must be >= 3"),
+    ("fig3_N = 1\n", "block sizes must be >= 3"),
+    ("fig3_N = 2\n", "block sizes must be >= 3"),
 ]
 
 

@@ -32,6 +32,7 @@ from cvqkd.security import (
     KEY_RATE_ESTIMATORS,
     _rate_grid,
     confidence_quantile,
+    key_rate_asymptotic,
     key_rate_finite,
 )
 from reference_rate import search_rate
@@ -129,7 +130,7 @@ def test_optimum_matches_brute_force_scan():
     for n in (2, 3, 2**53 + 1):
         for frac in (0.0, -0.0, -1.0, 0.5 / n, 0.5, 1.0 - 0.5 / n, 1.0, 2.0,
                      *((k + 0.5) / n for k in range(min(n, 4)))):
-            assert _round_m(frac, n) == min(max(floor(frac * n + 0.5), 1),
+            assert _round_m(frac, n) == min(max(floor(frac * n + 0.5), 2),
                                             n - 1)
     N = 10**9
     res = optimize_key_rate(XI, BETA, N, T=fiber_transmission(20.0))
@@ -365,6 +366,25 @@ def test_finite_optimum_below_asymptotic_optimum():
         assert fin.best_key_rate <= asym.best_key_rate + 1e-12
 
 
+@pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
+def test_small_blocks_reveal_two_states(kind):
+    """Below N = 2000 the grid's m/N floor of 1e-3 rounds below m = 2. One
+    revealed state leaves no noise estimate (t_hat fits it exactly, and
+    sigma2's variance bound has zero width), so the optimizer reveals at
+    least two: no optimum passes the asymptotic rate at its V_A, and the
+    range grows with N."""
+    for N in (3, 10, 1000, 1999):
+        for d in (0.0, 5.0, 50.0):
+            T = fiber_transmission(d)
+            res = optimize_key_rate(XI, BETA, N, estimator_kind=kind, T=T)
+            assert _round_m(res.best_m_fraction, N) >= 2
+            asym = key_rate_asymptotic(res.best_V_A, T, XI, BETA).key_rate
+            assert res.best_key_rate <= asym, (N, d, res, asym)
+    dists = [maximum_distance(XI, BETA, N, estimator_kind=kind).distance_km
+             for N in (10, 1000, 1500, 1999, 10**5)]
+    assert dists == sorted(dists) and dists[0] == 0.0, dists
+
+
 def test_maximum_distance_frozen_values_and_growth():
     dists = []
     for N, expected in MAX_DIST_OPT.items():
@@ -392,12 +412,12 @@ def test_range_probe_signs_match_the_polished_optimum(monkeypatch,
     real = optimizer._last_positive
     probes = []
 
-    def recording(positive, resolution_km):
-        def probe(d):
-            sign = positive(d)
-            probes.append((d, sign))
-            return sign
-        return real(probe, resolution_km)
+    def recording(probe, resolution_km):
+        def recorded(d):
+            k = probe(d)
+            probes.append((d, k > 0.0))
+            return k
+        return real(recorded, resolution_km)
 
     monkeypatch.setattr(optimizer, "_last_positive", recording)
     ladder, capped = optimizer._LADDER, [0.0, 1.0, 2.0, 3.0]
@@ -450,13 +470,32 @@ def test_range_search_below_one_km_never_probes_past_the_cap():
     for limit in (0.3, 10.0, 2 * cap):
         probes = []
 
-        def positive(d):
+        def probe(d):
             probes.append(d)
-            return d <= limit
+            return 1.0 if d <= limit else 0.0
 
-        d = _last_positive(positive, 1e-3)
+        d, positive_at_zero, count = _last_positive(probe, 1e-3)
+        assert positive_at_zero and count == len(probes)
         assert max(probes) <= cap and d <= cap
         assert d == (pytest.approx(limit, abs=1e-3) if limit < cap else cap)
+        assert (probes == optimizer._LADDER) == (limit > cap)
+
+
+@pytest.mark.parametrize("k0, expected", [
+    (float("nan"), "nan"), (0.0, 0.0), (-0.0, 0.0), (-1e-3, 0.0)])
+def test_range_search_without_a_range_probes_once(k0, expected):
+    """A rate at 0 km that is not positive gives no range after one probe:
+    0 km, or NaN when that rate is NaN."""
+    probes = []
+
+    def probe(d):
+        probes.append(d)
+        return k0
+
+    d, positive_at_zero, count = _last_positive(probe, 0.1)
+    assert (repr(d), positive_at_zero, count) == (repr(float(expected)),
+                                                   False, 1)
+    assert probes == [0.0]
 
 
 def test_range_limit_ratio_structure():
@@ -814,7 +853,7 @@ def _as_rate(f, dims, N=2**20):
 
 
 _CHANNEL = "T and xi must be >= 0"
-_BLOCK = "N must be >= 2"
+_BLOCK = "N must be >= 3"
 
 
 @pytest.mark.parametrize("search, message", [

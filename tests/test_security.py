@@ -384,6 +384,12 @@ def test_key_rate_finite_edge_fractions():
     res_no_pe = key_rate_finite(3.0, 0.5, 0.01, 0.95, N=1000, m=0)
     assert res_no_pe.key_rate == 0.0
     assert "m == 0" in res_no_pe.reason
+    # at m = 1 t_hat fits the one revealed state exactly and leaves no
+    # noise estimate
+    res = key_rate_finite(3.0, 0.5, 0.01, 0.95, N=1000, m=1)
+    assert (res.key_rate, res.key_rate_raw, res.n_fraction, res.reason) == (
+        0.0, 0.0, 0.999, "no parameter estimation (m == 1)")
+    assert key_rate_finite(3.0, 0.5, 0.01, 0.95, N=1000, m=2).reason is None
 
 
 def test_key_rate_finite_rejects_unsupported_estimator():
@@ -443,18 +449,18 @@ def test_float_rate_matches_the_reference_bitwise(kind):
     corner's hold and I_AB out inline: every member it returns (NaN, -0.0
     and clamped included) and every error it raises is the reference's,
     composed of var_t_mle, _VARIANCE[kind], _hold, _holevo and i_ab, at
-    block sizes down to 2, m at both ends, T from 0 to 1, a NaN xi, a
+    block sizes down to 3, m at both ends and at N, T from 0 to 1, a NaN xi, a
     negative beta (a raw rate of -0.0) and a zero, negative and huge z.
     key_rate_finite, which builds the same rate, reports its values, and
     the polish's objective is its key rate at 10**x and _round_m(y, N)."""
     seen = set()
-    for N in (2, 3, 10**5, 10**12):
+    for N in (3, 10**5, 10**12):
         for T in (0.0, 1e-300, 1e-6, 0.5, 1.0):
             for xi in (0.0, 0.01, float("nan")):
                 for beta, z in ((0.95, Z_PAPER), (0.95, 0.0), (-1.0, 80.0),
                                 (0.95, -3.0)):
                     rate = _rate_at(T, xi, beta, N, z, kind)
-                    for m in sorted({1, 2, N // 2, N - 1}):
+                    for m in sorted({1, 2, N // 2, N - 1, N}):
                         for V_A in (1e-320, 0.1, 3.0, 100.0):
                             ref = _outcome(finite_rate, V_A, T, xi, beta, N,
                                            m, z, kind)
@@ -464,7 +470,7 @@ def test_float_rate_matches_the_reference_bitwise(kind):
                                      (ref[0] in ("-0x0.0p+0", "nan"),
                                       ref[4]))
     # errors, plain values, -0.0 or NaN key rates, and both clamp states;
-    # at m = N = 2 (n = 0) only sigma2_opt's variance divides by n
+    # at m = N (n = 0) only sigma2_opt's variance divides by n
     assert {"OverflowError", "ValueError", (False, "False"), (False, "True"),
             (True, "False"), (True, "True")} <= seen, seen
     assert ("ZeroDivisionError" in seen) == (kind is EstimatorKind.SIGMA2_OPT)
@@ -538,9 +544,12 @@ def test_key_rate_finite_reports_key_fraction():
 # 480 return a NaN. Re-pinned when key_rate_finite took the shared T/xi
 # check: its 30 calls at T = -0.1 now raise "T and xi must be >= 0, ..."
 # where they raised "math domain error", and mapping that message back
-# gives the digest pinned before, 14a8b677...82c74dc7e
-FLOAT_PATH_DIGEST = ("00b80f6b260e9de85eb8c8d52e84ad7d"
-                     "e3baa1e52a5b5cf6b554f0e5135c24c3")
+# gives the digest pinned before, 14a8b677...82c74dc7e. Re-pinned when the
+# rate's domain became m >= 2: its 382 key_rate_finite calls at m = 1 now
+# return the zero rate with a reason, and with those outputs left out of
+# the hash the digest before and after is 66dffc92...6c31bba4
+FLOAT_PATH_DIGEST = ("2c1cf04659ac6bdd50cb756098752068"
+                     "be7719f0bb495d316038ffddcb490008")
 
 
 def mutual_information(V_A, T, xi):
