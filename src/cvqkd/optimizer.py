@@ -20,9 +20,12 @@ best cell of its last positive ranking when that cell's rate is
 positive, else from the re-scored grid. ``range_limit_ratio``,
 sigma2_opt's rate over another estimator's, polishes every probe, also
 from the optima of earlier probes as seeds, and ranks through lazy
-``_ranked_grids`` streams. Both range searches climb the same ladder of
-distances up to a 1000 km cap, a constant as their resolutions are, in
-``_last_positive``, which owns the no-range rule too.
+``_ranked_grids`` streams; it keeps each (estimator, distance) point's
+grid best and the result of each polish run there, keyed by its start,
+so it polishes no start of a point twice. Both range searches climb the
+same ladder of distances up to a 1000 km cap, a constant as their
+resolutions are, in ``_last_positive``, which owns the no-range rule
+too.
 ``optimize_asymptotic_rate`` builds the asymptotic float rate,
 ``security._asymptotic_at``, once per transmission in the same way.
 
@@ -98,6 +101,11 @@ class RangeLimitRatio:
     sampled offset in to ``boundary_km``, the last distance at which the
     denominator estimator still yields a positive rate; the numerator is
     always sigma2_opt.
+
+    ``evaluations`` is the size of the search: every grid cell, seed score
+    and polish evaluation of each probe, a polish that the search reuses
+    from an earlier probe at the same point counted again. It is not the
+    number of float-rate calls the search makes.
     """
 
     rows: tuple
@@ -473,10 +481,12 @@ def _grid_best(raw, rate, N: int):
     # scalar scan's first strict maximum is among these cells, or is cell 0
     # when no rate is positive or none compares (NaN). Scanning them with
     # the scalar rate returns the cell and value a whole-grid scan would.
+    # The cells are scanned as Python ints, whose index arithmetic is
+    # cheaper than numpy's.
     top = raw.max()
-    cells = np.flatnonzero(raw >= top - 2.0 * _GRID_TOL)
-    if not top > _GRID_TOL and (cells.size == 0 or cells[0] != 0):
-        cells = np.concatenate(([0], cells))
+    cells = np.flatnonzero(raw >= top - 2.0 * _GRID_TOL).tolist()
+    if not top > _GRID_TOL and cells[:1] != [0]:
+        cells.insert(0, 0)
     best = None
     for i in cells:
         lv, fr = _LOG_VAS[i // len(_FRACS)], _FRACS[i % len(_FRACS)]
@@ -486,7 +496,8 @@ def _grid_best(raw, rate, N: int):
     return best
 
 
-def _optimize_ranked(raw, rate, N: int, seeds) -> OptimizationResult:
+def _optimize_ranked(raw, rate, N: int, seeds,
+                     memo=None) -> OptimizationResult:
     """One transmission's optimum from its grid's array rates ``raw`` and
     its float rate at block size N, polished from the best grid cell and
     from each (V_A, m/N) of ``seeds`` at which the rate is positive.
@@ -494,8 +505,18 @@ def _optimize_ranked(raw, rate, N: int, seeds) -> OptimizationResult:
     Near the range limit the positive region shrinks below the grid pitch;
     ``range_limit_ratio`` seeds each search with the positive optima of its
     earlier ones, so continuation keeps it from reporting a false zero.
+
+    ``memo``, a dict, is this point's record across calls: its grid best
+    under "grid" and, under each start's exact (log10 V_A, m/N), the
+    (log10 V_A, m/N, key rate, evaluations) of the polish run from it,
+    which a later start there reuses. The polish is deterministic in its
+    float rate and start, so the result, evaluations and trace are the
+    ones a call without ``memo`` gives, bit for bit.
     """
-    best = _grid_best(raw, rate, N)
+    memo = {} if memo is None else memo
+    if "grid" not in memo:
+        memo["grid"] = _grid_best(raw, rate, N)
+    best = memo["grid"]
     evaluations = raw.size
     trace = [("grid", 10.0 ** best[1], best[2], best[0], evaluations)]
 
@@ -515,8 +536,12 @@ def _optimize_ranked(raw, rate, N: int, seeds) -> OptimizationResult:
         trace.append(("seed", 10.0 ** lv, fr, k, 1))
 
     for k0, lv0, fr0 in starts:
-        lv, fr, k, nfev = _nelder_mead_2d(rate, N, lv0, fr0, k0, _BOUNDS,
-                                          _MAXITER, xatol=1e-4, fatol=1e-12)
+        polish = memo.get((lv0, fr0))
+        if polish is None:
+            polish = memo[lv0, fr0] = _nelder_mead_2d(
+                rate, N, lv0, fr0, k0, _BOUNDS, _MAXITER, xatol=1e-4,
+                fatol=1e-12)
+        lv, fr, k, nfev = polish
         evaluations += nfev
         if k > best[0]:
             best = (k, lv, fr)
@@ -614,7 +639,14 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     the ``_LADDER`` is one stream, ranked a block of up to _T_BLOCK rungs
     at a time as far as the search climbs it, each bisection probe is
     ranked alone, and the sampled offsets not yet ranked are ranked per
-    estimator in one pass. ``_last_positive`` owns the no-range rule.
+    estimator in one pass. Each (estimator, distance) point keeps a
+    record across its searches: its grid best, and the result of each
+    polish run there, keyed by the start's exact (log10 V_A, m/N). A later
+    search at the point reuses it, as the polish is deterministic in its
+    float rate and start: the boundary searched again at offset 0, a seed
+    at its point's best grid cell, and, when the denominator is sigma2_opt
+    too, the numerator at each offset. ``_last_positive`` owns the
+    no-range rule.
     """
     numerator = EstimatorKind.SIGMA2_OPT
     z = confidence_quantile(epsilon_pe, convention)
@@ -622,19 +654,21 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     ms = _grid_ms(N)
     evaluations = 0
     seed_of: dict[EstimatorKind, tuple] = {}
-    # (estimator, d) -> (grid rates, float rate)
+    # (estimator, d) -> (grid rates, float rate, memo), the memo holding
+    # the point's grid best and polishes across its searches
     ranked: dict[tuple, tuple] = {}
 
     def grids(kind: EstimatorKind, ds):
-        # ((kind, d), (grid rates, float rate)) of each distance of ds
+        # ((kind, d), (grid rates, float rate, {})) of each distance of ds
         Ts = [fiber_transmission(d, loss_db_per_km) for d in ds]
-        return zip([(kind, d) for d in ds],
-                   _ranked_grids(xi, beta, N, z, kinds[kind], Ts, ms))
+        return (((kind, d), (raw, rate, {})) for d, (raw, rate) in
+                zip(ds, _ranked_grids(xi, beta, N, z, kinds[kind], Ts, ms)))
 
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
         seeds = [s for s in (seed_of.get(kind), *extra) if s is not None]
-        r = _optimize_ranked(*ranked[kind, d], N, seeds)
+        raw, rate, memo = ranked[kind, d]
+        r = _optimize_ranked(raw, rate, N, seeds, memo)
         evaluations += r.evaluations
         if r.best_key_rate > 0.0:
             seed_of[kind] = (r.best_V_A, r.best_m_fraction)

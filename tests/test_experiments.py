@@ -5,7 +5,9 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -770,6 +772,20 @@ def test_simulate_refuses_blocks_above_its_limit(tmp_path, monkeypatch):
                  f"N = {cli._MAX_SIMULATE_N}\nm = 100\n")
 
 
+def test_simulate_refuses_one_state_past_its_limit(tmp_path, monkeypatch):
+    """N = 10_000_001, one state past the limit of 1e7, exits 2 with the
+    limit message, before any state is drawn."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("simulate drew a session")
+
+    monkeypatch.setattr(experiments, "sample_session", no_sampling)
+    rc, err = _cli_run(tmp_path, "simulate", "N = 10000001\nm = 100\n")
+    assert rc == 2
+    assert err == ("cvqkd: config error: simulate holds every state in "
+                   "memory: N = 10000001 is above its limit of 10000000 "
+                   "states\n"), err
+
+
 @pytest.mark.parametrize("verb", ["validate", "fig1"])
 def test_monte_carlo_verbs_refuse_trials_above_their_limit(tmp_path,
                                                            monkeypatch, verb):
@@ -823,23 +839,72 @@ PINNED_DEFAULT_TABLES = {
 _TABLE_VERB = {"fig2_trace": "fig2"}
 
 
+def _pinned_argv(verb, out):
+    """cli.main's argv for the PINNED_DEFAULT_TABLES id ``verb``, writing
+    to the directory ``out``."""
+    command, _, convention = verb.partition("-")
+    argv = [_TABLE_VERB.get(command, command), "--out", str(out)]
+    if convention:
+        argv += ["--convention", convention]
+    return argv
+
+
+def _assert_pinned_table(out, verb):
+    """The table of the PINNED_DEFAULT_TABLES id ``verb`` in the directory
+    ``out`` has its pinned row count and digest."""
+    name, n_rows, digest = PINNED_DEFAULT_TABLES[verb]
+    with open(out / name, newline="") as fh:
+        rows = [line.rstrip("\r\n") for line in fh if not line.startswith("#")]
+    assert len(rows) == n_rows, verb
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest, verb
+
+
 @pytest.mark.parametrize("verb", sorted(PINNED_DEFAULT_TABLES))
 def test_default_outputs_match_pinned_digests(tmp_path, verb):
     """The default-config tables stay byte for byte what they were when
     pinned; the paper convention's fig2 and fig3 are pinned row by row in
     the benchmark's expected outputs."""
-    name, n_rows, digest = PINNED_DEFAULT_TABLES[verb]
-    command, _, convention = verb.partition("-")
-    command = _TABLE_VERB.get(command, command)
-    argv = [command, "--out", str(tmp_path)]
-    if convention:
-        argv += ["--convention", convention]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-    with open(tmp_path / name, newline="") as fh:
-        rows = [line.rstrip("\r\n") for line in fh if not line.startswith("#")]
-    assert len(rows) == n_rows
-    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+        assert cli.main(_pinned_argv(verb, tmp_path)) == 0
+    _assert_pinned_table(tmp_path, verb)
+
+
+# every SIMD target numpy 2.4 dispatches to on x86-64 above its X86_V2
+# baseline
+_NUMPY_DISPATCH = "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="numpy's x86-64 dispatch targets")
+def test_default_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    """The default-config tables keep their pinned digests with numpy's
+    dispatch above the x86-64 baseline switched off, in a fresh
+    interpreter, as NPY_DISABLE_CPU_FEATURES acts only at import. np.log2
+    gives other bits on a few inputs at another dispatch level; the array
+    rates only rank grid cells and the float path writes every output
+    value, so no output moves."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_dispatch__, "
+        "__cpu_features__\n"
+        "from cvqkd import cli\n"
+        "on = [f for f in __cpu_dispatch__ if __cpu_features__[f]]\n"
+        "assert not on, on\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+    )
+    verbs = sorted(PINNED_DEFAULT_TABLES)
+    argvs = [_pinned_argv(verb, tmp_path / verb) for verb in verbs]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src,
+               NPY_DISABLE_CPU_FEATURES=_NUMPY_DISPATCH)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    for verb in verbs:
+        _assert_pinned_table(tmp_path / verb, verb)
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -119,6 +119,30 @@ def test_grid_counts_every_cell():
     assert res.evaluations == 576 + sum(row[-1] for row in res.trace[1:])
 
 
+def test_grid_best_rescores_every_cell_within_the_grid_tolerance():
+    """The float rate's best cell can sit just below the array's top cell,
+    the two paths differing by up to _GRID_TOL each: on a synthetic
+    576-cell row and a stub float rate, the cell 1e-12 below the top one
+    is the float best, and _grid_best finds it."""
+    N = 10**5
+    n = len(_FRACS)
+    cell = {(10.0 ** _LOG_VAS[i // n], _round_m(_FRACS[i % n], N)): i
+            for i in range(len(_LOG_VAS) * n)}
+    assert len(cell) == 576
+    top, near = 300, 17
+    raw = np.full(576, -1.0)
+    raw[top], raw[near] = 0.5, 0.5 - 1e-12
+    # each float rate within 0.6e-12 of its array rate
+    floats = dict(enumerate(raw.tolist()))
+    floats[top], floats[near] = 0.5 - 0.6e-12, 0.5 - 0.4e-12
+
+    def rate(V_A, m):
+        return (floats[cell[V_A, m]],)
+
+    assert optimizer._grid_best(raw, rate, N) == (
+        floats[near], _LOG_VAS[near // n], _FRACS[near % n])
+
+
 def test_optimizer_rejects_an_unphysical_channel():
     with pytest.raises(ValueError):
         optimize_key_rate(XI, BETA, 10**5, T=10.0)
@@ -645,6 +669,34 @@ def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
         range_limit_ratio(XI, BETA, N, denominator=denominator)
         assert len(grids) <= calls and sum(grids) <= ranked
         assert max(grids) <= _T_BLOCK
+
+
+# Nelder-Mead polishes run by each benchmark ratio call; 43 / 45 / 58, 22
+# of them repeats, when each search polished its starts afresh
+RATIO_POLISHES = {(10**5, EstimatorKind.SIGMA2_MLE): 43,
+                  (10**5, EstimatorKind.SIGMA2_OPT): 33,
+                  (10**9, EstimatorKind.SIGMA2_OPT): 48}
+
+
+def test_range_limit_ratio_polishes_each_start_once(monkeypatch):
+    """range_limit_ratio keeps each (estimator, distance) point's polishes,
+    one float rate built per point, so it polishes no start of a point
+    twice: not the boundary searched again at offset 0, not a seed at its
+    point's best grid cell and not sigma2_opt's own point when it is the
+    denominator too. A reused polish still counts its evaluations, which
+    RATIO_PINS freezes."""
+    starts = []
+    polish = optimizer._nelder_mead_2d
+
+    def spy(rate, N, x0, y0, *args, **kwargs):
+        starts.append((rate, x0, y0))
+        return polish(rate, N, x0, y0, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_nelder_mead_2d", spy)
+    for (N, denominator), count in RATIO_POLISHES.items():
+        starts.clear()
+        range_limit_ratio(XI, BETA, N, denominator=denominator)
+        assert len(starts) == len(set(starts)) == count
 
 
 @pytest.mark.parametrize("xi, beta", [(float("nan"), BETA),
