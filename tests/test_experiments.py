@@ -154,25 +154,43 @@ def test_monte_carlo_validate_writes_report(tmp_path):
     assert "OVERALL:" in summary
 
 
-def test_monte_carlo_validate_reports_z_scores(tmp_path):
+def test_monte_carlo_validate_reports_z_scores(tmp_path, monkeypatch):
+    """Each statistical row reports its z and passes exactly when its
+    observed value is within its tolerance. The tolerances are narrowed so
+    that each check has passing and failing rows, some bias rows failing
+    at a |z| below twice the bound."""
+    monkeypatch.setattr(experiments, "STD_RATIO_TOL", 0.03)
+    monkeypatch.setattr(experiments, "BIAS_SIGMAS", 1.0)
+    monkeypatch.setattr(experiments, "CORR_TOL", 0.04)
     cfg = _small_cfg()
     rows, _ = monte_carlo_validate(cfg, str(tmp_path))
     _, _, table = _read_table(tmp_path / "validate_report.csv")
     trials = cfg.trials
+    seen = {}
     for r, cells in zip(rows, table):
-        check, observed, expected, z = r[0], r[3], r[4], r[7]
+        check, observed, expected, tol, status, z = (r[0], r[3], r[4], r[5],
+                                                     r[6], r[7])
         if check == "std_ratio":
             want = np.log(observed / expected) * np.sqrt(2.0 * (trials - 1))
+            within = abs(observed / expected - 1.0) <= tol
         elif check == "bias":
-            # the bias tolerance is 3 standard errors
-            want = observed / (r[5] / 3.0)
+            # the bias tolerance is BIAS_SIGMAS standard errors
+            want = observed / (tol / experiments.BIAS_SIGMAS)
+            within = abs(observed) <= tol
         elif check == "corr_mle_mm_key":
             want = observed * np.sqrt(trials)
+            within = abs(observed) <= tol
         else:
             assert z is None and cells[7] == ""
             continue
         assert z == pytest.approx(want, rel=1e-9, abs=1e-12)
         assert float(cells[7]) == z
+        assert status == ("pass" if within else "FAIL"), (check, observed)
+        seen.setdefault(check, set()).add(status)
+    assert seen == {check: {"pass", "FAIL"}
+                    for check in ("std_ratio", "bias", "corr_mle_mm_key")}
+    assert any(status == "FAIL" and abs(z) <= 2.0 * experiments.BIAS_SIGMAS
+               for check, *_, status, z in rows if check == "bias")
 
 
 def test_monte_carlo_validate_is_byte_deterministic(tmp_path):

@@ -143,6 +143,23 @@ def test_grid_best_rescores_every_cell_within_the_grid_tolerance():
         floats[near], _LOG_VAS[near // n], _FRACS[near % n])
 
 
+def test_grid_best_reads_a_nan_cell_as_the_row_max_does():
+    """A NaN cell makes the row's top NaN, as raw.max() makes it, so no
+    cell compares with it and _grid_best re-scores cell 0 alone, even
+    beside a positive cell."""
+    raw = np.full(576, -1.0)
+    raw[300], raw[17] = 0.5, np.nan
+    scored = []
+
+    def rate(V_A, m):
+        scored.append((V_A, m))
+        return (-1.0,)
+
+    assert optimizer._grid_best(raw, rate, 10**5) == (
+        -1.0, _LOG_VAS[0], _FRACS[0])
+    assert scored == [(10.0 ** _LOG_VAS[0], _round_m(_FRACS[0], 10**5))]
+
+
 def test_optimizer_rejects_an_unphysical_channel():
     with pytest.raises(ValueError):
         optimize_key_rate(XI, BETA, 10**5, T=10.0)
@@ -322,18 +339,30 @@ def test_column_ranking_matches_per_transmission_kernel_calls(monkeypatch,
         assert repr(single) == repr(runs[1][2][7])
 
 
-def test_column_ranking_stays_within_the_grid_tolerance(monkeypatch):
-    """Every cell of a ranked block is key_rate_finite's raw rate within
-    _GRID_TOL."""
-    N = 10**7
-    kind = EstimatorKind.SIGMA2_OPT
-    Ts, rows, _ = _ranked_rows(monkeypatch, _T_BLOCK, N, kind)
-    for T, raw in zip(Ts, rows):
-        scalar = np.array([
-            key_rate_finite(10.0 ** lv, T, XI, BETA, N, _round_m(fr, N),
-                            1e-10, kind).key_rate_raw
-            for lv in _LOG_VAS for fr in _FRACS])
-        assert np.max(np.abs(raw - scalar)) <= _GRID_TOL
+def test_column_ranking_stays_within_the_grid_tolerance():
+    """Over the default grids, each block size of the default n_list, each
+    kind and the 41 distances of COLUMN_KM, every ranked cell's array rate
+    is its float raw rate within 1e-13 (the measured maximum is 5.4e-14),
+    which _GRID_TOL bounds with room; and _grid_best re-scores 729 cells
+    of those 492 grids with the float rate, which a looser _GRID_TOL would
+    raise."""
+    z = confidence_quantile(1e-10)
+    Ts = [fiber_transmission(d) for d in COLUMN_KM]
+    gap, rescored = 0.0, []
+    for N in ExperimentConfig().n_list:
+        for kind in KEY_RATE_ESTIMATORS:
+            for raw, rate in optimizer._ranked_grids(
+                    XI, BETA, N, z, kind, Ts, optimizer._grid_ms(N)):
+                floats = np.array([rate(10.0 ** lv, _round_m(fr, N))[1]
+                                   for lv in _LOG_VAS for fr in _FRACS])
+                gap = max(gap, np.max(np.abs(raw - floats)))
+
+                def counted(V_A, m, rate=rate):
+                    rescored.append((V_A, m))
+                    return rate(V_A, m)
+                optimizer._grid_best(raw, counted, N)
+    assert gap <= 1e-13 < _GRID_TOL
+    assert len(rescored) == 729
 
 
 def test_one_failed_cell_fails_its_block():
@@ -913,7 +942,7 @@ _BLOCK = "N must be >= 3"
                  _CHANNEL, id="optimize_key_rate-xi"),
     pytest.param(lambda: optimize_key_rate(XI, BETA, 10**5, T=-0.1),
                  _CHANNEL, id="optimize_key_rate-T"),
-    pytest.param(lambda: optimize_key_rate(XI, BETA, 1, T=0.5),
+    pytest.param(lambda: optimize_key_rate(XI, BETA, 2, T=0.5),
                  _BLOCK, id="optimize_key_rate-N"),
     pytest.param(lambda: optimize_key_rates(-0.01, BETA, 10**5,
                                             Ts=[0.9, 0.5]),

@@ -239,24 +239,27 @@ def test_symplectic_eigenvalues_match_brute_force():
                                               abs=1e-10)
 
 
+# (a, b, c) failing each eigenvalue check of the Holevo term, in the order
+# the checks run, with the float path's message
+EIGENVALUE_FAILURES = [
+    ((2.0, 3.0, 3.0), "complex symplectic spectrum (-11.0)"),
+    ((1.852533774049284, 1.8525337740492853, 1.8525337740492847),
+     "negative squared eigenvalue (-8.881784197001252e-16)"),
+    ((0.5, 0.5, 0.0), "unphysical covariance matrix (0.5)"),
+    ((-2.0, -2.0, 0.0), "negative conditional variance (-2.0)"),
+    ((0.5, -3.0, 1.0), "unphysical conditional state (0.6454972243679028)"),
+]
+
+
 def test_symplectic_eigenvalues_reject_unphysical_matrix():
     """Each eigenvalue check raises with its own message: a complex
     symplectic spectrum (c > (a + b)/2), a squared eigenvalue that
     round-off makes negative, nu2 < 1, a negative conditional variance
     and nu3 < 1. The grid path raises the same check's message, "... on
     the rate grid", for the case in a cell beside the physical (4, 4, 1)."""
-    cases = [
-        ((2.0, 3.0, 3.0), "complex symplectic spectrum (-11.0)"),
-        ((1.852533774049284, 1.8525337740492853, 1.8525337740492847),
-         "negative squared eigenvalue (-8.881784197001252e-16)"),
-        ((0.5, 0.5, 0.0), "unphysical covariance matrix (0.5)"),
-        ((-2.0, -2.0, 0.0), "negative conditional variance (-2.0)"),
-        ((0.5, -3.0, 1.0),
-         "unphysical conditional state (0.6454972243679028)"),
-    ]
     physical = (4.0, 4.0, 1.0)
     assert _holevo_grid(*(np.array([v]) for v in physical)) >= 0.0
-    for abc, message in cases:
+    for abc, message in EIGENVALUE_FAILURES:
         with pytest.raises(ValueError) as info:
             _holevo(*abc)
         assert str(info.value) == message
@@ -266,17 +269,49 @@ def test_symplectic_eigenvalues_reject_unphysical_matrix():
                                    + " on the rate grid")
 
 
+def test_grid_checks_skip_nan_cells_and_pass_an_empty_grid():
+    """Each grid check reads its cells as a cell-wise compare does: a NaN
+    cell never fails it, so a block of a physical cell, a NaN cell and a
+    failing one raises the failing cell's message, a block whose only
+    other cell is NaN gives that cell a NaN term, and a grid of no
+    transmissions is an empty result."""
+    physical, nan_cell = (4.0, 4.0, 1.0), (4.0, math.nan, 1.0)
+    for abc, message in EIGENVALUE_FAILURES:
+        with pytest.raises(ValueError) as info:
+            _holevo_grid(*(np.array(cells)
+                           for cells in zip(physical, nan_cell, abc)))
+        assert str(info.value) == (message.rsplit(" (", 1)[0]
+                                   + " on the rate grid")
+    s = _holevo_grid(*(np.array(cells) for cells in zip(physical, nan_cell)))
+    assert s[0] == _holevo(*physical) and math.isnan(s[1])
+    vas = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
+    ms = np.array([_round_m(f, 10**5) for f in _FRACS])[None, :]
+    for kind in KEY_RATE_ESTIMATORS:
+        grid = _grid_rate(vas, np.empty((0, 1, 1)), 0.01, 0.95, 10**5, ms,
+                          kind)
+        assert grid.shape == (0, len(_LOG_VAS), len(_FRACS))
+
+
 def test_near_pure_states_pass_the_eigenvalue_checks():
     """At T = 1 and a tiny xi the discriminant is about 0, and the square
     root of its round-off moves nu2 by more than the 1e-9 tolerance; the
-    checks read well-conditioned forms, so these states are physical."""
+    checks read well-conditioned forms, so these states are physical, on
+    both paths."""
+    states = []
     for V_A in (1.03, 11.0, 100.0, 1000.0):
         for xi in (0.0, 1e-14, 2.3e-10, 1e-8, 1e-6):
+            states.append(_channel_abc(V_A, 1.0, xi))
             # 1 <= nu2 <= nu1 < 1.001 bounds S(AB), and so the term
-            assert 0.0 <= _holevo(*_channel_abc(V_A, 1.0, xi)) < 2.0 * entropy(
-                1.001)
+            assert 0.0 <= _holevo(*states[-1]) < 2.0 * entropy(1.001)
             assert key_rate_asymptotic(V_A, 1.0, xi, 0.95).key_rate > 0.0
             _grid_rate([V_A], 1.0, xi, 0.95, 10**5, [5e4])
+    # at V_A = 3000 the discriminant's own round-off is below -1e-9
+    states.append(_channel_abc(3000.0, 1.0, 2.3e-10))
+    assert 0.0 <= _holevo(*states[-1]) < 2.0 * entropy(1.001)
+    # one block, in which nu2 falls below 1 - 1e-9 at V_A = 1000, xi = 1e-8
+    grid = _holevo_grid(*(np.array(column) for column in zip(*states)))
+    np.testing.assert_allclose(grid, [_holevo(*abc) for abc in states],
+                               rtol=1e-9, atol=1e-12)
 
 
 def test_conditional_eigenvalue_matches_schur_complement():
@@ -306,6 +341,25 @@ def test_g_entropy_reference_points():
     # an eigenvalue that far below 1 is rejected
     with pytest.raises(ValueError, match="unphysical covariance matrix"):
         _holevo(0.8, 1.0, 0.0)
+
+
+def test_holevo_holds_only_round_off_below_zero():
+    """S(AB) - S(A|y) of a physical state is >= 0, and a term within 1e-9
+    below 0 is round-off, held at 0; one further below is returned as it
+    is, on both paths. Both inputs are the pure state of V_A = 0.25
+    through T = 1 (a = b = 1.25, c = 0.75) with a raised and b lowered by
+    1e-12, then by 1e-9, which the checks' 1e-9 tolerance lets pass: the
+    spectrum rounds to nu1 = nu2 = 1, while nu3 ends above 1, so the term
+    is -g(nu3), -1.7e-11 and then -1.3e-8."""
+    assert _holevo(1.25 + 1e-12, 1.25 - 1e-12, 0.75) == 0.0
+    a, b = 1.25 + 1e-9, 1.25 - 1e-9
+    kept = _holevo(a, b, 0.75)
+    assert kept == -entropy(math.sqrt(a * (a - 0.75 * 0.75 / b)))
+    assert -1e-7 < kept < -1e-8
+    grid = _holevo_grid(np.array([1.25 + 1e-12, a]),
+                        np.array([1.25 - 1e-12, b]), np.full(2, 0.75))
+    assert grid[0] == 0.0
+    assert grid[1] == pytest.approx(kept, rel=1e-12)
 
 
 def test_nan_entropy_propagates_to_the_rates():
