@@ -4,9 +4,10 @@ The rate is cheap to evaluate (closed form), so a coarse deterministic
 grid over (V_A, m/N) followed by a Nelder-Mead polish is enough. V_A is
 searched on a log scale; the revealed fraction linearly.
 ``optimize_key_rates`` optimizes the table fig2 and fig3 write at one
-block size, a column of transmissions per estimator kind; one call of
-the rate's array path, ``security._rate_grid``, ranks the grids of a
-block of at most _T_BLOCK transmissions (a constant, not a parameter).
+block size, a row of estimator kinds at each transmission; one call of
+the rate's array path, ``security._rate_grid``, ranks the grids of every
+kind at a block of transmissions, as many as the budget of _GRID_CELLS
+grid cells a call holds (a constant, not a parameter).
 The re-scored grid cells, any seeds, the polish and the cross re-score
 of each cell call the float path, ``security._rate_at``, built once per
 transmission and kind before its block is ranked, so a bad channel or
@@ -126,13 +127,16 @@ _MAXITER = 400
 _BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
 # the grid's V_A column, as _rate_grid takes it
 _GRID_VAS = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
-# Transmissions whose grids one _rate_grid call ranks, as (block, 24, 24)
-# arrays. A call's fixed cost is most of its time at one transmission;
-# at 8 it is spread thin. Ranking the 41 default distances (N = 1e5 and
-# 1e9, best of 9 in each of four runs, 2-vCPU Xeon, 2026-10-19) takes
-# 118-145 us a transmission one at a time, 47-83 us in blocks of 8 and
-# 70-110 us in one call, whose temporaries peak at 4.0 MB against 0.78.
-_T_BLOCK = 8
+# Grid cells one _rate_grid call ranks: a block of transmissions takes
+# every kind asked for, as (kinds, block, 24, 24) arrays, and holds as
+# many transmissions as keep it within this budget, at least one; 8 at
+# three kinds, 24 at one. A call's fixed cost is most of its time at one
+# grid: 181-191 us a grid at 1 grid a call, 104-111 at 3, 54-55 at 12 and
+# 42-46 at 24 (medians of 15 runs of 20 calls, three processes, each
+# after a fig2 table pass; 2-vCPU Xeon, numpy 2.4.6, 2026-10-20). Budgets
+# of 36 to 72 grids ran the five rate tables within the spread of
+# repeated runs at this one.
+_GRID_CELLS = 8 * 3 * 576
 
 # bound on the gap between the raw rates of the array path (_rate_grid)
 # and of the float path (key_rate_finite.key_rate_raw) over the
@@ -402,23 +406,23 @@ def optimize_key_rates(xi: float, beta: float, N: int,
     """The optimizer's table: at each transmission of ``Ts``, in order, one
     optimum per kind of ``estimator_kinds``, in order.
 
-    Each kind's column is ranked in blocks and each cell polished on its
-    own, then crossed with the other kinds' optima at its transmission
-    (``_cross``); with one kind each result is ``optimize_key_rate``'s.
+    Every kind of a block of transmissions is ranked at once and each
+    cell polished on its own, then crossed with the other kinds' optima
+    at its transmission (``_cross``); with one kind each result is
+    ``optimize_key_rate``'s.
     """
     z = confidence_quantile(epsilon_pe, convention)
     kinds = [_key_rate_kind(k) for k in estimator_kinds]
     if not kinds:
         raise ValueError("estimator_kinds must not be empty")
     ms = _grid_ms(N)
-    # each kind's column of (float rate, optimum)
-    columns = [[(rate, _optimize_ranked(raw, rate, N, ()))
-                for raw, rate in _ranked_grids(xi, beta, N, z, kind, Ts, ms)]
-               for kind in kinds]
+    # each transmission's row of (float rate, optimum), one per kind
+    rows = [[(rate, _optimize_ranked(raw, rate, N, ())) for raw, rate in row]
+            for row in _ranked_grids(xi, beta, N, z, kinds, Ts, ms)]
     return [[_cross(rate, N, own, [o for k, (_, o) in zip(kinds, row)
                                    if k is not kind])
              for kind, (rate, own) in zip(kinds, row)]
-            for row in zip(*columns)]
+            for row in rows]
 
 
 def _cross(rate, N: int, own: OptimizationResult,
@@ -452,27 +456,32 @@ def _grid_ms(N: int):
     return np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
 
 
-def _ranked_grids(xi: float, beta: float, N: int, z: float,
-                  kind: EstimatorKind, Ts, ms):
-    """(grid rates, float rate) of each transmission of ``Ts``, in order:
-    the raw array rates of its 24 x 24 cells, flattened, and its built
-    float rate, ``security._rate_at``; ``ms`` is ``_grid_ms(N)``. One
-    _rate_grid call ranks each block of up to _T_BLOCK transmissions, V_A
-    outer and fraction inner, when the first of them is asked for, after
-    the block's float rates are built, so their checks fire before numpy
-    sees the block."""
-    for i in range(0, len(Ts), _T_BLOCK):
-        block = Ts[i:i + _T_BLOCK]
-        rates = [_rate_at(T, xi, beta, N, z, kind) for T in block]
-        yield from zip(_rank(block, xi, beta, N, z, kind, ms), rates)
+def _ranked_grids(xi: float, beta: float, N: int, z: float, kinds, Ts, ms):
+    """Each transmission of ``Ts``, in order, as one (grid rates, float
+    rate) pair per kind of ``kinds``, in order: the raw array rates of its
+    24 x 24 cells, flattened, and its built float rate,
+    ``security._rate_at``; ``ms`` is ``_grid_ms(N)``. One _rate_grid call
+    ranks each block of transmissions, every kind at once, V_A outer and
+    fraction inner, when the first of them is asked for, after the
+    block's float rates are built, so their checks fire before numpy sees
+    the block. A block holds as many transmissions as _GRID_CELLS allows
+    at this many kinds."""
+    step = max(1, _GRID_CELLS // (len(kinds) * _GRID_VAS.size * len(ms)))
+    for i in range(0, len(Ts), step):
+        block = Ts[i:i + step]
+        rates = [[_rate_at(T, xi, beta, N, z, kind) for kind in kinds]
+                 for T in block]
+        raws = _rank(block, xi, beta, N, z, kinds, ms).swapaxes(0, 1)
+        yield from ([*zip(raw, row)] for raw, row in zip(raws, rates))
 
 
-def _rank(Ts, xi: float, beta: float, N: int, z: float, kind: EstimatorKind,
-          ms):
-    """The raw array rates of the grids at the transmissions ``Ts``, one
-    flattened row each, from one _rate_grid call."""
+def _rank(Ts, xi: float, beta: float, N: int, z: float, kinds, ms):
+    """The raw array rates of the grids at the transmissions ``Ts`` for
+    each kind of ``kinds``, one flattened row per (kind, transmission),
+    from one _rate_grid call."""
     return _rate_grid(_GRID_VAS, np.array(Ts, dtype=float)[:, None, None],
-                      xi, beta, N, ms, z, kind).reshape(len(Ts), -1)
+                      xi, beta, N, ms, z, kinds).reshape(len(kinds), len(Ts),
+                                                         -1)
 
 
 def _grid_best(raw, rate, N: int):
@@ -611,8 +620,8 @@ def maximum_distance(xi: float, beta: float, N: int,
         rate = _rate_at(T, xi, beta, N, z, kind)
         if cell is not None and (k := rate(*cell)[0]) > 0.0:
             return k
-        k, lv, fr = _grid_best(_rank([T], xi, beta, N, z, kind, ms)[0], rate,
-                               N)
+        k, lv, fr = _grid_best(_rank([T], xi, beta, N, z, [kind], ms)[0, 0],
+                               rate, N)
         if k > 0.0:
             cell = 10.0 ** lv, _round_m(fr, N)
         return k
@@ -637,11 +646,13 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     there, polished also from continuation seeds, the positive optima of
     earlier probes, which keep the search from losing the shrinking
     positive region. A grid's ranking needs no seed, so it goes through
-    lazy ``_ranked_grids`` streams, each (estimator, distance) pair once:
-    the ``_LADDER`` is one stream, ranked a block of up to _T_BLOCK rungs
-    at a time as far as the search climbs it, each bisection probe is
-    ranked alone, and the sampled offsets not yet ranked are ranked per
-    estimator in one pass. Each (estimator, distance) point keeps a
+    lazy ``_ranked_grids`` streams, each (estimator, distance) point
+    keeping the record of its first ranking:
+    the ``_LADDER`` is one stream, ranked in blocks within the cell budget
+    (the whole ladder in one) as far as the search climbs it, each
+    bisection probe is ranked alone, and both estimators go through one
+    stream at each sampled offset either of them lacks, a point ranked
+    already keeping its record. Each (estimator, distance) point keeps a
     record across its searches: its grid best, and the result of each
     polish run there, keyed by the start's exact (log10 V_A, m/N). A later
     search at the point reuses it, as the polish is deterministic in its
@@ -660,11 +671,14 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     # the point's grid best and polishes across its searches
     ranked: dict[tuple, tuple] = {}
 
-    def grids(kind: EstimatorKind, ds):
+    def grids(ks, ds):
         # ((kind, d), (grid rates, float rate, {})) of each distance of ds
+        # and kind of ks, all kinds of a distance in turn
         Ts = [fiber_transmission(d, loss_db_per_km) for d in ds]
-        return (((kind, d), (raw, rate, {})) for d, (raw, rate) in
-                zip(ds, _ranked_grids(xi, beta, N, z, kinds[kind], Ts, ms)))
+        return (((kind, d), (raw, rate, {}))
+                for d, row in zip(ds, _ranked_grids(
+                    xi, beta, N, z, [kinds[k] for k in ks], Ts, ms))
+                for kind, (raw, rate) in zip(ks, row))
 
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
@@ -677,11 +691,11 @@ def range_limit_ratio(xi: float, beta: float, N: int,
         return r
 
     # the search probes each rung once, in order, then bisects between two
-    ladder = grids(denominator, _LADDER)
+    ladder = grids([denominator], _LADDER)
 
     def probe(d: float) -> float:
         ranked.update([next(ladder if d in _LADDER
-                            else grids(denominator, [d]))])
+                            else grids([denominator], [d]))])
         return opt(denominator, d).best_key_rate
 
     boundary, positive_at_zero, _ = _last_positive(probe, 5e-4)
@@ -690,8 +704,11 @@ def range_limit_ratio(xi: float, beta: float, N: int,
 
     ds = [boundary - w for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)]
     ds = [d for d in ds if d >= 0.0]
-    for kind in kinds:
-        ranked.update(grids(kind, [d for d in ds if (kind, d) not in ranked]))
+    # both kinds of each offset that either lacks, in one stream; a point
+    # ranked already keeps its record
+    for key, value in grids(list(kinds), [d for d in ds if any(
+            (kind, d) not in ranked for kind in kinds)]):
+        ranked.setdefault(key, value)
     rows = []
     max_ratio = 0.0
     for d in ds:

@@ -38,8 +38,9 @@ re-scores (``_rate_at``, once per transmission and estimator) and its
 asymptotic search (``_asymptotic_at``, once per transmission);
 ``key_rate_finite`` and ``key_rate_asymptotic`` build one for a single
 evaluation. ``_rate_grid`` takes numpy arrays, for the
-optimizer's grid, ranked for a block of transmissions at once (so T is
-an array there too), and raises if any cell fails a check.
+optimizer's grid, ranked for a block of transmissions and a list of
+estimator kinds at once (so T is an array there too, and the result has
+one slice per kind), and raises if any cell of any kind fails a check.
 
 Each path is the better one on its own input. numpy's log2 and powers
 differ from math's in the last bit (log2 on 24 to 172 of 100k random
@@ -51,8 +52,9 @@ Python 3.11.7, numpy 2.4.6). The grid takes sigma2, Var(t_hat) and the
 sigma2 variance from ``_sigma2``, ``var_t_mle`` and the estimators' one
 kind -> variance table; the float rate restates the last two inline.
 tests/test_security.py checks the float rate bit for bit against a
-reference composed of those functions, and the two paths against each
-other cell by cell.
+reference composed of those functions, the grid of several kinds bit for
+bit against a reference that computes one kind at a time, and the two
+paths against each other cell by cell.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ __all__ = [
 _NU_TOL = 1e-9
 _NEG_NU_TOL = -_NU_TOL
 _NU_FLOOR = 1.0 - _NU_TOL
-# the smallest normal float, the floor of _g_grid's log2 argument
+# the smallest normal float, the floor of the grid entropy's log2 argument
 _TINY = float_info.min
 
 KEY_RATE_ESTIMATORS = (
@@ -330,61 +332,98 @@ def _asymptotic_at(T, xi, beta):
 # of _rate_at cell by cell, with the same operations in the same order, and a
 # check that raises ValueError("<what> on the rate grid") if any cell
 # fails it. numpy's log2 and powers may differ from math's in the last
-# bit; tests/test_security.py bounds the gap cell by cell.
-
-def _g_grid(x):
-    # g(0) = 1*log2(1) - 0*log2(tiny) = 0 exactly, and NaN stays NaN
-    x1 = x + 1.0
-    return x1 * np.log2(x1) - x * np.log2(np.maximum(x, _TINY))
-
+# bit; tests/test_security.py bounds the gap cell by cell. One call ranks
+# several estimator kinds: the terms that do not depend on the kind are
+# computed once, and the kinds' b are stacked on a leading axis, which
+# _holevo_grid runs over in one pass.
 
 def _holevo_grid(a, b, c):
+    # a, b and c broadcast against each other, b with the full shape (it
+    # may stack the kinds on a leading axis that a and c lack). The
+    # intermediates of b's shape live in three (3, ...) buffers of one
+    # allocation, written in place with each product in the order of the
+    # float path's, so every cell gets the bits it gets alone: delta, d
+    # and disc (later the conditional variance, then x + 1 and x*log2(x))
+    # in ``work``, the eigenvalues (later the entropies' x) in ``nu`` and
+    # the entropies in ``g``.
     # Each check's first condition reads the least cell, NaN cells skipped
     # as a compare skips them and inf on an empty grid: one C reduction in
     # place of "(x < bound).any()". Its second, costlier condition is
     # computed only when the first one fires.
-    aa, bb, cc = a * a, b * b, c * c
-    delta = aa + bb - 2.0 * cc
-    d = a * b - cc
-    disc = delta * delta - 4.0 * d * d
+    work, nu, g = np.empty((3, 3, *b.shape))
+    delta, d, disc = work
+    nu1, nu2, nu3 = nu
+    cc = c * c
+    np.multiply(b, b, out=delta)
+    delta += a * a
+    delta -= 2.0 * cc
+    np.multiply(a, b, out=d)
+    d -= cc
+    np.multiply(4.0, d, out=disc)
+    disc *= d
+    np.subtract(np.multiply(delta, delta, out=nu3), disc, out=disc)
     if np.fmin.reduce(disc, axis=None, initial=np.inf) < _NEG_NU_TOL and (
             (disc < _NEG_NU_TOL)
             & ((a - b) ** 2 * _split(a, b, c) < _NEG_NU_TOL)).any():
         raise ValueError("complex symplectic spectrum on the rate grid")
-    root = np.sqrt(np.maximum(disc, 0.0))
-    nu1 = np.sqrt((delta + root) / 2.0)
-    nu2_sq = (delta - root) / 2.0
+    root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    np.add(delta, root, out=nu1)
+    nu1 /= 2.0
+    np.sqrt(nu1, out=nu1)
+    nu2_sq = np.subtract(delta, root, out=nu2)
+    nu2_sq /= 2.0
     if np.fmin.reduce(nu2_sq, axis=None, initial=np.inf) < 0.0:
         raise ValueError("negative squared eigenvalue on the rate grid")
-    nu2 = np.sqrt(nu2_sq)
+    np.sqrt(nu2_sq, out=nu2)
     if np.fmin.reduce(nu2, axis=None, initial=np.inf) < _NU_FLOOR:
         factored = abs(a - b) * np.sqrt(np.maximum(_split(a, b, c), 0.0))
         if ((nu2 < _NU_FLOOR)
                 & (d < _NU_FLOOR * np.sqrt((delta + factored) / 2.0))).any():
             raise ValueError("unphysical covariance matrix on the rate grid")
-    reduced = a - cc / b
+    reduced = np.subtract(a, np.divide(cc, b, out=disc), out=disc)
     if np.fmin.reduce(reduced, axis=None, initial=np.inf) < _NEG_NU_TOL:
         raise ValueError("negative conditional variance on the rate grid")
-    nu3 = np.sqrt(a * np.maximum(reduced, 0.0))
+    np.multiply(a, np.maximum(reduced, 0.0, out=reduced), out=nu3)
+    np.sqrt(nu3, out=nu3)
     if np.fmin.reduce(nu3, axis=None, initial=np.inf) < _NU_FLOOR:
         raise ValueError("unphysical conditional state on the rate grid")
-    s = (_g_grid((np.maximum(nu1, 1.0) - 1.0) / 2.0)
-         + _g_grid((np.maximum(nu2, 1.0) - 1.0) / 2.0)
-         - _g_grid((np.maximum(nu3, 1.0) - 1.0) / 2.0))
+    # g(x) = (x+1)*log2(x+1) - x*log2(x) at x = (nu - 1)/2 of each held
+    # eigenvalue, the three at once; g(0) = 1*log2(1) - 0*log2(tiny) = 0
+    # exactly, and NaN stays NaN
+    x = np.maximum(nu, 1.0, out=nu)
+    x -= 1.0
+    x /= 2.0
+    x1 = np.add(x, 1.0, out=work)
+    np.log2(x1, out=g)
+    g *= x1
+    # x*log2(x), floored at the smallest normal float, into x1's buffer
+    x_log_x = np.log2(np.maximum(x, _TINY, out=work), out=work)
+    x_log_x *= x
+    g -= x_log_x
+    s = g[0] + g[1] - g[2]
     return np.where(s > -1e-9, np.maximum(s, 0.0), s)
 
 
-def _rate_grid(V_A, T, xi, beta, N, m, z, kind):
-    """The raw rate of _rate_at at every cell of the broadcast arrays."""
+def _rate_grid(V_A, T, xi, beta, N, m, z, kinds):
+    """The raw rate of _rate_at at every cell of the broadcast arrays, for
+    each kind of ``kinds``: an array of shape (len(kinds), *cells).
+
+    sigma2, t_min, c, a and I_AB do not depend on the kind and are
+    computed once; each kind's sigma2_max comes from its entry of the
+    estimators' variance table, and its b goes into one stack."""
     n = N - m
     sigma2 = _sigma2(T, xi)
     t_min = np.maximum(np.sqrt(T) - z * np.sqrt(var_t_mle(V_A, T, sigma2, m)),
                        0.0)
-    sigma2_max = np.maximum(
-        sigma2 + z * np.sqrt(_VARIANCE[kind](V_A, T, sigma2, m, n, N, 0.0)),
-        1.0)
-    s_wc = _holevo_grid(V_A + 1.0, t_min**2 * V_A + sigma2_max,
-                        t_min * np.sqrt(V_A**2 + 2.0 * V_A))
+    # b = t_min**2*V_A + sigma2_max: the first term is every kind's, the
+    # second each kind's own
+    t2_va = t_min**2 * V_A
+    b = np.empty((len(kinds), *t2_va.shape))
+    for b_kind, kind in zip(b, kinds):
+        np.add(t2_va, np.maximum(
+            sigma2 + z * np.sqrt(_VARIANCE[kind](V_A, T, sigma2, m, n, N, 0.0)),
+            1.0), out=b_kind)
+    s_wc = _holevo_grid(V_A + 1.0, b, t_min * np.sqrt(V_A**2 + 2.0 * V_A))
     i_ab = 0.5 * np.log2(1.0 + T * V_A / sigma2)
     return (n / N) * (beta * i_ab - s_wc)
 

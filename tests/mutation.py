@@ -109,6 +109,11 @@ MUTANTS = [
      "np.fmin.reduce(nu3, axis=None) < _NU_FLOOR", SECURITY),
     ("security.py", "return np.where(s > -1e-9, np.maximum(s, 0.0), s)",
      "return np.where(s > -1e-3, np.maximum(s, 0.0), s)", SECURITY),
+    # security: the grid's stacked entropies and the kinds' order in the
+    # stack
+    ("security.py", "    s = g[0] + g[1] - g[2]", "    s = g[0] + g[1] + g[2]",
+     SECURITY),
+    ("security.py", "zip(b, kinds)", "zip(b, kinds[::-1])", SECURITY),
     # security: the rate's corner and inputs
     ("security.py", "            t_min = 0.0\n", "            t_min = 1e-9\n",
      SECURITY),
@@ -126,7 +131,8 @@ MUTANTS = [
      OPTIMIZER),
     ("optimizer.py", "    m = 2 if 2 > m else m", "    m = 1 if 1 > m else m",
      OPTIMIZER),
-    ("optimizer.py", "_T_BLOCK = 8", "_T_BLOCK = 0", OPTIMIZER),
+    ("optimizer.py", "_GRID_CELLS = 8 * 3 * 576", "_GRID_CELLS = 0",
+     OPTIMIZER),
     # channel
     ("channel.py", "    return 1.0 + T * xi", "    return 1.0 + xi",
      CHANNEL),

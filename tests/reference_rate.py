@@ -1,8 +1,12 @@
-"""The float rates composed from their named sources, the reference the
-built rates of cvqkd.security are checked against bit for bit. A helper
-module: pytest does not collect it."""
+"""The float rates composed from their named sources, and the grid's raw
+rate one kind at a time, the references the built rates and the stacked
+grid of cvqkd.security are checked against bit for bit. A helper module:
+pytest does not collect it."""
 
 from math import log2, sqrt
+from sys import float_info
+
+import numpy as np
 
 from cvqkd.channel import _sigma2
 from cvqkd.estimators import _VARIANCE, var_t_mle
@@ -37,3 +41,38 @@ def search_rate(rate, N):
     built rate ``rate`` at 10**x and _round_m(y, N)."""
     return lambda x, y: rate(10.0 ** x, _round_m(y, N))[0]
 
+
+
+def rate_grid(V_A, T, xi, beta, N, m, z, kind):
+    """The raw rate of security._rate_grid for one kind, as one grid per
+    kind computed it: every term from scratch, the Holevo term's
+    eigenvalues one array each and g of each on its own. The grid's
+    checks raise and change no value, so they are left out."""
+    n = N - m
+    sigma2 = _sigma2(T, xi)
+    t_min = np.maximum(np.sqrt(T) - z * np.sqrt(var_t_mle(V_A, T, sigma2, m)),
+                       0.0)
+    sigma2_max = np.maximum(
+        sigma2 + z * np.sqrt(_VARIANCE[kind](V_A, T, sigma2, m, n, N, 0.0)),
+        1.0)
+    a = V_A + 1.0
+    b = t_min**2 * V_A + sigma2_max
+    c = t_min * np.sqrt(V_A**2 + 2.0 * V_A)
+    aa, bb, cc = a * a, b * b, c * c
+    delta = aa + bb - 2.0 * cc
+    d = a * b - cc
+    disc = delta * delta - 4.0 * d * d
+    root = np.sqrt(np.maximum(disc, 0.0))
+    nu1 = np.sqrt((delta + root) / 2.0)
+    nu2 = np.sqrt((delta - root) / 2.0)
+    nu3 = np.sqrt(a * np.maximum(a - cc / b, 0.0))
+
+    def g(nu):
+        x = (np.maximum(nu, 1.0) - 1.0) / 2.0
+        x1 = x + 1.0
+        return x1 * np.log2(x1) - x * np.log2(np.maximum(x, float_info.min))
+
+    s = g(nu1) + g(nu2) - g(nu3)
+    s_wc = np.where(s > -1e-9, np.maximum(s, 0.0), s)
+    i = 0.5 * np.log2(1.0 + T * V_A / sigma2)
+    return (n / N) * (beta * i - s_wc)

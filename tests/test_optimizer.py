@@ -12,11 +12,11 @@ from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
     _BOUNDS,
     _FRACS,
+    _GRID_CELLS,
     _GRID_TOL,
     _GRID_VAS,
     _LOG_VAS,
     _MAXITER,
-    _T_BLOCK,
     _last_positive,
     _nelder_mead_1d,
     _nelder_mead_2d,
@@ -46,9 +46,10 @@ MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.187
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     """The grid and the scalar search share one z and one kind: one
     optimization computes each once, polish included. The float rate
-    computes sigma2 once per transmission, not once per evaluation; the
-    grid looks its form up in the variance table ("form") and computes
-    sigma2 once per block of transmissions."""
+    computes sigma2 once per transmission and kind, not once per
+    evaluation; the grid looks each kind's form up in the variance table
+    ("form") and computes sigma2 once per block of transmissions, every
+    kind of the block at once."""
     calls = dict.fromkeys(("z", "kind", "sigma2", "form"), 0)
 
     def counted(name, fn):
@@ -80,18 +81,19 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
     results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts)
-    assert len(Ts) <= _T_BLOCK
+    # the three kinds of the three transmissions fit one block
+    assert 3 * len(Ts) * 576 <= _GRID_CELLS
     assert all(r.evaluations > 576 + 20 for r, in results)
     assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts), "form": 1}
 
-    # the table: one z per call, one kind check, float rate per
-    # transmission and grid call per block for each kind
+    # the table: one z per call, one kind check and one float rate per
+    # transmission for each kind, and one grid call per block for all
     calls.update(dict.fromkeys(calls, 0))
     table = optimize_key_rates(XI, BETA, 10**7, 1e-10, KEY_RATE_ESTIMATORS,
                                Ts=Ts)
     assert [len(row) for row in table] == [3] * len(Ts)
     assert all(r.evaluations > 576 + 20 for row in table for r in row)
-    assert calls == {"z": 1, "kind": 3, "sigma2": 3 * (1 + len(Ts)),
+    assert calls == {"z": 1, "kind": 3, "sigma2": 3 * len(Ts) + 1,
                      "form": 3}
 
 
@@ -209,8 +211,8 @@ def test_key_rate_monotone_in_distance_and_block_size():
 def _ranked(N, kind, T):
     """(grid rates, float rate) of one transmission, as
     range_limit_ratio hands them to the seeded search."""
-    (raw, rate), = optimizer._ranked_grids(
-        XI, BETA, N, confidence_quantile(1e-10), kind, [T],
+    [(raw, rate)], = optimizer._ranked_grids(
+        XI, BETA, N, confidence_quantile(1e-10), [kind], [T],
         optimizer._grid_ms(N))
     return raw, rate
 
@@ -286,14 +288,14 @@ def test_asymptotic_search_runs_few_python_frames_per_evaluation():
     assert calls <= 3 * res.evaluations
 
 
-# one figure column, the default distances: 41 = 5 blocks of 8 and a
-# ragged tail of 1, ending past the range limit of every N below
+# one figure column, the default distances: at one kind, 41 = a block of
+# 24 and a ragged tail of 17, ending past the range limit of every N below
 COLUMN_KM = [float(d) for d in range(0, 201, 5)]
 
 
-def _ranked_rows(monkeypatch, block, N, kind):
+def _ranked_rows(monkeypatch, cells, N, kind):
     """The grid rates optimize_key_rates ranks for COLUMN_KM, per
-    transmission, with the column cut into blocks of ``block``."""
+    transmission, with a budget of ``cells`` grid cells per call."""
     rows = []
     ranked = optimizer._optimize_ranked
 
@@ -302,7 +304,7 @@ def _ranked_rows(monkeypatch, block, N, kind):
         return ranked(raw, rate, N, seeds)
 
     monkeypatch.setattr(optimizer, "_optimize_ranked", spy)
-    monkeypatch.setattr(optimizer, "_T_BLOCK", block)
+    monkeypatch.setattr(optimizer, "_GRID_CELLS", cells)
     Ts = [fiber_transmission(d) for d in COLUMN_KM]
     results = [r for r, in optimize_key_rates(XI, BETA, N,
                                                estimator_kinds=[kind], Ts=Ts)]
@@ -314,20 +316,22 @@ def _ranked_rows(monkeypatch, block, N, kind):
 @pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
 def test_column_ranking_matches_per_transmission_kernel_calls(monkeypatch,
                                                               kind):
-    """Blocks of 1, of _T_BLOCK with a ragged tail, and the whole column
-    rank with the raw rates of one 2-D _rate_grid call per transmission,
-    bit for bit, far distances with no positive rate included; the
-    results are those of optimize_key_rate at each transmission."""
-    assert len(COLUMN_KM) % _T_BLOCK == 1
+    """Budgets of one grid a call, the default one, whose blocks end in a
+    ragged tail, and the whole column rank with the raw rates of one 2-D
+    _rate_grid call per transmission, bit for bit, far distances with no
+    positive rate included; the results are those of optimize_key_rate at
+    each transmission."""
+    grid = len(_LOG_VAS) * len(_FRACS)
+    assert len(COLUMN_KM) % (_GRID_CELLS // grid) != 0
     z = confidence_quantile(1e-10)
     for N in (10**5, 10**12):
         ms = np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
-        runs = [_ranked_rows(monkeypatch, block, N, kind)
-                for block in (1, _T_BLOCK, len(COLUMN_KM))]
+        runs = [_ranked_rows(monkeypatch, cells, N, kind)
+                for cells in (grid, _GRID_CELLS, len(COLUMN_KM) * grid)]
         Ts = runs[0][0]
         for i, T in enumerate(Ts):
             ref = _rate_grid(_GRID_VAS, T, XI, BETA, N, ms[None, :], z,
-                             kind).ravel()
+                             [kind]).ravel()
             for _, rows, results in runs:
                 assert rows[i].tobytes() == ref.tobytes()
                 assert repr(results[i]) == repr(runs[0][2][i])
@@ -341,7 +345,8 @@ def test_column_ranking_matches_per_transmission_kernel_calls(monkeypatch,
 
 def test_column_ranking_stays_within_the_grid_tolerance():
     """Over the default grids, each block size of the default n_list, each
-    kind and the 41 distances of COLUMN_KM, every ranked cell's array rate
+    kind, ranked together as the table ranks them, and the 41 distances
+    of COLUMN_KM, every ranked cell's array rate
     is its float raw rate within 1e-13 (the measured maximum is 5.4e-14),
     which _GRID_TOL bounds with room; and _grid_best re-scores 729 cells
     of those 492 grids with the float rate, which a looser _GRID_TOL would
@@ -350,9 +355,9 @@ def test_column_ranking_stays_within_the_grid_tolerance():
     Ts = [fiber_transmission(d) for d in COLUMN_KM]
     gap, rescored = 0.0, []
     for N in ExperimentConfig().n_list:
-        for kind in KEY_RATE_ESTIMATORS:
-            for raw, rate in optimizer._ranked_grids(
-                    XI, BETA, N, z, kind, Ts, optimizer._grid_ms(N)):
+        for row in optimizer._ranked_grids(XI, BETA, N, z, KEY_RATE_ESTIMATORS,
+                                           Ts, optimizer._grid_ms(N)):
+            for raw, rate in row:
                 floats = np.array([rate(10.0 ** lv, _round_m(fr, N))[1]
                                    for lv in _LOG_VAS for fr in _FRACS])
                 gap = max(gap, np.max(np.abs(raw - floats)))
@@ -671,22 +676,27 @@ def test_range_limit_ratio_is_frozen_bit_for_bit(N, denominator):
     assert [_hex(row) for row in rr.rows] == list(rows)
 
 
-# most _rate_grid calls and grids ranked by each benchmark ratio call;
-# one call a probe, 38 / 38 / 40 grids, before the block ranking
-RATIO_RANKINGS = {(10**5, EstimatorKind.SIGMA2_MLE): (19, 37),
-                  (10**5, EstimatorKind.SIGMA2_OPT): (18, 30),
-                  (10**9, EstimatorKind.SIGMA2_OPT): (20, 35)}
+# _rate_grid calls and grids ranked, kinds times transmissions, by each
+# benchmark ratio call: one call for the whole ladder, one a bisection
+# probe and one for both kinds of the sampled offsets. With one call per
+# kind and blocks of 8 transmissions they were 19 / 18 / 20 calls ranking
+# 37 / 30 / 35 grids; the whole ladder (12 rungs, of which the N = 1e5
+# searches climb 8) and the denominator's boundary, ranked again beside
+# the numerator's, add grids while the calls fall or hold
+RATIO_RANKINGS = {(10**5, EstimatorKind.SIGMA2_MLE): (18, 42),
+                  (10**5, EstimatorKind.SIGMA2_OPT): (18, 34),
+                  (10**9, EstimatorKind.SIGMA2_OPT): (19, 35)}
 
 
 def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
     """A maximum_distance probe decided by the carried positive cell ranks
     no grid; range_limit_ratio ranks its ladder and sampled offsets in
-    blocks, each (estimator, distance) pair once."""
+    blocks within the cell budget, each (estimator, distance) pair once."""
     grids = []
 
-    def counting(V_A, T, *args):
-        grids.append(T.shape[0])
-        return _rate_grid(V_A, T, *args)
+    def counting(V_A, T, xi, beta, N, m, z, kinds):
+        grids.append(len(kinds) * T.shape[0])
+        return _rate_grid(V_A, T, xi, beta, N, m, z, kinds)
 
     monkeypatch.setattr(optimizer, "_rate_grid", counting)
     for N, probes in MAX_DIST_PROBES.items():
@@ -696,8 +706,8 @@ def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
     for (N, denominator), (calls, ranked) in RATIO_RANKINGS.items():
         grids.clear()
         range_limit_ratio(XI, BETA, N, denominator=denominator)
-        assert len(grids) <= calls and sum(grids) <= ranked
-        assert max(grids) <= _T_BLOCK
+        assert (len(grids), sum(grids)) == (calls, ranked)
+        assert max(grids) * len(_LOG_VAS) * len(_FRACS) <= _GRID_CELLS
 
 
 # Nelder-Mead polishes run by each benchmark ratio call; 43 / 45 / 58, 22

@@ -11,9 +11,13 @@ from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import _VARIANCE, EstimatorKind, var_t_mle
 from cvqkd.optimizer import (
     _FRACS,
+    _GRID_CELLS,
+    _GRID_VAS,
     _LOG_VAS,
+    _grid_ms,
     _round_m,
     optimize_key_rate,
+    optimize_key_rates,
 )
 from cvqkd.security import (
     _NU_TOL,
@@ -37,7 +41,7 @@ from oracles import (
     holevo,
     symplectic_spectrum,
 )
-from reference_rate import finite_rate, i_ab, search_rate
+from reference_rate import finite_rate, i_ab, rate_grid, search_rate
 
 SQRT15 = 3.872983346207417
 Z_PAPER = confidence_quantile(1e-10)
@@ -47,7 +51,7 @@ def _grid_rate(V_A, T, xi, beta, N, m, kind=EstimatorKind.SIGMA2_OPT):
     """The raw rate on arrays, as the optimizer ranks its grid: m as
     float, z at epsilon_pe = 1e-10."""
     return _rate_grid(np.asarray(V_A, dtype=float), T, xi, beta, N,
-                      np.asarray(m, dtype=float), Z_PAPER, kind)
+                      np.asarray(m, dtype=float), Z_PAPER, [kind])[0]
 
 
 # (V_A, T, xi) of the channels the Holevo term is checked on
@@ -541,6 +545,62 @@ def test_float_rate_matches_the_reference_bitwise(kind):
                         res.mutual_information, res.holevo, res.clamped))
                 assert search_rate(rate, N)(lv, fr).hex() == \
                     res.key_rate.hex()
+
+
+def test_stacked_grid_matches_the_per_kind_reference_bitwise():
+    """One _rate_grid call over a list of kinds gives each kind the raw
+    rates of the per-kind reference, which computes every term from
+    scratch and each eigenvalue's entropy on its own, bit for bit: at N =
+    3, 10, 1000 and the default n_list, each kind alone and all three at
+    once, both conventions, blocks of one transmission and of the
+    optimizer's cell budget with a ragged tail, and T over 0-300 km, 1e-30
+    and 0."""
+    Ts = [fiber_transmission(d) for d in range(0, 301, 10)] + [1e-30, 0.0]
+    for N in (3, 10, 1000, *ExperimentConfig().n_list):
+        ms = _grid_ms(N)
+        for convention in ("paper", "gaussian"):
+            z = confidence_quantile(1e-10, convention)
+            for kinds in (*([k] for k in KEY_RATE_ESTIMATORS),
+                          KEY_RATE_ESTIMATORS):
+                budget = _GRID_CELLS // (len(kinds) * _GRID_VAS.size
+                                         * ms.size)
+                assert len(Ts) % budget != 0
+                for size in (1, budget):
+                    for i in range(0, len(Ts), size):
+                        T = np.array(Ts[i:i + size])[:, None, None]
+                        grid = _rate_grid(_GRID_VAS, T, 0.01, 0.95, N, ms, z,
+                                          kinds)
+                        assert grid.shape == (len(kinds), len(T),
+                                              _GRID_VAS.size, ms.size)
+                        for kind, rates in zip(kinds, grid):
+                            ref = rate_grid(_GRID_VAS, T, 0.01, 0.95, N, ms,
+                                            z, kind)
+                            assert rates.tobytes() == ref.tobytes(), (
+                                N, convention, kinds, i, size)
+
+
+def test_a_merged_block_fails_as_a_single_transmission_does():
+    """An unphysical transmission (T = 10) in a block ranked for all three
+    kinds fails the block with the grid's message, the one a single-kind,
+    single-transmission call at T = 10 raises, whichever kind the stack
+    puts first and wherever the transmission sits in the block."""
+    messages = set()
+    for kind in KEY_RATE_ESTIMATORS:
+        with pytest.raises(ValueError, match="on the rate grid$") as info:
+            optimize_key_rate(0.01, 0.95, 10**5, estimator_kind=kind, T=10.0)
+        messages.add(str(info.value))
+    message, = messages
+    block = _GRID_CELLS // (len(KEY_RATE_ESTIMATORS) * _GRID_VAS.size
+                            * len(_FRACS))
+    assert block > 1
+    for first in range(len(KEY_RATE_ESTIMATORS)):
+        kinds = KEY_RATE_ESTIMATORS[first:] + KEY_RATE_ESTIMATORS[:first]
+        for at in (0, block - 1):
+            Ts = [fiber_transmission(d) for d in range(0, 5 * block, 5)]
+            Ts[at] = 10.0
+            with pytest.raises(ValueError) as info:
+                optimize_key_rates(0.01, 0.95, 10**5, 1e-10, kinds, Ts=Ts)
+            assert str(info.value) == message, (kinds, at)
 
 
 def test_key_rate_finite_grid_rejects_unphysical_cells():
