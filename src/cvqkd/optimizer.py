@@ -6,8 +6,8 @@ searched on a log scale; the revealed fraction linearly.
 ``optimize_key_rates`` optimizes the table fig2 and fig3 write at one
 block size, a row of estimator kinds at each transmission; one call of
 the rate's array path, ``security._rate_grid``, ranks the grids of every
-kind at a block of transmissions, as many as the budget of _GRID_CELLS
-grid cells a call holds (a constant, not a parameter).
+kind at a block of up to _RANK_BLOCK transmissions (a constant, not
+a parameter).
 The re-scored grid cells, any seeds, the polish and the cross re-score
 of each cell call the float path, ``security._rate_at``, built once per
 transmission and kind before its block is ranked, so a bad channel or
@@ -127,16 +127,15 @@ _MAXITER = 400
 _BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
 # the grid's V_A column, as _rate_grid takes it
 _GRID_VAS = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
-# Grid cells one _rate_grid call ranks: a block of transmissions takes
-# every kind asked for, as (kinds, block, 24, 24) arrays, and holds as
-# many transmissions as keep it within this budget, at least one; 8 at
-# three kinds, 24 at one. A call's fixed cost is most of its time at one
-# grid: 181-191 us a grid at 1 grid a call, 104-111 at 3, 54-55 at 12 and
-# 42-46 at 24 (medians of 15 runs of 20 calls, three processes, each
-# after a fig2 table pass; 2-vCPU Xeon, numpy 2.4.6, 2026-10-20). Budgets
-# of 36 to 72 grids ran the five rate tables within the spread of
-# repeated runs at this one.
-_GRID_CELLS = 8 * 3 * 576
+# Transmissions one _rate_grid call ranks, every kind asked for stacked
+# on them as (kinds, block, 24, 24) arrays: 24 grids a call at three
+# kinds. A call's fixed cost is most of its time at one grid: 181-191 us
+# a grid at 1 grid a call, 104-111 at 3, 54-55 at 12 and 42-46 at 24
+# (medians of 15 runs of 20 calls, three processes, each after a fig2
+# table pass; 2-vCPU Xeon, numpy 2.4.6, 2026-10-20). Blocks of 12 to 24
+# transmissions at three kinds ran the five rate tables within the spread
+# of repeated runs at this one.
+_RANK_BLOCK = 8
 
 # bound on the gap between the raw rates of the array path (_rate_grid)
 # and of the float path (key_rate_finite.key_rate_raw) over the
@@ -464,11 +463,9 @@ def _ranked_grids(xi: float, beta: float, N: int, z: float, kinds, Ts, ms):
     ranks each block of transmissions, every kind at once, V_A outer and
     fraction inner, when the first of them is asked for, after the
     block's float rates are built, so their checks fire before numpy sees
-    the block. A block holds as many transmissions as _GRID_CELLS allows
-    at this many kinds."""
-    step = max(1, _GRID_CELLS // (len(kinds) * _GRID_VAS.size * len(ms)))
-    for i in range(0, len(Ts), step):
-        block = Ts[i:i + step]
+    the block. A block holds up to _RANK_BLOCK transmissions."""
+    for i in range(0, len(Ts), _RANK_BLOCK):
+        block = Ts[i:i + _RANK_BLOCK]
         rates = [[_rate_at(T, xi, beta, N, z, kind) for kind in kinds]
                  for T in block]
         raws = _rank(block, xi, beta, N, z, kinds, ms).swapaxes(0, 1)
@@ -647,19 +644,18 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     earlier probes, which keep the search from losing the shrinking
     positive region. A grid's ranking needs no seed, so it goes through
     lazy ``_ranked_grids`` streams, each (estimator, distance) point
-    keeping the record of its first ranking:
-    the ``_LADDER`` is one stream, ranked in blocks within the cell budget
-    (the whole ladder in one) as far as the search climbs it, each
-    bisection probe is ranked alone, and both estimators go through one
-    stream at each sampled offset either of them lacks, a point ranked
-    already keeping its record. Each (estimator, distance) point keeps a
-    record across its searches: its grid best, and the result of each
-    polish run there, keyed by the start's exact (log10 V_A, m/N). A later
-    search at the point reuses it, as the polish is deterministic in its
-    float rate and start: the boundary searched again at offset 0, a seed
-    at its point's best grid cell, and, when the denominator is sigma2_opt
-    too, the numerator at each offset. ``_last_positive`` owns the
-    no-range rule.
+    once: the ``_LADDER`` is one stream, ranked a block of up to
+    _RANK_BLOCK rungs at a time as far as the search climbs it, each
+    bisection probe is ranked alone, and the sampled offsets neither
+    estimator has are ranked for both at once, those the denominator's
+    search ranked for the numerator alone. Each (estimator, distance)
+    point keeps a record across its searches: its grid best, and the
+    result of each polish run there, keyed by the start's exact (log10
+    V_A, m/N). A later search at the point reuses it, as the polish is
+    deterministic in its float rate and start: the boundary searched
+    again at offset 0, a seed at its point's best grid cell, and, when
+    the denominator is sigma2_opt too, the numerator at each offset.
+    ``_last_positive`` owns the no-range rule.
     """
     numerator = EstimatorKind.SIGMA2_OPT
     z = confidence_quantile(epsilon_pe, convention)
@@ -704,11 +700,12 @@ def range_limit_ratio(xi: float, beta: float, N: int,
 
     ds = [boundary - w for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)]
     ds = [d for d in ds if d >= 0.0]
-    # both kinds of each offset that either lacks, in one stream; a point
-    # ranked already keeps its record
-    for key, value in grids(list(kinds), [d for d in ds if any(
-            (kind, d) not in ranked for kind in kinds)]):
-        ranked.setdefault(key, value)
+    # both kinds stacked at the offsets neither has, then the numerator
+    # alone at those the denominator's search ranked
+    ranked.update(grids(list(kinds), [d for d in ds if all(
+        (kind, d) not in ranked for kind in kinds)]))
+    ranked.update(grids([numerator], [d for d in ds
+                                      if (numerator, d) not in ranked]))
     rows = []
     max_ratio = 0.0
     for d in ds:

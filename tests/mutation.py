@@ -131,8 +131,7 @@ MUTANTS = [
      OPTIMIZER),
     ("optimizer.py", "    m = 2 if 2 > m else m", "    m = 1 if 1 > m else m",
      OPTIMIZER),
-    ("optimizer.py", "_GRID_CELLS = 8 * 3 * 576", "_GRID_CELLS = 0",
-     OPTIMIZER),
+    ("optimizer.py", "_RANK_BLOCK = 8", "_RANK_BLOCK = 1", OPTIMIZER),
     # channel
     ("channel.py", "    return 1.0 + T * xi", "    return 1.0 + xi",
      CHANNEL),

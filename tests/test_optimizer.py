@@ -12,11 +12,11 @@ from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
     _BOUNDS,
     _FRACS,
-    _GRID_CELLS,
     _GRID_TOL,
     _GRID_VAS,
     _LOG_VAS,
     _MAXITER,
+    _RANK_BLOCK,
     _last_positive,
     _nelder_mead_1d,
     _nelder_mead_2d,
@@ -82,7 +82,7 @@ def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
     Ts = [fiber_transmission(d) for d in (10.0, 30.0, 50.0)]
     results = optimize_key_rates(XI, BETA, 10**7, Ts=Ts)
     # the three kinds of the three transmissions fit one block
-    assert 3 * len(Ts) * 576 <= _GRID_CELLS
+    assert len(Ts) <= _RANK_BLOCK
     assert all(r.evaluations > 576 + 20 for r, in results)
     assert calls == {"z": 1, "kind": 1, "sigma2": 1 + len(Ts), "form": 1}
 
@@ -288,14 +288,14 @@ def test_asymptotic_search_runs_few_python_frames_per_evaluation():
     assert calls <= 3 * res.evaluations
 
 
-# one figure column, the default distances: at one kind, 41 = a block of
-# 24 and a ragged tail of 17, ending past the range limit of every N below
+# one figure column, the default distances: 41 = 5 blocks of 8 and a
+# ragged tail of 1, ending past the range limit of every N below
 COLUMN_KM = [float(d) for d in range(0, 201, 5)]
 
 
-def _ranked_rows(monkeypatch, cells, N, kind):
+def _ranked_rows(monkeypatch, block, N, kind):
     """The grid rates optimize_key_rates ranks for COLUMN_KM, per
-    transmission, with a budget of ``cells`` grid cells per call."""
+    transmission, with the column cut into blocks of ``block``."""
     rows = []
     ranked = optimizer._optimize_ranked
 
@@ -304,7 +304,7 @@ def _ranked_rows(monkeypatch, cells, N, kind):
         return ranked(raw, rate, N, seeds)
 
     monkeypatch.setattr(optimizer, "_optimize_ranked", spy)
-    monkeypatch.setattr(optimizer, "_GRID_CELLS", cells)
+    monkeypatch.setattr(optimizer, "_RANK_BLOCK", block)
     Ts = [fiber_transmission(d) for d in COLUMN_KM]
     results = [r for r, in optimize_key_rates(XI, BETA, N,
                                                estimator_kinds=[kind], Ts=Ts)]
@@ -316,18 +316,17 @@ def _ranked_rows(monkeypatch, cells, N, kind):
 @pytest.mark.parametrize("kind", KEY_RATE_ESTIMATORS)
 def test_column_ranking_matches_per_transmission_kernel_calls(monkeypatch,
                                                               kind):
-    """Budgets of one grid a call, the default one, whose blocks end in a
-    ragged tail, and the whole column rank with the raw rates of one 2-D
-    _rate_grid call per transmission, bit for bit, far distances with no
-    positive rate included; the results are those of optimize_key_rate at
-    each transmission."""
-    grid = len(_LOG_VAS) * len(_FRACS)
-    assert len(COLUMN_KM) % (_GRID_CELLS // grid) != 0
+    """Blocks of 1, of _RANK_BLOCK with a ragged tail, and the whole
+    column rank with the raw rates of one 2-D _rate_grid call per
+    transmission, bit for bit, far distances with no positive rate
+    included; the results are those of optimize_key_rate at each
+    transmission."""
+    assert len(COLUMN_KM) % _RANK_BLOCK == 1
     z = confidence_quantile(1e-10)
     for N in (10**5, 10**12):
         ms = np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
-        runs = [_ranked_rows(monkeypatch, cells, N, kind)
-                for cells in (grid, _GRID_CELLS, len(COLUMN_KM) * grid)]
+        runs = [_ranked_rows(monkeypatch, block, N, kind)
+                for block in (1, _RANK_BLOCK, len(COLUMN_KM))]
         Ts = runs[0][0]
         for i, T in enumerate(Ts):
             ref = _rate_grid(_GRID_VAS, T, XI, BETA, N, ms[None, :], z,
@@ -677,21 +676,19 @@ def test_range_limit_ratio_is_frozen_bit_for_bit(N, denominator):
 
 
 # _rate_grid calls and grids ranked, kinds times transmissions, by each
-# benchmark ratio call: one call for the whole ladder, one a bisection
-# probe and one for both kinds of the sampled offsets. With one call per
-# kind and blocks of 8 transmissions they were 19 / 18 / 20 calls ranking
-# 37 / 30 / 35 grids; the whole ladder (12 rungs, of which the N = 1e5
-# searches climb 8) and the denominator's boundary, ranked again beside
-# the numerator's, add grids while the calls fall or hold
-RATIO_RANKINGS = {(10**5, EstimatorKind.SIGMA2_MLE): (18, 42),
-                  (10**5, EstimatorKind.SIGMA2_OPT): (18, 34),
-                  (10**9, EstimatorKind.SIGMA2_OPT): (19, 35)}
+# benchmark ratio call: one call a block of up to 8 ladder rungs, one a
+# bisection probe, and at the sampled offsets one call for the offsets
+# both kinds lack, stacked, and one for those only the numerator lacks
+RATIO_RANKINGS = {(10**5, EstimatorKind.SIGMA2_MLE): (19, 37),
+                  (10**5, EstimatorKind.SIGMA2_OPT): (18, 30),
+                  (10**9, EstimatorKind.SIGMA2_OPT): (20, 35)}
 
 
 def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
     """A maximum_distance probe decided by the carried positive cell ranks
     no grid; range_limit_ratio ranks its ladder and sampled offsets in
-    blocks within the cell budget, each (estimator, distance) pair once."""
+    blocks of up to _RANK_BLOCK transmissions, each (estimator, distance)
+    pair once."""
     grids = []
 
     def counting(V_A, T, xi, beta, N, m, z, kinds):
@@ -707,7 +704,7 @@ def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
         grids.clear()
         range_limit_ratio(XI, BETA, N, denominator=denominator)
         assert (len(grids), sum(grids)) == (calls, ranked)
-        assert max(grids) * len(_LOG_VAS) * len(_FRACS) <= _GRID_CELLS
+        assert max(grids) <= 2 * _RANK_BLOCK
 
 
 # Nelder-Mead polishes run by each benchmark ratio call; 43 / 45 / 58, 22

@@ -11,9 +11,9 @@ from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import _VARIANCE, EstimatorKind, var_t_mle
 from cvqkd.optimizer import (
     _FRACS,
-    _GRID_CELLS,
     _GRID_VAS,
     _LOG_VAS,
+    _RANK_BLOCK,
     _grid_ms,
     _round_m,
     optimize_key_rate,
@@ -553,7 +553,7 @@ def test_stacked_grid_matches_the_per_kind_reference_bitwise():
     scratch and each eigenvalue's entropy on its own, bit for bit: at N =
     3, 10, 1000 and the default n_list, each kind alone and all three at
     once, both conventions, blocks of one transmission and of the
-    optimizer's cell budget with a ragged tail, and T over 0-300 km, 1e-30
+    optimizer's block size with a ragged tail, and T over 0-300 km, 1e-30
     and 0."""
     Ts = [fiber_transmission(d) for d in range(0, 301, 10)] + [1e-30, 0.0]
     for N in (3, 10, 1000, *ExperimentConfig().n_list):
@@ -562,10 +562,8 @@ def test_stacked_grid_matches_the_per_kind_reference_bitwise():
             z = confidence_quantile(1e-10, convention)
             for kinds in (*([k] for k in KEY_RATE_ESTIMATORS),
                           KEY_RATE_ESTIMATORS):
-                budget = _GRID_CELLS // (len(kinds) * _GRID_VAS.size
-                                         * ms.size)
-                assert len(Ts) % budget != 0
-                for size in (1, budget):
+                assert len(Ts) % _RANK_BLOCK != 0
+                for size in (1, _RANK_BLOCK):
                     for i in range(0, len(Ts), size):
                         T = np.array(Ts[i:i + size])[:, None, None]
                         grid = _rate_grid(_GRID_VAS, T, 0.01, 0.95, N, ms, z,
@@ -590,13 +588,12 @@ def test_a_merged_block_fails_as_a_single_transmission_does():
             optimize_key_rate(0.01, 0.95, 10**5, estimator_kind=kind, T=10.0)
         messages.add(str(info.value))
     message, = messages
-    block = _GRID_CELLS // (len(KEY_RATE_ESTIMATORS) * _GRID_VAS.size
-                            * len(_FRACS))
-    assert block > 1
+    assert _RANK_BLOCK > 1
     for first in range(len(KEY_RATE_ESTIMATORS)):
         kinds = KEY_RATE_ESTIMATORS[first:] + KEY_RATE_ESTIMATORS[:first]
-        for at in (0, block - 1):
-            Ts = [fiber_transmission(d) for d in range(0, 5 * block, 5)]
+        for at in (0, _RANK_BLOCK - 1):
+            Ts = [fiber_transmission(d)
+                  for d in range(0, 5 * _RANK_BLOCK, 5)]
             Ts[at] = 10.0
             with pytest.raises(ValueError) as info:
                 optimize_key_rates(0.01, 0.95, 10**5, 1e-10, kinds, Ts=Ts)
