@@ -3,32 +3,30 @@
 The rate is cheap to evaluate (closed form), so a coarse deterministic
 grid over (V_A, m/N) followed by a Nelder-Mead polish is enough. V_A is
 searched on a log scale; the revealed fraction linearly.
+
+Every grid is ranked by ``_ranked_grids``, the one caller of the rate's
+array path, ``security._rate_grid``: one call ranks every kind asked for
+at a block of up to _RANK_BLOCK transmissions. The re-scored grid cells,
+any seeds, the polish and the cross re-score of each cell call the float
+path, ``security._rate_at``, built once per transmission and kind before
+its block is ranked, so a bad channel or block size fails that build's
+check before the array path runs; every reported rate is the value
+``key_rate_finite`` gives at that point, bit for bit.
+
 ``optimize_key_rates`` optimizes the table fig2 and fig3 write at one
-block size, a row of estimator kinds at each transmission; one call of
-the rate's array path, ``security._rate_grid``, ranks the grids of every
-kind at a block of up to _RANK_BLOCK transmissions (a constant, not
-a parameter).
-The re-scored grid cells, any seeds, the polish and the cross re-score
-of each cell call the float path, ``security._rate_at``, built once per
-transmission and kind before its block is ranked, so a bad channel or
-block size fails that build's check before the array path runs; every
-reported rate is the value ``key_rate_finite`` gives at that point, bit
-for bit. ``optimize_key_rate`` is the case of one kind at one
-transmission. The reported optimum is never below the best grid point, and
-it is positive exactly when that point is, so ``maximum_distance``
-decides each probe's sign from the grid alone, with no polish: from the
-best cell of its last positive ranking when that cell's rate is
-positive, else from the re-scored grid. ``range_limit_ratio``,
+block size, a row of estimator kinds at each transmission, and
+``optimize_key_rate`` is its case of one kind at one transmission. The
+reported optimum is never below the best grid point, and it is positive
+exactly when that point is, so ``maximum_distance`` decides each probe's
+sign from the grid alone, with no polish. ``range_limit_ratio``,
 sigma2_opt's rate over another estimator's, polishes every probe, also
-from the optima of earlier probes as seeds, and ranks through lazy
-``_ranked_grids`` streams; it keeps each (estimator, distance) point's
-grid best and the result of each polish run there, keyed by its start,
-so it polishes no start of a point twice. Both range searches climb the
-same ladder of distances up to a 1000 km cap, a constant as their
-resolutions are, in ``_last_positive``, which owns the no-range rule
-too.
-``optimize_asymptotic_rate`` builds the asymptotic float rate,
-``security._asymptotic_at``, once per transmission in the same way.
+from the optima of earlier probes as seeds, and keeps each (estimator,
+distance) point's grid and polishes, so it ranks no point and polishes
+no start of a point twice. Both range searches climb the same ladder of
+distances up to a 1000 km cap in ``_last_positive``, which owns the
+no-range rule too. ``optimize_asymptotic_rate`` builds the asymptotic
+float rate, ``security._asymptotic_at``, once per transmission in the
+same way.
 
 The polishes are bounded Nelder-Mead searches written here on scalar
 floats: ``_nelder_mead_2d`` over (log10 V_A, m/N) for the finite-size
@@ -47,6 +45,7 @@ checks this against scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import floor, isnan, log10
 
 import numpy as np
@@ -414,10 +413,9 @@ def optimize_key_rates(xi: float, beta: float, N: int,
     kinds = [_key_rate_kind(k) for k in estimator_kinds]
     if not kinds:
         raise ValueError("estimator_kinds must not be empty")
-    ms = _grid_ms(N)
     # each transmission's row of (float rate, optimum), one per kind
     rows = [[(rate, _optimize_ranked(raw, rate, N, ())) for raw, rate in row]
-            for row in _ranked_grids(xi, beta, N, z, kinds, Ts, ms)]
+            for row in _ranked_grids(xi, beta, N, z, kinds, Ts)]
     return [[_cross(rate, N, own, [o for k, (_, o) in zip(kinds, row)
                                    if k is not kind])
              for kind, (rate, own) in zip(kinds, row)]
@@ -448,37 +446,33 @@ def _cross(rate, N: int, own: OptimizationResult,
     return best
 
 
+@cache
 def _grid_ms(N: int):
-    """The grid's m column at block size N, as _rate_grid takes it."""
+    """The grid's m column at block size N, as _rate_grid takes it: one
+    read-only array per N."""
     # the grid inputs are the scalar path's own, bit for bit (m as float,
     # so m**2 cannot overflow)
-    return np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
+    ms = np.array([_round_m(fr, N) for fr in _FRACS], dtype=float)
+    ms.flags.writeable = False
+    return ms
 
 
-def _ranked_grids(xi: float, beta: float, N: int, z: float, kinds, Ts, ms):
+def _ranked_grids(xi: float, beta: float, N: int, z: float, kinds, Ts):
     """Each transmission of ``Ts``, in order, as one (grid rates, float
     rate) pair per kind of ``kinds``, in order: the raw array rates of its
-    24 x 24 cells, flattened, and its built float rate,
-    ``security._rate_at``; ``ms`` is ``_grid_ms(N)``. One _rate_grid call
-    ranks each block of transmissions, every kind at once, V_A outer and
-    fraction inner, when the first of them is asked for, after the
-    block's float rates are built, so their checks fire before numpy sees
-    the block. A block holds up to _RANK_BLOCK transmissions."""
+    24 x 24 cells, V_A outer and fraction inner, flattened, and its built
+    float rate, ``security._rate_at``. One _rate_grid call ranks each
+    block of up to _RANK_BLOCK transmissions, every kind at once, when the
+    first of them is asked for, after the block's float rates are built,
+    so their checks fire before numpy sees the block."""
     for i in range(0, len(Ts), _RANK_BLOCK):
         block = Ts[i:i + _RANK_BLOCK]
         rates = [[_rate_at(T, xi, beta, N, z, kind) for kind in kinds]
                  for T in block]
-        raws = _rank(block, xi, beta, N, z, kinds, ms).swapaxes(0, 1)
+        T = np.array(block, dtype=float)[:, None, None]
+        raws = _rate_grid(_GRID_VAS, T, xi, beta, N, _grid_ms(N), z, kinds)
+        raws = raws.reshape(len(kinds), len(block), -1).swapaxes(0, 1)
         yield from ([*zip(raw, row)] for raw, row in zip(raws, rates))
-
-
-def _rank(Ts, xi: float, beta: float, N: int, z: float, kinds, ms):
-    """The raw array rates of the grids at the transmissions ``Ts`` for
-    each kind of ``kinds``, one flattened row per (kind, transmission),
-    from one _rate_grid call."""
-    return _rate_grid(_GRID_VAS, np.array(Ts, dtype=float)[:, None, None],
-                      xi, beta, N, ms, z, kinds).reshape(len(kinds), len(Ts),
-                                                         -1)
 
 
 def _grid_best(raw, rate, N: int):
@@ -607,18 +601,17 @@ def maximum_distance(xi: float, beta: float, N: int,
     """
     z = confidence_quantile(epsilon_pe, convention)
     kind = _key_rate_kind(estimator_kind)
-    ms = _grid_ms(N)
     # the best (V_A, m) cell of the last positive ranking
     cell = None
 
     def probe(d: float) -> float:
         nonlocal cell
         T = fiber_transmission(d, loss_db_per_km)
-        rate = _rate_at(T, xi, beta, N, z, kind)
-        if cell is not None and (k := rate(*cell)[0]) > 0.0:
+        if cell is not None and (
+                k := _rate_at(T, xi, beta, N, z, kind)(*cell)[0]) > 0.0:
             return k
-        k, lv, fr = _grid_best(_rank([T], xi, beta, N, z, [kind], ms)[0, 0],
-                               rate, N)
+        [(raw, rate)], = _ranked_grids(xi, beta, N, z, [kind], [T])
+        k, lv, fr = _grid_best(raw, rate, N)
         if k > 0.0:
             cell = 10.0 ** lv, _round_m(fr, N)
         return k
@@ -642,39 +635,33 @@ def range_limit_ratio(xi: float, beta: float, N: int,
     10, 5, 2, 1 and 0 m inside it. Each probe is optimize_key_rate's optimum
     there, polished also from continuation seeds, the positive optima of
     earlier probes, which keep the search from losing the shrinking
-    positive region. A grid's ranking needs no seed, so it goes through
-    lazy ``_ranked_grids`` streams, each (estimator, distance) point
-    once: the ``_LADDER`` is one stream, ranked a block of up to
-    _RANK_BLOCK rungs at a time as far as the search climbs it, each
-    bisection probe is ranked alone, and the sampled offsets neither
-    estimator has are ranked for both at once, those the denominator's
-    search ranked for the numerator alone. Each (estimator, distance)
-    point keeps a record across its searches: its grid best, and the
-    result of each polish run there, keyed by the start's exact (log10
-    V_A, m/N). A later search at the point reuses it, as the polish is
-    deterministic in its float rate and start: the boundary searched
-    again at offset 0, a seed at its point's best grid cell, and, when
-    the denominator is sigma2_opt too, the numerator at each offset.
-    ``_last_positive`` owns the no-range rule.
+    positive region.
+
+    Each (estimator, distance) point is ranked once, in a lazy
+    ``_ranked_grids`` stream of one kind: the ``_LADDER`` is one stream,
+    pulled as far as the search climbs it, each bisection probe is ranked
+    alone, and at the sampled offsets each kind ranks those it lacks. The
+    point keeps its grid best and the result of each polish run there,
+    keyed by the start's exact (log10 V_A, m/N), for a later search at the
+    point, as the polish is deterministic in its float rate and start: the
+    boundary searched again at offset 0, a seed at its point's best grid
+    cell, and, when the denominator is sigma2_opt too, the numerator at
+    each offset.
     """
     numerator = EstimatorKind.SIGMA2_OPT
     z = confidence_quantile(epsilon_pe, convention)
     kinds = {k: _key_rate_kind(k) for k in (denominator, numerator)}
-    ms = _grid_ms(N)
     evaluations = 0
     seed_of: dict[EstimatorKind, tuple] = {}
     # (estimator, d) -> (grid rates, float rate, memo), the memo holding
     # the point's grid best and polishes across its searches
     ranked: dict[tuple, tuple] = {}
 
-    def grids(ks, ds):
+    def grids(kind, ds):
         # ((kind, d), (grid rates, float rate, {})) of each distance of ds
-        # and kind of ks, all kinds of a distance in turn
         Ts = [fiber_transmission(d, loss_db_per_km) for d in ds]
-        return (((kind, d), (raw, rate, {}))
-                for d, row in zip(ds, _ranked_grids(
-                    xi, beta, N, z, [kinds[k] for k in ks], Ts, ms))
-                for kind, (raw, rate) in zip(ks, row))
+        return (((kind, d), (raw, rate, {})) for d, [(raw, rate)] in
+                zip(ds, _ranked_grids(xi, beta, N, z, [kinds[kind]], Ts)))
 
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
@@ -687,11 +674,11 @@ def range_limit_ratio(xi: float, beta: float, N: int,
         return r
 
     # the search probes each rung once, in order, then bisects between two
-    ladder = grids([denominator], _LADDER)
+    ladder = grids(denominator, _LADDER)
 
     def probe(d: float) -> float:
         ranked.update([next(ladder if d in _LADDER
-                            else grids([denominator], [d]))])
+                            else grids(denominator, [d]))])
         return opt(denominator, d).best_key_rate
 
     boundary, positive_at_zero, _ = _last_positive(probe, 5e-4)
@@ -700,12 +687,8 @@ def range_limit_ratio(xi: float, beta: float, N: int,
 
     ds = [boundary - w for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)]
     ds = [d for d in ds if d >= 0.0]
-    # both kinds stacked at the offsets neither has, then the numerator
-    # alone at those the denominator's search ranked
-    ranked.update(grids(list(kinds), [d for d in ds if all(
-        (kind, d) not in ranked for kind in kinds)]))
-    ranked.update(grids([numerator], [d for d in ds
-                                      if (numerator, d) not in ranked]))
+    for kind in kinds:
+        ranked.update(grids(kind, [d for d in ds if (kind, d) not in ranked]))
     rows = []
     max_ratio = 0.0
     for d in ds:

@@ -209,10 +209,12 @@ def _holevo(a, b, c):
     if disc < _NEG_NU_TOL and (a - b) ** 2 * _split(a, b, c) < _NEG_NU_TOL:
         raise ValueError(f"complex symplectic spectrum ({disc})")
     root = sqrt(0.0 if 0.0 > disc else disc)
-    nu1 = sqrt((delta + root) / 2.0)
+    # checked before nu1 = sqrt((delta + root)/2), as nu2**2 <= nu1**2: a
+    # negative delta with disc rounded to 0 fails here, not in that root
     nu2_sq = (delta - root) / 2.0
     if nu2_sq < 0.0:
         raise ValueError(f"negative squared eigenvalue ({nu2_sq})")
+    nu1 = sqrt((delta + root) / 2.0)
     nu2 = sqrt(nu2_sq)
     if nu2 < _NU_FLOOR:
         split = _split(a, b, c)
@@ -367,13 +369,14 @@ def _holevo_grid(a, b, c):
             & ((a - b) ** 2 * _split(a, b, c) < _NEG_NU_TOL)).any():
         raise ValueError("complex symplectic spectrum on the rate grid")
     root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-    np.add(delta, root, out=nu1)
-    nu1 /= 2.0
-    np.sqrt(nu1, out=nu1)
+    # checked before nu1's root, as in _holevo
     nu2_sq = np.subtract(delta, root, out=nu2)
     nu2_sq /= 2.0
     if np.fmin.reduce(nu2_sq, axis=None, initial=np.inf) < 0.0:
         raise ValueError("negative squared eigenvalue on the rate grid")
+    np.add(delta, root, out=nu1)
+    nu1 /= 2.0
+    np.sqrt(nu1, out=nu1)
     np.sqrt(nu2_sq, out=nu2)
     if np.fmin.reduce(nu2, axis=None, initial=np.inf) < _NU_FLOOR:
         factored = abs(a - b) * np.sqrt(np.maximum(_split(a, b, c), 0.0))

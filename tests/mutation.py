@@ -57,6 +57,9 @@ MUTANTS = [
     ("security.py",
      "if disc < _NEG_NU_TOL and (a - b) ** 2 * _split(a, b, c) < _NEG_NU_TOL",
      "if disc < _NEG_NU_TOL", SECURITY),
+    # raising on the factored discriminant alone
+    ("security.py", "if disc < _NEG_NU_TOL and (a - b) ** 2",
+     "if disc < _NEG_NU_TOL or (a - b) ** 2", SECURITY),
     ("security.py", "    if nu2 < _NU_FLOOR:", "    if nu2 > _NU_FLOOR:",
      SECURITY),
     ("security.py", "if d < _NU_FLOOR * sqrt((delta + factored) / 2.0):",
@@ -132,6 +135,19 @@ MUTANTS = [
     ("optimizer.py", "    m = 2 if 2 > m else m", "    m = 1 if 1 > m else m",
      OPTIMIZER),
     ("optimizer.py", "_RANK_BLOCK = 8", "_RANK_BLOCK = 1", OPTIMIZER),
+    # optimizer: the one way into the grid, its shared m column and the
+    # range search's per-kind ranking of the sampled offsets
+    ("optimizer.py", "@cache\ndef _grid_ms", "def _grid_ms", OPTIMIZER),
+    ("optimizer.py", "ms.flags.writeable = False", "ms.flags.writeable = True",
+     OPTIMIZER),
+    ("optimizer.py", "_grid_ms(N), z, kinds)", "_grid_ms(N + 1), z, kinds)",
+     OPTIMIZER),
+    ("optimizer.py",
+     "raws = raws.reshape(len(kinds), len(block), -1).swapaxes(0, 1)",
+     "raws = raws.reshape(len(block), len(kinds), -1)", OPTIMIZER),
+    ("optimizer.py",
+     "grids(kind, [d for d in ds if (kind, d) not in ranked])",
+     "grids(kind, ds)", OPTIMIZER),
     # channel
     ("channel.py", "    return 1.0 + T * xi", "    return 1.0 + xi",
      CHANNEL),

@@ -281,9 +281,10 @@ def test_key_rate_curves_structure(fig2_table, fig3_table, report):
                     or k_opt < r[idx[f"K_mm_{lab}"]] - 1e-15):
                 problems.append(f"combined rate not dominant at {r[0]} km, N={lab}")
 
-    # bisected maximum range, frozen at 0.1 km resolution
-    expected = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625,
-                10**12: 184.1875}
+    # bisected maximum range at 0.1 km resolution, frozen in the
+    # benchmark's expected outputs
+    expected = {int(N): d for N, d in
+                bench_checks.load_expected()["maximum_distance"].items()}
     reaches = {}
     for N, exp in expected.items():
         got = maximum_distance(cfg.xi, cfg.beta, N).distance_km

@@ -1,7 +1,9 @@
 import inspect
+import json
 import sys
 import warnings
 from math import floor, log10
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +41,11 @@ from reference_rate import search_rate
 
 XI, BETA = 0.01, 0.95
 
-# bisection at 0.1 km resolution, fully deterministic
-MAX_DIST_OPT = {10**5: 38.6875, 10**7: 75.4375, 10**9: 117.5625, 10**12: 184.1875}
+# bisection at 0.1 km resolution, fully deterministic: the frozen ranges
+# of the benchmark's expected outputs, by N
+MAX_DIST_OPT = {int(N): d for N, d in json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json")
+    .read_text())["maximum_distance"].items()}
 
 
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
@@ -212,8 +217,7 @@ def _ranked(N, kind, T):
     """(grid rates, float rate) of one transmission, as
     range_limit_ratio hands them to the seeded search."""
     [(raw, rate)], = optimizer._ranked_grids(
-        XI, BETA, N, confidence_quantile(1e-10), [kind], [T],
-        optimizer._grid_ms(N))
+        XI, BETA, N, confidence_quantile(1e-10), [kind], [T])
     return raw, rate
 
 
@@ -355,7 +359,7 @@ def test_column_ranking_stays_within_the_grid_tolerance():
     gap, rescored = 0.0, []
     for N in ExperimentConfig().n_list:
         for row in optimizer._ranked_grids(XI, BETA, N, z, KEY_RATE_ESTIMATORS,
-                                           Ts, optimizer._grid_ms(N)):
+                                           Ts):
             for raw, rate in row:
                 floats = np.array([rate(10.0 ** lv, _round_m(fr, N))[1]
                                    for lv in _LOG_VAS for fr in _FRACS])
@@ -677,8 +681,8 @@ def test_range_limit_ratio_is_frozen_bit_for_bit(N, denominator):
 
 # _rate_grid calls and grids ranked, kinds times transmissions, by each
 # benchmark ratio call: one call a block of up to 8 ladder rungs, one a
-# bisection probe, and at the sampled offsets one call for the offsets
-# both kinds lack, stacked, and one for those only the numerator lacks
+# bisection probe, and at the sampled offsets one call for each kind's
+# offsets that it lacks
 RATIO_RANKINGS = {(10**5, EstimatorKind.SIGMA2_MLE): (19, 37),
                   (10**5, EstimatorKind.SIGMA2_OPT): (18, 30),
                   (10**9, EstimatorKind.SIGMA2_OPT): (20, 35)}
@@ -686,13 +690,14 @@ RATIO_RANKINGS = {(10**5, EstimatorKind.SIGMA2_MLE): (19, 37),
 
 def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
     """A maximum_distance probe decided by the carried positive cell ranks
-    no grid; range_limit_ratio ranks its ladder and sampled offsets in
-    blocks of up to _RANK_BLOCK transmissions, each (estimator, distance)
-    pair once."""
-    grids = []
+    no grid; range_limit_ratio ranks its ladder and sampled offsets one
+    kind a call, in blocks of up to _RANK_BLOCK transmissions, each
+    (estimator, distance) pair once."""
+    grids, kind_counts = [], []
 
     def counting(V_A, T, xi, beta, N, m, z, kinds):
         grids.append(len(kinds) * T.shape[0])
+        kind_counts.append(len(kinds))
         return _rate_grid(V_A, T, xi, beta, N, m, z, kinds)
 
     monkeypatch.setattr(optimizer, "_rate_grid", counting)
@@ -702,9 +707,23 @@ def test_range_searches_rank_only_the_grids_they_need(monkeypatch):
         assert sum(grids) == len(grids) < probes
     for (N, denominator), (calls, ranked) in RATIO_RANKINGS.items():
         grids.clear()
+        kind_counts.clear()
         range_limit_ratio(XI, BETA, N, denominator=denominator)
         assert (len(grids), sum(grids)) == (calls, ranked)
-        assert max(grids) <= 2 * _RANK_BLOCK
+        assert kind_counts == [1] * calls
+        assert max(grids) <= _RANK_BLOCK
+
+
+def test_grid_m_column_is_one_read_only_array_per_block_size():
+    """Every ranking at a block size shares one m column, which no caller
+    can write."""
+    for N in (3, 10**5, 10**12):
+        ms = optimizer._grid_ms(N)
+        assert optimizer._grid_ms(N) is ms
+        assert not ms.flags.writeable
+        with pytest.raises(ValueError):
+            ms[0] = 0.0
+        assert ms.tolist() == [float(_round_m(fr, N)) for fr in _FRACS]
 
 
 # Nelder-Mead polishes run by each benchmark ratio call; 43 / 45 / 58, 22

@@ -249,6 +249,14 @@ EIGENVALUE_FAILURES = [
     ((2.0, 3.0, 3.0), "complex symplectic spectrum (-11.0)"),
     ((1.852533774049284, 1.8525337740492853, 1.8525337740492847),
      "negative squared eigenvalue (-8.881784197001252e-16)"),
+    # delta rounds negative while disc rounds to 0, so the square root of
+    # nu1**2 >= nu2**2 would fail first if it were taken before the check:
+    # holevo_bound(1e9, 1 + 1e-15, 0.0)'s matrix, and one whose factored
+    # discriminant is -4.0
+    (_channel_abc(1e9, 1.000000000000001, 0.0),
+     "negative squared eigenvalue (-128.0)"),
+    ((1e8 + 0.5, 1e8, math.nextafter(1e8 + 0.25, math.inf)),
+     "negative squared eigenvalue (-4.0)"),
     ((0.5, 0.5, 0.0), "unphysical covariance matrix (0.5)"),
     ((-2.0, -2.0, 0.0), "negative conditional variance (-2.0)"),
     ((0.5, -3.0, 1.0), "unphysical conditional state (0.6454972243679028)"),
