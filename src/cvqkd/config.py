@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from math import isfinite, sqrt
 
-from .security import _NU_TOL, KEY_RATE_ESTIMATORS
+from .security import _MAX_VARIANCE, KEY_RATE_ESTIMATORS
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 
@@ -21,9 +21,6 @@ __all__ = ["ExperimentConfig", "parse_config", "load_config"]
 _KIND_BY_NAME = dict(zip(("mle", "mm", "opt"), KEY_RATE_ESTIMATORS,
                          strict=True))
 _VALID_CONVENTIONS = ("paper", "gaussian")
-# V_A and xi set the covariance entries, whose squares' round-off, eps*v**2,
-# passes the Holevo eigenvalue checks' tolerance _NU_TOL past this size
-_MAX_VARIANCE = sqrt(_NU_TOL / sys.float_info.epsilon)
 # the second-modulation sums grow as N*V_M2, and vxi_hat's plug-in variance
 # squares its noise term V_N, which they bound: this cap keeps that square
 # finite

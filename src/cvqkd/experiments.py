@@ -53,7 +53,11 @@ from .estimators import (
 )
 from .optimizer import (
     _round_m,
-    optimize_asymptotic_rate,
+    # unused here, kept importable as
+    # cvqkd.experiments.optimize_asymptotic_rate, which perfbench's tracer
+    # wraps
+    optimize_asymptotic_rate,  # noqa: F401
+    optimize_asymptotic_rates,
     optimize_key_rate,
     optimize_key_rates,
 )
@@ -74,12 +78,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return "" if v is None else str(v)
-
-
 def _metadata_lines(cfg: ExperimentConfig) -> list[str]:
     lines = [f"# version = {__version__}", f"# master_seed = {cfg.seed}"]
     lines += [f"# config: {line}" for line in cfg.echo_lines()]
@@ -90,7 +88,13 @@ def _metadata_lines(cfg: ExperimentConfig) -> list[str]:
 def _write_table(out_dir: str, name: str, cfg: ExperimentConfig,
                  columns: list[str], rows) -> str:
     """Write the table ``name`` into ``out_dir``, made if missing, behind
-    the run's metadata lines; returns its path."""
+    the run's metadata lines; returns its path.
+
+    csv writes a float, numpy's float64 subclass included, by float's
+    repr, the shortest text that reads back to the same bits, None as an
+    empty field and anything else by str. An np.float32 is not a float
+    and would be written by str, in fewer digits than its value as a
+    float has; no table holds one."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
@@ -98,8 +102,7 @@ def _write_table(out_dir: str, name: str, cfg: ExperimentConfig,
             fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
     return path
 
 
@@ -366,21 +369,23 @@ def _rate_table(cfg: ExperimentConfig, N: int) -> list[list]:
 def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimized finite-size key rate versus distance for several N."""
     tables = [_rate_table(cfg, N) for N in cfg.n_list]
+    asym = optimize_asymptotic_rates(
+        cfg.xi, cfg.beta, Ts=[fiber_transmission(d, cfg.loss_db_per_km)
+                              for d in cfg.distances_km])
+    labels = [_n_label(N) for N in cfg.n_list]
 
     columns = ["distance_km", "K_asymptotic"]
-    for N in cfg.n_list:
+    for label in labels:
         for name in cfg.estimators:
-            columns.append(f"K_{name}_{_n_label(N)}")
+            columns.append(f"K_{name}_{label}")
     rows = []
     trace_rows = []
     for di, d in enumerate(cfg.distances_km):
-        asym = optimize_asymptotic_rate(
-            cfg.xi, cfg.beta, fiber_transmission(d, cfg.loss_db_per_km))
-        row = [d, asym.best_key_rate]
-        for N, table in zip(cfg.n_list, tables):
+        row = [d, asym[di].best_key_rate]
+        for label, table in zip(labels, tables):
             for name, res in zip(cfg.estimators, table[di]):
                 row.append(res.best_key_rate)
-                trace_rows += [[d, name, _n_label(N), *t] for t in res.trace]
+                trace_rows += [[d, name, label, *t] for t in res.trace]
         rows.append(row)
 
     path = _write_table(out_dir, "fig2.csv", cfg, columns, rows)

@@ -24,9 +24,14 @@ from the optima of earlier probes as seeds, and keeps each (estimator,
 distance) point's grid and polishes, so it ranks no point and polishes
 no start of a point twice. Both range searches climb the same ladder of
 distances up to a 1000 km cap in ``_last_positive``, which owns the
-no-range rule too. ``optimize_asymptotic_rate`` builds the asymptotic
-float rate, ``security._asymptotic_at``, once per transmission in the
-same way.
+no-range rule too. ``optimize_asymptotic_rates`` optimizes the
+asymptotic column fig2 writes in the same way: it builds the asymptotic
+float rate, ``security._asymptotic_at``, once per transmission, ranks
+the 48-point V_A column of every transmission in one call of its array
+form, ``security._asymptotic_grid``, and re-scores with the float rate
+only the cells ``_candidates`` keeps, the rule the finite grids' re-score
+follows too; ``optimize_asymptotic_rate`` is its case of one
+transmission.
 
 The polishes are bounded Nelder-Mead searches written here on scalar
 floats: ``_nelder_mead_2d`` over (log10 V_A, m/N) for the finite-size
@@ -54,6 +59,7 @@ from .channel import fiber_transmission
 from .estimators import EstimatorKind
 from .security import (
     _asymptotic_at,
+    _asymptotic_grid,
     _key_rate_kind,
     _rate_at,
     _rate_grid,
@@ -71,6 +77,7 @@ __all__ = [
     "optimize_key_rate",
     "optimize_key_rates",
     "optimize_asymptotic_rate",
+    "optimize_asymptotic_rates",
     "maximum_distance",
     "range_limit_ratio",
 ]
@@ -124,8 +131,9 @@ _ASYMPTOTIC_LOG_VAS = [float(v) for v in
                        np.linspace(log10(0.1), log10(100.0), 48)]
 _MAXITER = 400
 _BOUNDS = [(_LOG_VAS[0], _LOG_VAS[-1]), (_FRACS[0], _FRACS[-1])]
-# the grid's V_A column, as _rate_grid takes it
+# the grids' V_A columns, as _rate_grid and _asymptotic_grid take them
 _GRID_VAS = np.array([10.0 ** lv for lv in _LOG_VAS])[:, None]
+_ASYMPTOTIC_VAS = np.array([10.0 ** v for v in _ASYMPTOTIC_LOG_VAS])
 # Transmissions one _rate_grid call ranks, every kind asked for stacked
 # on them as (kinds, block, 24, 24) arrays: 24 grids a call at three
 # kinds. A call's fixed cost is most of its time at one grid: 181-191 us
@@ -138,8 +146,10 @@ _RANK_BLOCK = 8
 
 # bound on the gap between the raw rates of the array path (_rate_grid)
 # and of the float path (key_rate_finite.key_rate_raw) over the
-# optimizer's grids, whose largest gap over the default ones is 5.4e-14;
-# tests/test_optimizer.py checks it cell by cell
+# optimizer's grids, whose largest gap over the default ones is 5.4e-14,
+# and between _asymptotic_grid's and the asymptotic float rate's over its
+# columns, 2.8e-14 from 0 to 1000 km; tests/test_optimizer.py checks both
+# cell by cell
 _GRID_TOL = 1e-12
 
 # The distances the range searches probe before they bisect: 0, then 1, 2,
@@ -475,22 +485,29 @@ def _ranked_grids(xi: float, beta: float, N: int, z: float, kinds, Ts):
         yield from ([*zip(raw, row)] for raw, row in zip(raws, rates))
 
 
-def _grid_best(raw, rate, N: int):
-    """(k, log10 V_A, m/N) of the grid's best cell, re-scored by the
-    float rate ``rate`` at block size N from the array rates ``raw``."""
+def _candidates(raw):
+    """The cells of the flat array rates ``raw`` that the float rate
+    re-scores, in order: every cell within 2*_GRID_TOL of the top, that
+    bound included, and cell 0 first when no rate passes _GRID_TOL."""
     # The array rate is the scalar one up to _GRID_TOL of round-off, so the
     # scalar scan's first strict maximum is among these cells, or is cell 0
     # when no rate is positive or none compares (NaN). Scanning them with
     # the scalar rate returns the cell and value a whole-grid scan would.
-    # The cells are scanned as Python ints, whose index arithmetic is
-    # cheaper than numpy's, and the row is read through the ufuncs, not
-    # their Python wrappers; np.maximum propagates a NaN as raw.max() does.
+    # The cells are Python ints, whose index arithmetic is cheaper than
+    # numpy's, and the row is read through the ufuncs, not their Python
+    # wrappers; np.maximum propagates a NaN as raw.max() does.
     top = np.maximum.reduce(raw)
     cells = (raw >= top - 2.0 * _GRID_TOL).nonzero()[0].tolist()
     if not top > _GRID_TOL and cells[:1] != [0]:
         cells.insert(0, 0)
+    return cells
+
+
+def _grid_best(raw, rate, N: int):
+    """(k, log10 V_A, m/N) of the grid's best cell, re-scored by the
+    float rate ``rate`` at block size N from the array rates ``raw``."""
     best = None
-    for i in cells:
+    for i in _candidates(raw):
         lv, fr = _LOG_VAS[i // len(_FRACS)], _FRACS[i % len(_FRACS)]
         k = rate(10.0 ** lv, _round_m(fr, N))[0]
         if best is None or k > best[0]:
@@ -561,25 +578,48 @@ def _optimize_ranked(raw, rate, N: int, seeds,
 def optimize_asymptotic_rate(xi: float, beta: float,
                              T: float) -> OptimizationResult:
     """Maximize the asymptotic rate at transmission T over V_A only."""
-    rate = _asymptotic_at(T, xi, beta)
-    # key_rate_asymptotic(10**lv, T, xi, beta).key_rate, bit for bit
-    ks = [rate(10.0 ** lv)[0] for lv in _ASYMPTOTIC_LOG_VAS]
-    i = int(np.argmax(ks))
-    best = (ks[i], _ASYMPTOTIC_LOG_VAS[i])
-    evaluations = len(ks)
-    if best[0] > 0.0:
-        lv, k, nfev = _nelder_mead_1d(rate, best[1], best[0], _BOUNDS[0],
-                                      _MAXITER, xatol=1e-5, fatol=1e-13)
-        evaluations += nfev
-        if k > best[0]:
-            best = (k, lv)
-    return OptimizationResult(
-        best_V_A=10.0 ** best[1],
-        best_m_fraction=0.0,
-        best_key_rate=best[0],
-        evaluations=evaluations,
-        trace=[("asymptotic", 10.0 ** best[1], 0.0, best[0], evaluations)],
-    )
+    return optimize_asymptotic_rates(xi, beta, Ts=[T])[0]
+
+
+def optimize_asymptotic_rates(xi: float, beta: float, *,
+                              Ts) -> list[OptimizationResult]:
+    """The asymptotic optimum over V_A at each transmission of ``Ts``, in
+    order: the 48-point column of every transmission ranked on arrays in
+    one call, its candidate cells re-scored by the float rate and the best
+    polished when it is positive.
+
+    Each float rate is built before the column is ranked, so a bad channel
+    fails its check before numpy runs. Every reported rate is the float
+    path's, the key rate key_rate_asymptotic gives at that V_A, and each
+    result is that of a whole-column float scan, bit for bit.
+    """
+    rates = [_asymptotic_at(T, xi, beta) for T in Ts]
+    T = np.array(Ts, dtype=float)[:, None]
+    raws = _asymptotic_grid(_ASYMPTOTIC_VAS, T, xi, beta)
+    results = []
+    for raw, rate in zip(raws, rates):
+        best = None
+        for i in _candidates(raw):
+            lv = _ASYMPTOTIC_LOG_VAS[i]
+            k = rate(10.0 ** lv)[0]
+            if best is None or k > best[0]:
+                best = (k, lv)
+        evaluations = raw.size
+        if best[0] > 0.0:
+            lv, k, nfev = _nelder_mead_1d(rate, best[1], best[0], _BOUNDS[0],
+                                          _MAXITER, xatol=1e-5, fatol=1e-13)
+            evaluations += nfev
+            if k > best[0]:
+                best = (k, lv)
+        results.append(OptimizationResult(
+            best_V_A=10.0 ** best[1],
+            best_m_fraction=0.0,
+            best_key_rate=best[0],
+            evaluations=evaluations,
+            trace=[("asymptotic", 10.0 ** best[1], 0.0, best[0],
+                    evaluations)],
+        ))
+    return results
 
 
 def maximum_distance(xi: float, beta: float, N: int,

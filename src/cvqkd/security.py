@@ -14,9 +14,10 @@ with the estimator's variance.
 
 ``holevo_bound``, ``key_rate_asymptotic`` and ``key_rate_finite`` take
 (V_A, T, xi) and check them in one place, ``_check_inputs``: V_A > 0,
-then T >= 0 and xi >= 0, each with one message; a NaN passes and gives a
-NaN. ``key_rate_finite`` also rejects m outside [0, N], and gives a
-zero rate with a reason at m = N and at m < 2.
+then T >= 0 and xi >= 0, then T and xi finite, then V_A and xi at most
+``_MAX_VARIANCE``, the config's cap, each with one message; a NaN passes
+and gives a NaN. ``key_rate_finite`` also rejects m outside [0, N], and
+gives a zero rate with a reason at m = N and at m < 2.
 
 The finite-size rate is written twice, once per input type, with the
 same operations in the same order. ``_rate_at`` takes Python floats
@@ -40,7 +41,9 @@ asymptotic search (``_asymptotic_at``, once per transmission);
 evaluation. ``_rate_grid`` takes numpy arrays, for the
 optimizer's grid, ranked for a block of transmissions and a list of
 estimator kinds at once (so T is an array there too, and the result has
-one slice per kind), and raises if any cell of any kind fails a check.
+one slice per kind), and raises if any cell of any kind fails a check;
+``_asymptotic_grid`` is the asymptotic rate on arrays, for the
+optimizer's V_A column of a list of transmissions.
 
 Each path is the better one on its own input. numpy's log2 and powers
 differ from math's in the last bit (log2 on 24 to 172 of 100k random
@@ -60,7 +63,7 @@ paths against each other cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log2, sqrt
+from math import inf, isfinite, log2, sqrt
 from sys import float_info
 
 import numpy as np
@@ -82,6 +85,10 @@ __all__ = [
 _NU_TOL = 1e-9
 _NEG_NU_TOL = -_NU_TOL
 _NU_FLOOR = 1.0 - _NU_TOL
+# V_A and xi set the covariance entries, whose squares' round-off, eps*v**2,
+# passes the eigenvalue checks' tolerance _NU_TOL past this size; the rate
+# functions and the config reject a larger one
+_MAX_VARIANCE = sqrt(_NU_TOL / float_info.epsilon)
 # the smallest normal float, the floor of the grid entropy's log2 argument
 _TINY = float_info.min
 
@@ -167,16 +174,24 @@ def _hold(t_min, sigma2_max):
 
 
 def _check_channel(T, xi):
+    # an infinite T or xi fails here, before the array path meets inf*0
     if T < 0 or xi < 0:
         raise ValueError(f"T and xi must be >= 0, got T={T}, xi={xi}")
+    if T == inf or xi == inf:
+        raise ValueError(f"T and xi must be finite, got T={T}, xi={xi}")
 
 
 def _check_inputs(V_A, T, xi):
     # the public rate functions' one check of the channel and modulation;
-    # a NaN passes both comparisons and gives a NaN rate
+    # a NaN passes every comparison and gives a NaN rate
     if V_A <= 0:
         raise ValueError(f"V_A must be > 0, got {V_A}")
     _check_channel(T, xi)
+    for name, val in (("V_A", V_A), ("xi", xi)):
+        if val > _MAX_VARIANCE:
+            raise ValueError(f"{name} must be <= {_MAX_VARIANCE!r}, past "
+                             f"which the model's arithmetic breaks down, "
+                             f"got {val}")
 
 
 def _channel_abc(V_A, T, xi):
@@ -211,15 +226,15 @@ def _holevo(a, b, c):
     root = sqrt(0.0 if 0.0 > disc else disc)
     # checked before nu1 = sqrt((delta + root)/2), as nu2**2 <= nu1**2: a
     # negative delta with disc rounded to 0 fails here, not in that root
-    nu2_sq = (delta - root) / 2.0
+    nu2_sq = (delta - root) * 0.5
     if nu2_sq < 0.0:
         raise ValueError(f"negative squared eigenvalue ({nu2_sq})")
-    nu1 = sqrt((delta + root) / 2.0)
+    nu1 = sqrt((delta + root) * 0.5)
     nu2 = sqrt(nu2_sq)
     if nu2 < _NU_FLOOR:
         split = _split(a, b, c)
         factored = abs(a - b) * sqrt(0.0 if 0.0 > split else split)
-        if d < _NU_FLOOR * sqrt((delta + factored) / 2.0):
+        if d < _NU_FLOOR * sqrt((delta + factored) * 0.5):
             raise ValueError(f"unphysical covariance matrix ({nu2})")
     # mode A after Bob's homodyne of one quadrature of mode B has
     # covariance diag(a - c**2/b, a), so nu3 = sqrt(a*(a - c**2/b))
@@ -232,13 +247,13 @@ def _holevo(a, b, c):
     # the bosonic entropy g(x) = (x+1)*log2(x+1) - x*log2(x) at x = (nu -
     # 1)/2 >= 0 of each held eigenvalue; only an exact zero is special,
     # g(0) = 0, so a NaN eigenvalue gives a NaN entropy
-    x = ((1.0 if 1.0 > nu1 else nu1) - 1.0) / 2.0
+    x = ((1.0 if 1.0 > nu1 else nu1) - 1.0) * 0.5
     x1 = x + 1.0
     s = 0.0 if x == 0.0 else x1 * log2(x1) - x * log2(x)
-    x = ((1.0 if 1.0 > nu2 else nu2) - 1.0) / 2.0
+    x = ((1.0 if 1.0 > nu2 else nu2) - 1.0) * 0.5
     x1 = x + 1.0
     s += 0.0 if x == 0.0 else x1 * log2(x1) - x * log2(x)
-    x = ((1.0 if 1.0 > nu3 else nu3) - 1.0) / 2.0
+    x = ((1.0 if 1.0 > nu3 else nu3) - 1.0) * 0.5
     x1 = x + 1.0
     s -= 0.0 if x == 0.0 else x1 * log2(x1) - x * log2(x)
     # tiny negative values are round-off from the eigenvalue clamps
@@ -371,17 +386,17 @@ def _holevo_grid(a, b, c):
     root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
     # checked before nu1's root, as in _holevo
     nu2_sq = np.subtract(delta, root, out=nu2)
-    nu2_sq /= 2.0
+    nu2_sq *= 0.5
     if np.fmin.reduce(nu2_sq, axis=None, initial=np.inf) < 0.0:
         raise ValueError("negative squared eigenvalue on the rate grid")
     np.add(delta, root, out=nu1)
-    nu1 /= 2.0
+    nu1 *= 0.5
     np.sqrt(nu1, out=nu1)
     np.sqrt(nu2_sq, out=nu2)
     if np.fmin.reduce(nu2, axis=None, initial=np.inf) < _NU_FLOOR:
         factored = abs(a - b) * np.sqrt(np.maximum(_split(a, b, c), 0.0))
         if ((nu2 < _NU_FLOOR)
-                & (d < _NU_FLOOR * np.sqrt((delta + factored) / 2.0))).any():
+                & (d < _NU_FLOOR * np.sqrt((delta + factored) * 0.5))).any():
             raise ValueError("unphysical covariance matrix on the rate grid")
     reduced = np.subtract(a, np.divide(cc, b, out=disc), out=disc)
     if np.fmin.reduce(reduced, axis=None, initial=np.inf) < _NEG_NU_TOL:
@@ -395,7 +410,7 @@ def _holevo_grid(a, b, c):
     # exactly, and NaN stays NaN
     x = np.maximum(nu, 1.0, out=nu)
     x -= 1.0
-    x /= 2.0
+    x *= 0.5
     x1 = np.add(x, 1.0, out=work)
     np.log2(x1, out=g)
     g *= x1
@@ -404,7 +419,8 @@ def _holevo_grid(a, b, c):
     x_log_x *= x
     g -= x_log_x
     s = g[0] + g[1] - g[2]
-    return np.where(s > -1e-9, np.maximum(s, 0.0), s)
+    np.maximum(s, 0.0, out=s, where=s > -1e-9)
+    return s
 
 
 def _rate_grid(V_A, T, xi, beta, N, m, z, kinds):
@@ -429,6 +445,16 @@ def _rate_grid(V_A, T, xi, beta, N, m, z, kinds):
     s_wc = _holevo_grid(V_A + 1.0, b, t_min * np.sqrt(V_A**2 + 2.0 * V_A))
     i_ab = 0.5 * np.log2(1.0 + T * V_A / sigma2)
     return (n / N) * (beta * i_ab - s_wc)
+
+
+def _asymptotic_grid(V_A, T, xi, beta):
+    """The raw rate of _asymptotic_at at every cell of the broadcast arrays
+    V_A and T, with I_AB and (a, b, c) formed as there."""
+    sigma2 = _sigma2(T, xi)
+    i_ab = 0.5 * np.log2(1.0 + T * V_A / sigma2)
+    s = _holevo_grid(V_A + 1.0, T * V_A + 1.0 + T * xi,
+                     np.sqrt(T * (V_A**2 + 2.0 * V_A)))
+    return beta * i_ab - s
 
 
 @dataclass(frozen=True)

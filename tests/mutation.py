@@ -40,6 +40,11 @@ CHANNEL = ("tests/test_channel.py",)
 ESTIMATORS = ("tests/test_estimators.py", "tests/test_delta_method.py")
 CONFIG = ("tests/test_config.py",)
 EXPERIMENTS = ("tests/test_experiments.py",)
+# the asymptotic search's reference and the candidate rule's boundaries
+ASYMPTOTIC = tuple(
+    "tests/test_optimizer.py::" + test
+    for test in ("test_asymptotic_column_matches_the_float_scan",
+                 "test_candidates_keep_the_tolerance_bound_and_cell_0"))
 
 # (file under src/cvqkd, old text, new text, tests[, reason it is
 # equivalent]); the float Holevo term's three entropy lines share their
@@ -62,8 +67,8 @@ MUTANTS = [
      "if disc < _NEG_NU_TOL or (a - b) ** 2", SECURITY),
     ("security.py", "    if nu2 < _NU_FLOOR:", "    if nu2 > _NU_FLOOR:",
      SECURITY),
-    ("security.py", "if d < _NU_FLOOR * sqrt((delta + factored) / 2.0):",
-     "if d < sqrt((delta + factored) / 2.0):", SECURITY),
+    ("security.py", "if d < _NU_FLOOR * sqrt((delta + factored) * 0.5):",
+     "if d < sqrt((delta + factored) * 0.5):", SECURITY),
     ("security.py", "    reduced = a - cc / b\n    if reduced",
      "    reduced = a - cc * b\n    if reduced", SECURITY),
     ("security.py", "    if reduced < _NEG_NU_TOL:",
@@ -71,14 +76,14 @@ MUTANTS = [
     ("security.py", "    if nu3 < _NU_FLOOR:", "    if nu3 < 1.0:",
      SECURITY),
     ("security.py",
-     "else nu1) - 1.0) / 2.0\n    x1 = x + 1.0",
-     "else nu1) - 1.0) / 2.0\n    x1 = x + 2.0", SECURITY),
+     "else nu1) - 1.0) * 0.5\n    x1 = x + 1.0",
+     "else nu1) - 1.0) * 0.5\n    x1 = x + 2.0", SECURITY),
     ("security.py",
-     "else nu2) - 1.0) / 2.0\n    x1 = x + 1.0",
-     "else nu2) - 1.0) / 2.0\n    x1 = x", SECURITY),
+     "else nu2) - 1.0) * 0.5\n    x1 = x + 1.0",
+     "else nu2) - 1.0) * 0.5\n    x1 = x", SECURITY),
     ("security.py",
-     "else nu3) - 1.0) / 2.0\n    x1 = x + 1.0",
-     "else nu3) - 1.0) / 2.0\n    x1 = x + 0.5", SECURITY),
+     "else nu3) - 1.0) * 0.5\n    x1 = x + 1.0",
+     "else nu3) - 1.0) * 0.5\n    x1 = x + 0.5", SECURITY),
     ("security.py",
      "    s = 0.0 if x == 0.0 else x1 * log2(x1) - x * log2(x)",
      "    s = 0.0 if x == 0.0 else x1 * log2(x1) + x * log2(x)", SECURITY),
@@ -110,8 +115,8 @@ MUTANTS = [
     ("security.py",
      "np.fmin.reduce(nu3, axis=None, initial=np.inf) < _NU_FLOOR",
      "np.fmin.reduce(nu3, axis=None) < _NU_FLOOR", SECURITY),
-    ("security.py", "return np.where(s > -1e-9, np.maximum(s, 0.0), s)",
-     "return np.where(s > -1e-3, np.maximum(s, 0.0), s)", SECURITY),
+    ("security.py", "np.maximum(s, 0.0, out=s, where=s > -1e-9)",
+     "np.maximum(s, 0.0, out=s, where=s > -1e-3)", SECURITY),
     # security: the grid's stacked entropies and the kinds' order in the
     # stack
     ("security.py", "    s = g[0] + g[1] - g[2]", "    s = g[0] + g[1] + g[2]",
@@ -122,6 +127,14 @@ MUTANTS = [
      SECURITY),
     ("security.py", "    if N < 3:", "    if N < 2:", RATES),
     ("security.py", "    if V_A <= 0:", "    if V_A < 0:", SECURITY),
+    # security: an infinite channel and the modulation cap
+    ("security.py", "    if T == inf or xi == inf:", "    if T == inf:",
+     RATES),
+    ("security.py", "        if val > _MAX_VARIANCE:",
+     "        if val > 10.0 * _MAX_VARIANCE:", SECURITY),
+    # security: the asymptotic rate on arrays
+    ("security.py", "    s = _holevo_grid(V_A + 1.0, T * V_A + 1.0 + T * xi,",
+     "    s = _holevo_grid(V_A + 1.0, T * V_A + 1.0 + xi,", OPTIMIZER),
     # optimizer: the grid's best cell and its tolerance
     ("optimizer.py", "_GRID_TOL = 1e-12", "_GRID_TOL = 1e-6", RATES),
     ("optimizer.py", "    top = np.maximum.reduce(raw)",
@@ -132,6 +145,12 @@ MUTANTS = [
      "(raw >= top - 0.5 * _GRID_TOL)", OPTIMIZER),
     ("optimizer.py", "(raw >= top - 2.0 * _GRID_TOL)", "(raw >= top)",
      OPTIMIZER),
+    # optimizer: the candidate rule the asymptotic search shares
+    ("optimizer.py", "(raw >= top - 2.0 * _GRID_TOL)",
+     "(raw > top - 2.0 * _GRID_TOL)", ASYMPTOTIC),
+    ("optimizer.py", "(raw >= top - 2.0 * _GRID_TOL)", "(raw >= top)",
+     ASYMPTOTIC),
+    ("optimizer.py", "        cells.insert(0, 0)", "        pass", ASYMPTOTIC),
     ("optimizer.py", "    m = 2 if 2 > m else m", "    m = 1 if 1 > m else m",
      OPTIMIZER),
     ("optimizer.py", "_RANK_BLOCK = 8", "_RANK_BLOCK = 1", OPTIMIZER),
@@ -168,9 +187,6 @@ MUTANTS = [
      "                abs(bias) <= 2.0 * BIAS_SIGMAS * se,", EXPERIMENTS),
     ("experiments.py", "    if np.any(mm_key.variance < 0.0):",
      "    if np.any(mm_key.variance < -1.0):", EXPERIMENTS),
-    ("experiments.py", "        return repr(float(v))",
-     "        return str(float(v))", EXPERIMENTS,
-     "str and repr of a float give the same shortest round-trip text"),
     # config and cli
     ("config.py", "_MAX_POINTS = 10**6", "_MAX_POINTS = 10**7", CONFIG),
     ("config.py", "        if not 0 < self.beta <= 1:",

@@ -835,6 +835,9 @@ PINNED_DEFAULT_TABLES = {
                                    "e948597a226c779c9066ac681ceb69ad"),
     "optimize": ("optimize.csv", 4, "80a7567942e37a4f2b7d2a6d6fd50f5d"
                                     "a2a3bf104396f7185bb9e89772eaf7fa"),
+    # the one table whose rows carry numpy scalars, the session's float64s
+    "simulate": ("session.csv", 100001, "bc3a3318563b7c3d9e499b9a6eb7cdd4"
+                                        "7ba3ab4d743415d99b8922e1a8d70568"),
     "fig2_trace": ("fig2_trace.csv", 748, "756cd31077e90293298867cef27e279d"
                                           "2edfb3c84965abac9ced49d2bcffa125"),
     "fig2-gaussian": ("fig2.csv", 42, "269b4eae1548398c27c572a182deea27"

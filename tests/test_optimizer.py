@@ -12,6 +12,8 @@ from cvqkd.channel import fiber_transmission
 from cvqkd.config import ExperimentConfig
 from cvqkd.estimators import EstimatorKind
 from cvqkd.optimizer import (
+    _ASYMPTOTIC_LOG_VAS,
+    _ASYMPTOTIC_VAS,
     _BOUNDS,
     _FRACS,
     _GRID_TOL,
@@ -19,12 +21,15 @@ from cvqkd.optimizer import (
     _LOG_VAS,
     _MAXITER,
     _RANK_BLOCK,
+    _candidates,
     _last_positive,
     _nelder_mead_1d,
     _nelder_mead_2d,
     _round_m,
+    OptimizationResult,
     maximum_distance,
     optimize_asymptotic_rate,
+    optimize_asymptotic_rates,
     optimize_key_rate,
     optimize_key_rates,
     range_limit_ratio,
@@ -283,9 +288,10 @@ def test_polish_runs_few_python_frames_per_evaluation():
 
 
 def test_asymptotic_search_runs_few_python_frames_per_evaluation():
-    """Each evaluation of the asymptotic search, grid and polish, runs 2
-    Python frames: the built rate, which writes I_AB and the channel's
-    (a, b, c) out, and its Holevo term."""
+    """Each float evaluation of the asymptotic search, re-score and
+    polish, runs 2 Python frames: the built rate, which writes I_AB and
+    the channel's (a, b, c) out, and its Holevo term; the column's
+    ranking on arrays adds a few frames, not one per cell."""
     res, calls = _python_calls(
         lambda: optimize_asymptotic_rate(XI, BETA, fiber_transmission(20.0)))
     assert res.evaluations > len(optimizer._ASYMPTOTIC_LOG_VAS) + 20
@@ -418,6 +424,78 @@ def test_optimize_asymptotic_rate_basics():
     for xi, T in ((-0.01, 0.5), (XI, -0.5)):
         with pytest.raises(ValueError, match="T and xi must be >= 0"):
             optimize_asymptotic_rate(xi, BETA, T)
+
+
+def _asymptotic_scan(xi, beta, T):
+    """The asymptotic search as a whole-column float scan: the key rate
+    at each of the 48 points, np.argmax's first maximum, then the 1-D
+    polish from it when it is positive."""
+    rate = security._asymptotic_at(T, xi, beta)
+    ks = [rate(10.0 ** lv)[0] for lv in _ASYMPTOTIC_LOG_VAS]
+    i = int(np.argmax(ks))
+    best = (ks[i], _ASYMPTOTIC_LOG_VAS[i])
+    evaluations = len(ks)
+    if best[0] > 0.0:
+        lv, k, nfev = _nelder_mead_1d(rate, best[1], best[0], _BOUNDS[0],
+                                      _MAXITER, xatol=1e-5, fatol=1e-13)
+        evaluations += nfev
+        if k > best[0]:
+            best = (k, lv)
+    return OptimizationResult(
+        best_V_A=10.0 ** best[1], best_m_fraction=0.0, best_key_rate=best[0],
+        evaluations=evaluations,
+        trace=[("asymptotic", 10.0 ** best[1], 0.0, best[0], evaluations)])
+
+
+# 0 to 1000 km in steps of 7 km, and T = 0
+ASYMPTOTIC_TS = [fiber_transmission(d) for d in range(0, 1001, 7)] + [0.0]
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.95, 1.0])
+@pytest.mark.parametrize("xi", [0.0, 0.01, 0.05, float("nan")])
+def test_asymptotic_column_matches_the_float_scan(xi, beta):
+    """The column ranked on arrays, with only its candidate cells
+    re-scored, gives the whole-column float scan's result, V_A, rate,
+    evaluations and trace, at every transmission, the ones past the range
+    limit and T = 0 included; optimize_asymptotic_rate is its one-T
+    case, and an empty column has no results."""
+    results = optimize_asymptotic_rates(xi, beta, Ts=ASYMPTOTIC_TS)
+    assert len(results) == len(ASYMPTOTIC_TS)
+    for T, res in zip(ASYMPTOTIC_TS, results):
+        assert repr(res) == repr(_asymptotic_scan(xi, beta, T)), T
+    for i in (0, 5, len(ASYMPTOTIC_TS) - 1):
+        assert repr(optimize_asymptotic_rate(xi, beta, ASYMPTOTIC_TS[i])) \
+            == repr(results[i])
+    assert optimize_asymptotic_rates(xi, beta, Ts=[]) == []
+
+
+def test_asymptotic_column_stays_within_the_grid_tolerance():
+    """Over 0 to 1000 km and T = 0, every cell's array raw rate is its
+    float raw rate within 1e-13 (the measured maximum is 2.8e-14), which
+    _GRID_TOL bounds with room."""
+    gap = 0.0
+    for xi in (0.0, 0.01, 0.05):
+        for beta in (0.9, 0.95, 1.0):
+            raws = security._asymptotic_grid(
+                _ASYMPTOTIC_VAS, np.array(ASYMPTOTIC_TS)[:, None], xi, beta)
+            for T, raw in zip(ASYMPTOTIC_TS, raws):
+                rate = security._asymptotic_at(T, xi, beta)
+                floats = [rate(10.0 ** lv)[1] for lv in _ASYMPTOTIC_LOG_VAS]
+                gap = max(gap, np.max(np.abs(raw - floats)))
+    assert gap <= 1e-13 < _GRID_TOL
+
+
+def test_candidates_keep_the_tolerance_bound_and_cell_0():
+    """A cell exactly 2*_GRID_TOL below the top is a candidate, one a bit
+    lower is not; with no rate above _GRID_TOL cell 0 comes first, and a
+    NaN top leaves cell 0 alone."""
+    top = 0.25
+    bound = top - 2.0 * _GRID_TOL
+    raw = np.array([0.0, bound, top, np.nextafter(bound, -1.0), top])
+    assert _candidates(raw) == [1, 2, 4]
+    assert _candidates(np.array([-1.0, -0.5, _GRID_TOL])) == [0, 2]
+    assert _candidates(np.array([-0.5, -0.5])) == [0, 1]
+    assert _candidates(np.array([-1.0, float("nan"), 0.5])) == [0]
 
 
 def test_finite_optimum_below_asymptotic_optimum():
@@ -960,6 +1038,7 @@ def _as_rate(f, dims, N=2**20):
 
 
 _CHANNEL = "T and xi must be >= 0"
+_FINITE = "T and xi must be finite"
 _BLOCK = "N must be >= 3"
 
 
@@ -986,11 +1065,33 @@ _BLOCK = "N must be >= 3"
                  _CHANNEL, id="range_limit_ratio-xi"),
     pytest.param(lambda: range_limit_ratio(XI, BETA, 1),
                  _BLOCK, id="range_limit_ratio-N"),
+    pytest.param(lambda: optimize_asymptotic_rates(XI, BETA,
+                                                   Ts=[0.9, 0.5, -0.1, 0.2]),
+                 _CHANNEL, id="optimize_asymptotic_rates-T-inside-the-column"),
+    pytest.param(lambda: optimize_key_rate(float("inf"), BETA, 10**5, T=0.5),
+                 _FINITE, id="optimize_key_rate-xi=inf"),
+    pytest.param(lambda: optimize_key_rate(XI, BETA, 10**5, T=float("inf")),
+                 _FINITE, id="optimize_key_rate-T=inf"),
+    pytest.param(lambda: optimize_key_rates(XI, BETA, 10**5,
+                                            Ts=[0.9, float("inf")]),
+                 _FINITE, id="optimize_key_rates-T=inf"),
+    pytest.param(lambda: optimize_asymptotic_rate(float("inf"), BETA, 0.5),
+                 _FINITE, id="optimize_asymptotic_rate-xi=inf"),
+    pytest.param(lambda: optimize_asymptotic_rate(XI, BETA, float("inf")),
+                 _FINITE, id="optimize_asymptotic_rate-T=inf"),
+    pytest.param(lambda: optimize_asymptotic_rates(XI, BETA,
+                                                   Ts=[0.9, float("inf")]),
+                 _FINITE, id="optimize_asymptotic_rates-T=inf"),
+    pytest.param(lambda: maximum_distance(float("inf"), BETA, 10**5),
+                 _FINITE, id="maximum_distance-xi=inf"),
+    pytest.param(lambda: range_limit_ratio(float("inf"), BETA, 10**5),
+                 _FINITE, id="range_limit_ratio-xi=inf"),
 ])
 def test_searches_reject_a_bad_channel_or_block_size(search, message):
     """The optimizer and range searches build the float rate, which checks
-    T, xi and N, before the array path ranks a block: each raises the rate
-    layer's message, with no numpy warning on the way."""
+    T, xi (each >= 0 and finite) and N, before the array path ranks a
+    block or a column: each raises the rate layer's message, with no numpy
+    warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=message):

@@ -20,6 +20,7 @@ from cvqkd.optimizer import (
     optimize_key_rates,
 )
 from cvqkd.security import (
+    _MAX_VARIANCE,
     _NU_TOL,
     KEY_RATE_ESTIMATORS,
     _asymptotic_at,
@@ -88,18 +89,39 @@ def test_channel_abc_is_physical_on_grid():
     (3.0, 0.5, 0.01, -1, "m must be in [0, N], got m=-1, N=1000000"),
     (3.0, 0.5, 0.01, 10**6 + 1,
      "m must be in [0, N], got m=1000001, N=1000000"),
-], ids=["V_A=0", "V_A-first", "T<0", "xi<0", "m<0", "m>N"])
+    (3.0, math.inf, 0.01, 5 * 10**5,
+     "T and xi must be finite, got T=inf, xi=0.01"),
+    (3.0, 0.5, math.inf, 5 * 10**5,
+     "T and xi must be finite, got T=0.5, xi=inf"),
+    (1e4, 1.0, 0.0, 5 * 10**5,
+     f"V_A must be <= {_MAX_VARIANCE!r}, past which the model's "
+     f"arithmetic breaks down, got 10000.0"),
+    (math.inf, 0.5, 0.01, 5 * 10**5,
+     f"V_A must be <= {_MAX_VARIANCE!r}, past which the model's "
+     f"arithmetic breaks down, got inf"),
+    (3.0, 0.5, 1e4, 5 * 10**5,
+     f"xi must be <= {_MAX_VARIANCE!r}, past which the model's "
+     f"arithmetic breaks down, got 10000.0"),
+], ids=["V_A=0", "V_A-first", "T<0", "xi<0", "m<0", "m>N", "T=inf",
+        "xi=inf", "V_A-past-the-cap", "V_A=inf", "xi-past-the-cap"])
 def test_rate_functions_reject_out_of_range_inputs(V_A, T, xi, m, message):
     """holevo_bound, key_rate_asymptotic and key_rate_finite check (V_A,
-    T, xi) in one place, V_A first, each with one message;
-    key_rate_finite also rejects m outside [0, N]."""
+    T, xi) in one place, V_A first, each with one message, and with no
+    numpy warning on the way; key_rate_finite also rejects m outside [0,
+    N]. An infinite T or xi is not a channel, and past the config's
+    modulation cap the Holevo term's round-off passes its checks'
+    tolerance: the pure channel T = 1, xi = 0 at V_A = 1e4 would fail
+    the term's eigenvalue check, and at 1e5 and 1e6 give -9.9e-7 and
+    -4.4e-5, past its round-off hold."""
     calls = [lambda: key_rate_finite(V_A, T, xi, 0.95, 10**6, m)]
     if 0 <= m <= 10**6:
         calls += [lambda: holevo_bound(V_A, T, xi),
                   lambda: key_rate_asymptotic(V_A, T, xi, 0.95)]
     for call in calls:
-        with pytest.raises(ValueError) as info:
-            call()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as info:
+                call()
         assert str(info.value) == message
 
 
@@ -377,12 +399,18 @@ def test_holevo_holds_only_round_off_below_zero():
 def test_nan_entropy_propagates_to_the_rates():
     """Only g(0) is defined as 0: a NaN matrix entry, or the NaN
     eigenvalues of V_A = inf, give a NaN entropy and a NaN rate, never
-    S = 0."""
+    S = 0. The public rate functions reject V_A = inf at the modulation
+    cap, so the built rates take it here; a NaN V_A passes their checks
+    and gives a NaN."""
     assert math.isnan(_holevo(1.0, float("nan"), 0.0))
-    assert math.isnan(holevo_bound(math.inf, 0.5, 0.01))
-    assert math.isnan(key_rate_asymptotic(math.inf, 0.5, 0.01, 0.95).key_rate)
+    assert math.isnan(_holevo(*_channel_abc(math.inf, 0.5, 0.01)))
+    assert math.isnan(_asymptotic_at(0.5, 0.01, 0.95)(math.inf)[0])
+    assert math.isnan(_rate_at(0.5, 0.01, 0.95, 10**6, Z_PAPER,
+                               EstimatorKind.SIGMA2_OPT)(math.inf, 10**5)[0])
+    assert math.isnan(holevo_bound(math.nan, 0.5, 0.01))
+    assert math.isnan(key_rate_asymptotic(math.nan, 0.5, 0.01, 0.95).key_rate)
     assert math.isnan(
-        key_rate_finite(math.inf, 0.5, 0.01, 0.95, 10**6, 10**5).key_rate)
+        key_rate_finite(math.nan, 0.5, 0.01, 0.95, 10**6, 10**5).key_rate)
     with np.errstate(invalid="ignore"):
         grid = _grid_rate([3.0, math.inf], 0.5, 0.01, 0.95, 10**6, 10**5)
     assert np.isnan(grid).tolist() == [False, True]
