@@ -90,11 +90,11 @@ def _write_table(out_dir: str, name: str, cfg: ExperimentConfig,
     """Write the table ``name`` into ``out_dir``, made if missing, behind
     the run's metadata lines; returns its path.
 
-    csv writes a float, numpy's float64 subclass included, by float's
-    repr, the shortest text that reads back to the same bits, None as an
-    empty field and anything else by str. An np.float32 is not a float
-    and would be written by str, in fewer digits than its value as a
-    float has; no table holds one."""
+    csv writes each non-string field by str and None as an empty field.
+    str of a float or of numpy's float64 is the shortest text that reads
+    back to the same bits, the text of repr(float(v)). str of an
+    np.float32 is its shortest float32 text, fewer digits than its value
+    as a float has, so it would lose that; no table holds one."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:

@@ -181,6 +181,13 @@ def _check_channel(T, xi):
         raise ValueError(f"T and xi must be finite, got T={T}, xi={xi}")
 
 
+def _check_beta(beta):
+    # the rates' check of the reconciliation efficiency: an infinite beta
+    # fails here, before beta * I_AB meets inf*0 at I_AB = 0 on arrays
+    if beta == inf or beta == -inf:
+        raise ValueError(f"beta must be finite, got {beta}")
+
+
 def _check_inputs(V_A, T, xi):
     # the public rate functions' one check of the channel and modulation;
     # a NaN passes every comparison and gives a NaN rate
@@ -270,9 +277,9 @@ def _rate_at(T, xi, beta, N, z, kind):
     bound at the confidence-region corner t_min = t - z*std_t, sigma2_max
     = sigma2 + z*std_sigma2, held at t_min >= 0 and sigma2_max >= 1 as
     _hold holds it; clamped says whether either hold fired; the key rate
-    is the raw rate held at 0 (a NaN or -0.0 passes). T, xi and N >= 3
-    are checked, and sigma2, sqrt(T) and the kind's variance form fixed,
-    here, once. Needs z from confidence_quantile and a kind of
+    is the raw rate held at 0 (a NaN or -0.0 passes). T, xi, a finite
+    beta and N >= 3 are checked, and sigma2, sqrt(T) and the kind's
+    variance form fixed, here, once. Needs z from confidence_quantile and a kind of
     KEY_RATE_ESTIMATORS; rate needs V_A > 0 and 2 <= m <= N-1.
 
     rate is the one float form of the finite-size rate, written out in one
@@ -284,6 +291,7 @@ def _rate_at(T, xi, beta, N, z, kind):
     composed of those functions.
     """
     _check_channel(T, xi)
+    _check_beta(beta)
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
     sigma2 = _sigma2(T, xi)
@@ -327,11 +335,12 @@ def _rate_at(T, xi, beta, N, z, kind):
 
 def _asymptotic_at(T, xi, beta):
     """rate(V_A) -> (key rate, raw rate, I_AB, S): the asymptotic rate
-    beta*I_AB - S of one channel, held at 0 as in _rate_at. T and xi are
-    checked and sigma2 is fixed here, once; rate needs V_A > 0. It writes
+    beta*I_AB - S of one channel, held at 0 as in _rate_at. T, xi and a
+    finite beta are checked and sigma2 is fixed here, once; rate needs V_A > 0. It writes
     I_AB and the channel's (a, b, c) of _channel_abc out, as _rate_at
     does, and calls _holevo alone."""
     _check_channel(T, xi)
+    _check_beta(beta)
     sigma2 = _sigma2(T, xi)
     t_xi = T * xi
 

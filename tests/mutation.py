@@ -132,6 +132,13 @@ MUTANTS = [
      RATES),
     ("security.py", "        if val > _MAX_VARIANCE:",
      "        if val > 10.0 * _MAX_VARIANCE:", SECURITY),
+    # security: an infinite beta, in each built rate
+    ("security.py", "    if beta == inf or beta == -inf:",
+     "    if beta == inf:", RATES),
+    ("security.py", "    _check_beta(beta)\n    if N < 3:", "    if N < 3:",
+     OPTIMIZER),
+    ("security.py", "    _check_beta(beta)\n    sigma2 = _sigma2(T, xi)",
+     "    sigma2 = _sigma2(T, xi)", OPTIMIZER),
     # security: the asymptotic rate on arrays
     ("security.py", "    s = _holevo_grid(V_A + 1.0, T * V_A + 1.0 + T * xi,",
      "    s = _holevo_grid(V_A + 1.0, T * V_A + 1.0 + xi,", OPTIMIZER),
@@ -151,6 +158,13 @@ MUTANTS = [
     ("optimizer.py", "(raw >= top - 2.0 * _GRID_TOL)", "(raw >= top)",
      ASYMPTOTIC),
     ("optimizer.py", "        cells.insert(0, 0)", "        pass", ASYMPTOTIC),
+    # optimizer: a Python frame added to each float evaluation of the
+    # asymptotic search
+    ("optimizer.py", "    rates = [_asymptotic_at(T, xi, beta) for T in Ts]",
+     "    rates = [(lambda r: lambda V_A: r(V_A))(_asymptotic_at(T, xi, beta))"
+     "\n             for T in Ts]",
+     ("tests/test_optimizer.py::"
+      "test_asymptotic_search_runs_few_python_frames_per_evaluation",)),
     ("optimizer.py", "    m = 2 if 2 > m else m", "    m = 1 if 1 > m else m",
      OPTIMIZER),
     ("optimizer.py", "_RANK_BLOCK = 8", "_RANK_BLOCK = 1", OPTIMIZER),

@@ -291,11 +291,17 @@ def test_asymptotic_search_runs_few_python_frames_per_evaluation():
     """Each float evaluation of the asymptotic search, re-score and
     polish, runs 2 Python frames: the built rate, which writes I_AB and
     the channel's (a, b, c) out, and its Holevo term; the column's
-    ranking on arrays adds a few frames, not one per cell."""
-    res, calls = _python_calls(
-        lambda: optimize_asymptotic_rate(XI, BETA, fiber_transmission(20.0)))
-    assert res.evaluations > len(optimizer._ASYMPTOTIC_LOG_VAS) + 20
-    assert calls <= 3 * res.evaluations
+    ranking on arrays adds a few frames, not one per cell. The bound
+    counts the float evaluations made, the candidate cells and the
+    polish's, not the column's 48 cells, so a frame added per
+    evaluation fails it."""
+    T = fiber_transmission(20.0)
+    res, calls = _python_calls(lambda: optimize_asymptotic_rate(XI, BETA, T))
+    raw = security._asymptotic_grid(optimizer._ASYMPTOTIC_VAS,
+                                    np.array([[T]]), XI, BETA)[0]
+    polished = res.evaluations - raw.size
+    assert polished > 20
+    assert calls <= 3 * (len(optimizer._candidates(raw)) + polished)
 
 
 # one figure column, the default distances: 41 = 5 blocks of 8 and a
@@ -1040,6 +1046,7 @@ def _as_rate(f, dims, N=2**20):
 _CHANNEL = "T and xi must be >= 0"
 _FINITE = "T and xi must be finite"
 _BLOCK = "N must be >= 3"
+_BETA = "beta must be finite"
 
 
 @pytest.mark.parametrize("search, message", [
@@ -1086,12 +1093,27 @@ _BLOCK = "N must be >= 3"
                  _FINITE, id="maximum_distance-xi=inf"),
     pytest.param(lambda: range_limit_ratio(float("inf"), BETA, 10**5),
                  _FINITE, id="range_limit_ratio-xi=inf"),
+    # at T = 0, I_AB = 0 and an infinite beta would meet inf*0 on arrays
+    pytest.param(lambda: optimize_key_rate(XI, float("inf"), 10**5, T=0.0),
+                 _BETA, id="optimize_key_rate-beta=inf"),
+    pytest.param(lambda: optimize_key_rates(XI, -float("inf"), 10**5,
+                                            Ts=[0.9, 0.0]),
+                 _BETA, id="optimize_key_rates-beta=-inf"),
+    pytest.param(lambda: optimize_asymptotic_rate(XI, float("inf"), 0.0),
+                 _BETA, id="optimize_asymptotic_rate-beta=inf"),
+    pytest.param(lambda: optimize_asymptotic_rates(XI, -float("inf"),
+                                                   Ts=[0.9, 0.0]),
+                 _BETA, id="optimize_asymptotic_rates-beta=-inf"),
+    pytest.param(lambda: maximum_distance(XI, float("inf"), 10**5),
+                 _BETA, id="maximum_distance-beta=inf"),
+    pytest.param(lambda: range_limit_ratio(XI, float("inf"), 10**5),
+                 _BETA, id="range_limit_ratio-beta=inf"),
 ])
 def test_searches_reject_a_bad_channel_or_block_size(search, message):
     """The optimizer and range searches build the float rate, which checks
-    T, xi (each >= 0 and finite) and N, before the array path ranks a
-    block or a column: each raises the rate layer's message, with no numpy
-    warning on the way."""
+    T, xi (each >= 0 and finite), a finite beta and N, before the array
+    path ranks a block or a column: each raises the rate layer's message,
+    with no numpy warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=message):

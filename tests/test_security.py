@@ -125,6 +125,23 @@ def test_rate_functions_reject_out_of_range_inputs(V_A, T, xi, m, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("beta", [math.inf, -math.inf])
+def test_rate_functions_reject_an_infinite_beta(beta):
+    """key_rate_asymptotic and key_rate_finite reject an infinite beta
+    with one message and no numpy warning, also at T = 0, where I_AB = 0
+    and beta * I_AB would be NaN; a NaN beta still gives a NaN rate."""
+    for T in (0.5, 0.0):
+        for call in (lambda: key_rate_asymptotic(3.0, T, 0.01, beta),
+                     lambda: key_rate_finite(3.0, T, 0.01, beta, 10**6,
+                                             5 * 10**5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError) as info:
+                    call()
+            assert str(info.value) == f"beta must be finite, got {beta}"
+    assert math.isnan(key_rate_asymptotic(3.0, 0.5, 0.01, math.nan).key_rate)
+
+
 def test_confidence_quantile_conventions():
     assert confidence_quantile(1e-10) == pytest.approx(4.6463532876522295, rel=1e-12)
     assert confidence_quantile(1e-10, "gaussian") == pytest.approx(
