@@ -98,6 +98,9 @@ def _effective_config(args) -> ExperimentConfig:
     if key and cfg.V_M2 == 0:
         raise ValueError(f"{args.command} needs V_M2 > 0: it runs the "
                          f"second-modulation estimators")
+    if args.command == "validate" and not cfg.mc_distances_km:
+        raise ValueError("validate needs a distance in mc_distances_km: "
+                         "without one it checks no estimator")
     for d in getattr(cfg, key) if key else ():
         # Var(T_hat) divides by T*V_M2, and validate divides by its root
         T = fiber_transmission(d, cfg.loss_db_per_km)

@@ -144,6 +144,13 @@ class ExperimentConfig:
             raise ValueError("n_list must not be empty")
         if any(n < 3 for n in self.n_list) or self.fig3_N < 3:
             raise ValueError("block sizes must be >= 3")
+        # a repeat would write a duplicate table column, or each row twice
+        for key in ("estimators", "n_list"):
+            vals = getattr(self, key)
+            for i, val in enumerate(vals):
+                if val in vals[:i]:
+                    raise ValueError(f"{key} must not repeat a value, got "
+                                     f"{_shown(val)} twice")
 
     def echo_lines(self) -> list[str]:
         """Effective configuration, one key = value line per field."""

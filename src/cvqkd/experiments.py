@@ -347,12 +347,10 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
             EstimatorKind.SIGMA2_OPT)]
         rows.append(row + mc.get(d, [None, None]))
 
-    path = _write_table(out_dir, "fig1.csv", cfg,
+    return _write_table(out_dir, "fig1.csv", cfg,
                         ["distance_km", "std_Vxi", "std_MM", "std_MLE",
                          "std_Vxi_opt", "std_opt", "mc_std_MM", "mc_std_opt"],
                         rows)
-    _write_plot_script(out_dir)
-    return path
 
 
 def _rate_table(cfg: ExperimentConfig, N: int) -> list[list]:
@@ -392,7 +390,6 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
     _write_table(out_dir, "fig2_trace.csv", cfg,
                  ["distance_km", "estimator", "N", "stage", "V_A",
                   "m_fraction", "key_rate", "evaluations"], trace_rows)
-    _write_plot_script(out_dir)
     return path
 
 
@@ -403,11 +400,9 @@ def run_fig3(cfg: ExperimentConfig, out_dir: str) -> str:
         for name, res in zip(cfg.estimators, results):
             rows.append([d, name, res.best_m_fraction, res.best_V_A,
                          res.best_key_rate])
-    path = _write_table(out_dir, "fig3.csv", cfg,
+    return _write_table(out_dir, "fig3.csv", cfg,
                         ["distance_km", "estimator", "opt_m_over_N",
                          "opt_V_A", "key_rate"], rows)
-    _write_plot_script(out_dir)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -459,75 +454,3 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str) -> str:
                         ["distance_km", "estimator", "opt_V_A",
                          "opt_m_over_N", "opt_m", "key_rate", "evaluations"],
                         rows)
-
-
-# ---------------------------------------------------------------------------
-
-_PLOT_SCRIPT = '''\
-"""Plot any of the result CSVs living next to this script.
-
-Usage: python plot_results.py [fig1.csv|fig2.csv|fig3.csv ...]
-Requires matplotlib; the analysis outputs themselves do not.
-"""
-import csv
-import os
-import sys
-
-import matplotlib.pyplot as plt
-
-
-def read_csv(path):
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header, body = rows[0], rows[1:]
-    cols = {name: [] for name in header}
-    for row in body:
-        for name, cell in zip(header, row):
-            cols[name].append(float(cell) if cell and name != "estimator"
-                              and name != "stage" and name != "N"
-                              and name != "status" else cell)
-    return cols
-
-
-def plot_file(path):
-    cols = read_csv(path)
-    d = cols["distance_km"]
-    fig, ax = plt.subplots()
-    if "estimator" in cols:
-        names = sorted(set(cols["estimator"]))
-        ycol = "opt_m_over_N" if "opt_m_over_N" in cols else "key_rate"
-        for name in names:
-            xs = [x for x, e in zip(d, cols["estimator"]) if e == name]
-            ys = [y for y, e in zip(cols[ycol], cols["estimator"]) if e == name]
-            ax.plot(xs, ys, label=name)
-    else:
-        for name, ys in cols.items():
-            if name == "distance_km":
-                continue
-            pairs = [(x, y) for x, y in zip(d, ys) if y != ""]
-            if not pairs:
-                continue
-            style = "o" if name.startswith("mc_") else "-"
-            ax.plot([p[0] for p in pairs], [p[1] for p in pairs], style,
-                    label=name)
-        if any(n.startswith("std_") or n.startswith("K_") for n in cols):
-            ax.set_yscale("log")
-    ax.set_xlabel("distance [km]")
-    ax.legend(fontsize=8)
-    out = os.path.splitext(path)[0] + ".png"
-    fig.savefig(out, dpi=150)
-    print("wrote", out)
-
-
-if __name__ == "__main__":
-    targets = sys.argv[1:] or [f for f in ("fig1.csv", "fig2.csv", "fig3.csv")
-                               if os.path.exists(f)]
-    for target in targets:
-        plot_file(target)
-'''
-
-
-def _write_plot_script(out_dir: str) -> None:
-    path = os.path.join(out_dir, "plot_results.py")
-    with open(path, "w") as fh:
-        fh.write(_PLOT_SCRIPT)

@@ -46,6 +46,10 @@ ASYMPTOTIC = tuple(
     for test in ("test_asymptotic_column_matches_the_float_scan",
                  "test_candidates_keep_the_tolerance_bound_and_cell_0"))
 
+# the Monte Carlo coverage of the rate's confidence corner
+COVERAGE = ("tests/test_experiments.py::"
+            "test_confidence_corner_misses_at_its_nominal_rate",)
+
 # (file under src/cvqkd, old text, new text, tests[, reason it is
 # equivalent]); the float Holevo term's three entropy lines share their
 # text, so those rows carry the eigenvalue line above them
@@ -127,6 +131,10 @@ MUTANTS = [
      SECURITY),
     ("security.py", "    if N < 3:", "    if N < 2:", RATES),
     ("security.py", "    if V_A <= 0:", "    if V_A < 0:", SECURITY),
+    # security: the gaussian quantile's sqrt(2), seen by the corner's
+    # coverage alone
+    ("security.py", "        z = float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))",
+     "        z = float(_erfinv(1.0 - epsilon_pe))", COVERAGE),
     # security: an infinite channel and the modulation cap
     ("security.py", "    if T == inf or xi == inf:", "    if T == inf:",
      RATES),
@@ -192,6 +200,12 @@ MUTANTS = [
     ("estimators.py",
      "    return 2.0 * sigma2**2 / n + (1.0 / m + 1.0 / n)",
      "    return 2.0 * sigma2**2 / n + (1.0 / m - 1.0 / n)", ESTIMATORS),
+    # a variance form 5% too large, seen by the corner's coverage alone
+    ("estimators.py",
+     "    return 2.0 * sigma2**2 / n + (1.0 / m + 1.0 / n) * 4.0 * T * sigma2"
+     " * V_A",
+     "    return 1.05 * (2.0 * sigma2**2 / n + (1.0 / m + 1.0 / n) * 4.0 * T"
+     " * sigma2 * V_A)", COVERAGE),
     ("estimators.py", "    return v1 * v2 / (v1 + v2)",
      "    return v1 * v2 / (v1 + v2) / 2.0", ESTIMATORS),
     ("estimators.py", "    if m < 2:\n        raise ValueError(f\"need m >= 2",
@@ -206,6 +220,16 @@ MUTANTS = [
     ("config.py", "        if not 0 < self.beta <= 1:",
      "        if not 0 < self.beta <= 2:", CONFIG),
     ("cli.py", "_MAX_SIMULATE_N = 10**7", "_MAX_SIMULATE_N = 10**8",
+     EXPERIMENTS),
+    # config and cli: a repeated estimator or block size, and validate
+    # with no Monte Carlo distance, each accepted
+    ("config.py", '        for key in ("estimators", "n_list"):',
+     '        for key in ("n_list",):', CONFIG),
+    ("config.py", '        for key in ("estimators", "n_list"):',
+     '        for key in ("estimators",):', CONFIG),
+    ("cli.py",
+     '    if args.command == "validate" and not cfg.mc_distances_km:',
+     '    if args.command == "validate" and cfg.mc_distances_km is None:',
      EXPERIMENTS),
 ]
 

@@ -154,6 +154,14 @@ REJECTIONS = [
     ("n_list = 1e5, 2\n", "block sizes must be >= 3"),
     ("fig3_N = 1\n", "block sizes must be >= 3"),
     ("fig3_N = 2\n", "block sizes must be >= 3"),
+    # a repeat would write a duplicate column or row; 1e5 is 100000
+    ("estimators = opt, opt\n",
+     "estimators must not repeat a value, got opt twice"),
+    ("estimators = mle, mm, mle\n",
+     "estimators must not repeat a value, got mle twice"),
+    ("n_list = 1e5, 1e5\n", "n_list must not repeat a value, got 100000 twice"),
+    ("n_list = 1e5, 1e7, 100000\n",
+     "n_list must not repeat a value, got 100000 twice"),
 ]
 
 

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -60,7 +61,7 @@ from cvqkd.experiments import (
 )
 from cvqkd.config import _KIND_BY_NAME
 from cvqkd.optimizer import OptimizationResult, _round_m, optimize_key_rate
-from cvqkd.security import key_rate_finite
+from cvqkd.security import confidence_quantile, key_rate_finite
 
 SMALL_CFG = (
     "N = 2000\n"
@@ -315,6 +316,58 @@ def test_moment_sampler_matches_theory_at_1e9_states():
             assert abs(np.log(ratio)) <= tol, (d, name, ratio)
 
 
+def test_confidence_corner_misses_at_its_nominal_rate():
+    """Over 1e6 trials at the default config, at 0 and 20 km, each
+    estimator's one-sided bound at z = confidence_quantile(1e-3, conv)
+    and the closed-form std misses the truth as often as the convention
+    promises: 0.5*erfc(z/sqrt(2)), with z from the convention's
+    definition, erfinv(1 - eps/2) for paper and the normal quantile of
+    1 - eps/2 for gaussian, so a wrong quantile fails here as a wrong
+    variance form does. Each count is gated at a binomial |z| <= 4.
+    sigma2_mle's law is exact, m*sigma2_hat/sigma2 ~ chi2(m - 1), and its
+    count is gated against that tail; against the Gaussian tail it reads
+    about 2.5 binomial sigma low."""
+    from scipy.special import chdtr, erfinv, ndtri
+
+    # the corner takes t_hat's lower bound and each sigma2 estimator's
+    # upper bound
+    names = ("t_hat", "sigma2_mle", "sigma2_mm_full", "sigma2_mm_key",
+             "sigma2_opt")
+    eps, chunks, per_chunk = 1e-3, 10, 100_000
+    trials = chunks * per_chunk
+    cfg = ExperimentConfig()
+    z_of = {"paper": float(erfinv(1.0 - eps / 2.0)),
+            "gaussian": float(ndtri(1.0 - eps / 2.0))}
+    for di, d in enumerate((0.0, 20.0)):
+        channel = ChannelParams.from_distance(d, cfg.xi, cfg.loss_db_per_km)
+        truth = dict.fromkeys(names, channel.sigma2)
+        truth["t_hat"] = channel.t
+        std = {name: theoretical_std(_THEORY_KIND[name], cfg.V_A, channel.T,
+                                     cfg.xi, cfg.m, cfg.N - cfg.m, cfg.N)
+               for name in names}
+        zs = {conv: confidence_quantile(eps, conv) for conv in z_of}
+        misses = {(conv, name): 0 for conv in zs for name in names}
+        for c in range(chunks):
+            res = run_estimator_trials(cfg, d, per_chunk,
+                                       stream_base=2000 + 20 * di + 2 * c)
+            for conv, z in zs.items():
+                misses[conv, "t_hat"] += int(np.count_nonzero(
+                    res["t_hat"] - z * std["t_hat"] > truth["t_hat"]))
+                for name in names[1:]:
+                    misses[conv, name] += int(np.count_nonzero(
+                        res[name] + z * std[name] < truth[name]))
+        for (conv, name), count in misses.items():
+            z = z_of[conv]
+            if name == "sigma2_mle":
+                p = float(chdtr(cfg.m - 1, cfg.m * (
+                    1.0 - z * std[name] / truth[name])))
+            else:
+                p = 0.5 * math.erfc(z / math.sqrt(2.0))
+            mean = trials * p
+            score = (count - mean) / math.sqrt(mean * (1.0 - p))
+            assert abs(score) <= 4.0, (d, conv, name, count, mean, score)
+
+
 def test_run_fig1_columns_and_theory_values(tmp_path):
     cfg = _small_cfg()
     path = run_fig1(cfg, str(tmp_path))
@@ -333,7 +386,6 @@ def test_run_fig1_columns_and_theory_values(tmp_path):
     assert rows[0][6] != "" and rows[2][6] != ""
     assert rows[1][6] == "" and rows[1][7] == ""
     assert "np.float64" not in (tmp_path / "fig1.csv").read_text()
-    assert (tmp_path / "plot_results.py").exists()
 
 
 def test_run_fig1_reruns_byte_identical(tmp_path):
@@ -594,7 +646,11 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
                        ("loss_db_per_km = nan\n", "validate"),
                        ("xi = nan\n", "validate"), ("V_A = nan\n", "validate"),
                        ("V_M2 = nan\n", "validate"), ("N = inf\n", "keyrate"),
-                       ("distances_km = 0:inf:5\n", "fig2")):
+                       ("distances_km = 0:inf:5\n", "fig2"),
+                       ("n_list = 1e5, 1e5\n", "fig2"),
+                       ("n_list = 1e5, 100000\n", "fig2"),
+                       ("estimators = opt, opt\n", "fig3"),
+                       ("estimators = opt, opt\n", "keyrate")):
         bad.write_text(text)
         rc = cli.main([verb, "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2, text
@@ -632,6 +688,22 @@ def _cli_run(tmp_path, verb, text):
         rc = cli.main([verb, "--config", str(cfg_path),
                        "--out", str(tmp_path / verb)])
     return rc, err.getvalue()
+
+
+def test_validate_needs_a_monte_carlo_distance(tmp_path):
+    """validate with no Monte Carlo distance would check no estimator and
+    pass, so it is a config error; fig1's theory curves need no trials,
+    so it runs and leaves its Monte Carlo columns empty."""
+    text = SMALL_CFG + "mc_distances_km = \n"
+    rc, err = _cli_run(tmp_path, "validate", text)
+    assert rc == 2
+    assert err == ("cvqkd: config error: validate needs a distance in "
+                   "mc_distances_km: without one it checks no estimator\n")
+    assert not (tmp_path / "validate").exists()
+    rc, err = _cli_run(tmp_path, "fig1", text)
+    assert rc == 0 and err == ""
+    rows = _read_table(tmp_path / "fig1" / "fig1.csv")[2]
+    assert len(rows) == 3 and all(r[6:] == ["", ""] for r in rows)
 
 
 def test_second_modulation_verbs_reject_zero_transmission(tmp_path):
@@ -1096,6 +1168,31 @@ def test_an_unwritable_output_directory_exits_two(tmp_path, capsys, verb):
         assert captured.err.startswith(f"cvqkd: {verb}: [Errno "), captured
         assert error in captured.err and captured.err.count("\n") == 1
     assert blocker.read_text() == ""
+
+
+def test_each_verb_writes_exactly_its_tables(tmp_path):
+    """Every verb, run into a fresh directory, leaves exactly its own
+    files there: no stray output such as a plot script."""
+    verb_files = {
+        "fig1": {"fig1.csv"},
+        "fig2": {"fig2.csv", "fig2_trace.csv"},
+        "fig3": {"fig3.csv"},
+        "validate": {"validate_report.csv", "validate_summary.txt"},
+        "simulate": {"session.csv"},
+        "keyrate": {"keyrate.csv"},
+        "optimize": {"optimize.csv"},
+    }
+    assert sorted(verb_files) == sorted(ALL_VERBS)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CFG + "trials = 10\nn_list = 1e5\n"
+                        "fig3_N = 1e5\n")
+    for verb, files in verb_files.items():
+        out = tmp_path / verb
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([verb, "--config", str(cfg_path), "--out", str(out)])
+        # validate's small run may fail a tolerance, and exits 1 then
+        assert rc in ((0, 1) if verb == "validate" else (0,)), verb
+        assert set(os.listdir(out)) == files, verb
 
 
 def test_cli_seed_override_changes_sessions(tmp_path):

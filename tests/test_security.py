@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,28 @@ def test_confidence_quantile_conventions():
             confidence_quantile(epsilon_pe, convention)
     assert 5.0 < confidence_quantile(2.0**-52) < 6.0
     assert 8.0 < confidence_quantile(2.0**-53, "gaussian") < 9.0
+
+
+def test_readme_quotes_the_default_failure_probabilities():
+    """README gives, for each convention at the default epsilon_pe, z and
+    the one-sided failure probability 0.5*erfc(z/sqrt(2)) that a bound at
+    that z delivers, at the digits it prints them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    eps = ExperimentConfig().epsilon_pe
+    for convention, z_text, p_text in (("paper", "4.6464", "1.69e-6"),
+                                       ("gaussian", "6.4670", "5.0e-11")):
+        z = confidence_quantile(eps, convention)
+        p = 0.5 * math.erfc(z / math.sqrt(2.0))
+        mantissa, exponent = p_text.split("e")
+        assert f"{z:.4f}" == z_text, convention
+        assert f"{p / 10.0 ** int(exponent):.{len(mantissa) - 2}f}" == \
+            mantissa, (convention, p)
+        assert f"| {z_text} | {p_text} |" in readme, convention
+    # the paper convention's bounds fail about 3.4e4 times as often as
+    # eps/2, which is the gaussian convention's one-sided tail
+    paper = 0.5 * math.erfc(confidence_quantile(eps) / math.sqrt(2.0))
+    assert f"{paper / (eps / 2.0):.1e}" == "3.4e+04"
+    assert "3.4e4 times as often as ε_PE/2" in readme
 
 
 def test_worst_case_params_example():
