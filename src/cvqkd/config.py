@@ -145,12 +145,13 @@ class ExperimentConfig:
         if any(n < 3 for n in self.n_list) or self.fig3_N < 3:
             raise ValueError("block sizes must be >= 3")
         # a repeat would write a duplicate table column, or each row twice
-        for key in ("estimators", "n_list"):
-            vals = getattr(self, key)
-            for i, val in enumerate(vals):
-                if val in vals[:i]:
+        for key in ("estimators", "n_list", "distances_km", "mc_distances_km"):
+            seen = set()
+            for val in getattr(self, key):
+                if val in seen:
                     raise ValueError(f"{key} must not repeat a value, got "
                                      f"{_shown(val)} twice")
+                seen.add(val)
 
     def echo_lines(self) -> list[str]:
         """Effective configuration, one key = value line per field."""

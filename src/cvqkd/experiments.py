@@ -240,8 +240,8 @@ def _theory_std(cfg: ExperimentConfig, kind: EstimatorKind, T: float) -> float:
 def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
     """Empirical check of every estimator against its theoretical law.
 
-    Writes validate_report.csv (one row per check) and
-    validate_summary.txt; returns (rows, all_ok). A row is (check,
+    Writes validate_report.csv, one row per check; returns (rows, all_ok),
+    all_ok being True when every row passes. A row is (check,
     distance_km, estimator, observed, expected, tolerance, status, z): z is
     the check's statistic in standard errors of its sampling noise, empty
     for the exact identities and the dominance check. It is reported only;
@@ -303,19 +303,6 @@ def monte_carlo_validate(cfg: ExperimentConfig, out_dir: str):
     _write_table(out_dir, "validate_report.csv", cfg,
                  ["check", "distance_km", "estimator", "observed",
                   "expected", "tolerance", "status", "z"], rows)
-
-    by_check: dict[str, list] = {}
-    for r in rows:
-        by_check.setdefault(r[0], []).append(r)
-    with open(os.path.join(out_dir, "validate_summary.txt"), "w") as fh:
-        fh.write(f"# version = {__version__}\n")
-        fh.write(f"# master_seed = {cfg.seed}\n")
-        fh.write(f"trials = {trials}\n")
-        for check, group in by_check.items():
-            n_fail = sum(1 for g in group if g[6] != "pass")
-            status = "PASS" if n_fail == 0 else f"FAIL ({n_fail}/{len(group)})"
-            fh.write(f"{check}: {status}\n")
-        fh.write("OVERALL: " + ("PASS" if all_ok else "FAIL") + "\n")
     return rows, all_ok
 
 

@@ -49,6 +49,13 @@ ASYMPTOTIC = tuple(
 # the Monte Carlo coverage of the rate's confidence corner
 COVERAGE = ("tests/test_experiments.py::"
             "test_confidence_corner_misses_at_its_nominal_rate",)
+# sigma2_MLE's upper bound against its exact chi-square tail
+CHI_SQUARE = ("tests/test_security.py::"
+              "test_sigma2_mle_corner_holds_its_exact_chi_square_tail",)
+
+# the config check's loop over the keys that must not repeat a value
+_REPEATS = ('        for key in ("estimators", "n_list", "distances_km", '
+            '"mc_distances_km"):')
 
 # (file under src/cvqkd, old text, new text, tests[, reason it is
 # equivalent]); the float Holevo term's three entropy lines share their
@@ -132,9 +139,9 @@ MUTANTS = [
     ("security.py", "    if N < 3:", "    if N < 2:", RATES),
     ("security.py", "    if V_A <= 0:", "    if V_A < 0:", SECURITY),
     # security: the gaussian quantile's sqrt(2), seen by the corner's
-    # coverage alone
+    # coverage and by sigma2_MLE's exact tail
     ("security.py", "        z = float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))",
-     "        z = float(_erfinv(1.0 - epsilon_pe))", COVERAGE),
+     "        z = float(_erfinv(1.0 - epsilon_pe))", COVERAGE + CHI_SQUARE),
     # security: an infinite channel and the modulation cap
     ("security.py", "    if T == inf or xi == inf:", "    if T == inf:",
      RATES),
@@ -221,12 +228,15 @@ MUTANTS = [
      "        if not 0 < self.beta <= 2:", CONFIG),
     ("cli.py", "_MAX_SIMULATE_N = 10**7", "_MAX_SIMULATE_N = 10**8",
      EXPERIMENTS),
-    # config and cli: a repeated estimator or block size, and validate
-    # with no Monte Carlo distance, each accepted
-    ("config.py", '        for key in ("estimators", "n_list"):',
-     '        for key in ("n_list",):', CONFIG),
-    ("config.py", '        for key in ("estimators", "n_list"):',
-     '        for key in ("estimators",):', CONFIG),
+    # config and cli: a repeated estimator, block size, distance or Monte
+    # Carlo distance, and validate with no Monte Carlo distance, each
+    # accepted
+    ("config.py", _REPEATS, _REPEATS.replace('"estimators", ', ''), CONFIG),
+    ("config.py", _REPEATS, _REPEATS.replace('"n_list", ', ''), CONFIG),
+    ("config.py", _REPEATS, _REPEATS.replace('"distances_km", ', ''),
+     CONFIG),
+    ("config.py", _REPEATS, _REPEATS.replace(', "mc_distances_km"', ''),
+     CONFIG),
     ("cli.py",
      '    if args.command == "validate" and not cfg.mc_distances_km:',
      '    if args.command == "validate" and cfg.mc_distances_km is None:',

@@ -162,6 +162,12 @@ REJECTIONS = [
     ("n_list = 1e5, 1e5\n", "n_list must not repeat a value, got 100000 twice"),
     ("n_list = 1e5, 1e7, 100000\n",
      "n_list must not repeat a value, got 100000 twice"),
+    ("distances_km = 0, 0\n",
+     "distances_km must not repeat a value, got 0.0 twice"),
+    ("distances_km = 5, 0, 5.0\n",
+     "distances_km must not repeat a value, got 5.0 twice"),
+    ("mc_distances_km = 20, 20\n",
+     "mc_distances_km must not repeat a value, got 20.0 twice"),
 ]
 
 

@@ -137,7 +137,7 @@ def test_run_estimator_trials_sane_means():
 
 def test_monte_carlo_validate_writes_report(tmp_path):
     cfg = _small_cfg()
-    rows, _ = monte_carlo_validate(cfg, str(tmp_path / "out"))
+    rows, all_ok = monte_carlo_validate(cfg, str(tmp_path / "out"))
     meta, header, table = _read_table(tmp_path / "out" / "validate_report.csv")
     assert header == ["check", "distance_km", "estimator", "observed",
                       "expected", "tolerance", "status", "z"]
@@ -151,8 +151,11 @@ def test_monte_carlo_validate_writes_report(tmp_path):
     for r in rows:
         if r[0] in ("mm_equals_mle_full_set", "split_identity"):
             assert r[6] == "pass"
-    summary = (tmp_path / "out" / "validate_summary.txt").read_text()
-    assert "OVERALL:" in summary
+    # the status column is the whole verdict: all_ok is every row passing
+    statuses = [cells[6] for cells in table]
+    assert statuses == [r[6] for r in rows]
+    assert set(statuses) <= {"pass", "FAIL"}
+    assert all_ok == all(status == "pass" for status in statuses)
 
 
 def test_monte_carlo_validate_reports_z_scores(tmp_path, monkeypatch):
@@ -198,9 +201,8 @@ def test_monte_carlo_validate_is_byte_deterministic(tmp_path):
     cfg1, cfg2 = _small_cfg(), _small_cfg()
     monte_carlo_validate(cfg1, str(tmp_path / "a"))
     monte_carlo_validate(cfg2, str(tmp_path / "b"))
-    for name in ("validate_report.csv", "validate_summary.txt"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+    assert (tmp_path / "a" / "validate_report.csv").read_bytes() == \
+        (tmp_path / "b" / "validate_report.csv").read_bytes()
 
 
 def _sampled_sums(cfg, distance_km, trials, stream):
@@ -631,6 +633,12 @@ def test_cli_requires_command():
 
 def test_cli_bad_config_returns_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
+    # a repeated distance would draw or optimize it twice and write its
+    # rows twice; the message names the key and the value
+    repeats = {"distances_km = 0, 0\n":
+               "distances_km must not repeat a value, got 0.0 twice",
+               "mc_distances_km = 20, 20\n":
+               "mc_distances_km must not repeat a value, got 20.0 twice"}
     for text, verb in (("no_such_key = 1\n", "keyrate"),
                        ("mm_key_cross_denominator_full = true\n", "fig1"),
                        ("mm_key_printed_variance = false\n", "validate"),
@@ -650,7 +658,9 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
                        ("n_list = 1e5, 1e5\n", "fig2"),
                        ("n_list = 1e5, 100000\n", "fig2"),
                        ("estimators = opt, opt\n", "fig3"),
-                       ("estimators = opt, opt\n", "keyrate")):
+                       ("estimators = opt, opt\n", "keyrate"),
+                       *((text, verb) for text in repeats
+                         for verb in ("fig1", "fig3", "validate"))):
         bad.write_text(text)
         rc = cli.main([verb, "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2, text
@@ -659,6 +669,8 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
         if text.startswith(("mm_key_", "asymptotic_includes_beta")):
             # removed keys are rejected, not ignored
             assert "unknown config key" in err, err
+        if text in repeats:
+            assert err == f"cvqkd: config error: {repeats[text]}\n", verb
 
 
 def test_cli_second_modulation_verbs_reject_zero_v_m2(tmp_path, capsys):
@@ -1177,7 +1189,7 @@ def test_each_verb_writes_exactly_its_tables(tmp_path):
         "fig1": {"fig1.csv"},
         "fig2": {"fig2.csv", "fig2_trace.csv"},
         "fig3": {"fig3.csv"},
-        "validate": {"validate_report.csv", "validate_summary.txt"},
+        "validate": {"validate_report.csv"},
         "simulate": {"session.csv"},
         "keyrate": {"keyrate.csv"},
         "optimize": {"optimize.csv"},

@@ -46,11 +46,13 @@ from reference_rate import search_rate
 
 XI, BETA = 0.01, 0.95
 
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json")
+    .read_text())
+
 # bisection at 0.1 km resolution, fully deterministic: the frozen ranges
 # of the benchmark's expected outputs, by N
-MAX_DIST_OPT = {int(N): d for N, d in json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json")
-    .read_text())["maximum_distance"].items()}
+MAX_DIST_OPT = {int(N): d for N, d in EXPECTED["maximum_distance"].items()}
 
 
 def test_optimize_key_rate_fixes_the_quantile_and_kind_once(monkeypatch):
@@ -688,61 +690,14 @@ def test_range_limit_ratio_dead_channel():
 # probes of maximum_distance at the default n_list
 MAX_DIST_PROBES = {10**5: 17, 10**7: 19, 10**9: 19, 10**12: 21}
 
-# the three range_limit_ratio calls of the range_limit benchmark, bit for
-# bit: boundary_km and max_ratio, evaluations, then each row's six fields
-RATIO_PINS = {
-    (10**5, EstimatorKind.SIGMA2_MLE): (
-        "0x1.35c4000000000p+5 0x1.7354ef3158f31p+3", 23592, (
-            "0x1.355d99999999ap+5 0x1.aa71e3d8a6e98p-23 0x1.be9f2c831db23p-23 "
-            "0x1.0c1cc838ad18ep+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.359b0a3d70a3dp+5 0x1.57251023978d5p-24 0x1.7f8cb9368b439p-24 "
-            "0x1.1e24cae6b9b31p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35af851eb851fp+5 0x1.5adb948df3b64p-25 0x1.abb3d3936c8b4p-25 "
-            "0x1.3baaf67ccede4p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872ap-1",
-            "0x1.35b9c28f5c28fp+5 0x1.626f94038d4fep-26 0x1.021426e05a1cbp-25 "
-            "0x1.74ceb0dfb556fp+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35bfe76c8b439p+5 0x1.2dd47c447ae15p-27 0x1.38a81b6fd70a4p-26 "
-            "0x1.092ec6feaf3a1p+1 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35c1f3b645a1dp+5 0x1.4c5487fe978d5p-28 0x1.e9a96a17df3b6p-27 "
-            "0x1.7932041728858p+1 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35c4000000000p+5 0x1.e820c2db22d0fp-31 0x1.6204b69c18937p-27 "
-            "0x1.7354ef3158f31p+3 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-        )),
-    (10**5, EstimatorKind.SIGMA2_OPT): (
-        "0x1.35c9000000000p+5 0x1.0000000000000p+0", 23648, (
-            "0x1.356299999999ap+5 0x1.a9dd944f5b22dp-23 0x1.a9dd944f5b22dp-23 "
-            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35a00a3d70a3dp+5 0x1.561c2f0d4fdf4p-24 0x1.561c2f0d4fdf4p-24 "
-            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35b4851eb851fp+5 0x1.58df18d256042p-25 0x1.58df18d256042p-25 "
-            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35bec28f5c28fp+5 0x1.5e8b6d991eb85p-26 0x1.5e8b6d991eb85p-26 "
-            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35c4e76c8b439p+5 0x1.2625d4f6d9169p-27 0x1.2625d4f6d9169p-27 "
-            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35c6f3b645a1dp+5 0x1.3d0851f2b020cp-28 0x1.3d0851f2b020cp-28 "
-            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-            "0x1.35c9000000000p+5 0x1.6e47d520c49bbp-31 0x1.6e47d520c49bbp-31 "
-            "0x1.0000000000000p+0 0x1.ff7ced916872bp-1 0x1.ff7ced916872bp-1",
-        )),
-    (10**9, EstimatorKind.SIGMA2_OPT): (
-        "0x1.d65f800000000p+6 0x1.0000530983f2ep+0", 26070, (
-            "0x1.d62c4cccccccdp+6 0x1.105d0cd363be1p-22 0x1.105d0cd363be1p-22 "
-            "0x1.0000000000000p+0 0x1.beee086519840p-1 0x1.beee086519840p-1",
-            "0x1.d64b051eb851fp+6 0x1.b7a9cd9479a7ep-25 0x1.b7a9cd9479a7ep-25 "
-            "0x1.0000000000000p+0 0x1.e01e9cb7df5c0p-1 0x1.e01e9cb7df5c0p-1",
-            "0x1.d655428f5c28fp+6 0x1.19a1afb9f1997p-26 0x1.19a1b01d74a8fp-26 "
-            "0x1.0000005a748c6p+0 0x1.ed5724e36c32dp-1 0x1.ed622edaed97ep-1",
-            "0x1.d65a6147ae148p+6 0x1.9eade88efe57ep-28 0x1.9eae03aff95f4p-28 "
-            "0x1.000010bf720cap+0 0x1.f482d678a2890p-1 0x1.f47828cae183cp-1",
-            "0x1.d65d73b645a1dp+6 0x1.301d155d66472p-29 0x1.301d155d66472p-29 "
-            "0x1.0000000000000p+0 0x1.f8f16e9dc85f6p-1 0x1.f8f16e9dc85f6p-1",
-            "0x1.d65e79db22d0ep+6 0x1.73444e285a3abp-30 0x1.7344c6954c54bp-30 "
-            "0x1.0000530983f2ep+0 0x1.fa74e91bad2fep-1 0x1.fa7cefc290b8cp-1",
-            "0x1.d65f800000000p+6 0x1.7fe57c2636d8ep-31 0x1.7fe57c2636d8ep-31 "
-            "0x1.0000000000000p+0 0x1.fc06c8385b1f9p-1 0x1.fc06c8385b1f9p-1",
-        )),
-}
+# the three range_limit_ratio calls of the range_limit benchmark: their
+# boundary_km, max_ratio and rows, frozen in the benchmark's expected
+# outputs, by (N, denominator), and their evaluations, frozen here alone
+RATIO_FROZEN = {(r["N"], EstimatorKind(r["denominator"])): r
+                for r in EXPECTED["range_limit_ratio"]}
+RATIO_EVALUATIONS = {(10**5, EstimatorKind.SIGMA2_MLE): 23592,
+                     (10**5, EstimatorKind.SIGMA2_OPT): 23648,
+                     (10**9, EstimatorKind.SIGMA2_OPT): 26070}
 
 
 def _hex(values) -> str:
@@ -754,13 +709,16 @@ def test_maximum_distance_probe_counts_are_frozen():
         assert maximum_distance(XI, BETA, N).evaluations == probes
 
 
-@pytest.mark.parametrize("N, denominator", list(RATIO_PINS))
+@pytest.mark.parametrize("N, denominator", list(RATIO_EVALUATIONS))
 def test_range_limit_ratio_is_frozen_bit_for_bit(N, denominator):
-    head, evaluations, rows = RATIO_PINS[N, denominator]
+    assert RATIO_FROZEN.keys() == RATIO_EVALUATIONS.keys()
+    frozen = RATIO_FROZEN[N, denominator]
     rr = range_limit_ratio(XI, BETA, N, denominator=denominator)
-    assert _hex((rr.boundary_km, rr.max_ratio)) == head
-    assert rr.evaluations == evaluations
-    assert [_hex(row) for row in rr.rows] == list(rows)
+    assert _hex((rr.boundary_km, rr.max_ratio)) == \
+        _hex((frozen["boundary_km"], frozen["max_ratio"]))
+    assert rr.evaluations == RATIO_EVALUATIONS[N, denominator]
+    assert [_hex(row) for row in rr.rows] == \
+        [_hex(row) for row in frozen["rows"]]
 
 
 # _rate_grid calls and grids ranked, kinds times transmissions, by each
@@ -823,7 +781,7 @@ def test_range_limit_ratio_polishes_each_start_once(monkeypatch):
     twice: not the boundary searched again at offset 0, not a seed at its
     point's best grid cell and not sigma2_opt's own point when it is the
     denominator too. A reused polish still counts its evaluations, which
-    RATIO_PINS freezes."""
+    RATIO_EVALUATIONS freezes."""
     starts = []
     polish = optimizer._nelder_mead_2d
 

@@ -4,12 +4,18 @@ import random
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from cvqkd.channel import _sigma2, fiber_transmission
 from cvqkd.config import ExperimentConfig
-from cvqkd.estimators import _VARIANCE, EstimatorKind, var_t_mle
+from cvqkd.estimators import (
+    _VARIANCE,
+    EstimatorKind,
+    var_sigma2_mle,
+    var_t_mle,
+)
 from cvqkd.optimizer import (
     _FRACS,
     _GRID_VAS,
@@ -188,6 +194,41 @@ def test_readme_quotes_the_default_failure_probabilities():
     paper = 0.5 * math.erfc(confidence_quantile(eps) / math.sqrt(2.0))
     assert f"{paper / (eps / 2.0):.1e}" == "3.4e+04"
     assert "3.4e4 times as often as ε_PE/2" in readme
+
+
+def _chi2_lower_tail(m, z):
+    # P(chi2_{m-1} < m*(1 - z*sqrt(Var)/sigma2)), the probability that the
+    # upper bound sigma2_hat + z*sqrt(Var) on sigma2_MLE = sigma2*chi2/m
+    # falls below the truth; P(a, x) is summed as
+    # x**a * exp(-x) / Gamma(a + 1) * 1F1(1; a + 1; x), all terms positive
+    with mpmath.workdps(40):
+        a = mpmath.mpf(m - 1) / 2
+        x = m * (1 - z * mpmath.sqrt(var_sigma2_mle(1.0, m))) / 2
+        if x <= 0:
+            return 0.0
+        return float(mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
+                     * mpmath.hyp1f1(1, a + 1, x, maxterms=10**6))
+
+
+def test_sigma2_mle_corner_holds_its_exact_chi_square_tail():
+    """At the gaussian convention's z, the upper bound on sigma2_MLE
+    fails, by the exact chi-square law of m*sigma2_hat/sigma2, with
+    probability at most epsilon_pe/2 at every m from 2 to 1e9. The bound
+    fails when chi2_{m-1} < m - z*sqrt(2(m - 1)). The tail climbs toward
+    the Gaussian limit epsilon_pe/2 from below, and reads 4.98e-11 at
+    m = 1e9. m = 1e12 still reads 4.9994e-11, but its series takes about
+    7 s on a 2-vCPU Xeon, so the grid stops at 1e9. mpmath's regularized gammainc does not
+    converge on these arguments, and scipy.special.gammainc gives 2.24e-11
+    at m = 1e9, so the tail is summed here."""
+    eps = ExperimentConfig().epsilon_pe
+    z = confidence_quantile(eps, "gaussian")
+    # the series against tails computed once at these m
+    for m, tail in ((500, 1.71334e-14), (17_804, 1.89835e-11),
+                    (619_855, 4.27310e-11), (10**7, 4.80944e-11),
+                    (10**9, 4.98065e-11)):
+        assert _chi2_lower_tail(m, z) == pytest.approx(tail, rel=1e-5), m
+    for m in np.unique(np.round(np.geomspace(2, 1e9, 64))):
+        assert _chi2_lower_tail(int(m), z) <= eps / 2.0, int(m)
 
 
 def test_worst_case_params_example():
