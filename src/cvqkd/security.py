@@ -100,12 +100,20 @@ KEY_RATE_ESTIMATORS = (
 
 
 def _erfinv(x: float) -> float:
-    # scipy.special (about 24 MB resident) loads on the first call, so the
-    # verbs that compute no key rate never load it; the import rebinds this
-    # name to scipy's ufunc, which every later call reaches directly
-    global _erfinv
-    from scipy.special import erfinv as _erfinv
-    return _erfinv(x)
+    # erf's inverse on [0.5, 1] and on 1 - e for e in (0.5, 1), from the
+    # standard library's inverse normal CDF, Wichura's AS241 (Applied
+    # Statistics 37, 477-484, 1988): erfinv(x) = -Phi^-1((1 - x)/2)/sqrt(2).
+    # 1 - x is exact on both: by Sterbenz's lemma for x >= 0.5, and below as
+    # the e that x = 1 - e came from, so no bit is lost before AS241. An x
+    # that rounded to 1 gives inf. statistics loads on the first call, so
+    # the verbs that compute no key rate never load it; the rate verbs run
+    # on numpy and the standard library, and scipy is needed only by the
+    # tests and perfbench
+    from statistics import NormalDist
+
+    if x == 1.0:
+        return inf
+    return -NormalDist().inv_cdf((1.0 - x) / 2.0) / sqrt(2.0)
 
 
 def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
@@ -117,6 +125,13 @@ def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
     epsilon_pe so small that the erfinv argument rounds to 1 (2**-53, about
     1.1e-16, and below for "paper"; 2**-54 and below for "gaussian") gives
     an infinite z, which raises ValueError.
+
+    z is the quantile of the rounded argument fl(1 - epsilon_pe/2) or
+    fl(1 - epsilon_pe), not of the exact one. At the default 1e-10 the
+    paper tail 1 - fl(1 - 5e-11) is 5.000000413701855e-11, so the paper z,
+    4.6463532876522295, sits 1.87e-9 (relative) below the exact
+    4.6463532963627041, and the gaussian z, 6.466951074732417, 1.93e-9
+    below 6.4669510872405162.
     """
     if not 0.0 < epsilon_pe < 1.0:
         raise ValueError(f"epsilon_pe must be in (0, 1), got {epsilon_pe}")

@@ -52,6 +52,9 @@ COVERAGE = ("tests/test_experiments.py::"
 # sigma2_MLE's upper bound against its exact chi-square tail
 CHI_SQUARE = ("tests/test_security.py::"
               "test_sigma2_mle_corner_holds_its_exact_chi_square_tail",)
+# the confidence quantile against 50-digit erfinv
+QUANTILE = ("tests/test_security.py::"
+            "test_confidence_quantile_is_within_6_ulp_of_erfinv",)
 
 # the config check's loop over the keys that must not repeat a value
 _REPEATS = ('        for key in ("estimators", "n_list", "distances_km", '
@@ -142,6 +145,9 @@ MUTANTS = [
     # coverage and by sigma2_MLE's exact tail
     ("security.py", "        z = float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))",
      "        z = float(_erfinv(1.0 - epsilon_pe))", COVERAGE + CHI_SQUARE),
+    # security: the quantile's tail (1 - x)/2 and its infinite end
+    ("security.py", "inv_cdf((1.0 - x) / 2.0)", "inv_cdf(1.0 - x)", QUANTILE),
+    ("security.py", "    if x == 1.0:\n        return inf\n", "", QUANTILE),
     # security: an infinite channel and the modulation cap
     ("security.py", "    if T == inf or xi == inf:", "    if T == inf:",
      RATES),

@@ -150,7 +150,8 @@ def test_rate_functions_reject_an_infinite_beta(beta):
 
 
 def test_confidence_quantile_conventions():
-    assert confidence_quantile(1e-10) == pytest.approx(4.6463532876522295, rel=1e-12)
+    # exact: the benchmark's frozen fig2 and fig3 digests rest on these bits
+    assert confidence_quantile(1e-10) == 4.6463532876522295
     assert confidence_quantile(1e-10, "gaussian") == pytest.approx(
         6.466951074732419, rel=1e-12)
     assert confidence_quantile(1e-2) < confidence_quantile(1e-10)
@@ -172,6 +173,30 @@ def test_confidence_quantile_conventions():
             confidence_quantile(epsilon_pe, convention)
     assert 5.0 < confidence_quantile(2.0**-52) < 6.0
     assert 8.0 < confidence_quantile(2.0**-53, "gaussian") < 9.0
+
+
+def test_confidence_quantile_is_within_6_ulp_of_erfinv():
+    """Each convention's z is within 6 ulp of 50-digit mpmath erfinv of the
+    same rounded argument, fl(1 - epsilon_pe/2) for paper and
+    fl(1 - epsilon_pe) for gaussian, at log-spaced epsilon_pe from 1e-300 to
+    0.999 and across (0.5, 0.999), where the gaussian argument falls below
+    0.5; an argument that rounds to 1 raises."""
+    epsilons = np.concatenate((np.geomspace(1e-300, 1e-17, 24),
+                               np.geomspace(1e-16, 0.999, 240),
+                               np.linspace(0.5, 0.999, 60)[1:]))
+    with mpmath.workdps(50):
+        for eps in epsilons.tolist():
+            for convention, x, scale in (("paper", 1.0 - eps / 2.0, 1),
+                                         ("gaussian", 1.0 - eps,
+                                          mpmath.sqrt(2))):
+                if x == 1.0:
+                    with pytest.raises(ValueError, match="too small"):
+                        confidence_quantile(eps, convention)
+                    continue
+                exact = scale * mpmath.erfinv(x)
+                z = confidence_quantile(eps, convention)
+                ulps = abs(z - exact) / math.ulp(float(exact))
+                assert ulps <= 6, (eps, convention, z, float(ulps))
 
 
 def test_readme_quotes_the_default_failure_probabilities():
@@ -775,9 +800,13 @@ def test_key_rate_finite_reports_key_fraction():
 # gives the digest pinned before, 14a8b677...82c74dc7e. Re-pinned when the
 # rate's domain became m >= 2: its 382 key_rate_finite calls at m = 1 now
 # return the zero rate with a reason, and with those outputs left out of
-# the hash the digest before and after is 66dffc92...6c31bba4
-FLOAT_PATH_DIGEST = ("2c1cf04659ac6bdd50cb756098752068"
-                     "be7719f0bb495d316038ffddcb490008")
+# the hash the digest before and after is 66dffc92...6c31bba4. Re-pinned
+# when the quantile came from the standard library's inverse normal CDF:
+# the gaussian z at epsilon_pe = 1e-10 went 6.466951074732419 ->
+# 6.466951074732417, and patching that z back gives the digest pinned
+# before, 2c1cf046...cb490008
+FLOAT_PATH_DIGEST = ("37d335aff73b0be6c452774c34e73909"
+                     "25c756b74b29c2367412e875c2cd78d1")
 
 
 def mutual_information(V_A, T, xi):
