@@ -58,7 +58,9 @@ from .optimizer import (
     # wraps
     optimize_asymptotic_rate,  # noqa: F401
     optimize_asymptotic_rates,
-    optimize_key_rate,
+    # unused here, kept importable as cvqkd.experiments.optimize_key_rate,
+    # which perfbench's tracer wraps
+    optimize_key_rate,  # noqa: F401
     optimize_key_rates,
 )
 from .security import key_rate_asymptotic, key_rate_finite
@@ -340,20 +342,19 @@ def run_fig1(cfg: ExperimentConfig, out_dir: str) -> str:
                         rows)
 
 
-def _rate_table(cfg: ExperimentConfig, N: int) -> list[list]:
-    """The optimizer's table at block size N: at each grid distance, the
-    optimum of each estimator of ``cfg.estimators``, in order."""
+def _rate_table(cfg: ExperimentConfig, N: int, distances) -> list[list]:
+    """The optimizer's crossed table at block size N: at each of
+    ``distances``, the optimum of each of ``cfg.estimators``, in order."""
     return optimize_key_rates(
         cfg.xi, cfg.beta, N, cfg.epsilon_pe,
         [_KIND_BY_NAME[name] for name in cfg.estimators],
-        Ts=[fiber_transmission(d, cfg.loss_db_per_km)
-            for d in cfg.distances_km],
+        Ts=[fiber_transmission(d, cfg.loss_db_per_km) for d in distances],
         convention=cfg.convention)
 
 
 def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimized finite-size key rate versus distance for several N."""
-    tables = [_rate_table(cfg, N) for N in cfg.n_list]
+    tables = [_rate_table(cfg, N, cfg.distances_km) for N in cfg.n_list]
     asym = optimize_asymptotic_rates(
         cfg.xi, cfg.beta, Ts=[fiber_transmission(d, cfg.loss_db_per_km)
                               for d in cfg.distances_km])
@@ -383,7 +384,8 @@ def run_fig2(cfg: ExperimentConfig, out_dir: str) -> str:
 def run_fig3(cfg: ExperimentConfig, out_dir: str) -> str:
     """Optimal (m/N, V_A) versus distance at one block size."""
     rows = []
-    for d, results in zip(cfg.distances_km, _rate_table(cfg, cfg.fig3_N)):
+    for d, results in zip(cfg.distances_km,
+                          _rate_table(cfg, cfg.fig3_N, cfg.distances_km)):
         for name, res in zip(cfg.estimators, results):
             rows.append([d, name, res.best_m_fraction, res.best_V_A,
                          res.best_key_rate])
@@ -426,17 +428,12 @@ def run_keyrate(cfg: ExperimentConfig, out_dir: str) -> str:
 
 
 def run_optimize(cfg: ExperimentConfig, out_dir: str) -> str:
-    """Optimize (V_A, m/N) at the first grid distance for each estimator."""
+    """The figures' crossed row of optima at the first distance and N."""
     d = cfg.distances_km[0]
-    rows = []
-    for name in cfg.estimators:
-        res = optimize_key_rate(cfg.xi, cfg.beta, cfg.N, cfg.epsilon_pe,
-                                _KIND_BY_NAME[name],
-                                T=fiber_transmission(d, cfg.loss_db_per_km),
-                                convention=cfg.convention)
-        m = _round_m(res.best_m_fraction, cfg.N)
-        rows.append([d, name, res.best_V_A, res.best_m_fraction, m,
-                     res.best_key_rate, res.evaluations])
+    [results] = _rate_table(cfg, cfg.N, [d])
+    rows = [[d, name, res.best_V_A, res.best_m_fraction,
+             _round_m(res.best_m_fraction, cfg.N), res.best_key_rate,
+             res.evaluations] for name, res in zip(cfg.estimators, results)]
     return _write_table(out_dir, "optimize.csv", cfg,
                         ["distance_km", "estimator", "opt_V_A",
                          "opt_m_over_N", "opt_m", "key_rate", "evaluations"],

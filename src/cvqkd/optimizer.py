@@ -13,12 +13,13 @@ its block is ranked, so a bad channel or block size fails that build's
 check before the array path runs; every reported rate is the value
 ``key_rate_finite`` gives at that point, bit for bit.
 
-``optimize_key_rates`` optimizes the table fig2 and fig3 write at one
-block size, a row of estimator kinds at each transmission, and
-``optimize_key_rate`` is its case of one kind at one transmission. The
-reported optimum is never below the best grid point, and it is positive
-exactly when that point is, so ``maximum_distance`` decides each probe's
-sign from the grid alone, with no polish. ``range_limit_ratio``,
+``optimize_key_rates`` optimizes the table fig2, fig3 and optimize write
+at one block size, a row of estimator kinds at each transmission, and
+``optimize_key_rate`` is its case of one kind at one transmission, with
+nothing to cross. That optimum is never below the best grid point and is
+positive exactly when that point is, so ``maximum_distance`` decides each
+probe's sign from the grid alone, with no polish; a crossed cell of the
+table may be positive where its kind's grid is not. ``range_limit_ratio``,
 sigma2_opt's rate over another estimator's, polishes every probe, also
 from the optima of earlier probes as seeds, and keeps each (estimator,
 distance) point's grid and polishes, so it ranks no point and polishes
@@ -705,7 +706,9 @@ def range_limit_ratio(xi: float, beta: float, N: int,
 
     def opt(kind: EstimatorKind, d: float, extra=()) -> OptimizationResult:
         nonlocal evaluations
-        seeds = [s for s in (seed_of.get(kind), *extra) if s is not None]
+        # each seed once: a sigma2_opt denominator's seed is the numerator's
+        seeds = [*dict.fromkeys(s for s in (seed_of.get(kind), *extra)
+                                if s is not None)]
         raw, rate, memo = ranked[kind, d]
         r = _optimize_ranked(raw, rate, N, seeds, memo)
         evaluations += r.evaluations

@@ -52,6 +52,12 @@ COVERAGE = ("tests/test_experiments.py::"
 # sigma2_MLE's upper bound against its exact chi-square tail
 CHI_SQUARE = ("tests/test_security.py::"
               "test_sigma2_mle_corner_holds_its_exact_chi_square_tail",)
+# optimize's row against the figures' crossed tables
+CROSSED_ROW = ("tests/test_experiments.py::"
+               "test_optimize_writes_the_figures_crossed_row",)
+# each range search's seeds, each scored once
+SEEDS_ONCE = ("tests/test_optimizer.py::"
+              "test_range_limit_ratio_scores_each_seed_once",)
 # the confidence quantile against 50-digit erfinv
 QUANTILE = ("tests/test_security.py::"
             "test_confidence_quantile_is_within_6_ulp_of_erfinv",)
@@ -202,6 +208,9 @@ MUTANTS = [
     ("optimizer.py",
      "grids(kind, [d for d in ds if (kind, d) not in ranked])",
      "grids(kind, ds)", OPTIMIZER),
+    # the numerator's own seed scored again as the extra seed
+    ("optimizer.py", "seeds = [*dict.fromkeys(s for s in",
+     "seeds = [*list(s for s in", SEEDS_ONCE),
     # channel
     ("channel.py", "    return 1.0 + T * xi", "    return 1.0 + xi",
      CHANNEL),
@@ -228,6 +237,12 @@ MUTANTS = [
      "                abs(bias) <= 2.0 * BIAS_SIGMAS * se,", EXPERIMENTS),
     ("experiments.py", "    if np.any(mm_key.variance < 0.0):",
      "    if np.any(mm_key.variance < -1.0):", EXPERIMENTS),
+    # optimize's own per-estimator search, with no cross stage
+    ("experiments.py", "    [results] = _rate_table(cfg, cfg.N, [d])",
+     "    results = [optimize_key_rate(cfg.xi, cfg.beta, cfg.N, "
+     "cfg.epsilon_pe, _KIND_BY_NAME[name], T=fiber_transmission(d, "
+     "cfg.loss_db_per_km), convention=cfg.convention) for name in "
+     "cfg.estimators]", CROSSED_ROW),
     # config and cli
     ("config.py", "_MAX_POINTS = 10**6", "_MAX_POINTS = 10**7", CONFIG),
     ("config.py", "        if not 0 < self.beta <= 1:",

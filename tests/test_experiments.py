@@ -465,7 +465,8 @@ def test_optimize_grid_columns_match_per_cell_optimizations(convention):
     cfg = parse_config("distances_km = 0, 10, 20, 30, 38.5, 40, 60, 120, "
                        "190\nn_list = 1e5, 1e9\n")
     cfg.convention = convention
-    tables = {N: experiments._rate_table(cfg, N) for N in cfg.n_list}
+    tables = {N: experiments._rate_table(cfg, N, cfg.distances_km)
+              for N in cfg.n_list}
     results, trace_rows = {}, []
     for di, d in enumerate(cfg.distances_km):
         for N in cfg.n_list:
@@ -523,7 +524,7 @@ def test_cross_rescores_match_key_rate_finite(convention, monkeypatch):
             return calls[-1][-1]
 
         monkeypatch.setattr(optimizer, "_cross", spy)
-        table = experiments._rate_table(cfg, N)
+        table = experiments._rate_table(cfg, N, cfg.distances_km)
         monkeypatch.undo()
         # one cross stage per cell, row by row, each against the other
         # estimators' optima at its transmission
@@ -615,6 +616,30 @@ def test_run_optimize_reports_integer_split(tmp_path):
         m = int(r[4])
         assert 1 <= m <= cfg.N - 1
         assert float(r[5]) > 0.0
+
+
+def test_optimize_writes_the_figures_crossed_row(tmp_path):
+    """optimize writes the row fig3 and fig2 write at its distance and N,
+    the cross stage included: on this config sigma2_MM's own grid has no
+    positive cell, and the optimum of sigma2_opt re-scored for it is
+    positive, so an uncrossed search would report 0 there."""
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text("xi = 0.014\nbeta = 0.88\nN = 35400\nfig3_N = 35400\n"
+                   "n_list = 35400\nm = 17700\ndistances_km = 23\n")
+    for verb in ("optimize", "fig3", "fig2"):
+        assert cli.main([verb, "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+    _, _, opt_rows = _read_table(tmp_path / "optimize.csv")
+    _, _, fig3_rows = _read_table(tmp_path / "fig3.csv")
+    _, fig2_header, [fig2_row] = _read_table(tmp_path / "fig2.csv")
+    fig2 = dict(zip(fig2_header, fig2_row))
+    assert [r[1] for r in opt_rows] == [r[1] for r in fig3_rows] == \
+        ["mle", "mm", "opt"]
+    for (d, name, va, frac, _, k, _), (d3, _, frac3, va3, k3) in zip(
+            opt_rows, fig3_rows):
+        assert (d, va, frac, k) == (d3, va3, frac3, k3)
+        assert k == fig2[f"K_{name}_35400"]
+    assert float(opt_rows[1][5]) > 0.0
 
 
 # --- command line -----------------------------------------------------------

@@ -696,8 +696,8 @@ MAX_DIST_PROBES = {10**5: 17, 10**7: 19, 10**9: 19, 10**12: 21}
 RATIO_FROZEN = {(r["N"], EstimatorKind(r["denominator"])): r
                 for r in EXPECTED["range_limit_ratio"]}
 RATIO_EVALUATIONS = {(10**5, EstimatorKind.SIGMA2_MLE): 23592,
-                     (10**5, EstimatorKind.SIGMA2_OPT): 23648,
-                     (10**9, EstimatorKind.SIGMA2_OPT): 26070}
+                     (10**5, EstimatorKind.SIGMA2_OPT): 23427,
+                     (10**9, EstimatorKind.SIGMA2_OPT): 25772}
 
 
 def _hex(values) -> str:
@@ -794,6 +794,27 @@ def test_range_limit_ratio_polishes_each_start_once(monkeypatch):
         starts.clear()
         range_limit_ratio(XI, BETA, N, denominator=denominator)
         assert len(starts) == len(set(starts)) == count
+
+
+def test_range_limit_ratio_scores_each_seed_once(monkeypatch):
+    """No seed list of a range_limit_ratio search repeats a (V_A, m/N):
+    with sigma2_opt the denominator too, the numerator's own seed is the
+    denominator's, and it is scored, polished and counted once. With
+    sigma2_MLE the denominator, the numerator's searches take two seeds."""
+    seed_lists = []
+    ranked = optimizer._optimize_ranked
+
+    def spy(raw, rate, N, seeds, memo=None):
+        seed_lists.append(list(seeds))
+        return ranked(raw, rate, N, seeds, memo)
+
+    monkeypatch.setattr(optimizer, "_optimize_ranked", spy)
+    for N, denominator in RATIO_EVALUATIONS:
+        seed_lists.clear()
+        range_limit_ratio(XI, BETA, N, denominator=denominator)
+        assert all(len(set(s)) == len(s) for s in seed_lists)
+        assert max(map(len, seed_lists)) == \
+            (2 if denominator is EstimatorKind.SIGMA2_MLE else 1)
 
 
 @pytest.mark.parametrize("xi, beta", [(float("nan"), BETA),
