@@ -86,11 +86,28 @@ __all__ = [
 
 @dataclass
 class OptimizationResult:
+    """An optimum and the trace of the search that found it.
+
+    trace holds (stage, V_A, m_fraction, key_rate, evaluations) rows, and
+    ``evaluations`` is the sum of their counts. Each row counts the
+    search's size, not its float-rate calls: a "grid" row the 576 cells
+    ranked on arrays, of which the float rate re-scores a few; a "seed"
+    row 1, the seed's score; a "refine" row the polish's evaluations as
+    scipy counts them (nfev), its start included, whose rate the polish
+    does not compute; a "cross" row, there when another kind's optimum
+    beats the cell's own, 1, however many optima the cross stage
+    re-scored; and an "asymptotic" row the 48 cells of its column and its
+    polish's nfev.
+    """
+
     best_V_A: float
     best_m_fraction: float
     best_key_rate: float
-    evaluations: int
     trace: list = field(default_factory=list)
+
+    @property
+    def evaluations(self) -> int:
+        return sum(row[-1] for row in self.trace)
 
 
 @dataclass(frozen=True)
@@ -108,7 +125,9 @@ class RangeLimitRatio:
     m_fraction_denominator, m_fraction_numerator) from the farthest
     sampled offset in to ``boundary_km``, the last distance at which the
     denominator estimator still yields a positive rate; the numerator is
-    always sigma2_opt.
+    always sigma2_opt. ``max_ratio`` is the largest ratio of a row whose
+    denominator rate is positive, at least 0.0, and NaN when there are no
+    rows.
 
     ``evaluations`` is the size of the search: every grid cell, seed score
     and polish evaluation of each probe, a polish that the search reuses
@@ -118,8 +137,14 @@ class RangeLimitRatio:
 
     rows: tuple
     boundary_km: float
-    max_ratio: float
     evaluations: int
+
+    @property
+    def max_ratio(self) -> float:
+        # a fold from 0.0: a NaN ratio, or one below 0.0, leaves it as is
+        if not self.rows:
+            return float("nan")
+        return max([0.0, *(row[3] for row in self.rows if row[1] > 0.0)])
 
 
 # The search grid: 24 x 24 cells of log10 V_A over [0.1, 100] and of the
@@ -436,8 +461,8 @@ def optimize_key_rates(xi: float, beta: float, N: int,
 def _cross(rate, N: int, own: OptimizationResult,
            others) -> OptimizationResult:
     """``own``, or the best of the optima ``others`` re-scored by the float
-    rate ``rate`` at block size N that beats it, with one evaluation and
-    one "cross" trace row past ``own``'s.
+    rate ``rate`` at block size N that beats it, with one "cross" trace
+    row, of one evaluation, past ``own``'s.
 
     An optimum found for one estimator is a valid candidate for the rest;
     re-scoring them keeps the table's curves free of polish jitter.
@@ -450,7 +475,6 @@ def _cross(rate, N: int, own: OptimizationResult,
                 best_V_A=cand.best_V_A,
                 best_m_fraction=cand.best_m_fraction,
                 best_key_rate=k,
-                evaluations=own.evaluations + 1,
                 trace=own.trace + [("cross", cand.best_V_A,
                                     cand.best_m_fraction, k, 1)],
             )
@@ -537,8 +561,7 @@ def _optimize_ranked(raw, rate, N: int, seeds,
     if "grid" not in memo:
         memo["grid"] = _grid_best(raw, rate, N)
     best = memo["grid"]
-    evaluations = raw.size
-    trace = [("grid", 10.0 ** best[1], best[2], best[0], evaluations)]
+    trace = [("grid", 10.0 ** best[1], best[2], best[0], raw.size)]
 
     # each polish start with its rate, (k, log10 V_A, m/N)
     starts = []
@@ -548,7 +571,6 @@ def _optimize_ranked(raw, rate, N: int, seeds,
         lv = min(max(log10(va), _LOG_VAS[0]), _LOG_VAS[-1])
         fr = min(max(fr, _FRACS[0]), _FRACS[-1])
         k = rate(10.0 ** lv, _round_m(fr, N))[0]
-        evaluations += 1
         if k > best[0]:
             best = (k, lv, fr)
         if k > 0.0:
@@ -562,7 +584,6 @@ def _optimize_ranked(raw, rate, N: int, seeds,
                 rate, N, lv0, fr0, k0, _BOUNDS, _MAXITER, xatol=1e-4,
                 fatol=1e-12)
         lv, fr, k, nfev = polish
-        evaluations += nfev
         if k > best[0]:
             best = (k, lv, fr)
         trace.append(("refine", 10.0 ** best[1], best[2], best[0], nfev))
@@ -571,7 +592,6 @@ def _optimize_ranked(raw, rate, N: int, seeds,
         best_V_A=10.0 ** best[1],
         best_m_fraction=best[2],
         best_key_rate=best[0],
-        evaluations=evaluations,
         trace=trace,
     )
 
@@ -616,7 +636,6 @@ def optimize_asymptotic_rates(xi: float, beta: float, *,
             best_V_A=10.0 ** best[1],
             best_m_fraction=0.0,
             best_key_rate=best[0],
-            evaluations=evaluations,
             trace=[("asymptotic", 10.0 ** best[1], 0.0, best[0],
                     evaluations)],
         ))
@@ -726,22 +745,19 @@ def range_limit_ratio(xi: float, beta: float, N: int,
 
     boundary, positive_at_zero, _ = _last_positive(probe, 5e-4)
     if not positive_at_zero:
-        return RangeLimitRatio((), boundary, float("nan"), evaluations)
+        return RangeLimitRatio((), boundary, evaluations)
 
     ds = [boundary - w for w in (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0)]
     ds = [d for d in ds if d >= 0.0]
     for kind in kinds:
         ranked.update(grids(kind, [d for d in ds if (kind, d) not in ranked]))
     rows = []
-    max_ratio = 0.0
     for d in ds:
         r_den = opt(denominator, d)
         r_num = opt(numerator, d, extra=(seed_of.get(denominator),))
         k_den, k_num = r_den.best_key_rate, r_num.best_key_rate
         ratio = k_num / k_den if k_den > 0.0 else float("nan")
-        if k_den > 0.0:
-            max_ratio = max(max_ratio, ratio)
         rows.append((d, k_den, k_num, ratio,
                      r_den.best_m_fraction, r_num.best_m_fraction))
     return RangeLimitRatio(rows=tuple(rows), boundary_km=boundary,
-                           max_ratio=max_ratio, evaluations=evaluations)
+                           evaluations=evaluations)

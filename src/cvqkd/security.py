@@ -6,11 +6,11 @@ The Alice-Bob state after the channel is Gaussian with covariance matrix
              [ c*sz, b*I2 ]],         b = T*V_A + 1 + T*xi
                                       c = sqrt(T*(V_A**2 + 2*V_A))
 
-in shot-noise units, with sz = diag(1, -1); ``_channel_abc`` gives (a, b,
-c). Finite-size security enters through confidence bounds on (t,
-sigma2): Eve is credited with the least favorable parameters inside the
-confidence region, which shrinks with the number of revealed states and
-with the estimator's variance.
+in shot-noise units, with sz = diag(1, -1); the asymptotic rate
+``_asymptotic_at`` writes (a, b, c) out. Finite-size security enters
+through confidence bounds on (t, sigma2): Eve is credited with the least
+favorable parameters inside the confidence region, which shrinks with
+the number of revealed states and with the estimator's variance.
 
 ``holevo_bound``, ``key_rate_asymptotic`` and ``key_rate_finite`` take
 (V_A, T, xi) and check them in one place, ``_check_inputs``: V_A > 0,
@@ -29,11 +29,12 @@ Var(t_hat), the sigma2 variance, the corner's hold and the mutual
 information out in one frame and calls only the Holevo term ``_holevo``,
 as ``_asymptotic_at``, the asymptotic rate built the same way once per
 channel as a function of V_A, does; each evaluation of the optimizer's
-polish is two Python calls. ``_hold`` and ``_holevo`` also serve
-``worst_case_params`` and ``holevo_bound``. Each built rate checks its
-channel, and ``_rate_at`` also N >= 3, when it is built, and returns the
-key rate, the raw rate held at 0, next to the raw rate: the check and
-the zero clamp are written there and nowhere else. Rates are built once
+polish is two Python calls. ``_hold`` also serves ``worst_case_params``,
+and ``holevo_bound`` is the Holevo term of a built asymptotic rate. Each
+built rate checks its channel, and ``_rate_at`` also N >= 3, when it is
+built, and returns the key rate, the raw rate held at 0, next to the
+raw rate: the check and the zero clamp are written there and nowhere
+else. Rates are built once
 and then evaluated many times by the optimizer's polish and cross
 re-scores (``_rate_at``, once per transmission and estimator) and its
 asymptotic search (``_asymptotic_at``, once per transmission);
@@ -63,7 +64,7 @@ paths against each other cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, log2, sqrt
+from math import inf, log2, sqrt
 from sys import float_info
 
 import numpy as np
@@ -99,23 +100,6 @@ KEY_RATE_ESTIMATORS = (
 )
 
 
-def _erfinv(x: float) -> float:
-    # erf's inverse on [0.5, 1] and on 1 - e for e in (0.5, 1), from the
-    # standard library's inverse normal CDF, Wichura's AS241 (Applied
-    # Statistics 37, 477-484, 1988): erfinv(x) = -Phi^-1((1 - x)/2)/sqrt(2).
-    # 1 - x is exact on both: by Sterbenz's lemma for x >= 0.5, and below as
-    # the e that x = 1 - e came from, so no bit is lost before AS241. An x
-    # that rounded to 1 gives inf. statistics loads on the first call, so
-    # the verbs that compute no key rate never load it; the rate verbs run
-    # on numpy and the standard library, and scipy is needed only by the
-    # tests and perfbench
-    from statistics import NormalDist
-
-    if x == 1.0:
-        return inf
-    return -NormalDist().inv_cdf((1.0 - x) / 2.0) / sqrt(2.0)
-
-
 def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
     """Half-width multiplier z for the parameter-estimation confidence region.
 
@@ -133,18 +117,31 @@ def confidence_quantile(epsilon_pe: float, convention: str = "paper") -> float:
     4.6463532963627041, and the gaussian z, 6.466951074732417, 1.93e-9
     below 6.4669510872405162.
     """
+    # z from erfinv(x) = -Phi^-1((1 - x)/2)/sqrt(2) at the rounded argument
+    # x, Phi^-1 the standard library's inverse normal CDF, Wichura's AS241
+    # (Applied Statistics 37, 477-484, 1988). 1 - x is exact: by Sterbenz's
+    # lemma for x >= 0.5, and below as the epsilon_pe that x = 1 - epsilon_pe
+    # came from, so no bit is lost before AS241; an x below 1 gives a
+    # finite z. statistics loads on the first call, so the verbs that
+    # compute no key rate never load it; the rate verbs run on numpy and
+    # the standard library, and scipy is needed only by the tests and
+    # perfbench
+    from statistics import NormalDist
+
     if not 0.0 < epsilon_pe < 1.0:
         raise ValueError(f"epsilon_pe must be in (0, 1), got {epsilon_pe}")
     if convention == "paper":
-        z = float(_erfinv(1.0 - epsilon_pe / 2.0))
+        x = 1.0 - epsilon_pe / 2.0
+        scale = 1.0
     elif convention == "gaussian":
-        z = float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))
+        x = 1.0 - epsilon_pe
+        scale = sqrt(2.0)
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    if not isfinite(z):
+    if x == 1.0:
         raise ValueError(f"epsilon_pe = {epsilon_pe} is too small: the "
-                         f"{convention!r} confidence quantile is {z}")
-    return z
+                         f"{convention!r} confidence quantile is inf")
+    return scale * (-NormalDist().inv_cdf((1.0 - x) / 2.0) / sqrt(2.0))
 
 
 # The rate takes z and holds the corner itself, as _hold does; this
@@ -167,9 +164,9 @@ def worst_case_params(t_hat: float, std_t: float, sigma2_hat: float,
 
 def holevo_bound(V_A: float, T: float, xi: float) -> float:
     """Eve's information on Bob's homodyne outcome, S(AB) - S(A|y), at
-    known channel parameters."""
+    known channel parameters: the Holevo term of the asymptotic rate."""
     _check_inputs(V_A, T, xi)
-    return _holevo(*_channel_abc(V_A, T, xi))
+    return _asymptotic_at(T, xi, 1.0)(V_A)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +211,6 @@ def _check_inputs(V_A, T, xi):
             raise ValueError(f"{name} must be <= {_MAX_VARIANCE!r}, past "
                              f"which the model's arithmetic breaks down, "
                              f"got {val}")
-
-
-def _channel_abc(V_A, T, xi):
-    # (a, b, c) of the covariance matrix at the channel's own (T, xi)
-    return V_A + 1.0, T * V_A + 1.0 + T * xi, sqrt(T * (V_A**2 + 2.0 * V_A))
 
 
 def _split(a, b, c):
@@ -352,8 +344,9 @@ def _asymptotic_at(T, xi, beta):
     """rate(V_A) -> (key rate, raw rate, I_AB, S): the asymptotic rate
     beta*I_AB - S of one channel, held at 0 as in _rate_at. T, xi and a
     finite beta are checked and sigma2 is fixed here, once; rate needs V_A > 0. It writes
-    I_AB and the channel's (a, b, c) of _channel_abc out, as _rate_at
-    does, and calls _holevo alone."""
+    I_AB and the channel's (a, b, c) = (V_A + 1, T*V_A + 1 + T*xi,
+    sqrt(T*(V_A**2 + 2*V_A))) out, as _rate_at does, and calls _holevo
+    alone; its S is holevo_bound's."""
     _check_channel(T, xi)
     _check_beta(beta)
     sigma2 = _sigma2(T, xi)

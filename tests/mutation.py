@@ -58,6 +58,9 @@ CROSSED_ROW = ("tests/test_experiments.py::"
 # each range search's seeds, each scored once
 SEEDS_ONCE = ("tests/test_optimizer.py::"
               "test_range_limit_ratio_scores_each_seed_once",)
+# the range search's frozen rows, boundary and largest ratio
+RATIO_FROZEN = ("tests/test_optimizer.py::"
+                "test_range_limit_ratio_is_frozen_bit_for_bit",)
 # the confidence quantile against 50-digit erfinv
 QUANTILE = ("tests/test_security.py::"
             "test_confidence_quantile_is_within_6_ulp_of_erfinv",)
@@ -65,6 +68,12 @@ QUANTILE = ("tests/test_security.py::"
 # the config check's loop over the keys that must not repeat a value
 _REPEATS = ('        for key in ("estimators", "n_list", "distances_km", '
             '"mc_distances_km"):')
+
+# the quantile's check of an argument that rounded to 1, whose z is inf
+_INFINITE_END = (
+    '    if x == 1.0:\n'
+    '        raise ValueError(f"epsilon_pe = {epsilon_pe} is too small: the "\n'
+    '                         f"{convention!r} confidence quantile is inf")\n')
 
 # (file under src/cvqkd, old text, new text, tests[, reason it is
 # equivalent]); the float Holevo term's three entropy lines share their
@@ -149,11 +158,11 @@ MUTANTS = [
     ("security.py", "    if V_A <= 0:", "    if V_A < 0:", SECURITY),
     # security: the gaussian quantile's sqrt(2), seen by the corner's
     # coverage and by sigma2_MLE's exact tail
-    ("security.py", "        z = float(sqrt(2.0) * _erfinv(1.0 - epsilon_pe))",
-     "        z = float(_erfinv(1.0 - epsilon_pe))", COVERAGE + CHI_SQUARE),
+    ("security.py", "        scale = sqrt(2.0)", "        scale = 1.0",
+     COVERAGE + CHI_SQUARE),
     # security: the quantile's tail (1 - x)/2 and its infinite end
     ("security.py", "inv_cdf((1.0 - x) / 2.0)", "inv_cdf(1.0 - x)", QUANTILE),
-    ("security.py", "    if x == 1.0:\n        return inf\n", "", QUANTILE),
+    ("security.py", _INFINITE_END, "", QUANTILE),
     # security: an infinite channel and the modulation cap
     ("security.py", "    if T == inf or xi == inf:", "    if T == inf:",
      RATES),
@@ -169,6 +178,12 @@ MUTANTS = [
     # security: the asymptotic rate on arrays
     ("security.py", "    s = _holevo_grid(V_A + 1.0, T * V_A + 1.0 + T * xi,",
      "    s = _holevo_grid(V_A + 1.0, T * V_A + 1.0 + xi,", OPTIMIZER),
+    # optimizer: an optimum's count, the sum of its trace rows' counts, and
+    # the range search's largest ratio, a fold over its rows
+    ("optimizer.py", "sum(row[-1] for row in self.trace)",
+     "sum(row[-1] for row in self.trace[1:])", OPTIMIZER),
+    ("optimizer.py", "*(row[3] for row in self.rows if row[1] > 0.0)",
+     "*(row[2] for row in self.rows if row[1] > 0.0)", RATIO_FROZEN),
     # optimizer: the grid's best cell and its tolerance
     ("optimizer.py", "_GRID_TOL = 1e-12", "_GRID_TOL = 1e-6", RATES),
     ("optimizer.py", "    top = np.maximum.reduce(raw)",

@@ -1,7 +1,8 @@
-"""The float rates composed from their named sources, and the grid's raw
-rate one kind at a time, the references the built rates and the stacked
-grid of cvqkd.security are checked against bit for bit. A helper module:
-pytest does not collect it."""
+"""The float rates composed from their named sources, the channel's
+covariance matrix and the grid's raw rate one kind at a time, the
+references the built rates and the stacked grid of cvqkd.security are
+checked against bit for bit. A helper module: pytest does not collect
+it."""
 
 from math import log2, sqrt
 from sys import float_info
@@ -12,6 +13,12 @@ from cvqkd.channel import _sigma2
 from cvqkd.estimators import _VARIANCE, var_t_mle
 from cvqkd.optimizer import _round_m
 from cvqkd.security import _hold, _holevo
+
+
+def channel_abc(V_A, T, xi):
+    """(a, b, c) of the Alice-Bob covariance matrix at the channel's own
+    (T, xi), as security._asymptotic_at writes them out."""
+    return V_A + 1.0, T * V_A + 1.0 + T * xi, sqrt(T * (V_A**2 + 2.0 * V_A))
 
 
 def i_ab(V_A, T, sigma2):

@@ -37,7 +37,6 @@ from cvqkd.experiments import (
 )
 from cvqkd.optimizer import maximum_distance, range_limit_ratio
 from cvqkd.security import (
-    _channel_abc,
     holevo_bound,
     key_rate_asymptotic,
 )
@@ -48,6 +47,7 @@ from delta_method import (
     mm_full_gradient,
 )
 from oracles import symplectic_spectrum
+from reference_rate import channel_abc
 
 # the benchmark's output checks, read from their file, never installed
 _spec = importlib.util.spec_from_file_location(
@@ -235,7 +235,7 @@ def test_security_reference_points(report):
         problems.append(f"broken-channel Holevo {s_dead:.2e}")
     # the shared state's own spectrum, from the 4x4 matrix; the Holevo
     # term above is g of it less g of the conditional eigenvalue
-    nus = symplectic_spectrum(*_channel_abc(3.0, 1.0, 0.0))
+    nus = symplectic_spectrum(*channel_abc(3.0, 1.0, 0.0))
     if max(abs(nu - 1.0) for nu in nus) > 1e-9:
         problems.append(f"shared pure state not pure: {nus}")
     k = key_rate_asymptotic(3.0, 1.0, 0.0, beta=1.0).key_rate

@@ -495,7 +495,6 @@ def _key_rate_finite_best(kind, T, cfg, N, own, others):
                 best_V_A=cand.best_V_A,
                 best_m_fraction=cand.best_m_fraction,
                 best_key_rate=k,
-                evaluations=own.evaluations + 1,
                 trace=own.trace + [("cross", cand.best_V_A,
                                     cand.best_m_fraction, k, 1)],
             )
@@ -640,6 +639,12 @@ def test_optimize_writes_the_figures_crossed_row(tmp_path):
         assert (d, va, frac, k) == (d3, va3, frac3, k3)
         assert k == fig2[f"K_{name}_35400"]
     assert float(opt_rows[1][5]) > 0.0
+    # sigma2_MM's count is its grid's 576 cells and the cross's 1, the sum
+    # of its fig2_trace rows' counts
+    _, _, trace_rows = _read_table(tmp_path / "fig2_trace.csv")
+    mm_trace = [(r[3], int(r[-1])) for r in trace_rows if r[1] == "mm"]
+    assert mm_trace == [("grid", 576), ("cross", 1)]
+    assert int(opt_rows[1][6]) == 577 == sum(n for _, n in mm_trace)
 
 
 # --- command line -----------------------------------------------------------

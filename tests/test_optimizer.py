@@ -133,6 +133,28 @@ def test_grid_counts_every_cell():
     assert res.evaluations == 576 + sum(row[-1] for row in res.trace[1:])
 
 
+def test_evaluations_sum_the_trace_counts():
+    """Every result of one default fig2 table, crossed, and of the
+    asymptotic column counts the evaluations of its trace rows: a grid row
+    its 576 cells, a seed and a cross row 1 each, and the asymptotic row
+    its 48 cells and its polish."""
+    cfg = ExperimentConfig()
+    Ts = [fiber_transmission(d, cfg.loss_db_per_km) for d in cfg.distances_km]
+    table = optimize_key_rates(cfg.xi, cfg.beta, cfg.n_list[0],
+                               cfg.epsilon_pe, KEY_RATE_ESTIMATORS, Ts=Ts)
+    column = optimize_asymptotic_rates(cfg.xi, cfg.beta, Ts=Ts)
+    results = [r for row in table for r in row] + column
+    assert len(results) == 4 * len(Ts)
+    fixed = {"grid": 576, "seed": 1, "cross": 1}
+    for res in results:
+        assert res.evaluations == sum(row[-1] for row in res.trace)
+        assert all(count == fixed[stage] for stage, *_, count in res.trace
+                   if stage in fixed)
+    assert all(res.trace[0][0] == "grid" for row in table for res in row)
+    assert all(len(res.trace) == 1 and res.evaluations >= 48
+               for res in column)
+
+
 def test_grid_best_rescores_every_cell_within_the_grid_tolerance():
     """The float rate's best cell can sit just below the array's top cell,
     the two paths differing by up to _GRID_TOL each: on a synthetic
@@ -451,7 +473,6 @@ def _asymptotic_scan(xi, beta, T):
             best = (k, lv)
     return OptimizationResult(
         best_V_A=10.0 ** best[1], best_m_fraction=0.0, best_key_rate=best[0],
-        evaluations=evaluations,
         trace=[("asymptotic", 10.0 ** best[1], 0.0, best[0], evaluations)])
 
 

@@ -31,7 +31,6 @@ from cvqkd.security import (
     _NU_TOL,
     KEY_RATE_ESTIMATORS,
     _asymptotic_at,
-    _channel_abc,
     _hold,
     _holevo,
     _holevo_grid,
@@ -49,7 +48,13 @@ from oracles import (
     holevo,
     symplectic_spectrum,
 )
-from reference_rate import finite_rate, i_ab, rate_grid, search_rate
+from reference_rate import (
+    channel_abc,
+    finite_rate,
+    i_ab,
+    rate_grid,
+    search_rate,
+)
 
 SQRT15 = 3.872983346207417
 Z_PAPER = confidence_quantile(1e-10)
@@ -68,21 +73,21 @@ GRID = [(V_A, T, xi) for V_A in (1.0, 3.0, 10.0)
 
 
 def test_channel_abc_reference_points():
-    a, b, c = _channel_abc(3.0, 1.0, 0.0)
+    a, b, c = channel_abc(3.0, 1.0, 0.0)
     assert (a, b) == (4.0, 4.0)
     assert c == pytest.approx(SQRT15, rel=1e-12)
-    a, b, c = _channel_abc(3.0, 0.1, 0.01)
+    a, b, c = channel_abc(3.0, 0.1, 0.01)
     assert a == 4.0
     assert b == pytest.approx(1.301, rel=1e-12)
     assert c == pytest.approx(1.224744871391589, rel=1e-12)
-    assert _channel_abc(3.0, 0.0, 0.0) == (4.0, 1.0, 0.0)
+    assert channel_abc(3.0, 0.0, 0.0) == (4.0, 1.0, 0.0)
 
 
 def test_channel_abc_is_physical_on_grid():
     """Heisenberg: a*b - c**2 >= 1, and the Holevo term's eigenvalue
     checks accept it."""
     for params in GRID:
-        a, b, c = _channel_abc(*params)
+        a, b, c = channel_abc(*params)
         assert a * b - c**2 >= 1.0 - _NU_TOL
         assert _holevo(a, b, c) >= 0.0
 
@@ -340,7 +345,7 @@ def test_symplectic_eigenvalues_epr_state_is_pure():
     """The lossless noiseless channel shares a pure state: every
     eigenvalue is 1, so S(AB) = S(A|y) = 0 and the Holevo term is 0."""
     for V_A in (0.5, 3.0, 10.0):
-        abc = _channel_abc(V_A, 1.0, 0.0)
+        abc = channel_abc(V_A, 1.0, 0.0)
         np.testing.assert_allclose(symplectic_spectrum(*abc), (1.0, 1.0),
                                    atol=1e-9)
         assert conditional_eigenvalue(*abc) == pytest.approx(1.0, abs=1e-9)
@@ -349,7 +354,7 @@ def test_symplectic_eigenvalues_epr_state_is_pure():
 
 def test_symplectic_eigenvalues_broken_channel():
     """At T = 0, nu1 = nu3 = a = 4 and nu2 = 1: their entropies cancel."""
-    abc = _channel_abc(3.0, 0.0, 0.0)
+    abc = channel_abc(3.0, 0.0, 0.0)
     np.testing.assert_allclose(symplectic_spectrum(*abc), (4.0, 1.0),
                                rtol=1e-12)
     assert conditional_eigenvalue(*abc) == pytest.approx(4.0, rel=1e-12)
@@ -361,7 +366,7 @@ def test_symplectic_eigenvalues_match_brute_force():
     Gamma)| spectrum and the Schur-complement conditional eigenvalue, on
     the channel grid and on raw physical matrices."""
     rng = random.Random(22)
-    blocks = [_channel_abc(*params) for params in GRID]
+    blocks = [channel_abc(*params) for params in GRID]
     for _ in range(200):
         a, b = 1.0 + 9.0 * rng.random(), 1.0 + 9.0 * rng.random()
         # physical: a*b - c**2 >= max(a, b)
@@ -381,7 +386,7 @@ EIGENVALUE_FAILURES = [
     # nu1**2 >= nu2**2 would fail first if it were taken before the check:
     # holevo_bound(1e9, 1 + 1e-15, 0.0)'s matrix, and one whose factored
     # discriminant is -4.0
-    (_channel_abc(1e9, 1.000000000000001, 0.0),
+    (channel_abc(1e9, 1.000000000000001, 0.0),
      "negative squared eigenvalue (-128.0)"),
     ((1e8 + 0.5, 1e8, math.nextafter(1e8 + 0.25, math.inf)),
      "negative squared eigenvalue (-4.0)"),
@@ -440,13 +445,13 @@ def test_near_pure_states_pass_the_eigenvalue_checks():
     states = []
     for V_A in (1.03, 11.0, 100.0, 1000.0):
         for xi in (0.0, 1e-14, 2.3e-10, 1e-8, 1e-6):
-            states.append(_channel_abc(V_A, 1.0, xi))
+            states.append(channel_abc(V_A, 1.0, xi))
             # 1 <= nu2 <= nu1 < 1.001 bounds S(AB), and so the term
             assert 0.0 <= _holevo(*states[-1]) < 2.0 * entropy(1.001)
             assert key_rate_asymptotic(V_A, 1.0, xi, 0.95).key_rate > 0.0
             _grid_rate([V_A], 1.0, xi, 0.95, 10**5, [5e4])
     # at V_A = 3000 the discriminant's own round-off is below -1e-9
-    states.append(_channel_abc(3000.0, 1.0, 2.3e-10))
+    states.append(channel_abc(3000.0, 1.0, 2.3e-10))
     assert 0.0 <= _holevo(*states[-1]) < 2.0 * entropy(1.001)
     # one block, in which nu2 falls below 1 - 1e-9 at V_A = 1000, xi = 1e-8
     grid = _holevo_grid(*(np.array(column) for column in zip(*states)))
@@ -459,7 +464,7 @@ def test_conditional_eigenvalue_matches_schur_complement():
     -g of the Schur-complement eigenvalue; at c = 0, nu3 = a = nu2 and
     their entropies cancel, leaving g(nu1)."""
     for params in GRID:
-        abc = _channel_abc(*params)
+        abc = channel_abc(*params)
         nu1, nu2 = symplectic_spectrum(*abc)
         assert _holevo(*abc) - entropy(nu1) - entropy(nu2) == pytest.approx(
             -entropy(conditional_eigenvalue(*abc)), rel=1e-10, abs=1e-10)
@@ -509,7 +514,7 @@ def test_nan_entropy_propagates_to_the_rates():
     cap, so the built rates take it here; a NaN V_A passes their checks
     and gives a NaN."""
     assert math.isnan(_holevo(1.0, float("nan"), 0.0))
-    assert math.isnan(_holevo(*_channel_abc(math.inf, 0.5, 0.01)))
+    assert math.isnan(_holevo(*channel_abc(math.inf, 0.5, 0.01)))
     assert math.isnan(_asymptotic_at(0.5, 0.01, 0.95)(math.inf)[0])
     assert math.isnan(_rate_at(0.5, 0.01, 0.95, 10**6, Z_PAPER,
                                EstimatorKind.SIGMA2_OPT)(math.inf, 10**5)[0])
@@ -530,7 +535,7 @@ def test_holevo_bound_vanishes_for_pure_and_broken_channels():
 def test_holevo_bound_matches_eigenvalue_composition():
     for params in GRID:
         assert holevo_bound(*params) == pytest.approx(
-            max(holevo(*_channel_abc(*params)), 0.0), abs=1e-12)
+            max(holevo(*channel_abc(*params)), 0.0), abs=1e-12)
 
 
 def test_holevo_bound_increases_with_excess_noise():
@@ -553,8 +558,9 @@ def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
     """The asymptotic rate built once per channel gives, at every V_A, the
     key rate, raw rate, I_AB and Holevo term that key_rate_asymptotic
     reports, and those are the terms composed from I_AB at sigma2 = 1 +
-    T*xi and holevo_bound(V_A, T, xi), by .hex(): a seeded sample with
-    T from 1 down to 1e-16."""
+    T*xi and the Holevo term of the channel's (a, b, c), which is
+    holevo_bound(V_A, T, xi), by .hex(): a seeded sample with T from 1
+    down to 1e-16."""
     rng = random.Random(1503)
     for _ in range(150):
         T = 10.0 ** (-16.0 * rng.random())
@@ -564,7 +570,8 @@ def test_built_asymptotic_rate_is_key_rate_asymptotic_bitwise():
         for _ in range(8):
             V_A = 10.0 ** rng.uniform(-1.0, 2.0)
             i = i_ab(V_A, T, _sigma2(T, xi))
-            s = holevo_bound(V_A, T, xi)
+            s = _holevo(*channel_abc(V_A, T, xi))
+            assert holevo_bound(V_A, T, xi).hex() == s.hex()
             raw = beta * i - s
             assert [v.hex() for v in rate(V_A)] == [
                 max(raw, 0.0).hex(), raw.hex(), i.hex(), s.hex()]
